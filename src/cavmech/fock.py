@@ -2,15 +2,18 @@
 
 Covers two generators: the full linearized tri-partite model (cavity plus
 two mechanical modes, explicitly time-dependent in the displaced rotating
-frame) and the time-independent effective two-mode model.  Propagation is
-fixed-step RK4 so repeated runs are bit-identical; the trace is never
-rescaled, and trace, Hermiticity, positivity, and top-level population
-are monitored at every recorded step.
+frame) and the time-independent effective two-mode model.  A constant
+generator is propagated exactly from one record to the next by the action
+of the exponential of its sparse Lindblad superoperator; a time-dependent
+one by fixed-step RK4.  Repeated runs are bit-identical, the trace is
+never rescaled, and trace, Hermiticity, positivity, and top-level
+population are monitored at every recorded step.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,7 +193,7 @@ class CompiledGenerator:
                 Q = math.prod(dims[s + 1:])
                 w = np.sqrt(np.arange(1, d))
                 wmat = (rate * np.outer(w, w)).reshape(1, d - 1, 1, 1, d - 1, 1)
-                self.ladder_jumps.append((P, d, Q, direction, wmat))
+                self.ladder_jumps.append((P, d, Q, direction, rate, wmat))
         self.base_drift = base
         self._shape6 = None
 
@@ -203,11 +206,6 @@ class CompiledGenerator:
         self.top_level_masks = masks
 
     def drift(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        if self.phase_nus.size == 0:
-            if out is None:
-                return self.base_drift
-            out[:] = self.base_drift
-            return out
         phases = np.exp(1j * self.phase_nus * t)
         if out is None:
             out = np.empty_like(self.base_drift)
@@ -220,7 +218,7 @@ class CompiledGenerator:
         """Accumulate sum_i L_i state L_i^dag into ``out``."""
         for L, Ld in self.dense_jumps:
             out += L @ state @ Ld
-        for P, d, Q, direction, wmat in self.ladder_jumps:
+        for P, d, Q, direction, _, wmat in self.ladder_jumps:
             s6 = state.reshape(P, d, Q, P, d, Q)
             o6 = out.reshape(P, d, Q, P, d, Q)
             if direction == "down":
@@ -233,6 +231,31 @@ class CompiledGenerator:
         out = D @ rho + rho @ D.conj().T
         self.add_jump_sandwiches(rho, out)
         return out
+
+    def superoperator(self):
+        """Sparse Lindblad superoperator of a constant generator.
+
+        Acts on the row-major flattening of the density matrix, where
+        vec(X rho Y) = (X kron Y^T) vec(rho); built from the same base
+        drift and jumps that :meth:`apply` uses.
+        """
+        from scipy import sparse
+
+        if self.phase_nus.size:
+            raise ValueError("the superoperator needs a time-independent generator")
+        dim = self.space.total_dim
+        eye = sparse.identity(dim, format="csr")
+        drift = sparse.csr_matrix(self.base_drift)
+        terms = [sparse.kron(drift, eye), sparse.kron(eye, drift.conj())]
+        for L, _ in self.dense_jumps:
+            L = sparse.csr_matrix(L)
+            terms.append(sparse.kron(L, L.conj()))
+        for P, d, Q, direction, rate, _ in self.ladder_jumps:
+            lower = sparse.diags(np.sqrt(rate * np.arange(1, d)), 1)
+            op = sparse.kron(sparse.kron(sparse.identity(P), lower if direction == "down" else lower.T),
+                             sparse.identity(Q))
+            terms.append(sparse.kron(op, op))  # real operator: conj(op) == op
+        return sum(terms[1:], terms[0]).tocsr()
 
 
 def compile_generator(spec, space: FockSpace) -> CompiledGenerator:
@@ -379,14 +402,15 @@ def integrate(
     stride: int = 100,
     truncation_tol: float = 1e-3,
 ) -> Trajectory:
-    """Propagate with fixed-step RK4, recording every ``stride`` steps.
+    """Propagate ``round(t_end / dt)`` steps of ``dt``, recording every ``stride``.
 
-    Requires ``dt <= 0.01 / f_max`` for the generator's fastest scale.
-    The state is re-Hermitized once per step: the exact flow preserves
-    Hermiticity, but the roundoff-seeded anti-Hermitian component obeys a
-    sign-flipped dissipator and can grow exponentially if left in place.
-    Trace drift is compensated in the reported expectations only, never
-    in the state.  Aborts when the top Fock level of any subsystem passes
+    ``dt`` sets the record grid (every ``stride`` steps, plus the last
+    step) and must satisfy ``dt <= 0.01 / f_max`` for the generator's
+    fastest scale.  A constant generator jumps from record to record
+    exactly (:func:`_propagate_exact`); a time-dependent one takes
+    fixed-step RK4 steps of ``dt`` (:func:`_propagate_rk4`).  Trace drift
+    is compensated in the reported expectations only, never in the state.
+    Aborts when the top Fock level of any subsystem passes
     ``truncation_tol``.
     """
     gen = compile_generator(spec, space)
@@ -396,6 +420,8 @@ def integrate(
         )
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
+    if stride < 1:
+        raise ValueError("stride must be a positive number of steps")
     rho = np.array(rho0, dtype=complex)
     DensityState(rho).validate()
 
@@ -404,7 +430,8 @@ def integrate(
 
     def record(t, rho):
         tr = np.trace(rho).real
-        top = max(rho.diagonal().real[mask].sum() for mask in gen.top_level_masks)
+        tops = [rho.diagonal().real[mask].sum() for mask in gen.top_level_masks]
+        top = max(tops)
         herm = float(np.abs(rho - rho.conj().T).max())
         eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
         rec_t.append(t)
@@ -417,14 +444,40 @@ def integrate(
         ncav_op = gen.observables["n_cav"]
         rec["n_cav"].append(float(_expect(ncav_op, rho).real / tr) if ncav_op is not None else math.nan)
         if top > truncation_tol:
+            s = tops.index(top)
             raise TruncationError(
-                f"top-level population {top:.3e} at t={t:.6g} exceeds {truncation_tol}: increase dimensions"
+                f"subsystem {s} holds population {top:.3e} in its top Fock level "
+                f"n={space.dims[s] - 1} at t={t:.6g}, above {truncation_tol}: increase dimensions"
             )
 
     record(0.0, rho)
+    propagate = _propagate_rk4 if gen.phase_nus.size else _propagate_exact
+    rho = propagate(gen, rho, n_steps, dt, stride, record)
 
-    # RK4 with preallocated work buffers.  Every stage input is Hermitian
-    # (the generator preserves Hermiticity), so rho D^dag = (D rho)^dag and
+    return Trajectory(
+        t=np.array(rec_t),
+        n1=np.array(rec["n1"]).real,
+        n2=np.array(rec["n2"]).real,
+        n_cav=np.array(rec["n_cav"], dtype=float),
+        coh=np.array(rec["coh"]),
+        trace=np.array(rec["trace"]),
+        trunc_monitor=np.array(rec["trunc"]),
+        herm_dev=np.array(rec["herm"]),
+        min_eig=np.array(rec["eig"]),
+        final_state=DensityState(rho, time=n_steps * dt),
+    )
+
+
+def _propagate_rk4(gen, rho, n_steps, dt, stride, record):
+    """Fixed-step RK4 for a time-dependent generator; returns the final state.
+
+    The state is re-Hermitized once per step: the exact flow preserves
+    Hermiticity, but the roundoff-seeded anti-Hermitian component obeys a
+    sign-flipped dissipator in this split update and can grow
+    exponentially if left in place.
+    """
+    # Preallocated work buffers.  Every stage input is Hermitian (the
+    # generator preserves Hermiticity), so rho D^dag = (D rho)^dag and
     # each stage costs one drift product plus the jump sandwiches.
     dim = rho.shape[0]
     D_cur, D_half, D_next = (np.empty((dim, dim), complex) for _ in range(3))
@@ -465,19 +518,59 @@ def integrate(
         t = step * dt
         if step % stride == 0 or step == n_steps:
             record(t, rho)
+    return rho
 
-    return Trajectory(
-        t=np.array(rec_t),
-        n1=np.array(rec["n1"]).real,
-        n2=np.array(rec["n2"]).real,
-        n_cav=np.array(rec["n_cav"], dtype=float),
-        coh=np.array(rec["coh"]),
-        trace=np.array(rec["trace"]),
-        trunc_monitor=np.array(rec["trunc"]),
-        herm_dev=np.array(rec["herm"]),
-        min_eig=np.array(rec["eig"]),
-        final_state=DensityState(rho, time=t),
-    )
+
+# Complex entries of density-matrix records held at once by the exact path
+# (16 MiB): one expm_multiply call covers at most this many records' worth.
+_RECORD_BLOCK = 2**20
+
+
+def _propagate_exact(gen, rho, n_steps, dt, stride, record):
+    """Exact record-to-record propagation of a constant generator.
+
+    Records come from ``expm_multiply`` (Al-Mohy & Higham 2011) on the
+    sparse superoperator over the uniform grid of ``stride`` steps, with
+    one more call for a shorter final interval.  Each record is
+    re-Hermitized.  Returns the final state.
+    """
+    from scipy.sparse.linalg import expm_multiply
+
+    dim = rho.shape[0]
+    superop = gen.superoperator()
+    block = max(1, _RECORD_BLOCK // (dim * dim))
+    n_full, rest = divmod(n_steps, stride)
+    step = 0
+    with _seeded_global_rng():
+        for width, count in ((stride, n_full), (rest, int(rest > 0))):
+            while count:
+                k = min(count, block)
+                vecs = expm_multiply(superop, rho.reshape(-1), start=0.0, stop=k * width * dt,
+                                     num=k + 1, endpoint=True)
+                for vec in vecs[1:]:
+                    rho = vec.reshape(dim, dim)
+                    rho = 0.5 * (rho + rho.conj().T)
+                    step += width
+                    record(step * dt, rho)
+                count -= k
+    return rho
+
+
+@contextmanager
+def _seeded_global_rng():
+    """Run with NumPy's global RNG at a fixed seed, then restore the caller's state.
+
+    ``expm_multiply`` estimates norms of matrix powers with ``onenormest``,
+    which draws from the global RNG; the estimate steers the Taylor
+    degree and so the last bits of the result.  Not safe against other
+    threads drawing from the global RNG at the same time.
+    """
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        yield
+    finally:
+        np.random.set_state(state)
 
 
 # -- excitation-transfer experiment -----------------------------------------

@@ -4,7 +4,9 @@ Quadratic Hamiltonians with linear jump operators close on the first and
 second moments for any state, so these engines track the mean vector and
 the symmetric covariance matrix exactly, independent of Fock truncation.
 Quadratures are ordered (x_1, p_1, ..., x_N, p_N) with vacuum variance 1/2
-(hbar = 1); that convention is stamped on every emitted header.
+(hbar = 1); that convention is stamped on every emitted header.  A
+constant drift and diffusion are propagated by the exact affine moment
+map of each record interval; a time-dependent drift by fixed-step RK4.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .model import FrameParams
 from .fock import EffectiveTwoMode, FullLinearized, effective_generator
@@ -129,11 +131,6 @@ class DriftDiffusion:
         return bool(self.cos_terms or self.sin_terms)
 
     def drift_at(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        if not self.time_dependent:
-            if out is None:
-                return self.drift
-            np.copyto(out, self.drift)
-            return out
         if out is None:
             out = np.empty_like(self.drift)
         np.copyto(out, self.drift)
@@ -198,12 +195,11 @@ def _jump_drift_diffusion(omega, lam, rate):
     return A, D
 
 
-def drift_diffusion_from_generator(spec, t: float | None = None) -> DriftDiffusion:
+def drift_diffusion_from_generator(spec) -> DriftDiffusion:
     """Map a generator spec onto moment dynamics.
 
     For the time-dependent full model the returned object carries the
-    oscillating drift basis; pass ``t`` to also get nothing extra (the time
-    argument only matters through :meth:`DriftDiffusion.drift_at`).
+    oscillating drift basis, evaluated by :meth:`DriftDiffusion.drift_at`.
     """
     if isinstance(spec, EffectiveTwoMode):
         return _dd_effective(spec)
@@ -338,20 +334,25 @@ def evolve_covariance(
     entangled_pair: tuple[int, int] = (0, 1),
     physicality_tol: float = 1e-6,
 ) -> GaussTrajectory:
-    """Fixed-step RK4 on the moment equations.
+    """Propagate the moment equations ``round(t_end / dt)`` steps of ``dt``.
 
-    The covariance is re-symmetrized every step (pure roundoff control)
-    and the uncertainty-bound defect is monitored at every record; a
-    defect beyond ``physicality_tol`` aborts.
+    ``dt`` sets the record grid (every ``stride`` steps, plus the last
+    step) and must satisfy ``dt <= 0.01 / f_max``.  A constant drift jumps
+    from record to record by the exact moment map of
+    :func:`_interval_map`; a time-dependent drift takes fixed-step RK4
+    steps of ``dt``.  The covariance is re-symmetrized after every update
+    (pure roundoff control) and the uncertainty-bound defect is monitored
+    at every record; a defect beyond ``physicality_tol`` aborts.
     """
     if dd.f_max > 0 and dt > 0.01 / dd.f_max * (1 + 1e-9):
         raise ValueError(
             f"dt={dt} too coarse for the fastest scale {dd.f_max}; need dt <= {0.01 / dd.f_max}"
         )
+    if stride < 1:
+        raise ValueError("stride must be a positive number of steps")
     mean = state0.mean.copy()
     cov = 0.5 * (state0.cov + state0.cov.T)
     n_modes = state0.n_modes
-    D = dd.diffusion
     n_steps = int(round(t_end / dt)) if t_end > 0 else 0
 
     rec_t, rec_n, rec_en, rec_nu, rec_phys = [], [], [], [], []
@@ -375,7 +376,25 @@ def evolve_covariance(
             )
 
     record(0.0, mean, cov)
-    A_buf = np.empty_like(cov) if dd.time_dependent else dd.drift
+    propagate = _propagate_rk4 if dd.time_dependent else _propagate_exact
+    mean, cov = propagate(dd, mean, cov, n_steps, dt, stride, record)
+
+    occ = np.array(rec_n)
+    return GaussTrajectory(
+        t=np.array(rec_t),
+        n1=occ[:, 0] if n_modes < 3 else occ[:, 1],
+        n2=occ[:, 1] if n_modes < 3 else occ[:, 2],
+        log_negativity=np.array(rec_en),
+        min_symp_eig=np.array(rec_nu),
+        physicality=np.array(rec_phys),
+        final_state=CovarianceState(mean, cov, time=n_steps * dt),
+        occupations=occ,
+    )
+
+
+def _propagate_rk4(dd, mean, cov, n_steps, dt, stride, record):
+    """Fixed-step RK4 for a time-dependent drift; returns the final moments."""
+    D = dd.diffusion
     half = dt / 2
 
     def rhs(A, mean, cov):
@@ -386,12 +405,12 @@ def evolve_covariance(
 
     t = 0.0
     for step in range(1, n_steps + 1):
-        A1 = dd.drift_at(t) if dd.time_dependent else A_buf
+        A1 = dd.drift_at(t)
         km1, kc1 = rhs(A1, mean, cov)
-        Ah = dd.drift_at(t + half) if dd.time_dependent else A_buf
+        Ah = dd.drift_at(t + half)
         km2, kc2 = rhs(Ah, mean + half * km1, cov + half * kc1)
         km3, kc3 = rhs(Ah, mean + half * km2, cov + half * kc2)
-        A2 = dd.drift_at(t + dt) if dd.time_dependent else A_buf
+        A2 = dd.drift_at(t + dt)
         km4, kc4 = rhs(A2, mean + dt * km3, cov + dt * kc3)
         mean += dt / 6 * (km1 + 2 * (km2 + km3) + km4)
         cov += dt / 6 * (kc1 + 2 * (kc2 + kc3) + kc4)
@@ -399,18 +418,57 @@ def evolve_covariance(
         t = step * dt
         if step % stride == 0 or step == n_steps:
             record(t, mean, cov)
+    return mean, cov
 
-    occ = np.array(rec_n)
-    return GaussTrajectory(
-        t=np.array(rec_t),
-        n1=occ[:, 0] if n_modes < 3 else occ[:, 1],
-        n2=occ[:, 1] if n_modes < 3 else occ[:, 2],
-        log_negativity=np.array(rec_en),
-        min_symp_eig=np.array(rec_nu),
-        physicality=np.array(rec_phys),
-        final_state=CovarianceState(mean, cov, time=t),
-        occupations=occ,
-    )
+
+def _propagate_exact(dd, mean, cov, n_steps, dt, stride, record):
+    """Exact record-to-record moment maps of a constant drift and diffusion.
+
+    The map of an interval is built once per distinct interval length:
+    ``stride`` steps, and a shorter final interval if there is one.
+    Returns the final moments.
+    """
+    maps = {}
+    step = 0
+    while step < n_steps:
+        width = min(stride, n_steps - step)
+        if width not in maps:
+            maps[width] = _interval_map(dd.drift, dd.diffusion, width * dt)
+        phi, q = maps[width]
+        mean = phi @ mean
+        cov = phi @ cov @ phi.T + q
+        cov = 0.5 * (cov + cov.T)
+        step += width
+        record(step * dt, mean, cov)
+    return mean, cov
+
+
+def _interval_map(A: np.ndarray, D: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact moment map over time ``h``: mean -> Phi mean, S -> Phi S Phi^T + Q.
+
+    Phi = e^{A h} and Q = int_0^h e^{A s} D e^{A^T s} ds, from Van Loan's
+    block exponential (IEEE Trans. Autom. Control 23, 395 (1978)):
+    expm([[-A, D], [0, A^T]] tau) = [[e^{-A tau}, e^{-A tau} Q(tau)],
+    [0, e^{A^T tau}]].  Because e^{-A tau} grows, the block exponential
+    covers at most tau with |A tau|_1 <= 1, and the map over h = 2^k tau
+    follows by doubling: Q(2 tau) = Phi(tau) Q(tau) Phi(tau)^T + Q(tau).
+    The doubling needs no stability of A, so lossless drifts work too.
+    """
+    n = A.shape[0]
+    norm = float(np.abs(A).sum(axis=0).max()) * h
+    halvings = math.ceil(math.log2(norm)) if norm > 1.0 else 0
+    tau = h / 2**halvings
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = -A
+    block[:n, n:] = D
+    block[n:, n:] = A.T
+    E = expm(block * tau)
+    phi = E[n:, n:].T
+    q = phi @ E[:n, n:]
+    for _ in range(halvings):
+        q = phi @ q @ phi.T + q
+        phi = phi @ phi
+    return phi, 0.5 * (q + q.T)
 
 
 def steady_state(dd: DriftDiffusion) -> CovarianceState:

@@ -160,7 +160,8 @@ def test_criterion_5_engine_cross_check(effective_cross_checks):
     assert worst_ss < 1e-6
     assert elapsed < 30.0
     report("criterion 5 (engine cross-check, 3 configs)",
-           f"moment gap {worst_gap:.2e} < 1e-3; steady-state gap {worst_ss:.2e} < 1e-6",
+           f"moment gap {worst_gap:.2e} < 1e-3 (Fock truncation only: both engines "
+           f"propagate exactly); steady-state gap {worst_ss:.2e} < 1e-6",
            30, elapsed)
 
 

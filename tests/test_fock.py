@@ -123,6 +123,26 @@ class TestLiouvillian:
             assert abs(np.trace(drho)) < 1e-12
             assert np.abs(drho - drho.conj().T).max() < 1e-13
 
+    def test_superoperator_matches_apply(self):
+        # thermal baths add "up" ladder jumps next to the dense collective ones
+        fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08,
+                                   thermal_baths=((0.01, 0.3), (0.02, 0.1)))
+        space = FockSpace((3, 4))
+        gen = compile_generator(effective_generator(fr, include_shifts=True), space)
+        superop = gen.superoperator()
+        rng = np.random.default_rng(3)
+        dim = space.total_dim
+        for _ in range(10):
+            rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = rho + rho.conj().T
+            expected = gen.apply(0.0, rho)
+            assert np.abs(superop @ rho.reshape(-1) - expected.reshape(-1)).max() < 1e-14
+
+    def test_superoperator_rejects_time_dependent_generator(self):
+        gen = compile_generator(FullLinearized(desk_frame()), FockSpace((2, 2, 2)))
+        with pytest.raises(ValueError, match="time-independent"):
+            gen.superoperator()
+
 
 class TestIntegrate:
     def test_beam_splitter_oscillation(self):
@@ -130,10 +150,34 @@ class TestIntegrate:
         spec = effective_generator(fr)
         J = abs(spec.params.exchange_coupling)
         space = FockSpace((3, 3))
+        dt = 0.01 / J
         traj = integrate(spec, space, fock_state(space, (1, 0)),
-                         math.pi / (2 * J), 0.01 / J, stride=20)
+                         math.pi / (2 * J), dt, stride=20)
+        # 157 steps: seven full record intervals and a final 17-step one
+        assert list(traj.t) == [s * dt for s in range(0, 157, 20)] + [157 * dt]
+        assert traj.final_state.time == 157 * dt
         assert np.abs(traj.n2 - np.sin(J * traj.t) ** 2).max() < 1e-8
         assert traj.n2[-1] == pytest.approx(1.0, abs=1e-6)
+
+    def test_exact_path_ignores_and_keeps_global_rng(self):
+        # expm_multiply estimates norms with onenormest, which draws from
+        # NumPy's global RNG
+        fr = frame_from_collective(1.0, 0.2, 1.0, 0.3, 0.15, 0.15)
+        spec = effective_generator(fr)
+        space = FockSpace((4, 4))
+        dt = 0.01 / compile_generator(spec, space).f_max
+        outputs = []
+        for seed in (1, 2):
+            np.random.seed(seed)
+            before = np.random.get_state()
+            traj = integrate(spec, space, fock_state(space, (1, 0)), 3000 * dt, dt, stride=10)
+            after = np.random.get_state()
+            assert after[0] == before[0] and np.array_equal(after[1], before[1])
+            assert after[2:] == before[2:]
+            outputs.append(b"".join(getattr(traj, f).tobytes()
+                                    for f in ("t", "n1", "n2", "coh", "trace", "min_eig"))
+                           + traj.final_state.matrix.tobytes())
+        assert outputs[0] == outputs[1]
 
     def test_single_mode_decay(self):
         spec = EffectiveTwoMode(manual_params({"1": (0.4, 0.0)}), CollectiveMode(1.0, 1.0))
@@ -165,6 +209,8 @@ class TestIntegrate:
         f_max = compile_generator(spec, space).f_max
         with pytest.raises(ValueError, match="too coarse"):
             integrate(spec, space, fock_state(space, (0, 0, 0)), 1.0, 0.02 / f_max)
+        with pytest.raises(ValueError, match="stride"):
+            integrate(spec, space, fock_state(space, (0, 0, 0)), 1.0, 0.01 / f_max, stride=0)
 
     def test_fourth_order_convergence(self):
         fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
@@ -180,14 +226,23 @@ class TestIntegrate:
             assert abs(a - b) <= 1e-6 * max(abs(a), abs(b), 1e-3)
 
     def test_truncation_monitor_aborts(self):
-        # resonant up-conversion on mode 1 overfills a d=3 ladder quickly
+        # resonant up-conversion pumps cavity-mechanics pairs and overfills
+        # the d=3 ladders quickly; the cavity's holds the most
         fr = frame_from_collective(1.0, 0.3, -(1.0 + 0.3), 0.4, 0.2, 0.2)
         spec = FullLinearized(fr)
         space = FockSpace((3, 3, 3))
         f_max = compile_generator(spec, space).f_max
-        with pytest.raises(TruncationError, match="increase dimensions"):
+        with pytest.raises(TruncationError, match=r"subsystem 0 holds population .*increase dimensions"):
             integrate(spec, space, fock_state(space, (0, 0, 0)), 120.0,
                       0.01 / f_max, stride=500, truncation_tol=1e-3)
+
+    def test_truncation_monitor_aborts_constant_generator(self):
+        # a hot bath on mode 2 fills its d=3 ladder
+        spec = EffectiveTwoMode(manual_params({}), CollectiveMode(1.0, 1.0),
+                                thermal_baths=((0.0, 0.0), (0.3, 2.0)))
+        space = FockSpace((3, 3))
+        with pytest.raises(TruncationError, match=r"subsystem 1 holds population .*increase dimensions"):
+            integrate(spec, space, fock_state(space, (0, 0)), 20.0, 0.01, stride=50)
 
     def test_state_validation_on_entry(self):
         fr = desk_frame()

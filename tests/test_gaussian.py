@@ -115,20 +115,31 @@ class TestDriftDiffusionMapping:
         assert np.abs(A @ cov + cov @ A.T + dd.diffusion - dcov).max() < 1e-9
 
 
+def symplectic_eigenvalues(cov):
+    return np.sort(np.abs(np.linalg.eigvals(symplectic_form(cov.shape[0] // 2) @ cov)))
+
+
 class TestEvolution:
     def test_symplectic_eigenvalues_conserved_without_diffusion(self):
         fr = frame_from_collective(1.0, 0.2, 0.7, 0.0, 0.1, 0.1)
         dd = drift_diffusion_from_generator(effective_generator(fr))
         state0 = squeezed_vacuum(2, 0, 0.9)
         traj = evolve_covariance(dd, state0, 200.0, 0.01 / dd.f_max, stride=50)
-        omega = symplectic_form(2)
-
-        def symp_eigs(cov):
-            return np.sort(np.abs(np.linalg.eigvals(omega @ cov)))
-
-        start = symp_eigs(state0.cov)
-        end = symp_eigs(traj.final_state.cov)
+        start = symplectic_eigenvalues(state0.cov)
+        end = symplectic_eigenvalues(traj.final_state.cov)
         assert end == pytest.approx(start, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_single_lossless_interval_by_doubling(self):
+        # one 200-time-unit record interval: the interval map is built by
+        # doubling, with no overflow and no Hurwitz drift to lean on
+        fr = frame_from_collective(1.0, 0.2, 0.7, 0.0, 0.1, 0.1)
+        dd = drift_diffusion_from_generator(effective_generator(fr))
+        state0 = squeezed_vacuum(2, 0, 0.9)
+        traj = evolve_covariance(dd, state0, 200.0, 0.01 / dd.f_max, stride=10**9)
+        assert len(traj.t) == 2
+        end = symplectic_eigenvalues(traj.final_state.cov)
+        assert end == pytest.approx(symplectic_eigenvalues(state0.cov), abs=1e-9)
 
     def test_damped_occupation_decay(self):
         spec = EffectiveTwoMode(manual_params({"1": (0.5, 0.0)}), CollectiveMode(1.0, 1.0))
@@ -156,6 +167,8 @@ class TestEvolution:
         dd = drift_diffusion_from_generator(spec)
         with pytest.raises(ValueError, match="too coarse"):
             evolve_covariance(dd, vacuum_state(2), 1.0, 1.0)
+        with pytest.raises(ValueError, match="stride"):
+            evolve_covariance(dd, vacuum_state(2), 1.0, 0.01, stride=0)
 
 
 class TestSteadyState:
@@ -178,6 +191,15 @@ class TestSteadyState:
         state = CovarianceState(np.zeros(4), ss.cov)
         assert state.occupation(0) == pytest.approx(nbar, rel=1e-10)
         assert state.occupation(1) == pytest.approx(nbar, rel=1e-10)
+
+    def test_single_long_interval_reaches_steady_state(self):
+        fr = frame_from_collective(1.0, 0.2, 1.0, 0.3, 0.15, 0.15)
+        dd = drift_diffusion_from_generator(effective_generator(fr))
+        relax = -np.linalg.eigvals(dd.drift).real.max()
+        traj = evolve_covariance(dd, fock_moments(2, (1, 0)), 30.0 / relax,
+                                 0.01 / dd.f_max, stride=10**9)
+        assert len(traj.t) == 2
+        assert np.abs(traj.final_state.cov - steady_state(dd).cov).max() <= 1e-12
 
     def test_lossless_generator_has_no_steady_state(self):
         fr = frame_from_collective(1.0, 0.2, 0.7, 0.0, 0.1, 0.1)
