@@ -1,16 +1,14 @@
 """Parameter sweeps, regime maps, asymptotics, validation, and emission.
 
 Everything here orchestrates library operations; no physics lives in this
-module.  Sweep outputs are sorted by grid index before emission and all
-file output uses fixed formatting, so results are byte-identical across
-runs and worker counts.
+module.  Sweep outputs are in grid order and all file output uses fixed
+formatting, so results are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,10 +17,12 @@ import numpy as np
 from . import __version__
 from .model import FrameParams, SystemConfig, config_digest, derive_frame, frame_from_collective
 from .effective import (
+    _lorentzian_pair,
     bath_centers,
     coupling_nulls,
     effective_params,
     exchange_coupling,
+    exchange_pathway_sum,
     interaction_regime,
 )
 from .elimination import build_coefficient_table, reduce_to_effective
@@ -179,7 +179,7 @@ def coupling_curve_data(
     md["omega_bar"] = _fmt(omega_bar)
     cols = [deltas]
     for kappa in kappa_list:
-        j_vals = _coupling_vectorized(deltas, omega_bar, kappa)
+        j_vals = exchange_pathway_sum(deltas, omega_bar, kappa)
         peak = np.abs(j_vals).max()
         cols.append(np.abs(j_vals) / (peak if peak > 0 else 1.0))
         columns.append(f"absJ_norm_kappa_{kappa:g}")
@@ -187,13 +187,6 @@ def coupling_curve_data(
         nulls = coupling_nulls(frame)
         md[f"nulls_kappa_{kappa:g}"] = "; ".join(_fmt(x) for x in nulls)
     return Dataset(columns=columns, rows=np.column_stack(cols), metadata=md)
-
-
-def _coupling_vectorized(delta_bar: np.ndarray, omega_bar: float, kappa: float) -> np.ndarray:
-    lo = delta_bar - omega_bar
-    hi = delta_bar + omega_bar
-    k2 = kappa * kappa / 4
-    return -(lo / (k2 + lo * lo) + hi / (k2 + hi * hi))
 
 
 # -- regime map ---------------------------------------------------------------
@@ -235,13 +228,10 @@ class RegimeMap:
 
 def _xi_row(delta_axis, omega_bar, delta_omega, kappa, G_1, G_2):
     """Vectorized classicality ratio along one decay row."""
-    j = G_1 * G_2 * _coupling_vectorized(delta_axis, omega_bar, kappa)
-    k2 = kappa * kappa / 4
-    x1 = omega_bar + delta_omega
-    x2 = omega_bar - delta_omega
-    up1 = G_1 * G_1 * kappa / (k2 + (delta_axis + x1) ** 2)
-    up2 = G_2 * G_2 * kappa / (k2 + (delta_axis + x2) ** 2)
-    upc = G_1 * G_2 * kappa / (k2 + (delta_axis + omega_bar) ** 2)
+    j = G_1 * G_2 * exchange_pathway_sum(delta_axis, omega_bar, kappa)
+    _, up1 = _lorentzian_pair(G_1 * G_1, kappa, delta_axis, omega_bar + delta_omega)
+    _, up2 = _lorentzian_pair(G_2 * G_2, kappa, delta_axis, omega_bar - delta_omega)
+    _, upc = _lorentzian_pair(G_1 * G_2, kappa, delta_axis, omega_bar)
     return np.abs(j) / (up1 + up2 + 2 * upc)
 
 
@@ -251,7 +241,6 @@ def regime_map(
     omega_bar: float = 1.0,
     G_1: float = 0.1,
     G_2: float = 0.1,
-    threads: int = 1,
 ) -> RegimeMap:
     """Classicality map over the grid; equal couplings by default.
 
@@ -261,17 +250,8 @@ def regime_map(
     deltas = grid.delta_axis()
     dw = delta_omega_over_omega_bar * omega_bar
 
-    def row(i):
-        return i, _xi_row(deltas, omega_bar, dw, grid.kappa_values[i], G_1, G_2)
-
-    indices = range(len(grid.kappa_values))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(row, indices))
-    else:
-        results = [row(i) for i in indices]
-    results.sort(key=lambda pair: pair[0])
-    xi = np.vstack([r for _, r in results])
+    xi = np.vstack([_xi_row(deltas, omega_bar, dw, kappa, G_1, G_2)
+                    for kappa in grid.kappa_values])
 
     labels = np.where(xi <= 0.5, "classical", "quantum")
     boundary: list[tuple[float, float]] = []

@@ -1,8 +1,9 @@
 """Command-line interface: one subcommand per analysis task.
 
 Exit codes: 0 on success, 1 when a validation stage fails, 2 on bad input.
-All outputs are deterministic for a fixed configuration; ``--seed`` is
-accepted for interface stability but unused because nothing is stochastic.
+All outputs are deterministic for a fixed configuration; ``--seed`` and
+``--threads`` are accepted for interface stability but unused: nothing is
+stochastic, and every sweep runs in one thread.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .model import ConfigError, SystemConfig, derive_frame, load_config
+from .model import SystemConfig, derive_frame, load_config
 from .effective import coupling_nulls, interaction_regime
 from .fock import (
     FitError,
@@ -54,7 +55,8 @@ def _add_common(sub):
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--out", help="output file path")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1,
+                     help="accepted for interface stability; unused")
     sub.add_argument("--seed", type=int, default=None,
                      help="reserved; all computations are deterministic")
 
@@ -137,7 +139,7 @@ def _cmd_fig2(args) -> int:
     lo, hi, count = _parse_range(args.delta_range)
     grid = SweepGrid(delta_min=lo, delta_max=hi, delta_count=count,
                      kappa_values=tuple(_parse_floats(args.kappas)))
-    rmap = regime_map(args.delta_omega, grid, threads=max(1, args.threads))
+    rmap = regime_map(args.delta_omega, grid)
     dataset = regime_map_dataset(rmap, args.delta_omega)
     _emit_or_print(dataset, args)
     return 0
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.add_argument("--t-end", type=float, default=100.0)
         p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--dims", default="4,3,3" if model == "full" else "3,3")
+        p.add_argument("--dims", default="4,4,4" if model == "full" else "4,4")
         p.add_argument("--initial", default="0,1,0" if model == "full" else "1,0")
         p.add_argument("--stride", type=int, default=100)
         p.add_argument("--truncation-tol", type=float, default=1e-3)
@@ -312,13 +314,11 @@ def main(argv=None) -> int:
         if args.command in ("simulate-full", "simulate-effective"):
             return _cmd_simulate(args, args.model)
         return _DISPATCH[args.command](args)
-    except (UsageError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FitError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # ValueError covers UsageError, ConfigError and out-of-range numbers
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

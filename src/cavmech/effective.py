@@ -66,7 +66,8 @@ def bath_centers(frame: FrameParams) -> tuple[float, float]:
     )
 
 
-def _lorentzian_pair(G_sq: float, kappa: float, delta_bar: float, x: float) -> tuple[float, float]:
+def _lorentzian_pair(G_sq: float, kappa: float, delta_bar, x: float):
+    """(down, up) Lorentzian rate pair; elementwise for an array of detunings."""
     if kappa == 0.0:
         return 0.0, 0.0
     down = G_sq * kappa / (kappa * kappa / 4 + (delta_bar - x) ** 2)
@@ -92,13 +93,22 @@ def exchange_coupling(frame: FrameParams) -> float:
 def exchange_coupling_pathways(frame: FrameParams) -> float:
     """Same coupling as the explicit sum of the two exchange pathways."""
     kappa, db, ob = frame.kappa, frame.delta_bar, frame.omega_bar
-    lo, hi = db - ob, db + ob
-    k2 = kappa * kappa / 4
-    if kappa == 0 and (lo == 0 or hi == 0):
+    if kappa == 0 and abs(db) == ob:
         raise OutOfValidityError(
             "exchange coupling diverges for a lossless cavity at delta_bar = +-omega_bar"
         )
-    return -frame.G_1 * frame.G_2 * (lo / (k2 + lo * lo) + hi / (k2 + hi * hi))
+    return frame.G_1 * frame.G_2 * exchange_pathway_sum(db, ob, kappa)
+
+
+def exchange_pathway_sum(delta_bar, omega_bar: float, kappa: float):
+    """Exchange coupling per unit G_1 G_2 as the sum of its two pathways.
+
+    -[lo/(kappa^2/4 + lo^2) + hi/(kappa^2/4 + hi^2)] with lo, hi =
+    delta_bar -+ omega_bar; elementwise for an array of detunings.
+    """
+    lo, hi = delta_bar - omega_bar, delta_bar + omega_bar
+    k2 = kappa * kappa / 4
+    return -(lo / (k2 + lo * lo) + hi / (k2 + hi * hi))
 
 
 def single_mode_rates(frame: FrameParams, j: int) -> tuple[float, float]:
@@ -216,13 +226,8 @@ def coupling_nulls(frame: FrameParams, tol: float = 1e-12) -> list[float]:
     if kappa >= 2 * ob:
         return roots
 
-    def j_of(db):
-        lo, hi = db - ob, db + ob
-        k2 = kappa * kappa / 4
-        return -(lo / (k2 + lo * lo) + hi / (k2 + hi * hi))
-
     grid = np.geomspace(1e-6 * ob, 4.0 * ob, 400)
-    vals = [j_of(d) for d in grid]
+    vals = exchange_pathway_sum(grid, ob, kappa)
     positive_root = None
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
         if fa == 0.0:
@@ -231,7 +236,7 @@ def coupling_nulls(frame: FrameParams, tol: float = 1e-12) -> list[float]:
         if fa * fb < 0:
             while b - a > tol:
                 m = 0.5 * (a + b)
-                fm = j_of(m)
+                fm = exchange_pathway_sum(m, ob, kappa)
                 if fm == 0.0:
                     a = b = m
                 elif fa * fm < 0:

@@ -1,13 +1,18 @@
-"""Truncated-Fock-space Lindblad integrator.
+"""Truncated-Fock-space Lindblad integrator, and what both engines share.
 
 Covers two generators: the full linearized tri-partite model (cavity plus
 two mechanical modes, explicitly time-dependent in the displaced rotating
-frame) and the time-independent effective two-mode model.  A constant
-generator is propagated exactly from one record to the next by the action
-of the exponential of its sparse Lindblad superoperator; a time-dependent
-one by fixed-step RK4.  Repeated runs are bit-identical, the trace is
-never rescaled, and trace, Hermiticity, positivity, and top-level
-population are monitored at every recorded step.
+frame) and the time-independent effective two-mode model.  Each is
+described once, as a :class:`QuadraticModel` (Hamiltonian terms with
+exact frequency labels, linear jumps with their rates), from which this
+module compiles the Fock-space generator and :mod:`cavmech.gaussian` the
+moment equations.  A constant generator is propagated exactly from one
+record to the next by the action of the exponential of its sparse
+Lindblad superoperator; a time-dependent one by the fixed-step RK4 kernel
+:func:`propagate_rk4`, which the Gaussian engine uses too.  Repeated runs
+are bit-identical, the trace is never rescaled, and trace, Hermiticity,
+positivity, and top-level population are monitored at every recorded
+step.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .effective import (
     EffectiveParams,
     collective_mode_coeffs,
     effective_params,
+    frequency_shifts,
 )
 
 DIMENSION_CAP = 4096
@@ -114,10 +120,6 @@ class FullLinearized:
 
     frame: FrameParams
 
-    @property
-    def n_subsystems(self):
-        return 3
-
 
 @dataclass(frozen=True)
 class EffectiveTwoMode:
@@ -133,69 +135,156 @@ class EffectiveTwoMode:
     freq_shifts: tuple[float, float] = (0.0, 0.0)
     thermal_baths: tuple[tuple[float, float], ...] | None = None
 
-    @property
-    def n_subsystems(self):
-        return 2
-
 
 def effective_generator(frame: FrameParams, include_shifts: bool = False) -> EffectiveTwoMode:
     """Assemble the effective generator for a frame."""
-    shifts = (-frame.spring_1, -frame.spring_2) if include_shifts else (0.0, 0.0)
     return EffectiveTwoMode(
         params=effective_params(frame),
         collective=collective_mode_coeffs(frame.g_1, frame.g_2),
-        freq_shifts=shifts,
+        freq_shifts=frequency_shifts(frame) if include_shifts else (0.0, 0.0),
         thermal_baths=frame.thermal_baths,
     )
 
 
-class CompiledGenerator:
-    """Matrices of one generator on a concrete Fock space.
+# -- quadratic model ----------------------------------------------------------
 
-    The Hamiltonian is stored as a static part plus phase terms
-    ``exp(i nu t) M + h.c.``.  Jumps come as descriptors: ``("ladder", s,
-    "down"|"up", rate)`` for a bare ladder operator of subsystem ``s``
-    (applied by index slicing, cheaper than two dense products) or
-    ``("dense", L, rate)`` for anything else.
+@dataclass(frozen=True)
+class QuadraticModel:
+    """One quadratic open-system model, read by both engines.
+
+    A Hamiltonian term ``(c, m, n, squeeze)`` is c b_m^dag X_n + h.c. with
+    X_n = b_n^dag if ``squeeze`` else b_n; for m == n it is c b_m^dag b_m.
+    ``static`` holds the constant terms and ``oscillating`` groups
+    ``(nu, terms)`` whose coefficients carry a factor exp(i nu t), sorted
+    by exact integer frequency label.  A jump ``(coeffs, dagger, rate)``
+    is sqrt(rate) sum_m c_m b_m over the ``(m, c_m)`` pairs, with b_m^dag
+    in place of b_m when ``dagger``; every rate is positive.
     """
 
-    def __init__(self, space, static_h, phase_terms, jumps, observables, f_max):
+    n_modes: int
+    static: tuple
+    oscillating: tuple
+    jumps: tuple
+    f_max: float
+
+
+def quadratic_model(spec) -> QuadraticModel:
+    """Describe a generator spec as a :class:`QuadraticModel`.
+
+    Raises ``ValueError`` for a negative Lindblad rate.
+    """
+    if isinstance(spec, FullLinearized):
+        fr = spec.frame
+        # a^dag b_j^dag and a^dag b_j terms grouped by the exact label
+        # (n, m, p) of nu = n delta_bar + m omega_bar + p delta_omega/2
+        delta_sym = {1: (1, 0, 1), 2: (1, 0, -1)}
+        omega_sym = {1: (0, 1, 1), 2: (0, 1, -1)}
+        by_freq: dict[tuple[int, int, int], list] = {}
+        for j, G in ((1, fr.G_1), (2, fr.G_2)):
+            for k in (1, 2):
+                for sign, squeeze in ((1, True), (-1, False)):
+                    key = tuple(d + sign * w for d, w in zip(delta_sym[k], omega_sym[j]))
+                    by_freq.setdefault(key, []).append((G, 0, j, squeeze))
+        n_modes, static = 3, ()
+        oscillating = tuple(
+            (n * fr.delta_bar + m * fr.omega_bar + p * (fr.delta_omega / 2), tuple(terms))
+            for (n, m, p), terms in sorted(by_freq.items())
+        )
+        jumps = [(((0, 1.0),), False, fr.kappa)]
+        mechanical, baths = (1, 2), fr.thermal_baths
+    elif isinstance(spec, EffectiveTwoMode):
+        p = spec.params
+        s1, s2 = spec.freq_shifts
+        n_modes, oscillating = 2, ()
+        static = ((s1, 0, 0, False), (s2, 1, 1, False), (p.exchange_coupling, 0, 1, False))
+        collective = ((0, spec.collective.c_1), (1, spec.collective.c_2))
+        jumps = []
+        for coeffs, name in ((((0, 1.0),), "1"), (((1, 1.0),), "2"), (collective, "collective")):
+            down, up = p.rate_table[name]
+            jumps += [(coeffs, False, down), (coeffs, True, up)]
+        mechanical, baths = (0, 1), spec.thermal_baths
+    else:
+        raise TypeError(f"unknown generator spec {type(spec).__name__}")
+    for (rate, nth), m in zip(baths or (), mechanical):
+        jumps += [(((m, 1.0),), False, rate * (nth + 1)), (((m, 1.0),), True, rate * nth)]
+    for coeffs, dagger, rate in jumps:
+        if rate < 0:
+            kind = "raising" if dagger else "lowering"
+            modes = [m for m, _ in coeffs]
+            raise ValueError(f"negative Lindblad rate {rate} on the {kind} jump of modes {modes}")
+    f_max = max([abs(term[0]) for term in static] + [abs(nu) for nu, _ in oscillating]
+                + [rate for _, _, rate in jumps] + [0.0])
+    # a zero-rate jump does nothing and is dropped
+    return QuadraticModel(n_modes, static, oscillating,
+                          tuple(jump for jump in jumps if jump[2] > 0), f_max)
+
+
+# -- Fock-space compilation ---------------------------------------------------
+
+class CompiledGenerator:
+    """Matrices of one quadratic model on a concrete Fock space.
+
+    The Hamiltonian is stored as a static part plus phase terms
+    ``exp(i nu t) M + h.c.``.  A jump on one mode with coefficient 1 is a
+    bare ladder operator, applied by index slicing (cheaper than two dense
+    products); every other jump is a dense operator.
+    """
+
+    def __init__(self, space: FockSpace, model: QuadraticModel):
+        if len(space.dims) != model.n_modes:
+            raise ValueError(f"the model needs {model.n_modes} dims, one per mode")
         self.space = space
+        dims = space.dims
         dim = space.total_dim
-        self.static_h = static_h
+        ops = build_operators(space)
+
+        def term(c, m, n, squeeze):
+            return c * (ops[m].conj().T @ (ops[n].conj().T if squeeze else ops[n]))
+
+        parts = []
+        for c, m, n, squeeze in model.static:
+            parts.append(term(c, m, n, squeeze))
+            if m != n:  # the h.c. part
+                parts.append(np.conj(c) * ((ops[n] if squeeze else ops[n].conj().T) @ ops[m]))
+        self.static_h = sum(parts[1:], parts[0]) if parts else np.zeros((dim, dim), complex)
+        phase_terms = []
+        for nu, terms in model.oscillating:
+            mat = np.zeros((dim, dim), complex)
+            for t in terms:
+                mat += term(*t)
+            phase_terms.append((nu, mat))
         self.phase_nus = np.array([nu for nu, _ in phase_terms] + [-nu for nu, _ in phase_terms])
         stack = [-1j * m for _, m in phase_terms] + [-1j * m.conj().T for _, m in phase_terms]
         self.phase_stack = np.array(stack) if stack else np.zeros((0, dim, dim), complex)
         self._stack_flat = self.phase_stack.reshape(self.phase_stack.shape[0], dim * dim)
-        self.observables = observables
-        self.f_max = f_max
+        *cavity, b1, b2 = ops
+        self.observables = {
+            "n1": b1.conj().T @ b1,
+            "n2": b2.conj().T @ b2,
+            "n_cav": cavity[0].conj().T @ cavity[0] if cavity else None,
+            "coh": b1.conj().T @ b2,
+        }
+        self.f_max = model.f_max
 
-        dims = space.dims
-        ladder_ops = build_operators(space)
         self.dense_jumps = []
         self.ladder_jumps = []
-        base = -1j * static_h
-        for desc in jumps:
-            kind = desc[0]
-            if kind == "dense":
-                _, L, rate = desc
-            else:
-                _, s, direction, rate = desc
-                L = ladder_ops[s] if direction == "down" else ladder_ops[s].conj().T
-            if rate <= 0:
-                continue
-            base = base - 0.5 * rate * (L.conj().T @ L)
-            if kind == "dense":
-                self.dense_jumps.append((np.sqrt(rate) * L, np.sqrt(rate) * L.conj().T))
-            else:
+        base = -1j * self.static_h
+        for coeffs, dagger, rate in model.jumps:
+            if len(coeffs) == 1 and coeffs[0][1] == 1:
+                s = coeffs[0][0]
+                L = ops[s].conj().T if dagger else ops[s]
                 P = math.prod(dims[:s])
                 d = dims[s]
                 Q = math.prod(dims[s + 1:])
                 w = np.sqrt(np.arange(1, d))
                 wmat = (rate * np.outer(w, w)).reshape(1, d - 1, 1, 1, d - 1, 1)
-                self.ladder_jumps.append((P, d, Q, direction, rate, wmat))
+                self.ladder_jumps.append((P, d, Q, "up" if dagger else "down", rate, wmat))
+            else:
+                terms = [c * (ops[m].conj().T if dagger else ops[m]) for m, c in coeffs]
+                L = sum(terms[1:], terms[0])
+                self.dense_jumps.append((np.sqrt(rate) * L, np.sqrt(rate) * L.conj().T))
+            base = base - 0.5 * rate * (L.conj().T @ L)
         self.base_drift = base
-        self._shape6 = None
 
         # boolean masks of the top Fock level of each subsystem
         idx = np.arange(dim)
@@ -260,103 +349,7 @@ class CompiledGenerator:
 
 def compile_generator(spec, space: FockSpace) -> CompiledGenerator:
     """Materialize a generator spec on a Fock space."""
-    if isinstance(spec, FullLinearized):
-        return _compile_full(spec, space)
-    if isinstance(spec, EffectiveTwoMode):
-        return _compile_effective(spec, space)
-    raise TypeError(f"unknown generator spec {type(spec).__name__}")
-
-
-def _thermal_jumps(baths, subsystems):
-    jumps = []
-    if baths is not None:
-        for (rate, nth), s in zip(baths, subsystems):
-            jumps.append(("ladder", s, "down", rate * (nth + 1)))
-            jumps.append(("ladder", s, "up", rate * nth))
-    return jumps
-
-
-def _compile_full(spec: FullLinearized, space: FockSpace) -> CompiledGenerator:
-    if len(space.dims) != 3:
-        raise ValueError("the tri-partite model needs dims (cavity, mode 1, mode 2)")
-    fr = spec.frame
-    a, b1, b2 = build_operators(space)
-    ad = a.conj().T
-    dim = space.total_dim
-
-    # collect a^dag b_j^dag and a^dag b_j terms by exact frequency label
-    by_freq: dict[tuple[int, int, int], np.ndarray] = {}
-    delta_sym = {1: (1, 0, 1), 2: (1, 0, -1)}
-    for j, (wj_sym, bj, G) in enumerate(
-        (((0, 1, 1), b1, fr.G_1), ((0, 1, -1), b2, fr.G_2)), start=1
-    ):
-        for k in (1, 2):
-            dk = delta_sym[k]
-            for sign, op in ((1, bj.conj().T), (-1, bj)):
-                key = (dk[0] + sign * wj_sym[0], dk[1] + sign * wj_sym[1], dk[2] + sign * wj_sym[2])
-                mat = by_freq.setdefault(key, np.zeros((dim, dim), complex))
-                mat += G * (ad @ op)
-    phase_terms = []
-    for (n, m, p), mat in sorted(by_freq.items()):
-        nu = n * fr.delta_bar + m * fr.omega_bar + p * (fr.delta_omega / 2)
-        phase_terms.append((nu, mat))
-
-    jumps = [("ladder", 0, "down", fr.kappa)]
-    jumps += _thermal_jumps(fr.thermal_baths, (1, 2))
-
-    observables = {
-        "n1": b1.conj().T @ b1,
-        "n2": b2.conj().T @ b2,
-        "n_cav": ad @ a,
-        "coh": b1.conj().T @ b2,
-    }
-    freqs = [abs(nu) for nu, _ in phase_terms]
-    rates = [desc[-1] for desc in jumps]
-    f_max = max(freqs + rates + [0.0])
-    return CompiledGenerator(space, np.zeros((dim, dim), complex), phase_terms, jumps, observables, f_max)
-
-
-def _compile_effective(spec: EffectiveTwoMode, space: FockSpace) -> CompiledGenerator:
-    if len(space.dims) != 2:
-        raise ValueError("the effective model needs dims (mode 1, mode 2)")
-    b1, b2 = build_operators(space)
-    p = spec.params
-    J = p.exchange_coupling
-    s1, s2 = spec.freq_shifts
-    H = (
-        s1 * (b1.conj().T @ b1)
-        + s2 * (b2.conj().T @ b2)
-        + J * (b1.conj().T @ b2)
-        + np.conj(J) * (b2.conj().T @ b1)
-    )
-    B = spec.collective.c_1 * b1 + spec.collective.c_2 * b2
-    d1, u1 = p.rate_table["1"]
-    d2, u2 = p.rate_table["2"]
-    dc, uc = p.rate_table["collective"]
-    for name, (dn, up) in p.rate_table.items():
-        if dn < 0 or up < 0:
-            raise ValueError(f"negative Lindblad rate in bath {name}")
-    jumps = [
-        ("ladder", 0, "down", d1), ("ladder", 0, "up", u1),
-        ("ladder", 1, "down", d2), ("ladder", 1, "up", u2),
-        ("dense", B, dc), ("dense", B.conj().T, uc),
-    ]
-    jumps += _thermal_jumps(spec.thermal_baths, (0, 1))
-
-    observables = {
-        "n1": b1.conj().T @ b1,
-        "n2": b2.conj().T @ b2,
-        "n_cav": None,
-        "coh": b1.conj().T @ b2,
-    }
-    rates = [desc[-1] for desc in jumps]
-    f_max = max([abs(J), abs(s1), abs(s2)] + rates + [0.0])
-    return CompiledGenerator(space, H, [], jumps, observables, f_max)
-
-
-def liouvillian_apply(spec, space: FockSpace, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Time derivative of the density matrix under a generator spec."""
-    return compile_generator(spec, space).apply(t, rho)
+    return CompiledGenerator(space, quadratic_model(spec))
 
 
 # -- propagation ------------------------------------------------------------
@@ -408,24 +401,16 @@ def integrate(
     step) and must satisfy ``dt <= 0.01 / f_max`` for the generator's
     fastest scale.  A constant generator jumps from record to record
     exactly (:func:`_propagate_exact`); a time-dependent one takes
-    fixed-step RK4 steps of ``dt`` (:func:`_propagate_rk4`).  Trace drift
+    fixed-step RK4 steps of ``dt`` (:func:`propagate_rk4`).  Trace drift
     is compensated in the reported expectations only, never in the state.
     Aborts when the top Fock level of any subsystem passes
     ``truncation_tol``.
     """
     gen = compile_generator(spec, space)
-    if gen.f_max > 0 and dt > 0.01 / gen.f_max * (1 + 1e-9):
-        raise ValueError(
-            f"dt={dt} too coarse for the fastest scale {gen.f_max}; need dt <= {0.01 / gen.f_max}"
-        )
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
-    if stride < 1:
-        raise ValueError("stride must be a positive number of steps")
+    n_steps = step_count(t_end, dt, stride, gen.f_max)
     rho = np.array(rho0, dtype=complex)
     DensityState(rho).validate()
 
-    n_steps = int(round(t_end / dt)) if t_end > 0 else 0
     rec_t, rec = [], {k: [] for k in ("n1", "n2", "n_cav", "coh", "trace", "trunc", "herm", "eig")}
 
     def record(t, rho):
@@ -451,8 +436,10 @@ def integrate(
             )
 
     record(0.0, rho)
-    propagate = _propagate_rk4 if gen.phase_nus.size else _propagate_exact
-    rho = propagate(gen, rho, n_steps, dt, stride, record)
+    if gen.phase_nus.size:
+        rho = propagate_rk4(gen.drift, gen.add_jump_sandwiches, rho, n_steps, dt, stride, record)
+    else:
+        rho = _propagate_exact(gen, rho, n_steps, dt, stride, record)
 
     return Trajectory(
         t=np.array(rec_t),
@@ -468,57 +455,79 @@ def integrate(
     )
 
 
-def _propagate_rk4(gen, rho, n_steps, dt, stride, record):
-    """Fixed-step RK4 for a time-dependent generator; returns the final state.
+def step_count(t_end: float, dt: float, stride: int, f_max: float) -> int:
+    """Number of steps of ``dt`` in ``t_end``, after checking the run parameters.
 
-    The state is re-Hermitized once per step: the exact flow preserves
-    Hermiticity, but the roundoff-seeded anti-Hermitian component obeys a
-    sign-flipped dissipator in this split update and can grow
-    exponentially if left in place.
+    Both engines require ``dt <= 0.01 / f_max`` for the generator's fastest
+    scale, a positive ``dt``, a nonnegative ``t_end`` and ``stride >= 1``.
     """
-    # Preallocated work buffers.  Every stage input is Hermitian (the
-    # generator preserves Hermiticity), so rho D^dag = (D rho)^dag and
-    # each stage costs one drift product plus the jump sandwiches.
-    dim = rho.shape[0]
-    D_cur, D_half, D_next = (np.empty((dim, dim), complex) for _ in range(3))
-    y, acc, tmp1 = (np.empty((dim, dim), complex) for _ in range(3))
+    if f_max > 0 and dt > 0.01 / f_max * (1 + 1e-9):
+        raise ValueError(
+            f"dt={dt} too coarse for the fastest scale {f_max}; need dt <= {0.01 / f_max}"
+        )
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if t_end < 0:
+        raise ValueError("t_end must be nonnegative")
+    if stride < 1:
+        raise ValueError("stride must be a positive number of steps")
+    return int(round(t_end / dt)) if t_end > 0 else 0
+
+
+def propagate_rk4(drift, add_noise, x, n_steps, dt, stride, record):
+    """Fixed-step RK4 for X' = M(t) X + (M(t) X)^dag + N(X) on a Hermitian X.
+
+    ``drift(t, out)`` writes M(t) into ``out``, ``add_noise(state, out)``
+    adds N(state) to ``out``, and ``record(t, x)`` is called every
+    ``stride`` steps and after the last one.  ``x`` is updated in place
+    and returned.  The buffers handed to ``drift`` start zeroed, so a
+    drift that fills only a block leaves the rest zero.
+
+    X is re-Hermitized once per step: the exact flow preserves
+    Hermiticity, but for a density matrix the roundoff-seeded
+    anti-Hermitian component obeys a sign-flipped dissipator in this split
+    update and can grow exponentially if left in place.
+    """
+    # Preallocated work buffers.  Every stage input is Hermitian, so
+    # X M^dag = (M X)^dag and each stage costs one drift product plus N.
+    D_cur, D_half, D_next = (np.zeros_like(x) for _ in range(3))
+    y, acc, tmp1, k = (np.empty_like(x) for _ in range(4))
 
     def stage(D, state, out):
         np.matmul(D, state, out=tmp1)
         np.add(tmp1, tmp1.conj().T, out=out)
-        gen.add_jump_sandwiches(state, out)
+        add_noise(state, out)
 
-    k = np.empty((dim, dim), complex)
-    gen.drift(0.0, out=D_cur)
+    drift(0.0, D_cur)
     t = 0.0
     sixth = dt / 6.0
     half = dt / 2.0
     for step in range(1, n_steps + 1):
-        gen.drift(t + half, out=D_half)
-        gen.drift(t + dt, out=D_next)
-        stage(D_cur, rho, k)                      # k1
+        drift(t + half, D_half)
+        drift(t + dt, D_next)
+        stage(D_cur, x, k)                        # k1
         acc[:] = k
         np.multiply(k, half, out=y)
-        y += rho
+        y += x
         stage(D_half, y, k)                       # k2
         acc += 2.0 * k
         np.multiply(k, half, out=y)
-        y += rho
+        y += x
         stage(D_half, y, k)                       # k3
         acc += 2.0 * k
         np.multiply(k, dt, out=y)
-        y += rho
+        y += x
         stage(D_next, y, k)                       # k4
         acc += k
         acc *= sixth
-        rho += acc
-        np.add(rho, rho.conj().T, out=rho)
-        rho *= 0.5
+        x += acc
+        np.add(x, x.conj().T, out=x)
+        x *= 0.5
         D_cur, D_next = D_next, D_cur
         t = step * dt
         if step % stride == 0 or step == n_steps:
-            record(t, rho)
-    return rho
+            record(t, x)
+    return x
 
 
 # Complex entries of density-matrix records held at once by the exact path

@@ -4,9 +4,12 @@ Quadratic Hamiltonians with linear jump operators close on the first and
 second moments for any state, so these engines track the mean vector and
 the symmetric covariance matrix exactly, independent of Fock truncation.
 Quadratures are ordered (x_1, p_1, ..., x_N, p_N) with vacuum variance 1/2
-(hbar = 1); that convention is stamped on every emitted header.  A
-constant drift and diffusion are propagated by the exact affine moment
-map of each record interval; a time-dependent drift by fixed-step RK4.
+(hbar = 1); that convention is stamped on every emitted header.  Drift
+and diffusion are compiled from the same :class:`~cavmech.fock.QuadraticModel`
+as the Fock-space generator.  A constant drift and diffusion are
+propagated by the exact affine moment map of each record interval; a
+time-dependent drift by the RK4 kernel the Fock engine uses, applied to
+the augmented moment matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .model import FrameParams
-from .fock import EffectiveTwoMode, FullLinearized, effective_generator
+from .fock import effective_generator, propagate_rk4, quadratic_model, step_count
 
 VACUUM_CONVENTION = "quadrature ordering (x1,p1,...); vacuum variance 1/2; hbar=1"
 
@@ -174,11 +177,11 @@ def _quad_form_squeeze(n_modes, m, n, c):
 def _jump_vector(n_modes, coeffs, dagger) -> np.ndarray:
     """Complex quadrature vector lambda with L = lambda^T r for a linear jump.
 
-    ``coeffs[m]`` multiplies b_m (or b_m^dag when ``dagger``),
-    b = (x + i p)/sqrt(2).
+    Each ``(m, c)`` pair in ``coeffs`` adds c b_m (or c b_m^dag when
+    ``dagger``), b = (x + i p)/sqrt(2).
     """
     lam = np.zeros(2 * n_modes, complex)
-    for m, c in coeffs.items():
+    for m, c in coeffs:
         if dagger:
             lam[2 * m] += c / math.sqrt(2)
             lam[2 * m + 1] += -1j * c / math.sqrt(2)
@@ -195,112 +198,38 @@ def _jump_drift_diffusion(omega, lam, rate):
     return A, D
 
 
+def _quad_form(n_modes, terms, phase=1):
+    """Quadrature matrix of the Hamiltonian terms, each coefficient times ``phase``."""
+    H = np.zeros((2 * n_modes, 2 * n_modes))
+    for c, m, n, squeeze in terms:
+        form = _quad_form_squeeze if squeeze else _quad_form_number
+        H += form(n_modes, m, n, phase * complex(c))
+    return H
+
+
 def drift_diffusion_from_generator(spec) -> DriftDiffusion:
     """Map a generator spec onto moment dynamics.
 
-    For the time-dependent full model the returned object carries the
-    oscillating drift basis, evaluated by :meth:`DriftDiffusion.drift_at`.
+    Reads the spec's :class:`~cavmech.fock.QuadraticModel`.  An oscillating
+    coefficient c e^{i nu t} contributes cos(nu t) times the drift of c and
+    sin(nu t) times the drift of i c, evaluated by
+    :meth:`DriftDiffusion.drift_at`.
     """
-    if isinstance(spec, EffectiveTwoMode):
-        return _dd_effective(spec)
-    if isinstance(spec, FullLinearized):
-        return _dd_full(spec)
-    raise TypeError(f"unknown generator spec {type(spec).__name__}")
-
-
-def _dd_effective(spec: EffectiveTwoMode) -> DriftDiffusion:
-    n = 2
+    model = quadratic_model(spec)
+    n = model.n_modes
     omega = symplectic_form(n)
-    p = spec.params
-    H = np.zeros((2 * n, 2 * n))
-    s1, s2 = spec.freq_shifts
-    for m, s in ((0, s1), (1, s2)):
-        H[2 * m, 2 * m] += s
-        H[2 * m + 1, 2 * m + 1] += s
-    H += _quad_form_number(n, 0, 1, complex(p.exchange_coupling))
-    A = omega @ H
+    A = omega @ _quad_form(n, model.static)
     D = np.zeros((2 * n, 2 * n))
-    jump_list = []
-    d1, u1 = p.rate_table["1"]
-    d2, u2 = p.rate_table["2"]
-    dc, uc = p.rate_table["collective"]
-    jump_list += [({0: 1.0}, False, d1), ({0: 1.0}, True, u1)]
-    jump_list += [({1: 1.0}, False, d2), ({1: 1.0}, True, u2)]
-    coll = {0: spec.collective.c_1, 1: spec.collective.c_2}
-    jump_list += [(coll, False, dc), (coll, True, uc)]
-    if spec.thermal_baths is not None:
-        for m, (rate, nth) in enumerate(spec.thermal_baths):
-            jump_list += [({m: 1.0}, False, rate * (nth + 1)), ({m: 1.0}, True, rate * nth)]
-    rates = []
-    for coeffs, dagger, rate in jump_list:
-        if rate < 0:
-            raise ValueError("negative Lindblad rate")
-        if rate == 0:
-            continue
-        lam = _jump_vector(n, coeffs, dagger)
-        dA, dD = _jump_drift_diffusion(omega, lam, rate)
+    for coeffs, dagger, rate in model.jumps:
+        dA, dD = _jump_drift_diffusion(omega, _jump_vector(n, coeffs, dagger), rate)
         A = A + dA
         D = D + dD
-        rates.append(rate)
-    f_max = max([abs(p.exchange_coupling), abs(s1), abs(s2)] + rates + [0.0])
-    return DriftDiffusion(drift=A, diffusion=D, f_max=f_max)
-
-
-def _dd_full(spec: FullLinearized) -> DriftDiffusion:
-    # subsystem order (cavity, mode 1, mode 2)
-    fr = spec.frame
-    n = 3
-    omega = symplectic_form(n)
-
-    by_freq: dict[tuple[int, int, int], list] = {}
-    delta_sym = {1: (1, 0, 1), 2: (1, 0, -1)}
-    omega_sym = {1: (0, 1, 1), 2: (0, 1, -1)}
-    for j, G in ((1, fr.G_1), (2, fr.G_2)):
-        for k in (1, 2):
-            dk, wj = delta_sym[k], omega_sym[j]
-            plus = (dk[0] + wj[0], dk[1] + wj[1], dk[2] + wj[2])
-            minus = (dk[0] - wj[0], dk[1] - wj[1], dk[2] - wj[2])
-            by_freq.setdefault(plus, []).append(("squeeze", j, G))
-            by_freq.setdefault(minus, []).append(("beamsplit", j, G))
-
-    cos_terms, sin_terms = [], []
-    f_max = 0.0
-    for key in sorted(by_freq):
-        nu = key[0] * fr.delta_bar + key[1] * fr.omega_bar + key[2] * (fr.delta_omega / 2)
-        f_max = max(f_max, abs(nu))
-        Hc = np.zeros((2 * n, 2 * n))
-        Hs = np.zeros((2 * n, 2 * n))
-        for kind, j, G in by_freq[key]:
-            # coefficient G e^{i nu t} on a^dag b_j^dag (squeeze) or a^dag b_j
-            if kind == "squeeze":
-                Hc += _quad_form_squeeze(n, 0, j, G + 0j)
-                Hs += _quad_form_squeeze(n, 0, j, 1j * G)
-            else:
-                Hc += _quad_form_number(n, 0, j, G + 0j)
-                Hs += _quad_form_number(n, 0, j, 1j * G)
-        cos_terms.append((nu, omega @ Hc))
-        sin_terms.append((nu, omega @ Hs))
-
-    A0 = np.zeros((2 * n, 2 * n))
-    D = np.zeros((2 * n, 2 * n))
-    jump_list = [({0: 1.0}, False, fr.kappa)]
-    if fr.thermal_baths is not None:
-        for m, (rate, nth) in enumerate(fr.thermal_baths, start=1):
-            jump_list += [({m: 1.0}, False, rate * (nth + 1)), ({m: 1.0}, True, rate * nth)]
-    for coeffs, dagger, rate in jump_list:
-        if rate == 0:
-            continue
-        lam = _jump_vector(n, coeffs, dagger)
-        dA, dD = _jump_drift_diffusion(omega, lam, rate)
-        A0 = A0 + dA
-        D = D + dD
-        f_max = max(f_max, rate)
     return DriftDiffusion(
-        drift=A0,
+        drift=A,
         diffusion=D,
-        cos_terms=tuple(cos_terms),
-        sin_terms=tuple(sin_terms),
-        f_max=f_max,
+        cos_terms=tuple((nu, omega @ _quad_form(n, terms)) for nu, terms in model.oscillating),
+        sin_terms=tuple((nu, omega @ _quad_form(n, terms, 1j)) for nu, terms in model.oscillating),
+        f_max=model.f_max,
     )
 
 
@@ -344,16 +273,10 @@ def evolve_covariance(
     (pure roundoff control) and the uncertainty-bound defect is monitored
     at every record; a defect beyond ``physicality_tol`` aborts.
     """
-    if dd.f_max > 0 and dt > 0.01 / dd.f_max * (1 + 1e-9):
-        raise ValueError(
-            f"dt={dt} too coarse for the fastest scale {dd.f_max}; need dt <= {0.01 / dd.f_max}"
-        )
-    if stride < 1:
-        raise ValueError("stride must be a positive number of steps")
+    n_steps = step_count(t_end, dt, stride, dd.f_max)
     mean = state0.mean.copy()
     cov = 0.5 * (state0.cov + state0.cov.T)
     n_modes = state0.n_modes
-    n_steps = int(round(t_end / dt)) if t_end > 0 else 0
 
     rec_t, rec_n, rec_en, rec_nu, rec_phys = [], [], [], [], []
 
@@ -376,7 +299,7 @@ def evolve_covariance(
             )
 
     record(0.0, mean, cov)
-    propagate = _propagate_rk4 if dd.time_dependent else _propagate_exact
+    propagate = _rk4_moments if dd.time_dependent else _propagate_exact
     mean, cov = propagate(dd, mean, cov, n_steps, dt, stride, record)
 
     occ = np.array(rec_n)
@@ -392,33 +315,32 @@ def evolve_covariance(
     )
 
 
-def _propagate_rk4(dd, mean, cov, n_steps, dt, stride, record):
-    """Fixed-step RK4 for a time-dependent drift; returns the final moments."""
-    D = dd.diffusion
-    half = dt / 2
+def _rk4_moments(dd, mean, cov, n_steps, dt, stride, record):
+    """RK4 for a time-dependent drift by the shared kernel; returns the final moments.
 
-    def rhs(A, mean, cov):
-        dmean = A @ mean
-        M = A @ cov
-        dcov = M + M.T + D
-        return dmean, dcov
+    The kernel steps the augmented moment matrix X = [[cov, mean],
+    [mean^T, 1]] with M = blockdiag(A(t), 0) and N = blockdiag(D, 0):
+    X' = M X + (M X)^T + N holds the covariance and the mean equations.
+    """
+    n = mean.size
+    x = np.zeros((n + 1, n + 1))
+    x[:n, :n] = cov
+    x[:n, n] = x[n, :n] = mean
+    x[n, n] = 1.0
+    # drift_at fills a contiguous buffer that is then copied into M:
+    # writing through the strided block view of ``out`` instead nearly
+    # doubles the cost of each call (12 scaled adds of 6x6 matrices)
+    A = np.empty((n, n))
 
-    t = 0.0
-    for step in range(1, n_steps + 1):
-        A1 = dd.drift_at(t)
-        km1, kc1 = rhs(A1, mean, cov)
-        Ah = dd.drift_at(t + half)
-        km2, kc2 = rhs(Ah, mean + half * km1, cov + half * kc1)
-        km3, kc3 = rhs(Ah, mean + half * km2, cov + half * kc2)
-        A2 = dd.drift_at(t + dt)
-        km4, kc4 = rhs(A2, mean + dt * km3, cov + dt * kc3)
-        mean += dt / 6 * (km1 + 2 * (km2 + km3) + km4)
-        cov += dt / 6 * (kc1 + 2 * (kc2 + kc3) + kc4)
-        cov = 0.5 * (cov + cov.T)
-        t = step * dt
-        if step % stride == 0 or step == n_steps:
-            record(t, mean, cov)
-    return mean, cov
+    def drift(t, out):
+        out[:n, :n] = dd.drift_at(t, out=A)
+
+    def add_diffusion(state, out):
+        out[:n, :n] += dd.diffusion
+
+    x = propagate_rk4(drift, add_diffusion, x, n_steps, dt, stride,
+                      lambda t, x: record(t, x[:n, n], x[:n, :n]))
+    return x[:n, n].copy(), x[:n, :n].copy()
 
 
 def _propagate_exact(dd, mean, cov, n_steps, dt, stride, record):
@@ -513,17 +435,6 @@ def log_negativity(
     nu_min = float(np.sort(np.abs(eigs))[0])
     en = max(0.0, -math.log(2 * nu_min))
     return en, nu_min
-
-
-def steady_state_record(state: CovarianceState) -> dict:
-    """JSON-ready steady-state record: covariance entries in row-major order."""
-    n = state.mean.size
-    return {
-        "convention": VACUUM_CONVENTION,
-        "n_modes": state.n_modes,
-        "mean": [float(x) for x in state.mean],
-        "covariance_row_major": [float(x) for x in state.cov.reshape(n * n)],
-    }
 
 
 @dataclass

@@ -137,12 +137,6 @@ def optical_spring(G: float, delta: float, omega: float, kappa: float) -> float:
     return G * G * total
 
 
-SPRING_CONVENTION = (
-    "optical_spring returns the dispersive two-sideband form with positive sign; "
-    "the eliminated-cavity frequency-shift coefficient equals its negative"
-)
-
-
 def derive_frame(config: SystemConfig, absorb_spring: bool = False) -> FrameParams:
     """Derive detunings, dressed couplings, and pump amplitudes.
 

@@ -17,10 +17,30 @@ g2 = 0.12
 """
 
 
+# the example config printed in the README
+README_CONFIG = """
+omega1   = 1.1
+omega2   = 0.9
+omega_c  = 200
+kappa    = 0.1
+omega_L1 = 194.9
+alpha    = 1.0
+g1       = 0.05
+g2       = 0.05
+"""
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "system.cfg"
     path.write_text(CONFIG)
+    return str(path)
+
+
+@pytest.fixture
+def readme_config(tmp_path):
+    path = tmp_path / "readme.cfg"
+    path.write_text(README_CONFIG)
     return str(path)
 
 
@@ -119,6 +139,25 @@ class TestSimulate:
 
     def test_dims_mismatch_is_usage_error(self, config_file, capsys):
         assert main(["simulate-full", "--config", config_file, "--dims", "3,3"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["simulate-effective", "--stride", "0"],
+        ["simulate-effective", "--t-end", "-1"],
+        ["simulate-effective", "--dt", "-1"],
+    ])
+    def test_bad_numbers_are_usage_errors(self, config_file, capsys, args):
+        assert main(args + ["--config", config_file]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["simulate-effective"],
+        ["simulate-full", "--t-end", "2"],
+    ])
+    def test_readme_config_with_default_dims(self, readme_config, tmp_path, args):
+        out = tmp_path / "traj.csv"
+        assert main(args + ["--config", readme_config, "--out", str(out)]) == 0
+        last = out.read_text().splitlines()[-1].split(",")
+        assert float(last[-1]) < 1e-3   # top-level population within the default guard
 
 
 class TestEntangle:

@@ -21,7 +21,6 @@ from cavmech.fock import (
     fit_damped_rabi,
     fock_state,
     integrate,
-    liouvillian_apply,
 )
 
 
@@ -89,7 +88,7 @@ class TestLiouvillian:
         spec = effective_generator(fr)
         space = FockSpace((3, 3))
         rho = np.eye(9, dtype=complex) / 9
-        drho = liouvillian_apply(spec, space, rho)
+        drho = compile_generator(spec, space).apply(0.0, rho)
         assert np.abs(drho).max() < 1e-16
 
     def test_unitary_limit_is_pure_exchange(self):
@@ -100,7 +99,7 @@ class TestLiouvillian:
         J = spec.params.exchange_coupling
         H = J * (b1.conj().T @ b2 + b2.conj().T @ b1)
         rho = fock_state(space, (1, 0))
-        drho = liouvillian_apply(spec, space, rho)
+        drho = compile_generator(spec, space).apply(0.0, rho)
         expected = -1j * (H @ rho - rho @ H)
         assert np.abs(drho - expected).max() < 1e-16
 

@@ -60,6 +60,19 @@ class TestDriftDiffusionMapping:
                 assert np.abs(D - D.T).max() < 1e-14
                 assert np.linalg.eigvalsh(D).min() > -1e-10
 
+    @pytest.mark.parametrize("model", ["full", "effective"])
+    def test_negative_rate_rejected_by_both_engines(self, model):
+        fr = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05,
+                                   thermal_baths=((-0.05, 0.0), (0, 0)))
+        if model == "full":
+            spec, space = FullLinearized(fr), FockSpace((3, 3, 3))
+        else:
+            spec, space = effective_generator(fr), FockSpace((3, 3))
+        with pytest.raises(ValueError, match="negative Lindblad rate"):
+            compile_generator(spec, space)
+        with pytest.raises(ValueError, match="negative Lindblad rate"):
+            drift_diffusion_from_generator(spec)
+
     @pytest.mark.parametrize("model,dims,t", [
         ("effective", (8, 8), 0.0),
         ("effective-thermal", (8, 8), 0.0),
@@ -162,6 +175,16 @@ class TestEvolution:
         assert np.abs(ftraj.n1 - gtraj.occupations[:, 1]).max() < 2e-4
         assert np.abs(ftraj.n2 - gtraj.occupations[:, 2]).max() < 2e-4
 
+    def test_fourth_order_convergence_on_full_model(self):
+        fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
+        dd = drift_diffusion_from_generator(FullLinearized(fr))
+        dt = 0.01 / dd.f_max
+        state0 = fock_moments(3, (0, 1, 0))
+        coarse = evolve_covariance(dd, state0, 5.0, dt, stride=10**9)
+        fine = evolve_covariance(dd, state0, 5.0, dt / 2, stride=10**9)
+        for a, b in zip(coarse.occupations[-1], fine.occupations[-1]):
+            assert abs(a - b) <= 1e-6 * max(abs(a), abs(b), 1e-3)
+
     def test_step_size_precondition(self):
         spec = EffectiveTwoMode(manual_params({"1": (0.5, 0.0)}), CollectiveMode(1.0, 1.0))
         dd = drift_diffusion_from_generator(spec)
@@ -212,18 +235,6 @@ class TestSteadyState:
         dd = drift_diffusion_from_generator(FullLinearized(fr))
         with pytest.raises(ValueError, match="time-independent"):
             steady_state(dd)
-
-    def test_record_is_row_major(self):
-        from cavmech.gaussian import steady_state_record
-        spec = EffectiveTwoMode(
-            manual_params({"1": (0.17, 0.07), "2": (0.05, 0.0)}),
-            CollectiveMode(1.0, 1.0))
-        ss = steady_state(drift_diffusion_from_generator(spec))
-        rec = steady_state_record(ss)
-        assert rec["n_modes"] == 2
-        assert len(rec["covariance_row_major"]) == 16
-        assert rec["covariance_row_major"][0] == pytest.approx(ss.cov[0, 0])
-        assert rec["covariance_row_major"][1] == pytest.approx(ss.cov[0, 1])
 
 
 class TestLogNegativity:
