@@ -23,10 +23,10 @@ from .fock import (
     FullLinearized,
     TransferProtocol,
     TruncationError,
-    compile_generator,
     effective_generator,
     fock_state,
     integrate,
+    quadratic_model,
 )
 from .gaussian import entanglement_experiment
 from .analysis import (
@@ -184,8 +184,12 @@ def _cmd_simulate(args, model: str) -> int:
     if len(occupations) != expected:
         raise UsageError(f"--initial needs {expected} occupations")
     rho0 = fock_state(space, occupations)
-    f_max = compile_generator(spec, space).f_max
-    dt = args.dt if args.dt else (0.01 / f_max if f_max > 0 else args.t_end / 1000)
+    f_max = quadratic_model(spec).f_max
+    dt = args.dt
+    if not dt:
+        # the fewest steps within the guard, so the last record lands on t_end
+        steps = math.ceil(args.t_end * f_max / 0.01) if f_max > 0 else 1000
+        dt = args.t_end / steps if steps > 0 else 0.01 / f_max
     traj = integrate(spec, space, rho0, args.t_end, dt, stride=args.stride,
                      truncation_tol=args.truncation_tol)
     dataset = _trajectory_dataset(traj, config)

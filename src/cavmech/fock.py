@@ -9,7 +9,9 @@ module compiles the Fock-space generator and :mod:`cavmech.gaussian` the
 moment equations.  A constant generator is propagated exactly from one
 record to the next by the action of the exponential of its sparse
 Lindblad superoperator; a time-dependent one by the fixed-step RK4 kernel
-:func:`propagate_rk4`, which the Gaussian engine uses too.  Repeated runs
+:func:`propagate_rk4`, which the Gaussian engine uses too and which
+evaluates the drift for a whole record interval of steps in one call
+(:meth:`CompiledGenerator.drift` takes an array of times).  Repeated runs
 are bit-identical, the trace is never rescaled, and trace, Hermiticity,
 positivity, and top-level population are monitored at every recorded
 step.
@@ -276,8 +278,9 @@ class CompiledGenerator:
                 P = math.prod(dims[:s])
                 d = dims[s]
                 Q = math.prod(dims[s + 1:])
-                w = np.sqrt(np.arange(1, d))
-                wmat = (rate * np.outer(w, w)).reshape(1, d - 1, 1, 1, d - 1, 1)
+                # weights over the (P, d*Q, P, d*Q) view, repeated over Q
+                w = np.repeat(np.sqrt(np.arange(1, d)), Q)
+                wmat = (rate * np.outer(w, w)).reshape(1, (d - 1) * Q, 1, (d - 1) * Q)
                 self.ladder_jumps.append((P, d, Q, "up" if dagger else "down", rate, wmat))
             else:
                 terms = [c * (ops[m].conj().T if dagger else ops[m]) for m, c in coeffs]
@@ -294,12 +297,11 @@ class CompiledGenerator:
             masks.append((idx // stride) % d == d - 1)
         self.top_level_masks = masks
 
-    def drift(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        phases = np.exp(1j * self.phase_nus * t)
-        if out is None:
-            out = np.empty_like(self.base_drift)
-        dim = out.shape[0]
-        np.matmul(phases, self._stack_flat, out=out.reshape(dim * dim))
+    def drift(self, ts) -> np.ndarray:
+        """Drift matrix at time ``ts``, or the stack of them over an array of times."""
+        phases = np.exp(1j * np.multiply.outer(ts, self.phase_nus))
+        dim = self.base_drift.shape[0]
+        out = (phases @ self._stack_flat).reshape(np.shape(ts) + (dim, dim))
         out += self.base_drift
         return out
 
@@ -308,12 +310,14 @@ class CompiledGenerator:
         for L, Ld in self.dense_jumps:
             out += L @ state @ Ld
         for P, d, Q, direction, _, wmat in self.ladder_jumps:
-            s6 = state.reshape(P, d, Q, P, d, Q)
-            o6 = out.reshape(P, d, Q, P, d, Q)
+            # one level of subsystem s is a run of Q consecutive indices
+            s4 = state.reshape(P, d * Q, P, d * Q)
+            o4 = out.reshape(P, d * Q, P, d * Q)
+            cut = (d - 1) * Q
             if direction == "down":
-                o6[:, : d - 1, :, :, : d - 1, :] += wmat * s6[:, 1:, :, :, 1:, :]
+                o4[:, :cut, :, :cut] += wmat * s4[:, Q:, :, Q:]
             else:
-                o6[:, 1:, :, :, 1:, :] += wmat * s6[:, : d - 1, :, :, : d - 1, :]
+                o4[:, Q:, :, Q:] += wmat * s4[:, :cut, :, :cut]
 
     def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
         D = self.drift(t)
@@ -474,14 +478,23 @@ def step_count(t_end: float, dt: float, stride: int, f_max: float) -> int:
     return int(round(t_end / dt)) if t_end > 0 else 0
 
 
-def propagate_rk4(drift, add_noise, x, n_steps, dt, stride, record):
+# Complex entries held at once by one block of either propagation path
+# (16 MiB): the density-matrix records of one expm_multiply call, or the
+# drift matrices of one block of RK4 steps.
+_RECORD_BLOCK = 2**20
+
+
+def propagate_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
     """Fixed-step RK4 for X' = M(t) X + (M(t) X)^dag + N(X) on a Hermitian X.
 
-    ``drift(t, out)`` writes M(t) into ``out``, ``add_noise(state, out)``
-    adds N(state) to ``out``, and ``record(t, x)`` is called every
-    ``stride`` steps and after the last one.  ``x`` is updated in place
-    and returned.  The buffers handed to ``drift`` start zeroed, so a
-    drift that fills only a block leaves the rest zero.
+    The steps run in blocks of one record interval, shortened where the
+    block's drift matrices would hold more than ``_RECORD_BLOCK``
+    entries.  ``drifts(ts)`` is called once per block and returns the
+    stack of M(t) over the block's stage times ts = k dt/2, k the global
+    half-step index from the block's first step to its last.
+    ``add_noise(state, out)`` adds N(state) to ``out``, and
+    ``record(t, x)`` is called every ``stride`` steps and after the last
+    one.  ``x`` is updated in place and returned.
 
     X is re-Hermitized once per step: the exact flow preserves
     Hermiticity, but for a density matrix the roundoff-seeded
@@ -490,7 +503,6 @@ def propagate_rk4(drift, add_noise, x, n_steps, dt, stride, record):
     """
     # Preallocated work buffers.  Every stage input is Hermitian, so
     # X M^dag = (M X)^dag and each stage costs one drift product plus N.
-    D_cur, D_half, D_next = (np.zeros_like(x) for _ in range(3))
     y, acc, tmp1, k = (np.empty_like(x) for _ in range(4))
 
     def stage(D, state, out):
@@ -498,41 +510,37 @@ def propagate_rk4(drift, add_noise, x, n_steps, dt, stride, record):
         np.add(tmp1, tmp1.conj().T, out=out)
         add_noise(state, out)
 
-    drift(0.0, D_cur)
-    t = 0.0
+    # a block of b steps has 2 b + 1 stage times
+    block = max(1, (_RECORD_BLOCK // x.size - 1) // 2)
     sixth = dt / 6.0
     half = dt / 2.0
-    for step in range(1, n_steps + 1):
-        drift(t + half, D_half)
-        drift(t + dt, D_next)
-        stage(D_cur, x, k)                        # k1
-        acc[:] = k
-        np.multiply(k, half, out=y)
-        y += x
-        stage(D_half, y, k)                       # k2
-        acc += 2.0 * k
-        np.multiply(k, half, out=y)
-        y += x
-        stage(D_half, y, k)                       # k3
-        acc += 2.0 * k
-        np.multiply(k, dt, out=y)
-        y += x
-        stage(D_next, y, k)                       # k4
-        acc += k
-        acc *= sixth
-        x += acc
-        np.add(x, x.conj().T, out=x)
-        x *= 0.5
-        D_cur, D_next = D_next, D_cur
-        t = step * dt
-        if step % stride == 0 or step == n_steps:
-            record(t, x)
+    start = 0
+    while start < n_steps:
+        stop = min(n_steps, start + block, (start // stride + 1) * stride)
+        D = drifts(np.arange(2 * start, 2 * stop + 1) * half)
+        for j in range(0, 2 * (stop - start), 2):
+            stage(D[j], x, k)                         # k1
+            acc[:] = k
+            np.multiply(k, half, out=y)
+            y += x
+            stage(D[j + 1], y, k)                     # k2
+            acc += 2.0 * k
+            np.multiply(k, half, out=y)
+            y += x
+            stage(D[j + 1], y, k)                     # k3
+            acc += 2.0 * k
+            np.multiply(k, dt, out=y)
+            y += x
+            stage(D[j + 2], y, k)                     # k4
+            acc += k
+            acc *= sixth
+            x += acc
+            np.add(x, x.conj().T, out=x)
+            x *= 0.5
+        start = stop
+        if stop % stride == 0 or stop == n_steps:
+            record(stop * dt, x)
     return x
-
-
-# Complex entries of density-matrix records held at once by the exact path
-# (16 MiB): one expm_multiply call covers at most this many records' worth.
-_RECORD_BLOCK = 2**20
 
 
 def _propagate_exact(gen, rho, n_steps, dt, stride, record):
@@ -683,8 +691,8 @@ def excitation_transfer_experiment(
     else:
         raise ValueError("model must be 'full' or 'effective'")
 
-    gen_fmax = compile_generator(spec, space).f_max
-    dt = protocol.dt if protocol.dt is not None else (0.01 / gen_fmax if gen_fmax > 0 else protocol.t_end / 1000)
+    f_max = quadratic_model(spec).f_max
+    dt = protocol.dt if protocol.dt is not None else (0.01 / f_max if f_max > 0 else protocol.t_end / 1000)
     stride = protocol.stride
     if stride is None:
         stride = max(1, int(round(protocol.t_end / dt)) // 2000)

@@ -9,7 +9,9 @@ and diffusion are compiled from the same :class:`~cavmech.fock.QuadraticModel`
 as the Fock-space generator.  A constant drift and diffusion are
 propagated by the exact affine moment map of each record interval; a
 time-dependent drift by the RK4 kernel the Fock engine uses, applied to
-the augmented moment matrix.
+the augmented moment matrix, with the drift of a whole record interval of
+steps built in one call (:meth:`DriftDiffusion.drift_at` takes an array
+of times).
 """
 
 from __future__ import annotations
@@ -133,14 +135,16 @@ class DriftDiffusion:
     def time_dependent(self) -> bool:
         return bool(self.cos_terms or self.sin_terms)
 
-    def drift_at(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.empty_like(self.drift)
-        np.copyto(out, self.drift)
-        for nu, mat in self.cos_terms:
-            out += math.cos(nu * t) * mat
-        for nu, mat in self.sin_terms:
-            out += math.sin(nu * t) * mat
+    def drift_at(self, ts) -> np.ndarray:
+        """Drift matrix at time ``ts``, or the stack of them over an array of times."""
+        terms = self.cos_terms + self.sin_terms
+        n = self.drift.shape[0]
+        basis = np.array([mat for _, mat in terms]).reshape(len(terms), n * n)
+        coeffs = np.concatenate(
+            [np.cos(np.multiply.outer(ts, [nu for nu, _ in self.cos_terms])),
+             np.sin(np.multiply.outer(ts, [nu for nu, _ in self.sin_terms]))], axis=-1)
+        out = (coeffs @ basis).reshape(np.shape(ts) + (n, n))
+        out += self.drift
         return out
 
 
@@ -327,18 +331,16 @@ def _rk4_moments(dd, mean, cov, n_steps, dt, stride, record):
     x[:n, :n] = cov
     x[:n, n] = x[n, :n] = mean
     x[n, n] = 1.0
-    # drift_at fills a contiguous buffer that is then copied into M:
-    # writing through the strided block view of ``out`` instead nearly
-    # doubles the cost of each call (12 scaled adds of 6x6 matrices)
-    A = np.empty((n, n))
 
-    def drift(t, out):
-        out[:n, :n] = dd.drift_at(t, out=A)
+    def drifts(ts):
+        M = np.zeros((ts.size, n + 1, n + 1))
+        M[:, :n, :n] = dd.drift_at(ts)
+        return M
 
     def add_diffusion(state, out):
         out[:n, :n] += dd.diffusion
 
-    x = propagate_rk4(drift, add_diffusion, x, n_steps, dt, stride,
+    x = propagate_rk4(drifts, add_diffusion, x, n_steps, dt, stride,
                       lambda t, x: record(t, x[:n, n], x[:n, :n]))
     return x[:n, n].copy(), x[:n, :n].copy()
 

@@ -87,6 +87,7 @@ def test_criterion_3_null_structure():
 
 # -- 4: dynamical validation of the exchange rate ------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_dynamical_validation(desk_frame, full_model_runs):
     closed = abs(exchange_coupling(desk_frame))
     result = full_model_runs["fock"]
@@ -225,6 +226,7 @@ def test_criterion_8_entanglement_capability():
 
 # -- 9: structural conservation ----------------------------------------------------
 
+@pytest.mark.slow  # shares criterion 4's full-model runs
 def test_criterion_9_structural_conservation(full_model_runs, effective_cross_checks):
     fock_trajs = [full_model_runs["fock"].trajectory]
     gauss_trajs = [full_model_runs["gauss"]]

@@ -158,6 +158,8 @@ class TestSimulate:
         assert main(args + ["--config", readme_config, "--out", str(out)]) == 0
         last = out.read_text().splitlines()[-1].split(",")
         assert float(last[-1]) < 1e-3   # top-level population within the default guard
+        t_end = float(args[args.index("--t-end") + 1]) if "--t-end" in args else 100.0
+        assert float(last[0]) == pytest.approx(t_end, rel=1e-12)   # the last record is at --t-end
 
 
 class TestEntangle:

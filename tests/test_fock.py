@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cavmech import frame_from_collective
+from cavmech import fock, frame_from_collective
 from cavmech.effective import EffectiveParams, CollectiveMode, exchange_coupling
 from cavmech.fock import (
     DensityState,
@@ -21,6 +21,7 @@ from cavmech.fock import (
     fit_damped_rabi,
     fock_state,
     integrate,
+    propagate_rk4,
 )
 
 
@@ -121,6 +122,15 @@ class TestLiouvillian:
             drho = gen.apply(0.13, rho)
             assert abs(np.trace(drho)) < 1e-12
             assert np.abs(drho - drho.conj().T).max() < 1e-13
+
+    def test_drift_stack_matches_scalar_calls(self):
+        gen = compile_generator(FullLinearized(desk_frame()), FockSpace((4, 3, 3)))
+        ts = np.arange(63) * 0.0137
+        scalar = np.array([gen.drift(t) for t in ts])
+        # the 12-term phase sum may be added in another order by a
+        # matrix-matrix than by a matrix-vector product
+        tol = 8 * np.finfo(float).eps * np.abs(scalar).max()
+        assert np.abs(gen.drift(ts) - scalar).max() <= tol
 
     def test_superoperator_matches_apply(self):
         # thermal baths add "up" ladder jumps next to the dense collective ones
@@ -223,6 +233,42 @@ class TestIntegrate:
         for field in ("n1", "n2", "n_cav"):
             a, b = getattr(coarse, field)[-1], getattr(fine, field)[-1]
             assert abs(a - b) <= 1e-6 * max(abs(a), abs(b), 1e-3)
+
+    def test_records_do_not_depend_on_stride(self):
+        # RK4 runs in blocks of one record interval; 7 does not divide 200
+        fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
+        spec = FullLinearized(fr)
+        space = FockSpace((3, 3, 3))
+        dt = 0.01 / compile_generator(spec, space).f_max
+        runs = {stride: integrate(spec, space, fock_state(space, (0, 1, 0)), 200 * dt, dt,
+                                  stride=stride, truncation_tol=0.05)
+                for stride in (1, 7, 10**9)}
+        every = runs[1]
+        for stride, traj in runs.items():
+            steps = sorted(set(range(0, 201, stride)) | {200})
+            assert list(traj.t) == [s * dt for s in steps]
+            for field in ("n1", "n2", "n_cav", "coh", "trace"):
+                assert np.abs(getattr(traj, field) - getattr(every, field)[steps]).max() <= 1e-14
+            assert np.abs(traj.final_state.matrix - every.final_state.matrix).max() <= 1e-14
+
+    @pytest.mark.parametrize("stride,blocks,records", [(5, 8, (5, 10, 15, 20)), (10**9, 7, (20,))])
+    def test_drift_blocks_stay_within_budget(self, monkeypatch, stride, blocks, records):
+        # a budget of seven 2x2 matrices allows blocks of at most 3 steps
+        monkeypatch.setattr(fock, "_RECORD_BLOCK", 7 * 4)
+        calls, recorded = [], []
+
+        def drifts(ts):
+            calls.append(ts)
+            return np.zeros((ts.size, 2, 2))
+
+        propagate_rk4(drifts, lambda state, out: None, np.eye(2), 20, 0.1, stride,
+                      lambda t, x: recorded.append(t))
+        assert max(ts.size for ts in calls) <= 7
+        assert len(calls) == blocks
+        # consecutive blocks share their boundary time and cover every half step
+        joined = np.concatenate([calls[0]] + [ts[1:] for ts in calls[1:]])
+        assert np.array_equal(joined, np.arange(41) * (0.1 / 2))
+        assert recorded == [s * 0.1 for s in records]
 
     def test_truncation_monitor_aborts(self):
         # resonant up-conversion pumps cavity-mechanics pairs and overfills

@@ -73,6 +73,16 @@ class TestDriftDiffusionMapping:
         with pytest.raises(ValueError, match="negative Lindblad rate"):
             drift_diffusion_from_generator(spec)
 
+    def test_drift_at_stack_matches_scalar_calls(self):
+        fr = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05)
+        dd = drift_diffusion_from_generator(FullLinearized(fr))
+        ts = np.arange(63) * 0.0137
+        scalar = np.array([dd.drift_at(t) for t in ts])
+        # the 24-term cos/sin sum may be added in another order by a
+        # matrix-matrix than by a matrix-vector product
+        tol = 8 * np.finfo(float).eps * np.abs(scalar).max()
+        assert np.abs(dd.drift_at(ts) - scalar).max() <= tol
+
     @pytest.mark.parametrize("model,dims,t", [
         ("effective", (8, 8), 0.0),
         ("effective-thermal", (8, 8), 0.0),
@@ -184,6 +194,22 @@ class TestEvolution:
         fine = evolve_covariance(dd, state0, 5.0, dt / 2, stride=10**9)
         for a, b in zip(coarse.occupations[-1], fine.occupations[-1]):
             assert abs(a - b) <= 1e-6 * max(abs(a), abs(b), 1e-3)
+
+    def test_records_do_not_depend_on_stride(self):
+        # RK4 runs in blocks of one record interval; 7 does not divide 200
+        fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
+        dd = drift_diffusion_from_generator(FullLinearized(fr))
+        dt = 0.01 / dd.f_max
+        state0 = fock_moments(3, (0, 1, 0))
+        runs = {stride: evolve_covariance(dd, state0, 200 * dt, dt, stride=stride)
+                for stride in (1, 7, 10**9)}
+        every = runs[1]
+        for stride, traj in runs.items():
+            steps = sorted(set(range(0, 201, stride)) | {200})
+            assert list(traj.t) == [s * dt for s in steps]
+            assert np.abs(traj.occupations - every.occupations[steps]).max() <= 1e-14
+            assert np.abs(traj.final_state.cov - every.final_state.cov).max() <= 1e-14
+            assert np.abs(traj.final_state.mean - every.final_state.mean).max() <= 1e-14
 
     def test_step_size_precondition(self):
         spec = EffectiveTwoMode(manual_params({"1": (0.5, 0.0)}), CollectiveMode(1.0, 1.0))
