@@ -11,7 +11,8 @@ record to the next by the action of the exponential of its sparse
 Lindblad superoperator; a time-dependent one by the fixed-step RK4 kernel
 :func:`propagate_rk4`, which the Gaussian engine uses too and which
 evaluates the drift for a whole record interval of steps in one call
-(:meth:`CompiledGenerator.drift` takes an array of times).  Repeated runs
+(:meth:`CompiledGenerator.drift` takes an array of times and sums the
+phase terms by one sparse product, so no BLAS thread is woken).  Repeated runs
 are bit-identical, the trace is never rescaled, and trace, Hermiticity,
 positivity, and top-level population are monitored at every recorded
 step.
@@ -24,6 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import curve_fit
 
 from .model import FrameParams, SystemConfig, derive_frame
@@ -257,8 +259,9 @@ class CompiledGenerator:
             phase_terms.append((nu, mat))
         self.phase_nus = np.array([nu for nu, _ in phase_terms] + [-nu for nu, _ in phase_terms])
         stack = [-1j * m for _, m in phase_terms] + [-1j * m.conj().T for _, m in phase_terms]
-        self.phase_stack = np.array(stack) if stack else np.zeros((0, dim, dim), complex)
-        self._stack_flat = self.phase_stack.reshape(self.phase_stack.shape[0], dim * dim)
+        # column k is the row-major flattening of the k-th matrix; at dims
+        # (4,3,3) 288 of its 15,552 entries are nonzero
+        self._phase_columns = sparse.csr_matrix(np.array(stack, complex).reshape(-1, dim * dim).T)
         *cavity, b1, b2 = ops
         self.observables = {
             "n1": b1.conj().T @ b1,
@@ -298,10 +301,17 @@ class CompiledGenerator:
         self.top_level_masks = masks
 
     def drift(self, ts) -> np.ndarray:
-        """Drift matrix at time ``ts``, or the stack of them over an array of times."""
+        """Drift matrix at time ``ts``, or the stack of them over an array of times.
+
+        The phase terms are summed by one sparse product, which never
+        calls BLAS: a dense product of this size takes OpenBLAS's threaded
+        path, and its worker threads then spin through the small
+        single-threaded products of the RK4 stages that follow.
+        """
         phases = np.exp(1j * np.multiply.outer(ts, self.phase_nus))
         dim = self.base_drift.shape[0]
-        out = (phases @ self._stack_flat).reshape(np.shape(ts) + (dim, dim))
+        flat = self._phase_columns @ phases.reshape(np.size(ts), self.phase_nus.size).T
+        out = flat.T.reshape(np.shape(ts) + (dim, dim))
         out += self.base_drift
         return out
 
@@ -332,8 +342,6 @@ class CompiledGenerator:
         vec(X rho Y) = (X kron Y^T) vec(rho); built from the same base
         drift and jumps that :meth:`apply` uses.
         """
-        from scipy import sparse
-
         if self.phase_nus.size:
             raise ValueError("the superoperator needs a time-independent generator")
         dim = self.space.total_dim
@@ -633,7 +641,10 @@ def fit_damped_rabi(t: np.ndarray, n2: np.ndarray):
     unit-amplitude swap from |1, 0>, and the nonlinear refinement is
     confined to its neighborhood.  The amplitude is capped at 1 (the
     initial state holds one excitation) and the bounded linear term
-    absorbs the slow mediator-heating drift.
+    absorbs the slow mediator-heating drift.  The refinement runs to
+    convergence (tolerances 1e-15): at ``curve_fit``'s default stopping
+    rule a roundoff-level change in n2 moves the fitted rate by ~1e-7
+    relative, and the rate can stop over 1 % short of the optimum.
     """
     peak = float(n2.max())
     if peak < 1e-9:
@@ -661,7 +672,8 @@ def fit_damped_rabi(t: np.ndarray, n2: np.ndarray):
         [1.005, 1.3 * omega_lin, gamma_max, 0.05, slope_max],
     )
     try:
-        popt, _ = curve_fit(_rabi_model, t, n2, p0=p0, bounds=bounds, maxfev=20000)
+        popt, _ = curve_fit(_rabi_model, t, n2, p0=p0, bounds=bounds, maxfev=20000,
+                            ftol=1e-15, xtol=1e-15, gtol=1e-15)
     except (RuntimeError, ValueError) as exc:
         raise FitError(f"Rabi fit failed: {exc}") from exc
     amplitude, omega, gamma, offset, _slope = popt

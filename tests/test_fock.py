@@ -22,6 +22,7 @@ from cavmech.fock import (
     fock_state,
     integrate,
     propagate_rk4,
+    quadratic_model,
 )
 
 
@@ -131,6 +132,36 @@ class TestLiouvillian:
         # matrix-matrix than by a matrix-vector product
         tol = 8 * np.finfo(float).eps * np.abs(scalar).max()
         assert np.abs(gen.drift(ts) - scalar).max() <= tol
+
+    def test_drift_matches_model_description(self):
+        # -i H(t) - 1/2 sum rate L^dag L, term by term from the model
+        fr = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05,
+                                   thermal_baths=((0.01, 0.3), (0.02, 0.1)))
+        spec, space = FullLinearized(fr), FockSpace((4, 3, 3))
+        model = quadratic_model(spec)
+        ops = build_operators(space)
+        gen = compile_generator(spec, space)
+
+        def dag(x):
+            return x.conj().T
+
+        def hamiltonian_term(c, m, n, squeeze):
+            x = c * dag(ops[m]) @ (dag(ops[n]) if squeeze else ops[n])
+            return x if m == n else x + dag(x)
+
+        ts = np.array([0.0, 0.37, 12.5, 101.3])
+        for t, stacked in zip(ts, gen.drift(ts)):
+            H = sum(hamiltonian_term(*term) for term in model.static)
+            for nu, terms in model.oscillating:
+                for c, m, n, squeeze in terms:
+                    H = H + hamiltonian_term(c * np.exp(1j * nu * t), m, n, squeeze)
+            expected = -1j * H
+            for coeffs, dagger, rate in model.jumps:
+                L = sum(c * (dag(ops[m]) if dagger else ops[m]) for m, c in coeffs)
+                expected = expected - 0.5 * rate * dag(L) @ L
+            tol = 1e-14 * np.abs(expected).max()
+            assert np.abs(stacked - expected).max() <= tol
+            assert np.abs(gen.drift(t) - expected).max() <= tol
 
     def test_superoperator_matches_apply(self):
         # thermal baths add "up" ladder jumps next to the dense collective ones
@@ -366,6 +397,16 @@ class TestTransferExperiment:
         amp, w, g, c = fit_damped_rabi(t, n2)
         assert w == pytest.approx(omega, rel=2e-3)
         assert amp == pytest.approx(0.97, rel=0.05)
+
+    def test_fit_is_reproducible_under_roundoff(self):
+        # a 100-unit window short of the first swap, with a fast sideband
+        # ripple and a heating drift, like the full-model transfer runs
+        t = np.linspace(0, 100, 2001)
+        n2 = (0.9 * np.sin(1.05e-3 * t) ** 2 * np.exp(-2e-3 * t) + 8e-4
+              + 2e-4 * np.sin(0.2 * t) ** 2 + 2e-6 * t)
+        noise = 1e-16 * np.random.default_rng(0).standard_normal(t.size)
+        w = fit_damped_rabi(t, n2)[1]
+        assert fit_damped_rabi(t, n2 + noise)[1] == pytest.approx(w, rel=1e-9, abs=0)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
