@@ -19,15 +19,11 @@ from .model import (
 from .effective import (
     CollectiveMode,
     EffectiveParams,
-    classicality_ratio,
     collective_mode_coeffs,
-    collective_rates,
     coupling_nulls,
     effective_params,
     exchange_coupling,
     interaction_regime,
-    single_mode_rates,
-    total_decoherence,
 )
 from .elimination import build_coefficient_table, reduce_to_effective
 
@@ -41,9 +37,7 @@ __all__ = [
     "SystemConfig",
     "__version__",
     "build_coefficient_table",
-    "classicality_ratio",
     "collective_mode_coeffs",
-    "collective_rates",
     "coupling_nulls",
     "derive_frame",
     "effective_params",
@@ -53,6 +47,4 @@ __all__ = [
     "load_config",
     "optical_spring",
     "reduce_to_effective",
-    "single_mode_rates",
-    "total_decoherence",
 ]

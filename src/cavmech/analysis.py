@@ -17,13 +17,18 @@ import numpy as np
 from . import __version__
 from .model import FrameParams, SystemConfig, config_digest, derive_frame, frame_from_collective
 from .effective import (
+    _baths,
     _lorentzian_pair,
+    _net_rate_denominator,
     bath_centers,
     coupling_nulls,
     effective_params,
     exchange_coupling,
     exchange_pathway_sum,
     interaction_regime,
+    net_rate_closed,
+    rate_pairs,
+    total_noise,
 )
 from .elimination import build_coefficient_table, reduce_to_effective
 from .fock import (
@@ -229,10 +234,8 @@ class RegimeMap:
 def _xi_row(delta_axis, omega_bar, delta_omega, kappa, G_1, G_2):
     """Vectorized classicality ratio along one decay row."""
     j = G_1 * G_2 * exchange_pathway_sum(delta_axis, omega_bar, kappa)
-    _, up1 = _lorentzian_pair(G_1 * G_1, kappa, delta_axis, omega_bar + delta_omega)
-    _, up2 = _lorentzian_pair(G_2 * G_2, kappa, delta_axis, omega_bar - delta_omega)
-    _, upc = _lorentzian_pair(G_1 * G_2, kappa, delta_axis, omega_bar)
-    return np.abs(j) / (up1 + up2 + 2 * upc)
+    table = rate_pairs(delta_axis, omega_bar, delta_omega, kappa, G_1, G_2)
+    return np.abs(j) / total_noise(table)
 
 
 def regime_map(
@@ -394,18 +397,15 @@ def check_rate_identities(n_draws: int = 10000, seed: int = 20240902) -> dict[st
     db = rng.uniform(-10.0, 10.0, n_draws)
     dw = rng.uniform(0.05, 1.9, n_draws)
     g = np.exp(rng.uniform(np.log(0.01), np.log(0.2), (2, n_draws)))
-    ob = 1.0
     k2 = kappa * kappa / 4
 
     worst_identity = 0.0
     min_rate = math.inf
     worst_factor = 0.0
-    for x, gg in (((ob + dw), g[0] * g[0]), ((ob - dw), g[1] * g[1]), (np.full(n_draws, ob), g[0] * g[1])):
-        down = gg * kappa / (k2 + (db - x) ** 2)
-        up = gg * kappa / (k2 + (db + x) ** 2)
+    for gg, x in _baths(1.0, dw, g[0], g[1]).values():
+        down, up = _lorentzian_pair(gg, kappa, db, x)
         min_rate = min(min_rate, float(down.min()), float(up.min()))
-        den = (k2 + x * x - db * db) ** 2 + kappa * kappa * db * db
-        gamma_closed = 4 * gg * kappa * db * x / den
+        gamma_closed = net_rate_closed(gg, x, db, kappa)
         nbar_closed = (k2 + (db - x) ** 2) / (4 * db * x)
         # nbar + 1 in its own closed rational form: adding 1 to the float
         # nbar cancels catastrophically at blue resonance where nbar -> -1
@@ -417,6 +417,7 @@ def check_rate_identities(n_draws: int = 10000, seed: int = 20240902) -> dict[st
             float(np.max(np.abs(prod_up - up) / np.maximum(np.abs(up), 1e-300))),
             float(np.max(np.abs(prod_down - down) / np.maximum(np.abs(down), 1e-300))),
         )
+        den = _net_rate_denominator(x, db, kappa)
         factored = (k2 + (db - x) ** 2) * (k2 + (db + x) ** 2)
         worst_factor = max(worst_factor, float(np.max(np.abs(factored - den) / den)))
     return {

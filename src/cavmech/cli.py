@@ -96,13 +96,16 @@ def _emit_or_print(dataset: Dataset, args):
         sys.stdout.write(render(dataset, args.format))
 
 
-def _cmd_params(args) -> int:
-    config = _require_config(args)
-    doc = params_report(config)
+def _write_or_print_json(doc: dict, args):
     if args.out:
         write_json(doc, args.out)
     else:
         print(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _cmd_params(args) -> int:
+    config = _require_config(args)
+    _write_or_print_json(params_report(config), args)
     return 0
 
 
@@ -121,10 +124,7 @@ def _cmd_nulls(args) -> int:
         "nulls": nulls,
         "interior_nulls_exist": len(nulls) > 1,
     }
-    if args.out:
-        write_json(doc, args.out)
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+    _write_or_print_json(doc, args)
     return 0
 
 
@@ -148,10 +148,7 @@ def _cmd_fig2(args) -> int:
 def _cmd_xi_asymptote(args) -> int:
     doc = xi_asymptote(kappa=args.kappa, delta_omega=args.delta_omega,
                        decades=(args.decades[0], args.decades[1]))
-    if args.out:
-        write_json(doc, args.out)
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+    _write_or_print_json(doc, args)
     return 0
 
 

@@ -12,6 +12,11 @@ with ``x = omega_bar`` for the shared bath and ``x_j = 2 omega_j -
 omega_bar`` for mode ``j``.  The conventional (rate, occupation) pairs
 ``Gamma = down - up`` and ``nbar = up / Gamma`` are derived quantities and
 individually diverge when down == up; the rate pairs never do.
+
+One array-valued core holds these formulas: :func:`rate_pairs` returns
+the three (down, up) pairs elementwise in ``delta_bar``, and
+:func:`total_noise` sums them into Gamma_total.  :func:`effective_params`
+and the sweeps in :mod:`cavmech.analysis` are both built on it.
 """
 
 from __future__ import annotations
@@ -58,28 +63,53 @@ class EffectiveParams:
     rate_table: dict[str, tuple[float, float]]
 
 
+def _baths(omega_bar, delta_omega, G_1, G_2) -> dict[str, tuple]:
+    """Coupling product G^2 and Lorentzian center x of each bath."""
+    return {
+        "1": (G_1 * G_1, omega_bar + delta_omega),
+        "2": (G_2 * G_2, omega_bar - delta_omega),
+        "collective": (G_1 * G_2, omega_bar),
+    }
+
+
 def bath_centers(frame: FrameParams) -> tuple[float, float]:
     """Lorentzian centers of the two single-mode baths, x_j = 2 omega_j - omega_bar."""
-    return (
-        frame.omega_bar + frame.delta_omega,
-        frame.omega_bar - frame.delta_omega,
-    )
+    baths = _baths(frame.omega_bar, frame.delta_omega, frame.G_1, frame.G_2)
+    return baths["1"][1], baths["2"][1]
 
 
-def _lorentzian_pair(G_sq: float, kappa: float, delta_bar, x: float):
-    """(down, up) Lorentzian rate pair; elementwise for an array of detunings."""
-    if kappa == 0.0:
-        return 0.0, 0.0
+def _lorentzian_pair(G_sq, kappa, delta_bar, x):
+    """(down, up) Lorentzian rate pair of a lossy cavity; elementwise."""
     down = G_sq * kappa / (kappa * kappa / 4 + (delta_bar - x) ** 2)
     up = G_sq * kappa / (kappa * kappa / 4 + (delta_bar + x) ** 2)
     return down, up
+
+
+def rate_pairs(delta_bar, omega_bar, delta_omega, kappa, G_1, G_2) -> dict[str, tuple]:
+    """(down, up) pair of each bath "1", "2", "collective"; elementwise in delta_bar.
+
+    A lossless cavity gives every bath the pair (0, 0).
+    """
+    baths = _baths(omega_bar, delta_omega, G_1, G_2)
+    if kappa == 0.0:
+        return {name: (0.0, 0.0) for name in baths}
+    return {name: _lorentzian_pair(G_sq, kappa, delta_bar, x) for name, (G_sq, x) in baths.items()}
+
+
+def total_noise(table: dict[str, tuple]):
+    """Total mediator-induced excess-noise rate, up_1 + up_2 + 2 up_collective.
+
+    Equals Gamma_1 nbar_1 + Gamma_2 nbar_2 + 2 Gamma nbar wherever those
+    factors are individually finite, but is well defined everywhere.
+    """
+    return table["1"][1] + table["2"][1] + 2 * table["collective"][1]
 
 
 def exchange_coupling(frame: FrameParams) -> float:
     """Coherent excitation-exchange rate between the two modes.
 
     Evaluated as G1 G2 Im[(kappa + 2i delta_bar)/((kappa/2 + i delta_bar)^2
-    + omega_bar^2)]; equal to the two-pathway partial-fraction sum.
+    + omega_bar^2)]; equal to G1 G2 times :func:`exchange_pathway_sum`.
     """
     kappa, db, ob = frame.kappa, frame.delta_bar, frame.omega_bar
     den = (kappa / 2 + 1j * db) ** 2 + ob * ob
@@ -88,16 +118,6 @@ def exchange_coupling(frame: FrameParams) -> float:
             "exchange coupling diverges for a lossless cavity at delta_bar = +-omega_bar"
         )
     return frame.G_1 * frame.G_2 * ((kappa + 2j * db) / den).imag
-
-
-def exchange_coupling_pathways(frame: FrameParams) -> float:
-    """Same coupling as the explicit sum of the two exchange pathways."""
-    kappa, db, ob = frame.kappa, frame.delta_bar, frame.omega_bar
-    if kappa == 0 and abs(db) == ob:
-        raise OutOfValidityError(
-            "exchange coupling diverges for a lossless cavity at delta_bar = +-omega_bar"
-        )
-    return frame.G_1 * frame.G_2 * exchange_pathway_sum(db, ob, kappa)
 
 
 def exchange_pathway_sum(delta_bar, omega_bar: float, kappa: float):
@@ -109,62 +129,6 @@ def exchange_pathway_sum(delta_bar, omega_bar: float, kappa: float):
     lo, hi = delta_bar - omega_bar, delta_bar + omega_bar
     k2 = kappa * kappa / 4
     return -(lo / (k2 + lo * lo) + hi / (k2 + hi * hi))
-
-
-def single_mode_rates(frame: FrameParams, j: int) -> tuple[float, float]:
-    """(Gamma_j, nbar_j) for mode j in {1, 2}; nbar_j is NaN when Gamma_j = 0."""
-    down, up = single_mode_rate_pair(frame, j)
-    gamma = down - up
-    nbar = up / gamma if gamma != 0 else math.nan
-    return gamma, nbar
-
-
-def single_mode_rate_pair(frame: FrameParams, j: int) -> tuple[float, float]:
-    """Nonnegative (down, up) rate pair of mode j's own bath."""
-    if j not in (1, 2):
-        raise ValueError(f"mode index must be 1 or 2, got {j}")
-    x = bath_centers(frame)[j - 1]
-    G = frame.G_1 if j == 1 else frame.G_2
-    return _lorentzian_pair(G * G, frame.kappa, frame.delta_bar, x)
-
-
-def collective_rates(frame: FrameParams) -> tuple[float, float]:
-    """(Gamma, nbar) of the shared bath; nbar is NaN when Gamma = 0."""
-    down, up = collective_rate_pair(frame)
-    gamma = down - up
-    nbar = up / gamma if gamma != 0 else math.nan
-    return gamma, nbar
-
-
-def collective_rate_pair(frame: FrameParams) -> tuple[float, float]:
-    """Nonnegative (down, up) rate pair of the shared collective bath."""
-    return _lorentzian_pair(
-        frame.G_1 * frame.G_2, frame.kappa, frame.delta_bar, frame.omega_bar
-    )
-
-
-def total_decoherence(frame: FrameParams) -> float:
-    """Total mediator-induced excess-noise rate, up_1 + up_2 + 2 up_collective.
-
-    Equals Gamma_1 nbar_1 + Gamma_2 nbar_2 + 2 Gamma nbar wherever those
-    factors are individually finite, but is well defined everywhere.
-    """
-    _, up1 = single_mode_rate_pair(frame, 1)
-    _, up2 = single_mode_rate_pair(frame, 2)
-    _, upc = collective_rate_pair(frame)
-    return up1 + up2 + 2 * upc
-
-
-def classicality_ratio(frame: FrameParams) -> float:
-    """Coherent coupling over total excess noise, |J| / Gamma_total.
-
-    Returns ``inf`` in the lossless (unitary) limit where no excess noise
-    is generated; :func:`interaction_regime` labels that case separately.
-    """
-    gamma = total_decoherence(frame)
-    if gamma == 0:
-        return math.inf
-    return abs(exchange_coupling(frame)) / gamma
 
 
 def interaction_regime(xi: float) -> str:
@@ -192,24 +156,23 @@ def collective_mode_coeffs(g_1: float, g_2: float) -> CollectiveMode:
 
 def effective_params(frame: FrameParams) -> EffectiveParams:
     """Assemble the full effective parameter set for one frame."""
-    d1, u1 = single_mode_rate_pair(frame, 1)
-    d2, u2 = single_mode_rate_pair(frame, 2)
-    dc, uc = collective_rate_pair(frame)
-    g1, g2 = d1 - u1, d2 - u2
-    gc = dc - uc
-    gamma_total = u1 + u2 + 2 * uc
+    table = rate_pairs(frame.delta_bar, frame.omega_bar, frame.delta_omega,
+                       frame.kappa, frame.G_1, frame.G_2)
+    gamma = {name: down - up for name, (down, up) in table.items()}
+    nbar = {name: table[name][1] / g if g != 0 else math.nan for name, g in gamma.items()}
+    gamma_total = total_noise(table)
     coupling = exchange_coupling(frame)
     return EffectiveParams(
         exchange_coupling=coupling,
-        gamma_1=g1,
-        gamma_2=g2,
-        gamma_collective=gc,
-        nbar_1=u1 / g1 if g1 != 0 else math.nan,
-        nbar_2=u2 / g2 if g2 != 0 else math.nan,
-        nbar_collective=uc / gc if gc != 0 else math.nan,
+        gamma_1=gamma["1"],
+        gamma_2=gamma["2"],
+        gamma_collective=gamma["collective"],
+        nbar_1=nbar["1"],
+        nbar_2=nbar["2"],
+        nbar_collective=nbar["collective"],
         gamma_total=gamma_total,
         xi=abs(coupling) / gamma_total if gamma_total > 0 else math.inf,
-        rate_table={"1": (d1, u1), "2": (d2, u2), "collective": (dc, uc)},
+        rate_table=table,
     )
 
 
@@ -258,16 +221,14 @@ def coupling_nulls(frame: FrameParams, tol: float = 1e-12) -> list[float]:
 
 # -- rational closed forms, kept for cross-checking the rate pairs ---------
 
-def gamma_single_closed(G: float, x: float, delta_bar: float, kappa: float) -> float:
-    """Net single-mode rate as one rational expression in (delta_bar, x)."""
-    den = (kappa * kappa / 4 + x * x - delta_bar * delta_bar) ** 2 + kappa * kappa * delta_bar * delta_bar
-    return 4 * G * G * kappa * delta_bar * x / den
+def _net_rate_denominator(x, delta_bar, kappa):
+    """(kappa^2/4 + x^2 - delta_bar^2)^2 + kappa^2 delta_bar^2; elementwise."""
+    return (kappa * kappa / 4 + x * x - delta_bar * delta_bar) ** 2 + kappa * kappa * delta_bar * delta_bar
 
 
-def gamma_collective_closed(G_1: float, G_2: float, omega_bar: float, delta_bar: float, kappa: float) -> float:
-    """Net collective rate as one rational expression."""
-    den = (kappa * kappa / 4 + omega_bar * omega_bar - delta_bar * delta_bar) ** 2 + kappa * kappa * delta_bar * delta_bar
-    return 4 * G_1 * G_2 * kappa * delta_bar * omega_bar / den
+def net_rate_closed(G_sq, x, delta_bar, kappa):
+    """Net rate down - up of a bath as one rational expression; elementwise."""
+    return 4 * G_sq * kappa * delta_bar * x / _net_rate_denominator(x, delta_bar, kappa)
 
 
 def nbar_closed(x: float, delta_bar: float, kappa: float) -> float:

@@ -459,8 +459,6 @@ def entanglement_experiment(
     to-noise ratio of the configuration; the two are reported side by
     side without asserting any particular boundary between them.
     """
-    from .effective import classicality_ratio
-
     spec = effective_generator(frame)
     dd = drift_diffusion_from_generator(spec)
     state0 = squeezed_vacuum(2, 0, r)
@@ -469,6 +467,6 @@ def entanglement_experiment(
     traj = evolve_covariance(dd, state0, t_end, dt, stride=stride, track_entanglement=True)
     return EntanglementResult(
         max_log_negativity=float(np.nanmax(traj.log_negativity)),
-        xi=classicality_ratio(frame),
+        xi=spec.params.xi,
         trajectory=traj,
     )

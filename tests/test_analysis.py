@@ -19,7 +19,8 @@ from cavmech.analysis import (
     xi_asymptote,
     _loglog_fit,
 )
-from cavmech.model import parse_config_text
+from cavmech.effective import effective_params
+from cavmech.model import frame_from_collective, parse_config_text
 
 FAST_CONFIG = """
 omega1 = 1.1
@@ -92,6 +93,24 @@ class TestRegimeMap:
         da = render(regime_map_dataset(a, 0.1), "csv")
         db = render(regime_map_dataset(b, 0.1), "csv")
         assert da == db
+
+    def test_xi_matches_effective_params(self):
+        # the map takes J in its pathway form, effective_params in its
+        # complex form; the two agree to the last few bits
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            dw = float(rng.uniform(0.05, 1.9))
+            db = float(rng.uniform(-10.0, 10.0))
+            kappa = float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
+            g1, g2 = (float(g) for g in np.exp(rng.uniform(np.log(0.01), np.log(0.2), 2)))
+            fr = frame_from_collective(1.0, dw, db, kappa, g1, g2)
+            grid = SweepGrid(delta_min=fr.delta_bar, delta_max=fr.delta_bar + 1.0,
+                             delta_count=2, kappa_values=(fr.kappa,))
+            rmap = regime_map(fr.delta_omega / fr.omega_bar, grid, omega_bar=fr.omega_bar,
+                              G_1=fr.G_1, G_2=fr.G_2)
+            assert rmap.delta_bar[0] == fr.delta_bar
+            xi = effective_params(fr).xi
+            assert abs(rmap.xi[0, 0] - xi) <= 1e-12 * xi
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -7,26 +7,31 @@ from cavmech import frame_from_collective
 from cavmech.effective import (
     OutOfValidityError,
     bath_centers,
-    classicality_ratio,
     collective_mode_coeffs,
-    collective_rate_pair,
-    collective_rates,
     coupling_nulls,
     effective_params,
     exchange_coupling,
-    exchange_coupling_pathways,
-    gamma_collective_closed,
-    gamma_single_closed,
+    exchange_pathway_sum,
     interaction_regime,
     nbar_closed,
-    single_mode_rate_pair,
-    single_mode_rates,
-    total_decoherence,
+    net_rate_closed,
+    rate_pairs,
+    total_noise,
 )
 
 
 def frame(omega_bar=1.0, delta_omega=0.1, delta_bar=1.0, kappa=0.2, G_1=1.0, G_2=1.0):
     return frame_from_collective(omega_bar, delta_omega, delta_bar, kappa, G_1, G_2)
+
+
+def pairs(fr, delta_bar=None):
+    """The frame's rate pairs, optionally at other detunings."""
+    db = fr.delta_bar if delta_bar is None else delta_bar
+    return rate_pairs(db, fr.omega_bar, fr.delta_omega, fr.kappa, fr.G_1, fr.G_2)
+
+
+def pathway_coupling(fr):
+    return fr.G_1 * fr.G_2 * exchange_pathway_sum(fr.delta_bar, fr.omega_bar, fr.kappa)
 
 
 def random_frames(n, seed=42):
@@ -53,12 +58,12 @@ class TestExchangeCoupling:
         fr = frame(delta_bar=0.5, kappa=0.2)
         expected = 1.259360108917631
         assert exchange_coupling(fr) == pytest.approx(expected, rel=1e-12)
-        assert exchange_coupling_pathways(fr) == pytest.approx(expected, rel=1e-12)
+        assert pathway_coupling(fr) == pytest.approx(expected, rel=1e-12)
 
     def test_partial_fraction_identity(self):
         for fr in random_frames(500):
             a = exchange_coupling(fr)
-            b = exchange_coupling_pathways(fr)
+            b = pathway_coupling(fr)
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-300)
 
     def test_odd_in_detuning(self):
@@ -76,55 +81,55 @@ class TestExchangeCoupling:
 
 class TestRatePairs:
     def test_lossless_cavity_gives_no_dissipation(self):
-        fr = frame(kappa=0.0)
-        for j in (1, 2):
-            gamma, _ = single_mode_rates(fr, j)
-            assert gamma == 0.0
-        gamma, _ = collective_rates(fr)
-        assert gamma == 0.0
-        assert total_decoherence(fr) == 0.0
+        # delta_bar = omega_bar here: effective_params raises at this pole
+        # of J, but the rate pairs stay defined
+        table = pairs(frame(kappa=0.0))
+        for down, up in table.values():
+            assert down - up == 0.0
+        assert total_noise(table) == 0.0
+        assert effective_params(frame(kappa=0.0, delta_bar=0.4)).gamma_total == 0.0
 
     def test_single_mode_up_rate_value(self):
         # mode 1 bath center x_1 = omega_bar + delta_omega = 1.1
         fr = frame()
-        down, up = single_mode_rate_pair(fr, 1)
+        down, up = pairs(fr)["1"]
         assert up == pytest.approx(0.2 / (0.01 + 2.1**2), rel=1e-12)
         assert down == pytest.approx(0.2 / (0.01 + (1 - 1.1) ** 2), rel=1e-12)
-        gamma, nbar = single_mode_rates(fr, 1)
-        assert gamma * nbar == pytest.approx(up, rel=1e-12)
-        assert gamma * (nbar + 1) == pytest.approx(down, rel=1e-12)
+        p = effective_params(fr)
+        assert p.gamma_1 * p.nbar_1 == pytest.approx(up, rel=1e-12)
+        assert p.gamma_1 * (p.nbar_1 + 1) == pytest.approx(down, rel=1e-12)
 
     def test_collective_product_value(self):
         fr = frame()
-        down, up = collective_rate_pair(fr)
+        down, up = pairs(fr)["collective"]
         assert up == pytest.approx(0.2 / (0.01 + 4.0), rel=1e-12)
-        gamma, nbar = collective_rates(fr)
-        assert gamma * nbar == pytest.approx(up, rel=1e-12)
+        p = effective_params(fr)
+        assert p.gamma_collective * p.nbar_collective == pytest.approx(up, rel=1e-12)
 
     def test_collective_rate_odd_in_detuning(self):
-        assert collective_rates(frame(delta_bar=0.0))[0] == pytest.approx(0.0, abs=1e-15)
+        assert effective_params(frame(delta_bar=0.0)).gamma_collective == pytest.approx(0.0, abs=1e-15)
 
     def test_undefined_occupation_at_zero_detuning(self):
         fr = frame(delta_bar=0.0)
-        gamma, nbar = single_mode_rates(fr, 1)
-        assert gamma == pytest.approx(0.0, abs=1e-18)
-        assert math.isnan(nbar)
-        down, up = single_mode_rate_pair(fr, 1)
+        p = effective_params(fr)
+        assert p.gamma_1 == pytest.approx(0.0, abs=1e-18)
+        assert math.isnan(p.nbar_1)
+        down, up = pairs(fr)["1"]
         assert down > 0 and up > 0
 
     def test_closed_form_cross_checks(self):
         for fr in random_frames(300, seed=7):
+            p = effective_params(fr)
             x1, x2 = bath_centers(fr)
-            for j, (x, G) in enumerate(((x1, fr.G_1), (x2, fr.G_2)), start=1):
-                gamma, nbar = single_mode_rates(fr, j)
-                closed = gamma_single_closed(G, x, fr.delta_bar, fr.kappa)
+            single = ((p.gamma_1, p.nbar_1, x1, fr.G_1), (p.gamma_2, p.nbar_2, x2, fr.G_2))
+            for gamma, nbar, x, G in single:
+                closed = net_rate_closed(G * G, x, fr.delta_bar, fr.kappa)
                 assert gamma == pytest.approx(closed, rel=1e-10, abs=1e-300)
                 if not math.isnan(nbar):
                     assert nbar == pytest.approx(
                         nbar_closed(x, fr.delta_bar, fr.kappa), rel=1e-8)
-            gamma_c, _ = collective_rates(fr)
-            assert gamma_c == pytest.approx(
-                gamma_collective_closed(fr.G_1, fr.G_2, fr.omega_bar, fr.delta_bar, fr.kappa),
+            assert p.gamma_collective == pytest.approx(
+                net_rate_closed(fr.G_1 * fr.G_2, fr.omega_bar, fr.delta_bar, fr.kappa),
                 rel=1e-10, abs=1e-300)
 
     def test_occupation_expression_limits(self):
@@ -132,32 +137,40 @@ class TestRatePairs:
         assert nbar_closed(1.1, 1.1, 0.0) == pytest.approx(0.0, abs=1e-15)
         assert nbar_closed(1.0, 1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
 
-    def test_mode_index_validation(self):
-        with pytest.raises(ValueError):
-            single_mode_rates(frame(), 3)
+    def test_elementwise_in_detuning(self):
+        # an array of detunings gives, entry by entry, the scalar pairs
+        # of each frame bit for bit
+        fr = frame(delta_bar=0.0, kappa=0.3, G_1=0.07, G_2=0.12)
+        deltas = np.linspace(-4.0, 4.0, 33)
+        table = pairs(fr, deltas)
+        for i, db in enumerate(deltas):
+            scalar = pairs(fr, float(db))
+            for name in ("1", "2", "collective"):
+                assert (table[name][0][i], table[name][1][i]) == scalar[name]
+            assert total_noise(table)[i] == total_noise(scalar)
 
 
 class TestTotalDecoherence:
     def test_reference_value_at_zero_detuning(self):
         fr = frame(delta_bar=0.0)
         expected = 0.2 * (1 / (0.01 + 0.81) + 1 / (0.01 + 1.21) + 2 / (0.01 + 1.0))
-        assert total_decoherence(fr) == pytest.approx(expected, rel=1e-12)
+        assert effective_params(fr).gamma_total == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.8038764692142945, rel=1e-12)
 
     def test_far_detuned_asymptote(self):
         fr = frame(delta_bar=2.0e3, kappa=0.2)
         # equal couplings: Gamma -> 4 kappa G^2 / delta_bar^2
-        assert total_decoherence(fr) == pytest.approx(4 * 0.2 / 4.0e6, rel=2e-3)
+        assert effective_params(fr).gamma_total == pytest.approx(4 * 0.2 / 4.0e6, rel=2e-3)
 
     def test_positive_for_negative_detunings(self):
         for fr in random_frames(300, seed=12):
-            assert total_decoherence(fr) > 0
+            assert effective_params(fr).gamma_total > 0
 
 
 class TestClassicality:
     def test_zero_detuning_is_classical(self):
         fr = frame(delta_bar=0.0)
-        xi = classicality_ratio(fr)
+        xi = effective_params(fr).xi
         assert xi == pytest.approx(0.0, abs=1e-15)
         assert interaction_regime(xi) == "classical"
 
@@ -166,21 +179,21 @@ class TestClassicality:
         assert interaction_regime(0.5 + 1e-12) == "quantum"
 
     def test_unitary_limit(self):
-        xi = classicality_ratio(frame(kappa=0.0, delta_bar=0.4))
+        xi = effective_params(frame(kappa=0.0, delta_bar=0.4)).xi
         assert math.isinf(xi)
         assert interaction_regime(xi) == "unitary-limit"
 
     def test_far_detuned_ratio(self):
         # equal couplings: xi -> delta_bar / (2 kappa)
         fr = frame(delta_bar=1.0e4, kappa=0.5)
-        assert classicality_ratio(fr) == pytest.approx(1.0e4 / (2 * 0.5), rel=1e-3)
+        assert effective_params(fr).xi == pytest.approx(1.0e4 / (2 * 0.5), rel=1e-3)
 
     def test_invariant_under_drive_rescaling(self):
         # doubling alpha doubles both couplings; J and all rates scale by
         # exactly 4 (a power of two), so the ratio is bitwise unchanged
         base = frame(delta_bar=2.7, kappa=0.7, G_1=0.05, G_2=0.09)
         scaled = frame(delta_bar=2.7, kappa=0.7, G_1=0.1, G_2=0.18)
-        assert classicality_ratio(base) == classicality_ratio(scaled)
+        assert effective_params(base).xi == effective_params(scaled).xi
 
 
 class TestNulls:
@@ -232,11 +245,16 @@ class TestEffectiveParams:
         fr = frame(delta_bar=-3.2, kappa=0.7, G_1=0.11, G_2=0.06)
         p = effective_params(fr)
         d1, u1 = p.rate_table["1"]
-        assert (d1, u1) == single_mode_rate_pair(fr, 1)
+        assert p.rate_table == pairs(fr)
         assert p.gamma_total == pytest.approx(
             u1 + p.rate_table["2"][1] + 2 * p.rate_table["collective"][1], rel=1e-15)
-        assert p.gamma_total == pytest.approx(total_decoherence(fr), rel=1e-15)
-        assert p.xi == pytest.approx(classicality_ratio(fr), rel=1e-15)
+        assert p.gamma_total == pytest.approx(total_noise(pairs(fr)), rel=1e-15)
+        assert p.xi == pytest.approx(abs(p.exchange_coupling) / p.gamma_total, rel=1e-15)
+        gammas = (p.gamma_1, p.gamma_2, p.gamma_collective)
+        nbars = (p.nbar_1, p.nbar_2, p.nbar_collective)
+        for (down, up), gamma, nbar in zip(p.rate_table.values(), gammas, nbars):
+            assert gamma == down - up
+            assert nbar == up / gamma
 
     def test_all_rates_nonnegative_everywhere(self):
         for fr in random_frames(500, seed=99):
