@@ -309,8 +309,13 @@ def xi_asymptote(
     Fits xi(delta_bar) over delta_bar in [10^a, 10^b] * max(omega_bar,
     kappa) and reports the measured exponent with a confidence width, the
     exponent predicted by the implemented closed forms (1.0), and the
-    externally claimed quadratic growth for comparison.
+    externally claimed quadratic growth for comparison.  Raises
+    ``ValueError`` unless ``kappa > 0`` and ``G_1 + G_2 != 0``.
     """
+    if not kappa > 0:
+        raise ValueError(f"cavity decay kappa must be positive, got {kappa}")
+    if G_1 + G_2 == 0:
+        raise ValueError("the couplings must not sum to zero")
     scale = max(omega_bar, kappa)
     deltas = np.geomspace(10.0 ** decades[0] * scale, 10.0 ** decades[1] * scale, points)
     xi = _xi_row(deltas, omega_bar, delta_omega, kappa, G_1, G_2)

@@ -21,6 +21,7 @@ from .fock import (
     FitError,
     FockSpace,
     FullLinearized,
+    StepControlError,
     TransferProtocol,
     TruncationError,
     effective_generator,
@@ -315,7 +316,7 @@ def main(argv=None) -> int:
         if args.command in ("simulate-full", "simulate-effective"):
             return _cmd_simulate(args, args.model)
         return _DISPATCH[args.command](args)
-    except (FitError, TruncationError) as exc:
+    except (FitError, TruncationError, StepControlError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

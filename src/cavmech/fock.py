@@ -8,14 +8,15 @@ exact frequency labels, linear jumps with their rates), from which this
 module compiles the Fock-space generator and :mod:`cavmech.gaussian` the
 moment equations.  A constant generator is propagated exactly from one
 record to the next by the action of the exponential of its sparse
-Lindblad superoperator; a time-dependent one by the fixed-step RK4 kernel
-:func:`propagate_rk4`, which the Gaussian engine uses too and which
-evaluates the drift for a whole record interval of steps in one call
-(:meth:`CompiledGenerator.drift` takes an array of times and sums the
-phase terms by one sparse product, so no BLAS thread is woken).  Repeated runs
-are bit-identical, the trace is never rescaled, and trace, Hermiticity,
-positivity, and top-level population are monitored at every recorded
-step.
+Lindblad superoperator; a time-dependent one by the RK4 kernel
+:func:`propagate_rk4`, which the Gaussian engine uses too.  The kernel
+steps at a multiple m dt of the record-grid step under an enforced
+step-doubling estimate, and evaluates the drift for a whole record
+interval of steps in one call (:meth:`CompiledGenerator.drift` takes an
+array of times and sums the phase terms by one sparse product, so no BLAS
+thread is woken).  Repeated runs are bit-identical, the trace is never
+rescaled, and trace, Hermiticity, positivity, and top-level population
+are monitored at every recorded step.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ DIMENSION_CAP = 4096
 
 class TruncationError(RuntimeError):
     """Top Fock level acquired more population than the run allows."""
+
+
+class StepControlError(RuntimeError):
+    """The step-doubling estimate exceeded its tolerance at the finest step dt."""
 
 
 class FitError(RuntimeError):
@@ -366,6 +371,22 @@ def compile_generator(spec, space: FockSpace) -> CompiledGenerator:
 
 # -- propagation ------------------------------------------------------------
 
+@dataclass(frozen=True)
+class RunStats:
+    """How an integration was carried out; never part of any output body.
+
+    ``rk4_steps`` counts every RK4 step taken (continuation, check and
+    side steps; 0 on the exact path), ``step_multiple`` is the final
+    internal step in units of ``dt`` (0 on the exact path), and
+    ``max_step_estimate`` the largest step-doubling estimate of an
+    accepted pair.
+    """
+
+    rk4_steps: int = 0
+    step_multiple: int = 0
+    max_step_estimate: float = 0.0
+
+
 @dataclass
 class Trajectory:
     """Recorded expectations and structural monitors of one integration."""
@@ -380,6 +401,7 @@ class Trajectory:
     herm_dev: np.ndarray
     min_eig: np.ndarray
     final_state: DensityState
+    stats: RunStats = RunStats()
 
     @property
     def max_trace_dev(self) -> float:
@@ -412,11 +434,13 @@ def integrate(
     ``dt`` sets the record grid (every ``stride`` steps, plus the last
     step) and must satisfy ``dt <= 0.01 / f_max`` for the generator's
     fastest scale.  A constant generator jumps from record to record
-    exactly (:func:`_propagate_exact`); a time-dependent one takes
-    fixed-step RK4 steps of ``dt`` (:func:`propagate_rk4`).  Trace drift
-    is compensated in the reported expectations only, never in the state.
-    Aborts when the top Fock level of any subsystem passes
-    ``truncation_tol``.
+    exactly (:func:`_propagate_exact`); a time-dependent one takes RK4
+    steps of m ``dt`` under a step-doubling estimate, with records off
+    that grid taken by side steps (:func:`propagate_rk4`, which raises
+    :class:`StepControlError` if the estimate fails at m = 1).  The
+    returned trajectory's ``stats`` say how.  Trace drift is compensated
+    in the reported expectations only, never in the state.  Aborts when
+    the top Fock level of any subsystem passes ``truncation_tol``.
     """
     gen = compile_generator(spec, space)
     n_steps = step_count(t_end, dt, stride, gen.f_max)
@@ -448,8 +472,9 @@ def integrate(
             )
 
     record(0.0, rho)
+    stats = RunStats()
     if gen.phase_nus.size:
-        rho = propagate_rk4(gen.drift, gen.add_jump_sandwiches, rho, n_steps, dt, stride, record)
+        rho, stats = propagate_rk4(gen.drift, gen.add_jump_sandwiches, rho, n_steps, dt, stride, record)
     else:
         rho = _propagate_exact(gen, rho, n_steps, dt, stride, record)
 
@@ -464,6 +489,7 @@ def integrate(
         herm_dev=np.array(rec["herm"]),
         min_eig=np.array(rec["eig"]),
         final_state=DensityState(rho, time=n_steps * dt),
+        stats=stats,
     )
 
 
@@ -491,18 +517,44 @@ def step_count(t_end: float, dt: float, stride: int, f_max: float) -> int:
 # drift matrices of one block of RK4 steps.
 _RECORD_BLOCK = 2**20
 
+# Largest internal RK4 step of the time-dependent path, in units of the
+# record-grid step dt (so h <= 0.1 / f_max at the coarsest dt allowed).
+_STEP_CAP = 10
+
+# Largest step-doubling estimate a pair of steps may have, relative to
+# max(1, max |X|).  On the desk-frame transfer runs at dims (4,3,3) and
+# dt = 0.01 / f_max, every pair passes at the cap (largest estimates
+# 1.5e-10 Fock, 2.3e-10 Gaussian), and the recorded occupations move by
+# at most 6.3e-9 (horizon 100) and 4.1e-8 (horizon 400) against m = 1.
+_STEP_TOL = 1e-9
+
 
 def propagate_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
-    """Fixed-step RK4 for X' = M(t) X + (M(t) X)^dag + N(X) on a Hermitian X.
+    """RK4 for X' = M(t) X + (M(t) X)^dag + N(X) on a Hermitian X, under step doubling.
 
-    The steps run in blocks of one record interval, shortened where the
-    block's drift matrices would hold more than ``_RECORD_BLOCK``
-    entries.  ``drifts(ts)`` is called once per block and returns the
-    stack of M(t) over the block's stage times ts = k dt/2, k the global
-    half-step index from the block's first step to its last.
-    ``add_noise(state, out)`` adds N(state) to ``out``, and
-    ``record(t, x)`` is called every ``stride`` steps and after the last
-    one.  ``x`` is updated in place and returned.
+    ``dt`` is the record-grid unit: ``record(s dt, x_s)`` is called at
+    every step index s that is a multiple of ``stride``, and at
+    ``n_steps``.  The state itself advances in pairs of RK4 steps of
+    h = m dt; each pair is checked against one step of 2h from the same
+    point (sharing its first stage) and accepted when the estimate
+    |X_{2h} - X_{h,h}| / 15 (max entry; Hairer, Norsett & Wanner, Solving
+    ODEs I, II.4) is at most ``_STEP_TOL`` max(1, max |X|).  The run
+    continues from the pair, never from the check step.  A rejected pair
+    is redone at m // 2, and m never grows back; a rejection at m = 1
+    raises :class:`StepControlError`.  m starts at ``_STEP_CAP``.  The
+    grid of m dt points does not depend on ``stride``; a record between
+    grid points comes from one side step off the last grid point before
+    it, which the run does not continue from.  At m = 1 every record is a
+    grid point and the continuation is the plain fixed-step RK4 of dt.
+
+    Every stage time is k dt/2, k a global half-step index.  The steps
+    run in blocks that end at the step reaching the next record, shortened
+    where the block's drift matrices would hold more than ``_RECORD_BLOCK``
+    entries (a block holds at least one step and its side steps).
+    ``drifts(ts)`` is called once per block on the sorted stage times the
+    block needs, and consecutive blocks share their boundary time.
+    ``add_noise(state, out)`` adds N(state) to ``out``.  Returns the state
+    at ``n_steps`` and the :class:`RunStats` of the run.
 
     X is re-Hermitized once per step: the exact flow preserves
     Hermiticity, but for a density matrix the roundoff-seeded
@@ -511,44 +563,105 @@ def propagate_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
     """
     # Preallocated work buffers.  Every stage input is Hermitian, so
     # X M^dag = (M X)^dag and each stage costs one drift product plus N.
-    y, acc, tmp1, k = (np.empty_like(x) for _ in range(4))
+    y, acc, tmp1, k, k1, x_start, x_mid, x_check = (np.empty_like(x) for _ in range(8))
 
     def stage(D, state, out):
         np.matmul(D, state, out=tmp1)
         np.add(tmp1, tmp1.conj().T, out=out)
         add_noise(state, out)
 
-    # a block of b steps has 2 b + 1 stage times
-    block = max(1, (_RECORD_BLOCK // x.size - 1) // 2)
-    sixth = dt / 6.0
-    half = dt / 2.0
-    start = 0
-    while start < n_steps:
-        stop = min(n_steps, start + block, (start // stride + 1) * stride)
-        D = drifts(np.arange(2 * start, 2 * stop + 1) * half)
-        for j in range(0, 2 * (stop - start), 2):
-            stage(D[j], x, k)                         # k1
-            acc[:] = k
-            np.multiply(k, half, out=y)
-            y += x
-            stage(D[j + 1], y, k)                     # k2
-            acc += 2.0 * k
-            np.multiply(k, half, out=y)
-            y += x
-            stage(D[j + 1], y, k)                     # k3
-            acc += 2.0 * k
-            np.multiply(k, dt, out=y)
-            y += x
-            stage(D[j + 2], y, k)                     # k4
-            acc += k
-            acc *= sixth
-            x += acc
-            np.add(x, x.conj().T, out=x)
-            x *= 0.5
-        start = stop
-        if stop % stride == 0 or stop == n_steps:
-            record(stop * dt, x)
-    return x
+    def step(D, x0, k1, h, out):
+        """One step of h from x0 into out, given the drifts at its three
+        stage times and its first stage k1 = f(t0, x0)."""
+        half = h / 2.0
+        acc[:] = k1
+        np.multiply(k1, half, out=y)
+        np.add(y, x0, out=y)
+        stage(D[1], y, k)                             # k2
+        np.add(acc, 2.0 * k, out=acc)
+        np.multiply(k, half, out=y)
+        np.add(y, x0, out=y)
+        stage(D[1], y, k)                             # k3
+        np.add(acc, 2.0 * k, out=acc)
+        np.multiply(k, h, out=y)
+        np.add(y, x0, out=y)
+        stage(D[2], y, k)                             # k4
+        np.add(acc, k, out=acc)
+        np.multiply(acc, h / 6.0, out=acc)
+        np.add(x0, acc, out=out)
+        np.add(out, out.conj().T, out=out)
+        out *= 0.5
+        return out
+
+    def records_between(a, b):
+        """Record step indices strictly between a and b."""
+        found = list(range((a // stride + 1) * stride, min(b, n_steps), stride))
+        return found + [n_steps] if a < n_steps < b else found
+
+    budget = max(1, _RECORD_BLOCK // x.size)
+
+    def step_drifts(s, m):
+        """Yield, per step of m dt from grid point s on, the drifts of the
+        step and of the side steps to the records inside it."""
+        while True:
+            until = min(n_steps, (s // stride + 1) * stride)
+            block, ks = [], set()
+            while True:
+                sides = records_between(s, s + m)
+                need = {2 * s, 2 * s + m, 2 * s + 2 * m}
+                need.update(s + r for r in sides)
+                need.update(2 * r for r in sides)
+                if block and len(ks | need) > budget:
+                    break
+                block.append((s, sides))
+                ks |= need
+                s += m
+                if s >= until:
+                    break
+            ks = np.array(sorted(ks))
+            D = drifts(ks * (dt / 2.0))
+            at = dict(zip(ks.tolist(), D))
+            for a, sides in block:
+                yield ((at[2 * a], at[2 * a + m], at[2 * a + 2 * m]),
+                       [(r, (None, at[a + r], at[2 * r])) for r in sides])
+
+    m, g = _STEP_CAP, 0
+    steps, max_est = 0, 0.0
+    stream = step_drifts(g, m)
+    final = x
+    while g < n_steps:
+        h = m * dt
+        np.copyto(x_start, x)
+        D1, sides = next(stream)
+        stage(D1[0], x_start, k1)
+        done = {r: step(Dr, x_start, k1, (r - g) * dt, np.empty_like(x)) for r, Dr in sides}
+        step(D1, x_start, k1, h, x_mid)
+        D2, sides = next(stream)
+        step((None, D2[0], D2[2]), x_start, k1, 2 * h, x_check)
+        stage(D2[0], x_mid, k1)
+        done.update((r, step(Dr, x_mid, k1, (r - g - m) * dt, np.empty_like(x))) for r, Dr in sides)
+        step(D2, x_mid, k1, h, x)
+        steps += 3 + len(done)
+        est = float(np.abs(x - x_check).max()) / 15.0
+        if est > _STEP_TOL * max(1.0, float(np.abs(x).max())):
+            if m == 1:
+                raise StepControlError(
+                    f"step-doubling estimate {est:.3e} at t={g * dt:.6g} exceeds "
+                    f"{_STEP_TOL:g} at the finest step dt={dt}")
+            m //= 2
+            np.copyto(x, x_start)
+            stream = step_drifts(g, m)
+            continue
+        max_est = max(max_est, est)
+        done[g + m], done[g + 2 * m] = x_mid, x
+        for r in sorted(done):
+            if r <= n_steps and (r % stride == 0 or r == n_steps):
+                record(r * dt, done[r])
+        final = done.get(n_steps, final)
+        g += 2 * m
+    if final is not x:
+        x[...] = final
+    return x, RunStats(steps, m if n_steps else 0, max_est)
 
 
 def _propagate_exact(gen, rho, n_steps, dt, stride, record):

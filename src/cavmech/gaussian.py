@@ -8,10 +8,10 @@ Quadratures are ordered (x_1, p_1, ..., x_N, p_N) with vacuum variance 1/2
 and diffusion are compiled from the same :class:`~cavmech.fock.QuadraticModel`
 as the Fock-space generator.  A constant drift and diffusion are
 propagated by the exact affine moment map of each record interval; a
-time-dependent drift by the RK4 kernel the Fock engine uses, applied to
-the augmented moment matrix, with the drift of a whole record interval of
-steps built in one call (:meth:`DriftDiffusion.drift_at` takes an array
-of times).
+time-dependent drift by the step-doubling RK4 kernel the Fock engine
+uses, applied to the augmented moment matrix, with the drift of a whole
+record interval of steps built in one call
+(:meth:`DriftDiffusion.drift_at` takes an array of times).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .model import FrameParams
-from .fock import effective_generator, propagate_rk4, quadratic_model, step_count
+from .fock import RunStats, effective_generator, propagate_rk4, quadratic_model, step_count
 
 VACUUM_CONVENTION = "quadrature ordering (x1,p1,...); vacuum variance 1/2; hbar=1"
 
@@ -251,6 +251,7 @@ class GaussTrajectory:
     physicality: np.ndarray
     final_state: CovarianceState
     occupations: np.ndarray
+    stats: RunStats = RunStats()
 
     @property
     def max_physicality_defect(self) -> float:
@@ -272,10 +273,13 @@ def evolve_covariance(
     ``dt`` sets the record grid (every ``stride`` steps, plus the last
     step) and must satisfy ``dt <= 0.01 / f_max``.  A constant drift jumps
     from record to record by the exact moment map of
-    :func:`_interval_map`; a time-dependent drift takes fixed-step RK4
-    steps of ``dt``.  The covariance is re-symmetrized after every update
-    (pure roundoff control) and the uncertainty-bound defect is monitored
-    at every record; a defect beyond ``physicality_tol`` aborts.
+    :func:`_interval_map`; a time-dependent drift takes RK4 steps of
+    m ``dt`` under a step-doubling estimate, with records off that grid
+    taken by side steps (:func:`~cavmech.fock.propagate_rk4`; the
+    trajectory's ``stats`` say how).  The covariance is re-symmetrized
+    after every update (pure roundoff control) and the uncertainty-bound
+    defect is monitored at every record; a defect beyond
+    ``physicality_tol`` aborts.
     """
     n_steps = step_count(t_end, dt, stride, dd.f_max)
     mean = state0.mean.copy()
@@ -303,8 +307,11 @@ def evolve_covariance(
             )
 
     record(0.0, mean, cov)
-    propagate = _rk4_moments if dd.time_dependent else _propagate_exact
-    mean, cov = propagate(dd, mean, cov, n_steps, dt, stride, record)
+    stats = RunStats()
+    if dd.time_dependent:
+        mean, cov, stats = _rk4_moments(dd, mean, cov, n_steps, dt, stride, record)
+    else:
+        mean, cov = _propagate_exact(dd, mean, cov, n_steps, dt, stride, record)
 
     occ = np.array(rec_n)
     return GaussTrajectory(
@@ -316,11 +323,12 @@ def evolve_covariance(
         physicality=np.array(rec_phys),
         final_state=CovarianceState(mean, cov, time=n_steps * dt),
         occupations=occ,
+        stats=stats,
     )
 
 
 def _rk4_moments(dd, mean, cov, n_steps, dt, stride, record):
-    """RK4 for a time-dependent drift by the shared kernel; returns the final moments.
+    """RK4 for a time-dependent drift by the shared kernel; returns the final moments and run stats.
 
     The kernel steps the augmented moment matrix X = [[cov, mean],
     [mean^T, 1]] with M = blockdiag(A(t), 0) and N = blockdiag(D, 0):
@@ -340,9 +348,9 @@ def _rk4_moments(dd, mean, cov, n_steps, dt, stride, record):
     def add_diffusion(state, out):
         out[:n, :n] += dd.diffusion
 
-    x = propagate_rk4(drifts, add_diffusion, x, n_steps, dt, stride,
-                      lambda t, x: record(t, x[:n, n], x[:n, :n]))
-    return x[:n, n].copy(), x[:n, :n].copy()
+    x, stats = propagate_rk4(drifts, add_diffusion, x, n_steps, dt, stride,
+                             lambda t, x: record(t, x[:n, n], x[:n, :n]))
+    return x[:n, n].copy(), x[:n, :n].copy(), stats
 
 
 def _propagate_exact(dd, mean, cov, n_steps, dt, stride, record):

@@ -126,6 +126,12 @@ class TestAsymptote:
         assert report["claimed_quadratic_slope"] == 2.0
         assert "quadratic" in report["metadata"]["note"]
 
+    @pytest.mark.parametrize("kwargs", [dict(kappa=0.0), dict(kappa=-1.0), dict(kappa=math.nan),
+                                        dict(G_1=0.1, G_2=-0.1)])
+    def test_rejects_degenerate_inputs(self, kwargs):
+        with pytest.raises(ValueError):
+            xi_asymptote(**kwargs)
+
     def test_fit_recovers_pure_power_law(self):
         x = np.geomspace(1.0, 1e3, 50)
         slope, _, stderr = _loglog_fit(x, 3.7 * x**2)

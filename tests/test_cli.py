@@ -155,6 +155,13 @@ class TestAsymptoteCommand:
         assert abs(doc["measured_slope"] - 1.0) < 0.05
         assert doc["claimed_quadratic_slope"] == 2.0
 
+    @pytest.mark.parametrize("kappa", ["0", "-1"])
+    def test_nonpositive_kappa_is_usage_error(self, kappa, capsys):
+        assert main(["xi-asymptote", "--kappa", kappa]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "kappa must be positive" in captured.err
+
 
 class TestSimulate:
     def test_effective_trajectory_csv(self, config_file, tmp_path):

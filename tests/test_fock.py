@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cavmech import fock, frame_from_collective
+from cavmech import fock, frame_from_collective, gaussian
 from cavmech.effective import EffectiveParams, CollectiveMode, exchange_coupling
 from cavmech.fock import (
     DensityState,
@@ -284,7 +284,9 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("stride,blocks,records", [(5, 8, (5, 10, 15, 20)), (10**9, 7, (20,))])
     def test_drift_blocks_stay_within_budget(self, monkeypatch, stride, blocks, records):
-        # a budget of seven 2x2 matrices allows blocks of at most 3 steps
+        # at the finest internal step (m = 1), a budget of seven 2x2
+        # matrices allows blocks of at most 3 steps
+        monkeypatch.setattr(fock, "_STEP_CAP", 1)
         monkeypatch.setattr(fock, "_RECORD_BLOCK", 7 * 4)
         calls, recorded = [], []
 
@@ -300,6 +302,29 @@ class TestIntegrate:
         joined = np.concatenate([calls[0]] + [ts[1:] for ts in calls[1:]])
         assert np.array_equal(joined, np.arange(41) * (0.1 / 2))
         assert recorded == [s * 0.1 for s in records]
+
+    def test_drift_blocks_at_the_default_cap(self, monkeypatch):
+        # m = 10: pairs of 10 dt steps cover 0..60; the records at multiples
+        # of 7 sit off that grid and come from side steps
+        monkeypatch.setattr(fock, "_RECORD_BLOCK", 9 * 4)
+        calls, recorded = [], []
+
+        def drifts(ts):
+            calls.append(ts)
+            return np.zeros((ts.size, 2, 2))
+
+        _, stats = propagate_rk4(drifts, lambda state, out: None, np.eye(2), 60, 0.1, 7,
+                                 lambda t, x: recorded.append(t))
+        assert (stats.step_multiple, stats.rk4_steps) == (10, 3 * 3 + 8)
+        assert max(ts.size for ts in calls) <= 9
+        assert all(np.all(np.diff(ts) > 0) for ts in calls)
+        assert all(a[-1] == b[0] for a, b in zip(calls, calls[1:]))
+        # stage times on the global half-step index: the grid's, and
+        # (anchor + r, 2 r) for a side step to record r off anchor r // 10 * 10
+        side = {k for r in range(7, 60, 7) for k in (r // 10 * 10 + r, 2 * r)}
+        expected = sorted(set(range(0, 121, 10)) | side)
+        assert np.array_equal(np.unique(np.concatenate(calls)), np.array(expected) * (0.1 / 2))
+        assert recorded == [s * 0.1 for s in (7, 14, 21, 28, 35, 42, 49, 56, 60)]
 
     def test_truncation_monitor_aborts(self):
         # resonant up-conversion pumps cavity-mechanics pairs and overfills
@@ -333,6 +358,114 @@ class TestIntegrate:
         spec = EffectiveTwoMode(params, CollectiveMode(1.0, 1.0))
         with pytest.raises(ValueError, match="negative"):
             compile_generator(spec, FockSpace((3, 3)))
+
+
+def fixed_step_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
+    """The fixed-step RK4 kernel that preceded step doubling, as it was.
+
+    The reference for m = 1: one step of ``dt`` at a time, in blocks of one
+    record interval (the memory budget never binds at these sizes).
+    """
+    y, acc, tmp1, k = (np.empty_like(x) for _ in range(4))
+
+    def stage(D, state, out):
+        np.matmul(D, state, out=tmp1)
+        np.add(tmp1, tmp1.conj().T, out=out)
+        add_noise(state, out)
+
+    sixth = dt / 6.0
+    half = dt / 2.0
+    start = 0
+    while start < n_steps:
+        stop = min(n_steps, (start // stride + 1) * stride)
+        D = drifts(np.arange(2 * start, 2 * stop + 1) * half)
+        for j in range(0, 2 * (stop - start), 2):
+            stage(D[j], x, k)
+            acc[:] = k
+            np.multiply(k, half, out=y)
+            y += x
+            stage(D[j + 1], y, k)
+            acc += 2.0 * k
+            np.multiply(k, half, out=y)
+            y += x
+            stage(D[j + 1], y, k)
+            acc += 2.0 * k
+            np.multiply(k, dt, out=y)
+            y += x
+            stage(D[j + 2], y, k)
+            acc += k
+            acc *= sixth
+            x += acc
+            np.add(x, x.conj().T, out=x)
+            x *= 0.5
+        start = stop
+        record(stop * dt, x)
+    return x, fock.RunStats()
+
+
+def stride_test_runs(stride=7):
+    """Both engines on the full model of the stride-independence tests, 200 steps of dt."""
+    fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
+    spec = FullLinearized(fr)
+    space = FockSpace((3, 3, 3))
+    dt = 0.01 / compile_generator(spec, space).f_max
+    ftraj = integrate(spec, space, fock_state(space, (0, 1, 0)), 200 * dt, dt,
+                      stride=stride, truncation_tol=0.05)
+    gtraj = gaussian.evolve_covariance(gaussian.drift_diffusion_from_generator(spec),
+                                       gaussian.fock_moments(3, (0, 1, 0)), 200 * dt, dt, stride=stride)
+    return ftraj, gtraj
+
+
+class TestStepControl:
+    def test_stride_config_runs_above_the_record_step(self):
+        for traj in stride_test_runs():
+            assert traj.stats.step_multiple > 1
+            assert 0 < traj.stats.max_step_estimate <= fock._STEP_TOL * 2
+            assert traj.stats.rk4_steps < 200
+
+    def test_cap_one_reproduces_fixed_step_rk4_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(fock, "_STEP_CAP", 1)
+        ftraj, gtraj = stride_test_runs()
+        assert ftraj.stats.step_multiple == gtraj.stats.step_multiple == 1
+        monkeypatch.setattr(fock, "propagate_rk4", fixed_step_rk4)
+        monkeypatch.setattr(gaussian, "propagate_rk4", fixed_step_rk4)
+        fref, gref = stride_test_runs()
+        for field in ("t", "n1", "n2", "n_cav", "coh", "trace", "trunc_monitor", "herm_dev", "min_eig"):
+            assert np.array_equal(getattr(ftraj, field), getattr(fref, field))
+        assert np.array_equal(ftraj.final_state.matrix, fref.final_state.matrix)
+        for field in ("t", "occupations", "physicality"):
+            assert np.array_equal(getattr(gtraj, field), getattr(gref, field))
+        assert np.array_equal(gtraj.final_state.cov, gref.final_state.cov)
+        assert np.array_equal(gtraj.final_state.mean, gref.final_state.mean)
+
+    def test_internal_step_is_fourth_order(self, monkeypatch):
+        # with the estimate switched off, doubling m multiplies the change
+        # in the final state by 2^4
+        monkeypatch.setattr(fock, "_STEP_TOL", math.inf)
+        finals = []
+        for cap in (1, 2, 4):
+            monkeypatch.setattr(fock, "_STEP_CAP", cap)
+            ftraj, gtraj = stride_test_runs(10**9)
+            finals.append((ftraj.final_state.matrix, gtraj.final_state.cov))
+        for engine in (0, 1):
+            fine, mid, coarse = (f[engine] for f in finals)
+            ratio = np.abs(coarse - mid).max() / np.abs(mid - fine).max()
+            assert 13 < ratio < 19
+
+    def test_tight_tolerance_refines_then_raises_at_the_finest_step(self, monkeypatch):
+        coarse, _ = stride_test_runs()
+        monkeypatch.setattr(fock, "_STEP_CAP", 1)
+        finest, _ = stride_test_runs()
+        monkeypatch.setattr(fock, "_STEP_CAP", 10)
+        monkeypatch.setattr(fock, "_STEP_TOL", 1e-12)
+        refined, _ = stride_test_runs()
+        assert 1 < refined.stats.step_multiple < coarse.stats.step_multiple
+        assert refined.stats.max_step_estimate <= 1e-12
+        gap = lambda traj: np.abs(traj.n2 - finest.n2).max()
+        assert gap(refined) < gap(coarse)
+        monkeypatch.setattr(fock, "_STEP_TOL", 0.0)
+        with pytest.raises(fock.StepControlError, match="at the finest step"):
+            stride_test_runs()
 
 
 class TestHeatingRates:
