@@ -184,7 +184,7 @@ def _cmd_simulate(args, model: str) -> int:
     rho0 = fock_state(space, occupations)
     f_max = quadratic_model(spec).f_max
     dt = args.dt
-    if not dt:
+    if dt is None:
         # the fewest steps within the guard, so the last record lands on t_end
         steps = math.ceil(args.t_end * f_max / 0.01) if f_max > 0 else 1000
         dt = args.t_end / steps if steps > 0 else 0.01 / f_max

@@ -10,13 +10,13 @@ moment equations.  A constant generator is propagated exactly from one
 record to the next by the action of the exponential of its sparse
 Lindblad superoperator; a time-dependent one by the RK4 kernel
 :func:`propagate_rk4`, which the Gaussian engine uses too.  The kernel
-steps at a multiple m dt of the record-grid step under an enforced
-step-doubling estimate, and evaluates the drift for a whole record
-interval of steps in one call (:meth:`CompiledGenerator.drift` takes an
-array of times and sums the phase terms by one sparse product, so no BLAS
-thread is woken).  Repeated runs are bit-identical, the trace is never
-rescaled, and trace, Hermiticity, positivity, and top-level population
-are monitored at every recorded step.
+takes steps of a multiple m dt of the record-grid step in pairs checked
+by an enforced step-doubling estimate, and evaluates the drift at all the
+stage times of a pair in one call (:meth:`CompiledGenerator.drift` takes
+an array of times and sums the phase terms by one sparse product, so no
+BLAS thread is woken).  Repeated runs are bit-identical, the trace is
+never rescaled, and trace, Hermiticity, positivity, and top-level
+population are monitored at every recorded step.
 """
 
 from __future__ import annotations
@@ -512,9 +512,8 @@ def step_count(t_end: float, dt: float, stride: int, f_max: float) -> int:
     return int(round(t_end / dt)) if t_end > 0 else 0
 
 
-# Complex entries held at once by one block of either propagation path
-# (16 MiB): the density-matrix records of one expm_multiply call, or the
-# drift matrices of one block of RK4 steps.
+# Complex entries held at once by the density-matrix records of one
+# expm_multiply call of the exact path (16 MiB).
 _RECORD_BLOCK = 2**20
 
 # Largest internal RK4 step of the time-dependent path, in units of the
@@ -547,12 +546,10 @@ def propagate_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
     it, which the run does not continue from.  At m = 1 every record is a
     grid point and the continuation is the plain fixed-step RK4 of dt.
 
-    Every stage time is k dt/2, k a global half-step index.  The steps
-    run in blocks that end at the step reaching the next record, shortened
-    where the block's drift matrices would hold more than ``_RECORD_BLOCK``
-    entries (a block holds at least one step and its side steps).
-    ``drifts(ts)`` is called once per block on the sorted stage times the
-    block needs, and consecutive blocks share their boundary time.
+    Every stage time is k dt/2, k a global half-step index.
+    ``drifts(ts)`` is called once per attempted pair, on the sorted stage
+    times of its two steps, its check step and its side steps: at most
+    4m + 1 matrices, and at most 5 plus two per side step.
     ``add_noise(state, out)`` adds N(state) to ``out``.  Returns the state
     at ``n_steps`` and the :class:`RunStats` of the run.
 
@@ -598,49 +595,33 @@ def propagate_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
         found = list(range((a // stride + 1) * stride, min(b, n_steps), stride))
         return found + [n_steps] if a < n_steps < b else found
 
-    budget = max(1, _RECORD_BLOCK // x.size)
-
-    def step_drifts(s, m):
-        """Yield, per step of m dt from grid point s on, the drifts of the
-        step and of the side steps to the records inside it."""
-        while True:
-            until = min(n_steps, (s // stride + 1) * stride)
-            block, ks = [], set()
-            while True:
-                sides = records_between(s, s + m)
-                need = {2 * s, 2 * s + m, 2 * s + 2 * m}
-                need.update(s + r for r in sides)
-                need.update(2 * r for r in sides)
-                if block and len(ks | need) > budget:
-                    break
-                block.append((s, sides))
-                ks |= need
-                s += m
-                if s >= until:
-                    break
-            ks = np.array(sorted(ks))
-            D = drifts(ks * (dt / 2.0))
-            at = dict(zip(ks.tolist(), D))
-            for a, sides in block:
-                yield ((at[2 * a], at[2 * a + m], at[2 * a + 2 * m]),
-                       [(r, (None, at[a + r], at[2 * r])) for r in sides])
+    def side_steps(at, a, records, x0):
+        """Side steps off grid point a, from x0 with its first stage in k1,
+        to each record in ``records``."""
+        return {r: step((None, at[a + r], at[2 * r]), x0, k1, (r - a) * dt, np.empty_like(x))
+                for r in records}
 
     m, g = _STEP_CAP, 0
     steps, max_est = 0, 0.0
-    stream = step_drifts(g, m)
     final = x
     while g < n_steps:
         h = m * dt
+        grid = [2 * g + j * m for j in range(5)]
+        sides = [(a, records_between(a, a + m)) for a in (g, g + m)]
+        ks = set(grid)
+        for a, records in sides:
+            ks.update(k for r in records for k in (a + r, 2 * r))
+        ks = sorted(ks)
+        at = dict(zip(ks, drifts(np.array(ks) * (dt / 2.0))))
+        D0, D1, D2, D3, D4 = (at[k] for k in grid)
         np.copyto(x_start, x)
-        D1, sides = next(stream)
-        stage(D1[0], x_start, k1)
-        done = {r: step(Dr, x_start, k1, (r - g) * dt, np.empty_like(x)) for r, Dr in sides}
-        step(D1, x_start, k1, h, x_mid)
-        D2, sides = next(stream)
-        step((None, D2[0], D2[2]), x_start, k1, 2 * h, x_check)
-        stage(D2[0], x_mid, k1)
-        done.update((r, step(Dr, x_mid, k1, (r - g - m) * dt, np.empty_like(x))) for r, Dr in sides)
-        step(D2, x_mid, k1, h, x)
+        stage(D0, x_start, k1)
+        done = side_steps(at, *sides[0], x_start)
+        step((D0, D1, D2), x_start, k1, h, x_mid)
+        step((None, D2, D4), x_start, k1, 2 * h, x_check)
+        stage(D2, x_mid, k1)
+        done.update(side_steps(at, *sides[1], x_mid))
+        step((D2, D3, D4), x_mid, k1, h, x)
         steps += 3 + len(done)
         est = float(np.abs(x - x_check).max()) / 15.0
         if est > _STEP_TOL * max(1.0, float(np.abs(x).max())):
@@ -650,7 +631,6 @@ def propagate_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
                     f"{_STEP_TOL:g} at the finest step dt={dt}")
             m //= 2
             np.copyto(x, x_start)
-            stream = step_drifts(g, m)
             continue
         max_est = max(max_est, est)
         done[g + m], done[g + 2 * m] = x_mid, x

@@ -9,8 +9,8 @@ and diffusion are compiled from the same :class:`~cavmech.fock.QuadraticModel`
 as the Fock-space generator.  A constant drift and diffusion are
 propagated by the exact affine moment map of each record interval; a
 time-dependent drift by the step-doubling RK4 kernel the Fock engine
-uses, applied to the augmented moment matrix, with the drift of a whole
-record interval of steps built in one call
+uses, applied to the augmented moment matrix, with the drift at all the
+stage times of a checked pair of steps built in one call
 (:meth:`DriftDiffusion.drift_at` takes an array of times).
 """
 

@@ -189,6 +189,7 @@ class TestSimulate:
         ["simulate-effective", "--stride", "0"],
         ["simulate-effective", "--t-end", "-1"],
         ["simulate-effective", "--dt", "-1"],
+        ["simulate-effective", "--dt", "0"],
     ])
     def test_bad_numbers_are_usage_errors(self, config_file, capsys, args):
         assert main(args + ["--config", config_file]) == 2

@@ -252,7 +252,9 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="stride"):
             integrate(spec, space, fock_state(space, (0, 0, 0)), 1.0, 0.01 / f_max, stride=0)
 
-    def test_fourth_order_convergence(self):
+    def test_fourth_order_convergence(self, monkeypatch):
+        # at the default cap both runs settle on a step of 5 dt and agree exactly
+        monkeypatch.setattr(fock, "_STEP_CAP", 1)
         fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
         spec = FullLinearized(fr)
         space = FockSpace((3, 3, 3))
@@ -261,12 +263,13 @@ class TestIntegrate:
         dt = 0.01 / f_max
         coarse = integrate(spec, space, rho0, 5.0, dt, stride=10**9, truncation_tol=0.05)
         fine = integrate(spec, space, rho0, 5.0, dt / 2, stride=10**9, truncation_tol=0.05)
+        assert fine.stats.rk4_steps == 2 * coarse.stats.rk4_steps
         for field in ("n1", "n2", "n_cav"):
             a, b = getattr(coarse, field)[-1], getattr(fine, field)[-1]
             assert abs(a - b) <= 1e-6 * max(abs(a), abs(b), 1e-3)
 
     def test_records_do_not_depend_on_stride(self):
-        # RK4 runs in blocks of one record interval; 7 does not divide 200
+        # records off the m dt grid come from side steps; 7 does not divide 200
         fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
         spec = FullLinearized(fr)
         space = FockSpace((3, 3, 3))
@@ -282,43 +285,44 @@ class TestIntegrate:
                 assert np.abs(getattr(traj, field) - getattr(every, field)[steps]).max() <= 1e-14
             assert np.abs(traj.final_state.matrix - every.final_state.matrix).max() <= 1e-14
 
-    @pytest.mark.parametrize("stride,blocks,records", [(5, 8, (5, 10, 15, 20)), (10**9, 7, (20,))])
-    def test_drift_blocks_stay_within_budget(self, monkeypatch, stride, blocks, records):
-        # at the finest internal step (m = 1), a budget of seven 2x2
-        # matrices allows blocks of at most 3 steps
-        monkeypatch.setattr(fock, "_STEP_CAP", 1)
-        monkeypatch.setattr(fock, "_RECORD_BLOCK", 7 * 4)
+    @staticmethod
+    def _drift_calls(n_steps, stride):
+        """Run the kernel on a zero drift; return its drifts(ts) calls,
+        its record times and its RunStats."""
         calls, recorded = [], []
 
         def drifts(ts):
             calls.append(ts)
             return np.zeros((ts.size, 2, 2))
 
-        propagate_rk4(drifts, lambda state, out: None, np.eye(2), 20, 0.1, stride,
-                      lambda t, x: recorded.append(t))
-        assert max(ts.size for ts in calls) <= 7
-        assert len(calls) == blocks
-        # consecutive blocks share their boundary time and cover every half step
+        _, stats = propagate_rk4(drifts, lambda state, out: None, np.eye(2), n_steps, 0.1,
+                                 stride, lambda t, x: recorded.append(t))
+        return calls, recorded, stats
+
+    @pytest.mark.parametrize("stride,blocks,records", [(5, 8, (5, 10, 15)), (10**9, 7, (14,))])
+    def test_drift_blocks_stay_within_budget(self, monkeypatch, stride, blocks, records):
+        # m = 1: one drift call of the five stage times of each pair of dt
+        # steps, whatever the stride; an odd n_steps ends a pair at its midpoint
+        monkeypatch.setattr(fock, "_STEP_CAP", 1)
+        calls, recorded, stats = self._drift_calls(records[-1], stride)
+        assert (stats.step_multiple, stats.rk4_steps) == (1, 3 * blocks)
+        assert [ts.size for ts in calls] == [5] * blocks
+        # consecutive calls share their boundary time and cover every half step
+        assert all(a[-1] == b[0] for a, b in zip(calls, calls[1:]))
         joined = np.concatenate([calls[0]] + [ts[1:] for ts in calls[1:]])
-        assert np.array_equal(joined, np.arange(41) * (0.1 / 2))
+        assert np.array_equal(joined, np.arange(4 * blocks + 1) * (0.1 / 2))
         assert recorded == [s * 0.1 for s in records]
 
-    def test_drift_blocks_at_the_default_cap(self, monkeypatch):
-        # m = 10: pairs of 10 dt steps cover 0..60; the records at multiples
-        # of 7 sit off that grid and come from side steps
-        monkeypatch.setattr(fock, "_RECORD_BLOCK", 9 * 4)
-        calls, recorded = [], []
-
-        def drifts(ts):
-            calls.append(ts)
-            return np.zeros((ts.size, 2, 2))
-
-        _, stats = propagate_rk4(drifts, lambda state, out: None, np.eye(2), 60, 0.1, 7,
-                                 lambda t, x: recorded.append(t))
+    def test_drift_blocks_at_the_default_cap(self):
+        # m = 10: one drift call per pair of 10 dt steps over 0..60; the
+        # records at multiples of 7 sit off that grid and come from side steps
+        calls, recorded, stats = self._drift_calls(60, 7)
         assert (stats.step_multiple, stats.rk4_steps) == (10, 3 * 3 + 8)
-        assert max(ts.size for ts in calls) <= 9
+        assert len(calls) == 3
         assert all(np.all(np.diff(ts) > 0) for ts in calls)
-        assert all(a[-1] == b[0] for a, b in zip(calls, calls[1:]))
+        # records inside the pairs: 7, 14 | 21, 28, 35 | 42, 49, 56
+        for ts, inside in zip(calls, (2, 3, 3)):
+            assert ts.size <= min(4 * 10 + 1, 5 + 2 * inside)
         # stage times on the global half-step index: the grid's, and
         # (anchor + r, 2 r) for a side step to record r off anchor r // 10 * 10
         side = {k for r in range(7, 60, 7) for k in (r // 10 * 10 + r, 2 * r)}

@@ -196,7 +196,7 @@ class TestEvolution:
             assert abs(a - b) <= 1e-6 * max(abs(a), abs(b), 1e-3)
 
     def test_records_do_not_depend_on_stride(self):
-        # RK4 runs in blocks of one record interval; 7 does not divide 200
+        # records off the m dt grid come from side steps; 7 does not divide 200
         fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
         dd = drift_diffusion_from_generator(FullLinearized(fr))
         dt = 0.01 / dd.f_max
