@@ -359,6 +359,11 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def _require_draws(n_draws: int) -> None:
+    if n_draws < 1:
+        raise ValueError(f"the number of random draws must be at least 1, got {n_draws}")
+
+
 def _draw_frames(n: int, seed: int):
     rng = np.random.default_rng(seed)
     frames = []
@@ -374,7 +379,8 @@ def _draw_frames(n: int, seed: int):
 
 def check_reduction_agreement(n_draws: int = 1000, seed: int = 20240901) -> float:
     """Worst relative disagreement between the elimination reduction and
-    the closed forms over random parameter draws."""
+    the closed forms over random parameter draws; ``n_draws`` must be at least 1."""
+    _require_draws(n_draws)
     worst = 0.0
     for frame in _draw_frames(n_draws, seed):
         closed = effective_params(frame)
@@ -396,7 +402,9 @@ def check_rate_identities(n_draws: int = 10000, seed: int = 20240902) -> dict[st
     Checks (i) Gamma * nbar and Gamma * (nbar + 1) recombine to the
     (down, up) Lorentzian pairs, (ii) the rational denominator factorizes
     into the pair of shifted Lorentzians, (iii) every rate is nonnegative.
+    ``n_draws`` must be at least 1.
     """
+    _require_draws(n_draws)
     rng = np.random.default_rng(seed)
     kappa = np.exp(rng.uniform(np.log(0.01), np.log(10.0), n_draws))
     db = rng.uniform(-10.0, 10.0, n_draws)

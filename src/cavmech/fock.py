@@ -6,9 +6,14 @@ frame) and the time-independent effective two-mode model.  Each is
 described once, as a :class:`QuadraticModel` (Hamiltonian terms with
 exact frequency labels, linear jumps with their rates), from which this
 module compiles the Fock-space generator and :mod:`cavmech.gaussian` the
-moment equations.  A constant generator is propagated exactly from one
-record to the next by the action of the exponential of its sparse
-Lindblad superoperator; a time-dependent one by the RK4 kernel
+moment equations.  The Lindbladian of such a model conserves the parity
+of N - N' for the total excitation number N, so the density matrix is
+carried as the stack of its two parity blocks (or as one block of the
+whole matrix when the initial state has coherence between the sectors;
+:func:`density_blocks`), and every stage and record works on the stack.
+A constant generator is propagated exactly from one record to the next
+by the action of the exponential of its sparse Lindblad superoperator
+on the block entries; a time-dependent one by the RK4 kernel
 :func:`propagate_rk4`, which the Gaussian engine uses too.  The kernel
 takes steps of a multiple m dt of the record-grid step in pairs checked
 by an enforced step-doubling estimate, and evaluates the drift at all the
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -230,22 +235,61 @@ def quadratic_model(spec) -> QuadraticModel:
 
 # -- Fock-space compilation ---------------------------------------------------
 
-class CompiledGenerator:
-    """Matrices of one quadratic model on a concrete Fock space.
+def _occupation_numbers(space: FockSpace) -> np.ndarray:
+    """Occupation of every subsystem in every basis state, shape (subsystems, total_dim)."""
+    idx = np.arange(space.total_dim)
+    return np.array([(idx // math.prod(space.dims[i + 1:])) % d for i, d in enumerate(space.dims)])
 
-    The Hamiltonian is stored as a static part plus phase terms
-    ``exp(i nu t) M + h.c.``.  A jump on one mode with coefficient 1 is a
-    bare ladder operator, applied by index slicing (cheaper than two dense
-    products); every other jump is a dense operator.
+
+def density_blocks(space: FockSpace, rho: np.ndarray | None = None) -> list[np.ndarray]:
+    """Basis indices of the diagonal blocks a density matrix is carried in.
+
+    Every Hamiltonian term of a :class:`QuadraticModel` is quadratic and
+    every jump linear, so the Lindbladian conserves the parity of N - N'
+    for the total excitation number N (Buca & Prosen, New J. Phys. 14,
+    073007 (2012)): a state with no coherence between the two parity
+    sectors of N stays block-diagonal in them.  Returns the two sectors,
+    or one block of the whole space when ``rho`` has such a coherence.
+    """
+    parity = _occupation_numbers(space).sum(axis=0) % 2
+    if rho is not None and np.any(rho[parity[:, None] != parity]):
+        return [np.arange(space.total_dim)]
+    return [np.flatnonzero(parity == p) for p in (0, 1)]
+
+
+class CompiledGenerator:
+    """Matrices of one quadratic model on a concrete Fock space, in block form.
+
+    A density matrix is carried as the stack of its diagonal blocks over
+    the basis indices of ``blocks`` (default: the two parity sectors of
+    :func:`density_blocks`), shape (blocks, h, h) with h the largest block
+    size; a smaller block is padded at its end with ghost rows and columns
+    that the drift, the jumps and the monitors never touch, so they hold 0.
+    The drift is the stack of its diagonal blocks: a static part plus
+    phase terms ``exp(i nu t) M + h.c.``.  A jump L = sum_m c_m X_m is a
+    sum of ladder operators, each of which sends every basis row to at
+    most one row, so each term X_m rho X_n^dag of L rho L^dag is one
+    precomputed gather from the flat stack times a weight (one term for a
+    bare ladder jump).
     """
 
-    def __init__(self, space: FockSpace, model: QuadraticModel):
+    def __init__(self, space: FockSpace, model: QuadraticModel, blocks=None):
         if len(space.dims) != model.n_modes:
             raise ValueError(f"the model needs {model.n_modes} dims, one per mode")
         self.space = space
         dims = space.dims
         dim = space.total_dim
         ops = build_operators(space)
+
+        blocks = density_blocks(space) if blocks is None else blocks
+        self.block_sizes = tuple(len(rows) for rows in blocks)
+        h = max(self.block_sizes)
+        # a ghost row points at index dim, the zero row and column that
+        # pack() appends to every operator
+        index = np.full((len(blocks), h), dim)
+        for b, rows in enumerate(blocks):
+            index[b, :len(rows)] = rows
+        self.index = index
 
         def term(c, m, n, squeeze):
             return c * (ops[m].conj().T @ (ops[n].conj().T if squeeze else ops[n]))
@@ -255,7 +299,7 @@ class CompiledGenerator:
             parts.append(term(c, m, n, squeeze))
             if m != n:  # the h.c. part
                 parts.append(np.conj(c) * ((ops[n] if squeeze else ops[n].conj().T) @ ops[m]))
-        self.static_h = sum(parts[1:], parts[0]) if parts else np.zeros((dim, dim), complex)
+        static_h = sum(parts[1:], parts[0]) if parts else np.zeros((dim, dim), complex)
         phase_terms = []
         for nu, terms in model.oscillating:
             mat = np.zeros((dim, dim), complex)
@@ -263,50 +307,66 @@ class CompiledGenerator:
                 mat += term(*t)
             phase_terms.append((nu, mat))
         self.phase_nus = np.array([nu for nu, _ in phase_terms] + [-nu for nu, _ in phase_terms])
-        stack = [-1j * m for _, m in phase_terms] + [-1j * m.conj().T for _, m in phase_terms]
-        # column k is the row-major flattening of the k-th matrix; at dims
-        # (4,3,3) 288 of its 15,552 entries are nonzero
-        self._phase_columns = sparse.csr_matrix(np.array(stack, complex).reshape(-1, dim * dim).T)
+        phase_mats = [-1j * m for _, m in phase_terms] + [-1j * m.conj().T for _, m in phase_terms]
+        # column k is the flat block stack of the k-th matrix; at dims
+        # (4,3,3) 288 of its 7,776 entries are nonzero
+        packed = np.array([self.pack(m) for m in phase_mats], complex)
+        self._phase_columns = sparse.csr_matrix(packed.reshape(len(phase_mats), index.size * h).T)
         *cavity, b1, b2 = ops
         self.observables = {
-            "n1": b1.conj().T @ b1,
-            "n2": b2.conj().T @ b2,
-            "n_cav": cavity[0].conj().T @ cavity[0] if cavity else None,
-            "coh": b1.conj().T @ b2,
+            "n1": self.pack(b1.conj().T @ b1),
+            "n2": self.pack(b2.conj().T @ b2),
+            "n_cav": self.pack(cavity[0].conj().T @ cavity[0]) if cavity else None,
+            "coh": self.pack(b1.conj().T @ b2),
         }
         self.f_max = model.f_max
 
-        self.dense_jumps = []
-        self.ladder_jumps = []
-        base = -1j * self.static_h
+        # block and row of every basis index; the ghost index dim has none
+        real = index < dim
+        block_of = np.full(dim + 1, -1)
+        row_of = np.zeros(dim + 1, int)
+        block_of[index[real]], row_of[index[real]] = np.nonzero(real)
+        rows, cols = index[:, :, None], index[:, None, :]
+        self._jump_gathers = []
+        base = -1j * static_h
         for coeffs, dagger, rate in model.jumps:
-            if len(coeffs) == 1 and coeffs[0][1] == 1:
-                s = coeffs[0][0]
-                L = ops[s].conj().T if dagger else ops[s]
-                P = math.prod(dims[:s])
-                d = dims[s]
-                Q = math.prod(dims[s + 1:])
-                # weights over the (P, d*Q, P, d*Q) view, repeated over Q
-                w = np.repeat(np.sqrt(np.arange(1, d)), Q)
-                wmat = (rate * np.outer(w, w)).reshape(1, (d - 1) * Q, 1, (d - 1) * Q)
-                self.ladder_jumps.append((P, d, Q, "up" if dagger else "down", rate, wmat))
-            else:
-                terms = [c * (ops[m].conj().T if dagger else ops[m]) for m, c in coeffs]
-                L = sum(terms[1:], terms[0])
-                self.dense_jumps.append((np.sqrt(rate) * L, np.sqrt(rate) * L.conj().T))
+            terms = [(c, ops[m].conj().T if dagger else ops[m]) for m, c in coeffs]
+            ladders = []
+            for c, op in terms:
+                # the one source column of each row, and its amplitude
+                src = np.append(np.abs(op).argmax(axis=1), dim)
+                ladders.append((c, src, np.append(op[np.arange(dim), src[:dim]], 0.0)))
+            for c_m, src_m, amp_m in ladders:
+                for c_n, src_n, amp_n in ladders:
+                    w = rate * c_m * np.conj(c_n) * amp_m[rows] * np.conj(amp_n[cols])
+                    k, l = src_m[rows], src_n[cols]
+                    if np.any((w != 0) & (block_of[k] != block_of[l])):
+                        raise ValueError("the density blocks are not closed under the generator")
+                    src = np.where(w != 0, (block_of[k] * h + row_of[k]) * h + row_of[l], 0)
+                    self._jump_gathers.append((w.real if not w.imag.any() else w, src))
+            L = sum(c * op for c, op in terms)
             base = base - 0.5 * rate * (L.conj().T @ L)
-        self.base_drift = base
+        self.base_drift = self.pack(base)
+        if any(not np.array_equal(self.unpack(self.pack(m)), m) for m in [base] + phase_mats):
+            raise ValueError("the density blocks are not closed under the generator")
 
-        # boolean masks of the top Fock level of each subsystem
-        idx = np.arange(dim)
-        masks = []
-        for i, d in enumerate(dims):
-            stride = math.prod(dims[i + 1:])
-            masks.append((idx // stride) % d == d - 1)
-        self.top_level_masks = masks
+        levels = _occupation_numbers(space)
+        self.top_level_masks = [np.append(level == d - 1, False)[index] for level, d in zip(levels, dims)]
+        self.ghosts = np.nonzero(~real)
+
+    def pack(self, matrix: np.ndarray) -> np.ndarray:
+        """The diagonal blocks of a (dim, dim) matrix, as a (blocks, h, h) stack."""
+        return np.pad(matrix, ((0, 1), (0, 1)))[self.index[:, :, None], self.index[:, None, :]]
+
+    def unpack(self, stack: np.ndarray) -> np.ndarray:
+        """The (dim, dim) matrix holding the blocks of ``stack``, 0 elsewhere."""
+        dim = self.space.total_dim
+        out = np.zeros((dim + 1, dim + 1), stack.dtype)
+        out[self.index[:, :, None], self.index[:, None, :]] = stack
+        return out[:dim, :dim].copy()
 
     def drift(self, ts) -> np.ndarray:
-        """Drift matrix at time ``ts``, or the stack of them over an array of times.
+        """Drift blocks at time ``ts``, or the stack of them over an array of times.
 
         The phase terms are summed by one sparse product, which never
         calls BLAS: a dense product of this size takes OpenBLAS's threaded
@@ -314,59 +374,49 @@ class CompiledGenerator:
         single-threaded products of the RK4 stages that follow.
         """
         phases = np.exp(1j * np.multiply.outer(ts, self.phase_nus))
-        dim = self.base_drift.shape[0]
         flat = self._phase_columns @ phases.reshape(np.size(ts), self.phase_nus.size).T
-        out = flat.T.reshape(np.shape(ts) + (dim, dim))
+        out = flat.T.reshape(np.shape(ts) + self.base_drift.shape)
         out += self.base_drift
         return out
 
     def add_jump_sandwiches(self, state: np.ndarray, out: np.ndarray) -> None:
-        """Accumulate sum_i L_i state L_i^dag into ``out``."""
-        for L, Ld in self.dense_jumps:
-            out += L @ state @ Ld
-        for P, d, Q, direction, _, wmat in self.ladder_jumps:
-            # one level of subsystem s is a run of Q consecutive indices
-            s4 = state.reshape(P, d * Q, P, d * Q)
-            o4 = out.reshape(P, d * Q, P, d * Q)
-            cut = (d - 1) * Q
-            if direction == "down":
-                o4[:, :cut, :, :cut] += wmat * s4[:, Q:, :, Q:]
-            else:
-                o4[:, Q:, :, Q:] += wmat * s4[:, :cut, :, :cut]
+        """Accumulate sum_i L_i state L_i^dag into ``out`` (block stacks)."""
+        flat = state.reshape(-1)
+        for weight, source in self._jump_gathers:
+            gathered = flat.take(source)
+            gathered *= weight
+            out += gathered
 
     def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
+        """The Lindbladian at time ``t`` applied to the block stack ``rho``."""
         D = self.drift(t)
-        out = D @ rho + rho @ D.conj().T
+        out = D @ rho + rho @ D.conj().swapaxes(-1, -2)
         self.add_jump_sandwiches(rho, out)
         return out
 
     def superoperator(self):
         """Sparse Lindblad superoperator of a constant generator.
 
-        Acts on the row-major flattening of the density matrix, where
-        vec(X rho Y) = (X kron Y^T) vec(rho); built from the same base
-        drift and jumps that :meth:`apply` uses.
+        Acts on the row-major flattening of the block stack, where
+        vec(X rho Y) = (X kron Y^T) vec(rho) within each block; built from
+        the same drift blocks and jump gathers that :meth:`apply` uses.
         """
         if self.phase_nus.size:
             raise ValueError("the superoperator needs a time-independent generator")
-        dim = self.space.total_dim
-        eye = sparse.identity(dim, format="csr")
-        drift = sparse.csr_matrix(self.base_drift)
-        terms = [sparse.kron(drift, eye), sparse.kron(eye, drift.conj())]
-        for L, _ in self.dense_jumps:
-            L = sparse.csr_matrix(L)
-            terms.append(sparse.kron(L, L.conj()))
-        for P, d, Q, direction, rate, _ in self.ladder_jumps:
-            lower = sparse.diags(np.sqrt(rate * np.arange(1, d)), 1)
-            op = sparse.kron(sparse.kron(sparse.identity(P), lower if direction == "down" else lower.T),
-                             sparse.identity(Q))
-            terms.append(sparse.kron(op, op))  # real operator: conj(op) == op
-        return sum(terms[1:], terms[0]).tocsr()
+        eye = sparse.identity(self.index.shape[1], format="csr")
+        drift = sparse.block_diag([sparse.kron(D, eye) + sparse.kron(eye, D.conj())
+                                   for D in self.base_drift])
+        out = drift.tocsr()
+        for weight, source in self._jump_gathers:
+            targets = np.flatnonzero(weight)
+            entries = (weight.reshape(-1)[targets], (targets, source.reshape(-1)[targets]))
+            out += sparse.csr_matrix(entries, shape=out.shape)
+        return out
 
 
-def compile_generator(spec, space: FockSpace) -> CompiledGenerator:
-    """Materialize a generator spec on a Fock space."""
-    return CompiledGenerator(space, quadratic_model(spec))
+def compile_generator(spec, space: FockSpace, blocks=None) -> CompiledGenerator:
+    """Materialize a generator spec on a Fock space, in the given density blocks."""
+    return CompiledGenerator(space, quadratic_model(spec), blocks)
 
 
 # -- propagation ------------------------------------------------------------
@@ -379,12 +429,15 @@ class RunStats:
     side steps; 0 on the exact path), ``step_multiple`` is the final
     internal step in units of ``dt`` (0 on the exact path), and
     ``max_step_estimate`` the largest step-doubling estimate of an
-    accepted pair.
+    accepted pair.  ``blocks`` are the sizes of the diagonal blocks the
+    Fock engine carried the density matrix in (empty for the moment
+    engine).
     """
 
     rk4_steps: int = 0
     step_multiple: int = 0
     max_step_estimate: float = 0.0
+    blocks: tuple[int, ...] = ()
 
 
 @dataclass
@@ -417,7 +470,7 @@ class Trajectory:
 
 
 def _expect(op: np.ndarray, rho: np.ndarray) -> complex:
-    return np.einsum("ij,ji->", op, rho)
+    return np.einsum("bij,bji->", op, rho)
 
 
 def integrate(
@@ -441,20 +494,35 @@ def integrate(
     returned trajectory's ``stats`` say how.  Trace drift is compensated
     in the reported expectations only, never in the state.  Aborts when
     the top Fock level of any subsystem passes ``truncation_tol``.
+
+    The state is carried as the stack of its diagonal blocks
+    (:func:`density_blocks`): the two parity sectors of the total
+    excitation number, or one block of the whole matrix when ``rho0`` has
+    coherence between them.  Every stage, record and monitor works on the
+    blocks; ``stats.blocks`` gives their sizes, and the final state is
+    returned as the dense matrix in the Fock basis.
     """
-    gen = compile_generator(spec, space)
+    rho0 = np.array(rho0, dtype=complex)
+    DensityState(rho0).validate()
+    gen = compile_generator(spec, space, density_blocks(space, rho0))
     n_steps = step_count(t_end, dt, stride, gen.f_max)
-    rho = np.array(rho0, dtype=complex)
-    DensityState(rho).validate()
+    rho = gen.pack(rho0)
 
     rec_t, rec = [], {k: [] for k in ("n1", "n2", "n_cav", "coh", "trace", "trunc", "herm", "eig")}
 
     def record(t, rho):
-        tr = np.trace(rho).real
-        tops = [rho.diagonal().real[mask].sum() for mask in gen.top_level_masks]
+        diag = rho.diagonal(0, -2, -1).real
+        tr = diag.sum()
+        tops = [diag[mask].sum() for mask in gen.top_level_masks]
         top = max(tops)
-        herm = float(np.abs(rho - rho.conj().T).max())
-        eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
+        sym = rho.conj().swapaxes(-1, -2)
+        herm = float(np.abs(rho - sym).max())
+        sym += rho
+        sym /= 2
+        # a ghost's eigenvalue is its diagonal entry: give it one that is
+        # never below the smallest eigenvalue of the blocks
+        sym[gen.ghosts + gen.ghosts[1:]] = diag.max()
+        eig = float(np.linalg.eigvalsh(sym).min())
         rec_t.append(t)
         rec["trace"].append(tr)
         rec["trunc"].append(top)
@@ -488,8 +556,8 @@ def integrate(
         trunc_monitor=np.array(rec["trunc"]),
         herm_dev=np.array(rec["herm"]),
         min_eig=np.array(rec["eig"]),
-        final_state=DensityState(rho, time=n_steps * dt),
-        stats=stats,
+        final_state=DensityState(gen.unpack(rho), time=n_steps * dt),
+        stats=replace(stats, blocks=gen.block_sizes),
     )
 
 
@@ -512,7 +580,7 @@ def step_count(t_end: float, dt: float, stride: int, f_max: float) -> int:
     return int(round(t_end / dt)) if t_end > 0 else 0
 
 
-# Complex entries held at once by the density-matrix records of one
+# Complex entries held at once by the density-block records of one
 # expm_multiply call of the exact path (16 MiB).
 _RECORD_BLOCK = 2**20
 
@@ -530,6 +598,10 @@ _STEP_TOL = 1e-9
 
 def propagate_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
     """RK4 for X' = M(t) X + (M(t) X)^dag + N(X) on a Hermitian X, under step doubling.
+
+    X is a matrix or a stack of matrices (the Fock engine's density
+    blocks); M(t) has the same shape, products are taken block by block
+    and the conjugate transpose acts on the last two axes.
 
     ``dt`` is the record-grid unit: ``record(s dt, x_s)`` is called at
     every step index s that is a multiple of ``stride``, and at
@@ -564,7 +636,7 @@ def propagate_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
 
     def stage(D, state, out):
         np.matmul(D, state, out=tmp1)
-        np.add(tmp1, tmp1.conj().T, out=out)
+        np.add(tmp1, tmp1.conj().swapaxes(-1, -2), out=out)
         add_noise(state, out)
 
     def step(D, x0, k1, h, out):
@@ -586,7 +658,7 @@ def propagate_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
         np.add(acc, k, out=acc)
         np.multiply(acc, h / 6.0, out=acc)
         np.add(x0, acc, out=out)
-        np.add(out, out.conj().T, out=out)
+        np.add(out, out.conj().swapaxes(-1, -2), out=out)
         out *= 0.5
         return out
 
@@ -648,15 +720,15 @@ def _propagate_exact(gen, rho, n_steps, dt, stride, record):
     """Exact record-to-record propagation of a constant generator.
 
     Records come from ``expm_multiply`` (Al-Mohy & Higham 2011) on the
-    sparse superoperator over the uniform grid of ``stride`` steps, with
-    one more call for a shorter final interval.  Each record is
-    re-Hermitized.  Returns the final state.
+    sparse superoperator, which acts on the flat block stack only, over
+    the uniform grid of ``stride`` steps, with one more call for a
+    shorter final interval.  Each record is re-Hermitized.  Returns the
+    final block stack.
     """
     from scipy.sparse.linalg import expm_multiply
 
-    dim = rho.shape[0]
     superop = gen.superoperator()
-    block = max(1, _RECORD_BLOCK // (dim * dim))
+    block = max(1, _RECORD_BLOCK // rho.size)
     n_full, rest = divmod(n_steps, stride)
     step = 0
     with _seeded_global_rng():
@@ -666,8 +738,8 @@ def _propagate_exact(gen, rho, n_steps, dt, stride, record):
                 vecs = expm_multiply(superop, rho.reshape(-1), start=0.0, stop=k * width * dt,
                                      num=k + 1, endpoint=True)
                 for vec in vecs[1:]:
-                    rho = vec.reshape(dim, dim)
-                    rho = 0.5 * (rho + rho.conj().T)
+                    rho = vec.reshape(rho.shape)
+                    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
                     step += width
                     record(step * dt, rho)
                 count -= k

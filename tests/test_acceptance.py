@@ -98,6 +98,7 @@ def test_criterion_4_dynamical_validation(desk_frame, full_model_runs):
     assert rel < 0.10
 
     ft = result.trajectory
+    assert ft.stats.blocks == (18, 18)   # the two parity blocks at dims (4, 3, 3)
     d1 = float(np.abs(ft.n1 - gauss.occupations[:, 1]).max())
     d2 = float(np.abs(ft.n2 - gauss.occupations[:, 2]).max())
     dc = float(np.abs(ft.n_cav - gauss.occupations[:, 0]).max())

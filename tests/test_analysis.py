@@ -156,6 +156,13 @@ class TestChecks:
         assert out["worst_factorization_rel"] < 1e-12
         assert out["min_rate"] >= 0.0
 
+    @pytest.mark.parametrize("check", [check_reduction_agreement, check_rate_identities])
+    @pytest.mark.parametrize("n_draws", [0, -3])
+    def test_checks_need_a_draw(self, check, n_draws):
+        # a check over no draws would pass having checked nothing
+        with pytest.raises(ValueError, match="at least 1"):
+            check(n_draws)
+
 
 class TestValidatePipeline:
     @pytest.mark.slow

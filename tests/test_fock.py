@@ -30,6 +30,34 @@ def desk_frame():
     return frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05)
 
 
+def dag(x):
+    return x.conj().T
+
+
+def described_generator(spec, space):
+    """The dense drift D(t) = -i H(t) - 1/2 sum L^dag L and the jumps
+    sqrt(rate) L, term by term from the model description."""
+    model = quadratic_model(spec)
+    ops = build_operators(space)
+    zero = np.zeros((space.total_dim, space.total_dim), complex)
+
+    def hamiltonian_term(c, m, n, squeeze):
+        x = c * dag(ops[m]) @ (dag(ops[n]) if squeeze else ops[n])
+        return x if m == n else x + dag(x)
+
+    jumps = [math.sqrt(rate) * sum(c * (dag(ops[m]) if dagger else ops[m]) for m, c in coeffs)
+             for coeffs, dagger, rate in model.jumps]
+
+    def drift(t):
+        H = sum((hamiltonian_term(*term) for term in model.static), zero)
+        for nu, terms in model.oscillating:
+            for c, m, n, squeeze in terms:
+                H = H + hamiltonian_term(c * np.exp(1j * nu * t), m, n, squeeze)
+        return -1j * H - 0.5 * sum((dag(L) @ L for L in jumps), zero)
+
+    return drift, jumps
+
+
 def manual_params(rates, J=0.0):
     """EffectiveParams with an explicit rate table, for engine-level tests."""
     table = {"1": rates.get("1", (0.0, 0.0)),
@@ -89,8 +117,8 @@ class TestLiouvillian:
         fr = frame_from_collective(1.0, 0.2, 0.7, 0.0, 0.1, 0.1)
         spec = effective_generator(fr)
         space = FockSpace((3, 3))
-        rho = np.eye(9, dtype=complex) / 9
-        drho = compile_generator(spec, space).apply(0.0, rho)
+        gen = compile_generator(spec, space)
+        drho = gen.apply(0.0, gen.pack(np.eye(9, dtype=complex) / 9))
         assert np.abs(drho).max() < 1e-16
 
     def test_unitary_limit_is_pure_exchange(self):
@@ -101,8 +129,9 @@ class TestLiouvillian:
         J = spec.params.exchange_coupling
         H = J * (b1.conj().T @ b2 + b2.conj().T @ b1)
         rho = fock_state(space, (1, 0))
-        drho = compile_generator(spec, space).apply(0.0, rho)
-        expected = -1j * (H @ rho - rho @ H)
+        gen = compile_generator(spec, space)
+        drho = gen.apply(0.0, gen.pack(rho))
+        expected = gen.pack(-1j * (H @ rho - rho @ H))
         assert np.abs(drho - expected).max() < 1e-16
 
     @pytest.mark.parametrize("model", ["effective", "full"])
@@ -113,16 +142,18 @@ class TestLiouvillian:
             spec, space = effective_generator(fr), FockSpace((4, 4))
         else:
             spec, space = FullLinearized(fr), FockSpace((3, 4, 4))
-        gen = compile_generator(spec, space)
-        rng = np.random.default_rng(8)
         dim = space.total_dim
-        for _ in range(100):
-            v = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
-            rho = v @ v.conj().T
-            rho /= np.trace(rho)
-            drho = gen.apply(0.13, rho)
-            assert abs(np.trace(drho)) < 1e-12
-            assert np.abs(drho - drho.conj().T).max() < 1e-13
+        # the parity blocks, and one block carrying a state with coherence between them
+        for blocks in (None, [np.arange(dim)]):
+            gen = compile_generator(spec, space, blocks)
+            rng = np.random.default_rng(8)
+            for _ in range(100):
+                v = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+                rho = gen.pack(v @ v.conj().T)
+                rho /= np.trace(rho, axis1=1, axis2=2).sum()
+                drho = gen.apply(0.13, rho)
+                assert abs(np.trace(drho, axis1=1, axis2=2).sum()) < 1e-12
+                assert np.abs(drho - drho.conj().swapaxes(1, 2)).max() < 1e-13
 
     def test_drift_stack_matches_scalar_calls(self):
         gen = compile_generator(FullLinearized(desk_frame()), FockSpace((4, 3, 3)))
@@ -138,45 +169,32 @@ class TestLiouvillian:
         fr = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05,
                                    thermal_baths=((0.01, 0.3), (0.02, 0.1)))
         spec, space = FullLinearized(fr), FockSpace((4, 3, 3))
-        model = quadratic_model(spec)
-        ops = build_operators(space)
+        described, _ = described_generator(spec, space)
         gen = compile_generator(spec, space)
-
-        def dag(x):
-            return x.conj().T
-
-        def hamiltonian_term(c, m, n, squeeze):
-            x = c * dag(ops[m]) @ (dag(ops[n]) if squeeze else ops[n])
-            return x if m == n else x + dag(x)
-
         ts = np.array([0.0, 0.37, 12.5, 101.3])
         for t, stacked in zip(ts, gen.drift(ts)):
-            H = sum(hamiltonian_term(*term) for term in model.static)
-            for nu, terms in model.oscillating:
-                for c, m, n, squeeze in terms:
-                    H = H + hamiltonian_term(c * np.exp(1j * nu * t), m, n, squeeze)
-            expected = -1j * H
-            for coeffs, dagger, rate in model.jumps:
-                L = sum(c * (dag(ops[m]) if dagger else ops[m]) for m, c in coeffs)
-                expected = expected - 0.5 * rate * dag(L) @ L
+            expected = described(t)
+            # the parity blocks hold all of it: its off-parity blocks are exactly 0
+            assert np.array_equal(gen.unpack(gen.pack(expected)), expected)
             tol = 1e-14 * np.abs(expected).max()
-            assert np.abs(stacked - expected).max() <= tol
-            assert np.abs(gen.drift(t) - expected).max() <= tol
+            assert np.abs(stacked - gen.pack(expected)).max() <= tol
+            assert np.abs(gen.drift(t) - gen.pack(expected)).max() <= tol
 
     def test_superoperator_matches_apply(self):
-        # thermal baths add "up" ladder jumps next to the dense collective ones
+        # thermal baths add "up" ladder jumps next to the two-mode collective
+        # ones; at (3, 3) the odd block carries a ghost row
         fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08,
                                    thermal_baths=((0.01, 0.3), (0.02, 0.1)))
-        space = FockSpace((3, 4))
-        gen = compile_generator(effective_generator(fr, include_shifts=True), space)
-        superop = gen.superoperator()
-        rng = np.random.default_rng(3)
-        dim = space.total_dim
-        for _ in range(10):
-            rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            rho = rho + rho.conj().T
-            expected = gen.apply(0.0, rho)
-            assert np.abs(superop @ rho.reshape(-1) - expected.reshape(-1)).max() < 1e-14
+        for space in (FockSpace((3, 4)), FockSpace((3, 3))):
+            gen = compile_generator(effective_generator(fr, include_shifts=True), space)
+            superop = gen.superoperator()
+            rng = np.random.default_rng(3)
+            dim = space.total_dim
+            for _ in range(10):
+                rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                rho = gen.pack(rho + rho.conj().T)
+                expected = gen.apply(0.0, rho)
+                assert np.abs(superop @ rho.reshape(-1) - expected.reshape(-1)).max() < 1e-14
 
     def test_superoperator_rejects_time_dependent_generator(self):
         gen = compile_generator(FullLinearized(desk_frame()), FockSpace((2, 2, 2)))
@@ -374,7 +392,7 @@ def fixed_step_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
 
     def stage(D, state, out):
         np.matmul(D, state, out=tmp1)
-        np.add(tmp1, tmp1.conj().T, out=out)
+        np.add(tmp1, tmp1.conj().swapaxes(-1, -2), out=out)
         add_noise(state, out)
 
     sixth = dt / 6.0
@@ -400,7 +418,7 @@ def fixed_step_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
             acc += k
             acc *= sixth
             x += acc
-            np.add(x, x.conj().T, out=x)
+            np.add(x, x.conj().swapaxes(-1, -2), out=x)
             x *= 0.5
         start = stop
         record(stop * dt, x)
@@ -470,6 +488,148 @@ class TestStepControl:
         monkeypatch.setattr(fock, "_STEP_TOL", 0.0)
         with pytest.raises(fock.StepControlError, match="at the finest step"):
             stride_test_runs()
+
+
+RECORD_FIELDS = ("n1", "n2", "n_cav", "coh", "trace", "trunc_monitor", "herm_dev", "min_eig")
+
+
+def dense_reference(spec, space, rho0, t_end, dt, stride):
+    """Records and final state of the model description's dense Lindbladian.
+
+    A time-dependent generator is stepped by the shared RK4 kernel on the
+    dense matrix, a constant one by ``expm_multiply`` on its dense
+    superoperator over the record grid (``t_end`` a whole number of
+    record intervals).  Returns (records by field, final state).
+    """
+    from scipy.sparse.linalg import expm_multiply
+
+    drift, jumps = described_generator(spec, space)
+    dim = space.total_dim
+    levels = np.unravel_index(np.arange(dim), space.dims)
+    b = build_operators(space)
+    observables = {"n1": dag(b[-2]) @ b[-2], "n2": dag(b[-1]) @ b[-1], "coh": dag(b[-2]) @ b[-1],
+                   "n_cav": dag(b[0]) @ b[0] if len(b) == 3 else None}
+    records = {field: [] for field in ("t",) + RECORD_FIELDS}
+
+    def record(t, rho):
+        tr = np.trace(rho).real
+        for name, op in observables.items():
+            records[name].append(np.trace(op @ rho) / tr if op is not None else math.nan)
+        records["t"].append(t)
+        records["trace"].append(tr)
+        records["trunc_monitor"].append(max(rho.diagonal().real[level == d - 1].sum()
+                                            for level, d in zip(levels, space.dims)))
+        records["herm_dev"].append(np.abs(rho - dag(rho)).max())
+        records["min_eig"].append(np.linalg.eigvalsh((rho + dag(rho)) / 2).min())
+
+    def add_jumps(state, out):
+        for L in jumps:
+            out += L @ state @ dag(L)
+
+    n_steps = int(round(t_end / dt))
+    rho = np.array(rho0, complex)
+    record(0.0, rho)
+    if quadratic_model(spec).oscillating:
+        rho, _ = propagate_rk4(lambda ts: np.array([drift(t) for t in ts]), add_jumps,
+                               rho, n_steps, dt, stride, record)
+    else:
+        eye = np.eye(dim)
+        superop = np.kron(drift(0.0), eye) + np.kron(eye, drift(0.0).conj())
+        superop += sum(np.kron(L, L.conj()) for L in jumps)
+        count = n_steps // stride
+        with fock._seeded_global_rng():
+            vecs = expm_multiply(superop, rho.reshape(-1), start=0.0, stop=n_steps * dt,
+                                 num=count + 1, endpoint=True)
+        for k, vec in enumerate(vecs[1:], start=1):
+            rho = vec.reshape(dim, dim)
+            rho = 0.5 * (rho + dag(rho))
+            record(k * stride * dt, rho)
+    return {field: np.array(values) for field, values in records.items()}, rho
+
+
+def warm_frame():
+    """A full-model frame with both mechanical baths, so every jump kind runs."""
+    return frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1, thermal_baths=((0.01, 0.3), (0.02, 0.1)))
+
+
+class TestDensityBlocks:
+    @pytest.mark.parametrize("dims,sizes", [
+        ((4, 3, 3), (18, 18)), ((3, 3, 3), (14, 13)), ((3, 3), (5, 4)), ((4, 4), (8, 8)),
+    ])
+    def test_parity_sectors(self, dims, sizes):
+        space = FockSpace(dims)
+        blocks = fock.density_blocks(space, fock_state(space, (1,) + (0,) * (len(dims) - 1)))
+        assert tuple(len(rows) for rows in blocks) == sizes
+        spec = effective_generator(desk_frame()) if len(dims) == 2 else FullLinearized(desk_frame())
+        gen = compile_generator(spec, space)
+        assert gen.block_sizes == sizes
+        # ghosts pad the smaller block at its end
+        assert gen.index.shape == (2, max(sizes))
+        assert np.array_equal(np.sort(gen.index[gen.index < space.total_dim]), np.arange(space.total_dim))
+
+    def test_blocks_must_be_closed_under_the_generator(self):
+        # the exchange term couples |1,1> (index 4) to |0,2> (index 2) and |2,0> (index 6)
+        with pytest.raises(ValueError, match="not closed"):
+            compile_generator(effective_generator(desk_frame()), FockSpace((3, 3)),
+                              [np.arange(4), np.arange(4, 9)])
+
+    @pytest.mark.parametrize("dims", [(4, 3, 3), (3, 3, 3)])
+    def test_full_model_matches_dense_reference(self, dims):
+        spec, space = FullLinearized(warm_frame()), FockSpace(dims)
+        rho0 = fock_state(space, (0, 1, 0))
+        dt = 0.01 / compile_generator(spec, space).f_max
+        traj = integrate(spec, space, rho0, 200 * dt, dt, stride=7, truncation_tol=0.05)
+        assert traj.stats.blocks == {(4, 3, 3): (18, 18), (3, 3, 3): (14, 13)}[dims]
+        ref, final = dense_reference(spec, space, rho0, 200 * dt, dt, 7)
+        assert np.array_equal(traj.t, ref["t"])
+        for field in RECORD_FIELDS:
+            assert np.abs(getattr(traj, field) - ref[field]).max() <= 1e-14, field
+        assert np.abs(traj.final_state.matrix - final).max() <= 1e-14
+
+    @pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
+    def test_exact_path_matches_dense_reference(self, dims):
+        fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08,
+                                   thermal_baths=((0.01, 0.3), (0.02, 0.1)))
+        spec, space = effective_generator(fr, include_shifts=True), FockSpace(dims)
+        rho0 = fock_state(space, (1, 0))
+        dt = 0.01 / compile_generator(spec, space).f_max
+        traj = integrate(spec, space, rho0, 400 * dt, dt, stride=20, truncation_tol=0.5)
+        assert traj.stats.blocks == {(3, 3): (5, 4), (4, 4): (8, 8)}[dims]
+        ref, final = dense_reference(spec, space, rho0, 400 * dt, dt, 20)
+        assert np.array_equal(traj.t, ref["t"])
+        for field in RECORD_FIELDS:
+            if field != "n_cav":
+                assert np.abs(getattr(traj, field) - ref[field]).max() <= 1e-14, field
+        assert np.abs(traj.final_state.matrix - final).max() <= 1e-14
+
+    def test_ghost_rows_stay_out_of_the_monitors(self):
+        # a full-rank state at (3, 3, 3), where the odd block carries a
+        # ghost row: a ghost eigenvalue 0 would show in min_eig
+        spec, space = FullLinearized(warm_frame()), FockSpace((3, 3, 3))
+        rho0 = np.eye(27, dtype=complex) / 27
+        dt = 0.01 / compile_generator(spec, space).f_max
+        traj = integrate(spec, space, rho0, 40 * dt, dt, stride=10, truncation_tol=0.5)
+        ref, final = dense_reference(spec, space, rho0, 40 * dt, dt, 10)
+        assert traj.stats.blocks == (14, 13)
+        assert traj.min_eig.min() > 0.01
+        for field in RECORD_FIELDS:
+            assert np.abs(getattr(traj, field) - ref[field]).max() <= 1e-14, field
+        assert np.abs(traj.final_state.matrix - final).max() <= 1e-14
+
+    def test_off_parity_coherence_is_carried_as_one_block(self):
+        spec, space = FullLinearized(warm_frame()), FockSpace((4, 3, 3))
+        psi = (fock_state(space, (0, 1, 0)).diagonal() + fock_state(space, (0, 0, 0)).diagonal()) / math.sqrt(2)
+        rho0 = np.outer(psi, psi.conj())
+        dt = 0.01 / compile_generator(spec, space).f_max
+        traj = integrate(spec, space, rho0, 200 * dt, dt, stride=7, truncation_tol=0.05)
+        assert traj.stats.blocks == (36,)
+        ref, final = dense_reference(spec, space, rho0, 200 * dt, dt, 7)
+        assert np.array_equal(traj.t, ref["t"])
+        for field in RECORD_FIELDS:
+            assert np.abs(getattr(traj, field) - ref[field]).max() <= 1e-13, field
+        assert np.abs(traj.final_state.matrix - final).max() <= 1e-13
+        # the coherence survives: the dense final state is not block-diagonal
+        assert np.abs(traj.final_state.matrix[0, 1:]).max() > 1e-3
 
 
 class TestHeatingRates:

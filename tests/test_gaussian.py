@@ -96,7 +96,6 @@ class TestDriftDiffusionMapping:
         fr = frame_from_collective(1.0, 0.3, -2.2, 0.45, 0.12, 0.08, thermal_baths=thermal)
         spec = FullLinearized(fr) if model == "full" else effective_generator(fr)
         space = FockSpace(dims)
-        gen = compile_generator(spec, space)
         quads = []
         for b in build_operators(space):
             quads.append((b + b.conj().T) / np.sqrt(2))
@@ -123,7 +122,10 @@ class TestDriftDiffusionMapping:
             for j in range(nq):
                 sym = 0.5 * (quads[i] @ quads[j] + quads[j] @ quads[i])
                 cov[i, j] = np.trace(sym @ rho).real - mean[i] * mean[j]
-        drho = gen.apply(t, rho)
+        # the means live in the coherence between the parity sectors:
+        # carry rho as one block
+        gen = compile_generator(spec, space, [np.arange(space.total_dim)])
+        drho = gen.unpack(gen.apply(t, gen.pack(rho)))
         dmean = np.array([np.trace(q @ drho).real for q in quads])
         dcov = np.empty((nq, nq))
         for i in range(nq):
