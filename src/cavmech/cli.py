@@ -165,6 +165,14 @@ def _trajectory_dataset(traj, config) -> Dataset:
     )
 
 
+def _fewest_steps_dt(spec, t_end: float) -> float:
+    """The ``dt`` of the fewest steps within the guard ``dt <= 0.01 / f_max``
+    that divide ``t_end``, so the last record lands on ``t_end``."""
+    f_max = quadratic_model(spec).f_max
+    steps = math.ceil(t_end * f_max / 0.01) if f_max > 0 else 1000
+    return t_end / steps if steps > 0 else 0.01 / f_max
+
+
 def _cmd_simulate(args, model: str) -> int:
     config = _require_config(args)
     frame = derive_frame(config)
@@ -182,12 +190,7 @@ def _cmd_simulate(args, model: str) -> int:
     if len(occupations) != expected:
         raise UsageError(f"--initial needs {expected} occupations")
     rho0 = fock_state(space, occupations)
-    f_max = quadratic_model(spec).f_max
-    dt = args.dt
-    if dt is None:
-        # the fewest steps within the guard, so the last record lands on t_end
-        steps = math.ceil(args.t_end * f_max / 0.01) if f_max > 0 else 1000
-        dt = args.t_end / steps if steps > 0 else 0.01 / f_max
+    dt = args.dt if args.dt is not None else _fewest_steps_dt(spec, args.t_end)
     traj = integrate(spec, space, rho0, args.t_end, dt, stride=args.stride,
                      truncation_tol=args.truncation_tol)
     dataset = _trajectory_dataset(traj, config)
@@ -199,6 +202,7 @@ def _cmd_entangle(args) -> int:
     config = _require_config(args)
     frame = derive_frame(config)
     result = entanglement_experiment(frame, r=args.squeezing, t_end=args.t_end,
+                                     dt=_fewest_steps_dt(effective_generator(frame), args.t_end),
                                      stride=args.stride)
     traj = result.trajectory
     rows = np.column_stack([traj.t, traj.n1, traj.n2, traj.log_negativity, traj.min_symp_eig])

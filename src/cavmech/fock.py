@@ -34,7 +34,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import curve_fit
 
-from .model import FrameParams, SystemConfig, derive_frame
+from .model import FrameParams
 from .effective import (
     CollectiveMode,
     EffectiveParams,
@@ -86,13 +86,14 @@ class DensityState:
     matrix: np.ndarray
     time: float = 0.0
 
-    def validate(self, trace_tol=1e-8, herm_tol=1e-10, eig_tol=1e-8):
+    def validate(self):
+        """Require trace 1 and Hermiticity to 1e-8 and 1e-10, and no eigenvalue below -1e-8."""
         rho = self.matrix
-        if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
+        if abs(np.trace(rho).real - 1.0) > 1e-8 or abs(np.trace(rho).imag) > 1e-8:
             raise ValueError("density matrix trace is not 1")
-        if np.abs(rho - rho.conj().T).max() > herm_tol:
+        if np.abs(rho - rho.conj().T).max() > 1e-10:
             raise ValueError("density matrix is not Hermitian")
-        if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -eig_tol:
+        if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -1e-8:
             raise ValueError("density matrix has a significantly negative eigenvalue")
 
 
@@ -769,16 +770,13 @@ def _seeded_global_rng():
 class TransferProtocol:
     """Run parameters of the excitation-transfer experiment.
 
-    ``stride=None`` records a target of ~2000 points regardless of the
-    step count.  The truncation allowance is looser than the integrator
-    default because mediator heating parks a few 1e-3 of population in
-    the top mechanical level over a full fit window.
+    The truncation allowance is looser than the integrator default
+    because mediator heating parks a few 1e-3 of population in the top
+    mechanical level over a full fit window.
     """
 
     dims: tuple[int, int, int] = (4, 3, 3)
     t_end: float = 400.0
-    dt: float | None = None
-    stride: int | None = None
     truncation_tol: float = 0.02
 
 
@@ -846,17 +844,18 @@ def fit_damped_rabi(t: np.ndarray, n2: np.ndarray):
 
 
 def excitation_transfer_experiment(
-    config: SystemConfig | FrameParams,
+    frame: FrameParams,
     protocol: TransferProtocol = TransferProtocol(),
     model: str = "full",
 ) -> TransferResult:
     """Measure the exchange rate dynamically from |0>_c |1, 0>.
 
     Runs the requested generator ("full" tri-partite or "effective"
-    two-mode), fits the mode-2 occupation to a damped Rabi form, and
-    returns the fitted rate for comparison against the closed form.
+    two-mode) at dt = 0.01 / f_max (t_end / 1000 when f_max = 0),
+    recording a target of ~2000 points regardless of the step count, fits
+    the mode-2 occupation to a damped Rabi form, and returns the fitted
+    rate for comparison against the closed form.
     """
-    frame = config if isinstance(config, FrameParams) else derive_frame(config)
     if model == "full":
         spec = FullLinearized(frame)
         space = FockSpace(protocol.dims)
@@ -869,10 +868,8 @@ def excitation_transfer_experiment(
         raise ValueError("model must be 'full' or 'effective'")
 
     f_max = quadratic_model(spec).f_max
-    dt = protocol.dt if protocol.dt is not None else (0.01 / f_max if f_max > 0 else protocol.t_end / 1000)
-    stride = protocol.stride
-    if stride is None:
-        stride = max(1, int(round(protocol.t_end / dt)) // 2000)
+    dt = 0.01 / f_max if f_max > 0 else protocol.t_end / 1000
+    stride = max(1, int(round(protocol.t_end / dt)) // 2000)
     traj = integrate(
         spec, space, rho0, protocol.t_end, dt,
         stride=stride, truncation_tol=protocol.truncation_tol,

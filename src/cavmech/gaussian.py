@@ -6,18 +6,19 @@ the symmetric covariance matrix exactly, independent of Fock truncation.
 Quadratures are ordered (x_1, p_1, ..., x_N, p_N) with vacuum variance 1/2
 (hbar = 1); that convention is stamped on every emitted header.  Drift
 and diffusion are compiled from the same :class:`~cavmech.fock.QuadraticModel`
-as the Fock-space generator.  A constant drift and diffusion are
-propagated by the exact affine moment map of each record interval; a
-time-dependent drift by the step-doubling RK4 kernel the Fock engine
-uses, applied to the augmented moment matrix, with the drift at all the
-stage times of a checked pair of steps built in one call
-(:meth:`DriftDiffusion.drift_at` takes an array of times).
+as the Fock-space generator, one formula per Hamiltonian term and per
+jump.  Both propagation paths carry the augmented moment matrix
+[[cov, mean], [mean^T, 1]]: a constant drift and diffusion map it by the
+exact moment map of each record interval; a time-dependent drift steps
+it with the step-doubling RK4 kernel the Fock engine uses, with the
+drift at all the stage times of a checked pair of steps built in one
+call (:meth:`DriftDiffusion.drift_at` takes an array of times).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
@@ -118,96 +119,48 @@ def squeezed_vacuum(n_modes: int, mode: int, r: float) -> CovarianceState:
 
 @dataclass
 class DriftDiffusion:
-    """Moment dynamics d<r>/dt = A <r>, dS/dt = A S + S A^T + D.
+    """Moment dynamics d<r>/dt = A(t) <r>, dS/dt = A(t) S + S A(t)^T + D.
 
-    ``drift`` is the constant part; for time-dependent generators the
-    oscillating part is carried as cos/sin basis matrices and evaluated by
-    :meth:`drift_at`.
+    ``drift`` is the constant part of A.  A time-dependent drift adds
+    sum_k cos(nu_k t) C_k + sin(nu_k t) S_k over the frequencies
+    ``phase_nus``; ``phase_basis`` stacks C_1..C_K, then S_1..S_K, shape
+    (2K, 2N, 2N).  :meth:`drift_at` evaluates A(t).
     """
 
     drift: np.ndarray
     diffusion: np.ndarray
-    cos_terms: tuple[tuple[float, np.ndarray], ...] = ()
-    sin_terms: tuple[tuple[float, np.ndarray], ...] = ()
+    phase_nus: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    phase_basis: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
     f_max: float = 0.0
 
     @property
     def time_dependent(self) -> bool:
-        return bool(self.cos_terms or self.sin_terms)
+        return bool(self.phase_nus.size)
 
     def drift_at(self, ts) -> np.ndarray:
         """Drift matrix at time ``ts``, or the stack of them over an array of times."""
-        terms = self.cos_terms + self.sin_terms
         n = self.drift.shape[0]
-        basis = np.array([mat for _, mat in terms]).reshape(len(terms), n * n)
-        coeffs = np.concatenate(
-            [np.cos(np.multiply.outer(ts, [nu for nu, _ in self.cos_terms])),
-             np.sin(np.multiply.outer(ts, [nu for nu, _ in self.sin_terms]))], axis=-1)
-        out = (coeffs @ basis).reshape(np.shape(ts) + (n, n))
+        phases = np.multiply.outer(ts, self.phase_nus)
+        coeffs = np.concatenate([np.cos(phases), np.sin(phases)], axis=-1)
+        out = (coeffs @ self.phase_basis.reshape(-1, n * n)).reshape(np.shape(ts) + (n, n))
         out += self.drift
         return out
 
 
-def _quad_form_number(n_modes, m, n, c):
-    """Quadrature matrix of c b_m^dag b_n + conj(c) b_n^dag b_m."""
-    H = np.zeros((2 * n_modes, 2 * n_modes))
-    re, im = c.real, c.imag
-    if m == n:
-        # diagonal case c b^dag b (c real): c (x^2 + p^2)/2 up to a constant
-        H[2 * m, 2 * m] = H[2 * m + 1, 2 * m + 1] = re
-        return H
-    for (i, j, v) in (
-        (2 * m, 2 * n, re), (2 * m + 1, 2 * n + 1, re),
-        (2 * m, 2 * n + 1, -im), (2 * m + 1, 2 * n, im),
-    ):
-        H[i, j] += v
-        H[j, i] += v
-    return H
+def _quad_form(T, terms, phase=1):
+    """Quadrature matrix H of the Hamiltonian terms (H = r^T H r / 2 up to a constant).
 
-
-def _quad_form_squeeze(n_modes, m, n, c):
-    """Quadrature matrix of c b_m^dag b_n^dag + conj(c) b_m b_n (m != n)."""
-    H = np.zeros((2 * n_modes, 2 * n_modes))
-    re, im = c.real, c.imag
-    for (i, j, v) in (
-        (2 * m, 2 * n, re), (2 * m + 1, 2 * n + 1, -re),
-        (2 * m, 2 * n + 1, im), (2 * m + 1, 2 * n, im),
-    ):
-        H[i, j] += v
-        H[j, i] += v
-    return H
-
-
-def _jump_vector(n_modes, coeffs, dagger) -> np.ndarray:
-    """Complex quadrature vector lambda with L = lambda^T r for a linear jump.
-
-    Each ``(m, c)`` pair in ``coeffs`` adds c b_m (or c b_m^dag when
-    ``dagger``), b = (x + i p)/sqrt(2).
+    T holds the ladder rows, b_m = T_m . r / sqrt(2) with T[m, 2m] = 1 and
+    T[m, 2m + 1] = i.  The term c b_m^dag X_n is r^T F r with F =
+    (c/2) conj(T_m) (x) Y_n, Y_n = conj(T_n) for X_n = b_n^dag and T_n for
+    b_n; adding its h.c. for m != n doubles the symmetric real part.  Each
+    coefficient is multiplied by ``phase``.
     """
-    lam = np.zeros(2 * n_modes, complex)
-    for m, c in coeffs:
-        if dagger:
-            lam[2 * m] += c / math.sqrt(2)
-            lam[2 * m + 1] += -1j * c / math.sqrt(2)
-        else:
-            lam[2 * m] += c / math.sqrt(2)
-            lam[2 * m + 1] += 1j * c / math.sqrt(2)
-    return lam
-
-
-def _jump_drift_diffusion(omega, lam, rate):
-    outer = np.outer(lam, lam.conj())
-    A = -rate * omega @ outer.imag
-    D = rate * omega @ outer.real @ omega.T
-    return A, D
-
-
-def _quad_form(n_modes, terms, phase=1):
-    """Quadrature matrix of the Hamiltonian terms, each coefficient times ``phase``."""
-    H = np.zeros((2 * n_modes, 2 * n_modes))
+    H = np.zeros((T.shape[1], T.shape[1]))
     for c, m, n, squeeze in terms:
-        form = _quad_form_squeeze if squeeze else _quad_form_number
-        H += form(n_modes, m, n, phase * complex(c))
+        F = (phase * complex(c) / 2) * np.outer(T[m].conj(), T[n].conj() if squeeze else T[n])
+        F = F.real + F.real.T
+        H += F if m == n else 2 * F
     return H
 
 
@@ -216,28 +169,39 @@ def drift_diffusion_from_generator(spec) -> DriftDiffusion:
 
     Reads the spec's :class:`~cavmech.fock.QuadraticModel`.  An oscillating
     coefficient c e^{i nu t} contributes cos(nu t) times the drift of c and
-    sin(nu t) times the drift of i c, evaluated by
-    :meth:`DriftDiffusion.drift_at`.
+    sin(nu t) times the drift of i c.  A jump L = sum_m c_m X_m is
+    lambda^T r with lambda = sum_m c_m Y_m / sqrt(2), Y_m = T_m for
+    X_m = b_m and conj(T_m) for b_m^dag.
     """
     model = quadratic_model(spec)
     n = model.n_modes
+    T = np.kron(np.eye(n), [1.0, 1j])
     omega = symplectic_form(n)
-    A = omega @ _quad_form(n, model.static)
+    A = omega @ _quad_form(T, model.static)
     D = np.zeros((2 * n, 2 * n))
     for coeffs, dagger, rate in model.jumps:
-        dA, dD = _jump_drift_diffusion(omega, _jump_vector(n, coeffs, dagger), rate)
-        A = A + dA
-        D = D + dD
+        lam = np.zeros(2 * n, complex)
+        for m, c in coeffs:
+            lam += c * (T[m].conj() if dagger else T[m]) / math.sqrt(2)
+        outer = np.outer(lam, lam.conj())
+        A = A - rate * omega @ outer.imag
+        D = D + rate * omega @ outer.real @ omega.T
+    basis = [omega @ _quad_form(T, terms, phase)
+             for phase in (1, 1j) for _, terms in model.oscillating]
     return DriftDiffusion(
         drift=A,
         diffusion=D,
-        cos_terms=tuple((nu, omega @ _quad_form(n, terms)) for nu, terms in model.oscillating),
-        sin_terms=tuple((nu, omega @ _quad_form(n, terms, 1j)) for nu, terms in model.oscillating),
+        phase_nus=np.array([nu for nu, _ in model.oscillating]),
+        phase_basis=np.array(basis).reshape(len(basis), 2 * n, 2 * n),
         f_max=model.f_max,
     )
 
 
 # -- propagation and steady state -------------------------------------------
+
+# Largest uncertainty-bound defect a recorded covariance may have.
+_PHYSICALITY_TOL = 1e-6
+
 
 @dataclass
 class GaussTrajectory:
@@ -265,114 +229,99 @@ def evolve_covariance(
     dt: float,
     stride: int = 100,
     track_entanglement: bool = False,
-    entangled_pair: tuple[int, int] = (0, 1),
-    physicality_tol: float = 1e-6,
 ) -> GaussTrajectory:
     """Propagate the moment equations ``round(t_end / dt)`` steps of ``dt``.
 
+    Both paths carry the augmented moment matrix X = [[cov, mean],
+    [mean^T, 1]]: with M = blockdiag(A, 0) and N = blockdiag(D, 0),
+    X' = M X + (M X)^T + N holds the covariance and the mean equations.
     ``dt`` sets the record grid (every ``stride`` steps, plus the last
-    step) and must satisfy ``dt <= 0.01 / f_max``.  A constant drift jumps
-    from record to record by the exact moment map of
-    :func:`_interval_map`; a time-dependent drift takes RK4 steps of
-    m ``dt`` under a step-doubling estimate, with records off that grid
-    taken by side steps (:func:`~cavmech.fock.propagate_rk4`; the
-    trajectory's ``stats`` say how).  The covariance is re-symmetrized
-    after every update (pure roundoff control) and the uncertainty-bound
-    defect is monitored at every record; a defect beyond
-    ``physicality_tol`` aborts.
+    step) and must satisfy ``dt <= 0.01 / f_max``.  A constant drift maps
+    X from record to record by X -> P X P^T + Q, P = blockdiag(Phi, 1) and
+    Q = blockdiag(Q_S, 0) from :func:`_interval_map`; a time-dependent
+    drift takes RK4 steps of m ``dt`` under a step-doubling estimate, with
+    records off that grid taken by side steps
+    (:func:`~cavmech.fock.propagate_rk4`; the trajectory's ``stats`` say
+    how).  X is re-symmetrized after every update (pure roundoff control)
+    and the uncertainty-bound defect is monitored at every record; a
+    defect beyond ``_PHYSICALITY_TOL`` aborts.  Entanglement is tracked
+    between the two modes of a two-mode state.
     """
     n_steps = step_count(t_end, dt, stride, dd.f_max)
-    mean = state0.mean.copy()
-    cov = 0.5 * (state0.cov + state0.cov.T)
-    n_modes = state0.n_modes
+    n = state0.mean.size
+    x = np.zeros((n + 1, n + 1))
+    x[:n, :n] = 0.5 * (state0.cov + state0.cov.T)
+    x[:n, n] = x[n, :n] = state0.mean
+    x[n, n] = 1.0
 
     rec_t, rec_n, rec_en, rec_nu, rec_phys = [], [], [], [], []
 
-    def record(t, mean, cov):
-        state = CovarianceState(mean, cov, time=t)
+    def record(t, x):
+        state = CovarianceState(x[:n, n], x[:n, :n], time=t)
         rec_t.append(t)
-        rec_n.append([state.occupation(m) for m in range(n_modes)])
+        rec_n.append([state.occupation(m) for m in range(state.n_modes)])
         defect = state.physicality_defect()
         rec_phys.append(defect)
-        if track_entanglement:
-            en, nu = log_negativity(state, entangled_pair, _lenient=True)
-            rec_en.append(en)
-            rec_nu.append(nu)
-        else:
-            rec_en.append(math.nan)
-            rec_nu.append(math.nan)
-        if defect < -physicality_tol:
+        en, nu = _log_negativity(state.cov) if track_entanglement else (math.nan, math.nan)
+        rec_en.append(en)
+        rec_nu.append(nu)
+        if defect < -_PHYSICALITY_TOL:
             raise PhysicalityError(
-                f"covariance defect {defect:.3e} at t={t:.6g} beyond {physicality_tol}"
+                f"covariance defect {defect:.3e} at t={t:.6g} beyond {_PHYSICALITY_TOL}"
             )
 
-    record(0.0, mean, cov)
+    record(0.0, x)
     stats = RunStats()
     if dd.time_dependent:
-        mean, cov, stats = _rk4_moments(dd, mean, cov, n_steps, dt, stride, record)
+        def drifts(ts):
+            M = np.zeros((ts.size, n + 1, n + 1))
+            M[:, :n, :n] = dd.drift_at(ts)
+            return M
+
+        def add_diffusion(state, out):
+            out[:n, :n] += dd.diffusion
+
+        x, stats = propagate_rk4(drifts, add_diffusion, x, n_steps, dt, stride, record)
     else:
-        mean, cov = _propagate_exact(dd, mean, cov, n_steps, dt, stride, record)
+        x = _propagate_exact(dd, x, n_steps, dt, stride, record)
 
     occ = np.array(rec_n)
     return GaussTrajectory(
         t=np.array(rec_t),
-        n1=occ[:, 0] if n_modes < 3 else occ[:, 1],
-        n2=occ[:, 1] if n_modes < 3 else occ[:, 2],
+        n1=occ[:, 0] if state0.n_modes < 3 else occ[:, 1],
+        n2=occ[:, 1] if state0.n_modes < 3 else occ[:, 2],
         log_negativity=np.array(rec_en),
         min_symp_eig=np.array(rec_nu),
         physicality=np.array(rec_phys),
-        final_state=CovarianceState(mean, cov, time=n_steps * dt),
+        final_state=CovarianceState(x[:n, n].copy(), x[:n, :n].copy(), time=n_steps * dt),
         occupations=occ,
         stats=stats,
     )
 
 
-def _rk4_moments(dd, mean, cov, n_steps, dt, stride, record):
-    """RK4 for a time-dependent drift by the shared kernel; returns the final moments and run stats.
-
-    The kernel steps the augmented moment matrix X = [[cov, mean],
-    [mean^T, 1]] with M = blockdiag(A(t), 0) and N = blockdiag(D, 0):
-    X' = M X + (M X)^T + N holds the covariance and the mean equations.
-    """
-    n = mean.size
-    x = np.zeros((n + 1, n + 1))
-    x[:n, :n] = cov
-    x[:n, n] = x[n, :n] = mean
-    x[n, n] = 1.0
-
-    def drifts(ts):
-        M = np.zeros((ts.size, n + 1, n + 1))
-        M[:, :n, :n] = dd.drift_at(ts)
-        return M
-
-    def add_diffusion(state, out):
-        out[:n, :n] += dd.diffusion
-
-    x, stats = propagate_rk4(drifts, add_diffusion, x, n_steps, dt, stride,
-                             lambda t, x: record(t, x[:n, n], x[:n, :n]))
-    return x[:n, n].copy(), x[:n, :n].copy(), stats
-
-
-def _propagate_exact(dd, mean, cov, n_steps, dt, stride, record):
-    """Exact record-to-record moment maps of a constant drift and diffusion.
+def _propagate_exact(dd, x, n_steps, dt, stride, record):
+    """Exact record-to-record maps of the augmented moment matrix ``x``
+    under a constant drift and diffusion.
 
     The map of an interval is built once per distinct interval length:
     ``stride`` steps, and a shorter final interval if there is one.
-    Returns the final moments.
+    Returns the final matrix.
     """
+    n = dd.drift.shape[0]
     maps = {}
     step = 0
     while step < n_steps:
         width = min(stride, n_steps - step)
         if width not in maps:
-            maps[width] = _interval_map(dd.drift, dd.diffusion, width * dt)
+            phi, q = np.eye(n + 1), np.zeros((n + 1, n + 1))
+            phi[:n, :n], q[:n, :n] = _interval_map(dd.drift, dd.diffusion, width * dt)
+            maps[width] = phi, q
         phi, q = maps[width]
-        mean = phi @ mean
-        cov = phi @ cov @ phi.T + q
-        cov = 0.5 * (cov + cov.T)
+        x = phi @ x @ phi.T + q
+        x = 0.5 * (x + x.T)
         step += width
-        record(step * dt, mean, cov)
-    return mean, cov
+        record(step * dt, x)
+    return x
 
 
 def _interval_map(A: np.ndarray, D: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -424,22 +373,22 @@ def steady_state(dd: DriftDiffusion) -> CovarianceState:
 
 # -- entanglement ------------------------------------------------------------
 
-def log_negativity(
-    state: CovarianceState,
-    partition: tuple[int, int] = (0, 1),
-    _lenient: bool = False,
-):
-    """Logarithmic negativity of a two-mode state across ``partition``.
+def log_negativity(state: CovarianceState):
+    """Logarithmic negativity between the two modes of a validated two-mode state.
 
     Returns ``(E_N, min_symplectic_eig_of_partial_transpose)``; E_N is
-    max(0, -ln 2 nu-).  Only the two-mode case is implemented.
+    max(0, -ln 2 nu-).
     """
-    if state.n_modes != 2 or set(partition) != {0, 1}:
+    state.validate(sym_tol=1e-10, phys_tol=1e-8)
+    return _log_negativity(state.cov)
+
+
+def _log_negativity(cov: np.ndarray):
+    """:func:`log_negativity` of a two-mode covariance, without validating it."""
+    if cov.shape != (4, 4):
         raise ValueError("log negativity implemented for a 1|1 split of two modes")
-    if not _lenient:
-        state.validate(sym_tol=1e-10, phys_tol=1e-8)
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    sigma_pt = flip @ state.cov @ flip
+    sigma_pt = flip @ cov @ flip
     omega = symplectic_form(2)
     eigs = np.linalg.eigvals(omega @ sigma_pt)
     nu_min = float(np.sort(np.abs(eigs))[0])

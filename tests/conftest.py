@@ -4,11 +4,10 @@ import pytest
 
 from cavmech import frame_from_collective
 from cavmech.fock import (
-    FockSpace,
     FullLinearized,
     TransferProtocol,
-    compile_generator,
     excitation_transfer_experiment,
+    quadratic_model,
 )
 from cavmech.gaussian import drift_diffusion_from_generator, evolve_covariance, fock_moments
 
@@ -34,7 +33,7 @@ def full_model_runs(desk_frame):
     t0 = time.time()
     fock_result = excitation_transfer_experiment(desk_frame, protocol, model="full")
     spec = FullLinearized(desk_frame)
-    f_max = compile_generator(spec, FockSpace(protocol.dims)).f_max
+    f_max = quadratic_model(spec).f_max
     dt = 0.01 / f_max
     stride = max(1, int(round(protocol.t_end / dt)) // 2000)
     dd = drift_diffusion_from_generator(spec)

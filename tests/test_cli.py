@@ -220,6 +220,14 @@ class TestEntangle:
         summary = json.loads(capsys.readouterr().err)
         assert summary["regime"] in ("classical", "quantum", "unitary-limit")
 
+    @pytest.mark.parametrize("args", [[], ["--t-end", "100"]])
+    def test_readme_config_last_row_at_t_end(self, readme_config, tmp_path, args):
+        out = tmp_path / "ent.csv"
+        assert main(["entangle", "--config", readme_config, "--out", str(out)] + args) == 0
+        last = out.read_text().splitlines()[-1].split(",")
+        t_end = float(args[-1]) if args else 500.0
+        assert float(last[0]) == pytest.approx(t_end, rel=1e-12)
+
 
 class TestValidateCommand:
     def test_lossless_config_passes_with_skip(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cavmech import frame_from_collective
 from cavmech.effective import CollectiveMode
@@ -17,6 +18,7 @@ from cavmech.fock import (
 )
 from cavmech.gaussian import (
     CovarianceState,
+    DriftDiffusion,
     PhysicalityError,
     StabilityError,
     drift_diffusion_from_generator,
@@ -212,6 +214,27 @@ class TestEvolution:
             assert np.abs(traj.occupations - every.occupations[steps]).max() <= 1e-14
             assert np.abs(traj.final_state.cov - every.final_state.cov).max() <= 1e-14
             assert np.abs(traj.final_state.mean - every.final_state.mean).max() <= 1e-14
+
+    def test_displaced_state_mean_on_both_paths(self):
+        fr = frame_from_collective(1.0, 0.2, 1.0, 0.3, 0.15, 0.15)
+        dd = drift_diffusion_from_generator(effective_generator(fr))
+        mean0 = np.array([1.0, -0.5, 0.3, 0.8])
+        dt, t_end = 0.01 / dd.f_max, 20.0
+        exact = evolve_covariance(dd, CovarianceState(mean0, 0.5 * np.eye(4)), t_end, dt, stride=50)
+        means = np.array([expm(dd.drift * t) @ mean0 for t in exact.t])
+        assert np.abs(exact.final_state.mean - means[-1]).max() < 1e-12
+        # a zero-amplitude phase term sends the same drift down the RK4 path
+        ticking = DriftDiffusion(dd.drift, dd.diffusion, phase_nus=np.array([0.5]),
+                                 phase_basis=np.zeros((2, 4, 4)), f_max=dd.f_max)
+        rk4 = evolve_covariance(ticking, CovarianceState(mean0, 0.5 * np.eye(4)), t_end, dt, stride=50)
+        assert rk4.stats.rk4_steps > 0
+        assert np.abs(rk4.final_state.mean - exact.final_state.mean).max() < 1e-9
+        assert np.abs(rk4.final_state.cov - exact.final_state.cov).max() < 1e-9
+        assert np.abs(rk4.occupations - exact.occupations).max() < 1e-9
+        # each occupation adds the displacement |<b_m>|^2 to the undisplaced run's
+        centred = evolve_covariance(dd, CovarianceState(np.zeros(4), 0.5 * np.eye(4)), t_end, dt, stride=50)
+        displacement = 0.5 * (means[:, 0::2] ** 2 + means[:, 1::2] ** 2)
+        assert np.abs(exact.occupations - centred.occupations - displacement).max() < 1e-12
 
     def test_step_size_precondition(self):
         spec = EffectiveTwoMode(manual_params({"1": (0.5, 0.0)}), CollectiveMode(1.0, 1.0))
