@@ -25,6 +25,7 @@ from .fock import (
     TransferProtocol,
     TruncationError,
     effective_generator,
+    fewest_steps_dt,
     fock_state,
     integrate,
     quadratic_model,
@@ -165,14 +166,6 @@ def _trajectory_dataset(traj, config) -> Dataset:
     )
 
 
-def _fewest_steps_dt(spec, t_end: float) -> float:
-    """The ``dt`` of the fewest steps within the guard ``dt <= 0.01 / f_max``
-    that divide ``t_end``, so the last record lands on ``t_end``."""
-    f_max = quadratic_model(spec).f_max
-    steps = math.ceil(t_end * f_max / 0.01) if f_max > 0 else 1000
-    return t_end / steps if steps > 0 else 0.01 / f_max
-
-
 def _cmd_simulate(args, model: str) -> int:
     config = _require_config(args)
     frame = derive_frame(config)
@@ -190,7 +183,7 @@ def _cmd_simulate(args, model: str) -> int:
     if len(occupations) != expected:
         raise UsageError(f"--initial needs {expected} occupations")
     rho0 = fock_state(space, occupations)
-    dt = args.dt if args.dt is not None else _fewest_steps_dt(spec, args.t_end)
+    dt = args.dt if args.dt is not None else fewest_steps_dt(args.t_end, quadratic_model(spec).f_max)
     traj = integrate(spec, space, rho0, args.t_end, dt, stride=args.stride,
                      truncation_tol=args.truncation_tol)
     dataset = _trajectory_dataset(traj, config)
@@ -201,9 +194,7 @@ def _cmd_simulate(args, model: str) -> int:
 def _cmd_entangle(args) -> int:
     config = _require_config(args)
     frame = derive_frame(config)
-    result = entanglement_experiment(frame, r=args.squeezing, t_end=args.t_end,
-                                     dt=_fewest_steps_dt(effective_generator(frame), args.t_end),
-                                     stride=args.stride)
+    result = entanglement_experiment(frame, r=args.squeezing, t_end=args.t_end, stride=args.stride)
     traj = result.trajectory
     rows = np.column_stack([traj.t, traj.n1, traj.n2, traj.log_negativity, traj.min_symp_eig])
     md = base_metadata(config)

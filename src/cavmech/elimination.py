@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import FrameParams
-from .effective import EffectiveParams, collective_mode_coeffs
+from .effective import EffectiveParams
 
 
 class StructureError(RuntimeError):
@@ -269,11 +269,14 @@ def reduce_to_effective(table: CoefficientTable, atol_scale: float = 1e-10) -> R
         raise StructureError(f"unexpected Hamiltonian monomials {extra}")
 
     # split the rate matrices into per-mode baths and the shared bath
-    coeffs = collective_mode_coeffs(frame.g_1, frame.g_2)
-    c_sq = (coeffs.c_1 ** 2, coeffs.c_2 ** 2)
+    # the shared bath couples through sqrt(g1/g2) b_1 + sqrt(g2/g1) b_2
+    if frame.g_1 <= 0 or frame.g_2 <= 0:
+        raise ValueError("couplings must be positive to define the collective mode")
+    c_1, c_2 = math.sqrt(frame.g_1 / frame.g_2), math.sqrt(frame.g_2 / frame.g_1)
+    c_sq = (c_1 ** 2, c_2 ** 2)
     down_r, up_r = down.real, up.real
-    down_coll = down_r[0, 1] / (coeffs.c_1 * coeffs.c_2)
-    up_coll = up_r[0, 1] / (coeffs.c_1 * coeffs.c_2)
+    down_coll = down_r[0, 1] / (c_1 * c_2)
+    up_coll = up_r[0, 1] / (c_1 * c_2)
     down_j = [down_r[i, i] - c_sq[i] * down_coll for i in range(2)]
     up_j = [up_r[i, i] - c_sq[i] * up_coll for i in range(2)]
 

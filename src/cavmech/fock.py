@@ -13,13 +13,13 @@ whole matrix when the initial state has coherence between the sectors;
 :func:`density_blocks`), and every stage and record works on the stack.
 A constant generator is propagated exactly from one record to the next
 by the action of the exponential of its sparse Lindblad superoperator
-on the block entries; a time-dependent one by the RK4 kernel
-:func:`propagate_rk4`, which the Gaussian engine uses too.  The kernel
-takes steps of a multiple m dt of the record-grid step in pairs checked
-by an enforced step-doubling estimate, and evaluates the drift at all the
-stage times of a pair in one call (:meth:`CompiledGenerator.drift` takes
-an array of times and sums the phase terms by one sparse product, so no
-BLAS thread is woken).  Repeated runs are bit-identical, the trace is
+on the block entries; a time-dependent one by the adaptive Runge-Kutta
+kernel :func:`propagate_rk4` (the Dormand-Prince 5(4) pair with its
+continuous extension for the records), which the Gaussian engine uses
+too.  The kernel evaluates the drift at the new stage times of a step in
+one call (:meth:`CompiledGenerator.drift` takes an array of times and
+sums the phase terms by one sparse product, so no BLAS thread is
+woken).  Repeated runs are bit-identical, the trace is
 never rescaled, and trace, Hermiticity, positivity, and top-level
 population are monitored at every recorded step.
 """
@@ -51,7 +51,7 @@ class TruncationError(RuntimeError):
 
 
 class StepControlError(RuntimeError):
-    """The step-doubling estimate exceeded its tolerance at the finest step dt."""
+    """The adaptive step would have to fall below the finest step dt."""
 
 
 class FitError(RuntimeError):
@@ -372,7 +372,7 @@ class CompiledGenerator:
         The phase terms are summed by one sparse product, which never
         calls BLAS: a dense product of this size takes OpenBLAS's threaded
         path, and its worker threads then spin through the small
-        single-threaded products of the RK4 stages that follow.
+        single-threaded products of the Runge-Kutta stages that follow.
         """
         phases = np.exp(1j * np.multiply.outer(ts, self.phase_nus))
         flat = self._phase_columns @ phases.reshape(np.size(ts), self.phase_nus.size).T
@@ -426,18 +426,23 @@ def compile_generator(spec, space: FockSpace, blocks=None) -> CompiledGenerator:
 class RunStats:
     """How an integration was carried out; never part of any output body.
 
-    ``rk4_steps`` counts every RK4 step taken (continuation, check and
-    side steps; 0 on the exact path), ``step_multiple`` is the final
-    internal step in units of ``dt`` (0 on the exact path), and
-    ``max_step_estimate`` the largest step-doubling estimate of an
-    accepted pair.  ``blocks`` are the sizes of the diagonal blocks the
-    Fock engine carried the density matrix in (empty for the moment
-    engine).
+    On the time-dependent path (:func:`propagate_rk4`) ``accepted_steps``
+    and ``rejected_steps`` count the steps, ``stage_evaluations`` the
+    right-hand-side evaluations, ``last_step`` is the step size the
+    controller held at the end, before the last step was clipped to land
+    on the end time, in units of ``dt``, and ``max_error_estimate`` is the
+    largest error estimate of an accepted step; all are 0 on the exact
+    path.  ``records`` counts the recorded points on either path, and
+    ``blocks`` are the sizes of the diagonal blocks the Fock engine
+    carried the density matrix in (empty for the moment engine).
     """
 
-    rk4_steps: int = 0
-    step_multiple: int = 0
-    max_step_estimate: float = 0.0
+    accepted_steps: int = 0
+    rejected_steps: int = 0
+    stage_evaluations: int = 0
+    last_step: float = 0.0
+    max_error_estimate: float = 0.0
+    records: int = 0
     blocks: tuple[int, ...] = ()
 
 
@@ -488,13 +493,14 @@ def integrate(
     ``dt`` sets the record grid (every ``stride`` steps, plus the last
     step) and must satisfy ``dt <= 0.01 / f_max`` for the generator's
     fastest scale.  A constant generator jumps from record to record
-    exactly (:func:`_propagate_exact`); a time-dependent one takes RK4
-    steps of m ``dt`` under a step-doubling estimate, with records off
-    that grid taken by side steps (:func:`propagate_rk4`, which raises
-    :class:`StepControlError` if the estimate fails at m = 1).  The
-    returned trajectory's ``stats`` say how.  Trace drift is compensated
-    in the reported expectations only, never in the state.  Aborts when
-    the top Fock level of any subsystem passes ``truncation_tol``.
+    exactly (:func:`_propagate_exact`); a time-dependent one takes
+    adaptive Dormand-Prince 5(4) steps, with the records between steps
+    taken from the pair's continuous extension (:func:`propagate_rk4`,
+    which raises :class:`StepControlError` if the step would fall below
+    ``dt``).  The returned trajectory's ``stats`` say how.  Trace drift
+    is compensated in the reported expectations only, never in the
+    state.  Aborts when the top Fock level of any subsystem passes
+    ``truncation_tol``.
 
     The state is carried as the stack of its diagonal blocks
     (:func:`density_blocks`): the two parity sectors of the total
@@ -558,7 +564,7 @@ def integrate(
         herm_dev=np.array(rec["herm"]),
         min_eig=np.array(rec["eig"]),
         final_state=DensityState(gen.unpack(rho), time=n_steps * dt),
-        stats=replace(stats, blocks=gen.block_sizes),
+        stats=replace(stats, records=len(rec_t), blocks=gen.block_sizes),
     )
 
 
@@ -581,140 +587,159 @@ def step_count(t_end: float, dt: float, stride: int, f_max: float) -> int:
     return int(round(t_end / dt)) if t_end > 0 else 0
 
 
+def fewest_steps_dt(t_end: float, f_max: float) -> float:
+    """The ``dt`` of the fewest steps within the guard ``dt <= 0.01 / f_max``
+    that divide ``t_end``, so the last record lands on ``t_end``."""
+    steps = math.ceil(t_end * f_max / 0.01) if f_max > 0 else 1000
+    return t_end / steps if steps > 0 else 0.01 / f_max
+
+
 # Complex entries held at once by the density-block records of one
 # expm_multiply call of the exact path (16 MiB).
 _RECORD_BLOCK = 2**20
 
-# Largest internal RK4 step of the time-dependent path, in units of the
-# record-grid step dt (so h <= 0.1 / f_max at the coarsest dt allowed).
-_STEP_CAP = 10
-
-# Largest step-doubling estimate a pair of steps may have, relative to
-# max(1, max |X|).  On the desk-frame transfer runs at dims (4,3,3) and
-# dt = 0.01 / f_max, every pair passes at the cap (largest estimates
-# 1.5e-10 Fock, 2.3e-10 Gaussian), and the recorded occupations move by
-# at most 6.3e-9 (horizon 100) and 4.1e-8 (horizon 400) against m = 1.
+# Largest error estimate a step may have, relative to max(1, max |X|).
+# On the desk-frame transfer runs at dims (4,3,3) and dt = 0.01 / f_max
+# no step is rejected, and the recorded occupations lie within 1.2e-9
+# (horizon 100) and 6.1e-9 (horizon 400) of fixed-step RK4 at dt.
 _STEP_TOL = 1e-9
+
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math.
+# 6, 19 (1980)): the nodes c of stages 2..6 (stage 7 sits at t + h), and
+# the rows weighing the earlier stages into the inputs of stages 2..7.
+# The last row holds the 5th-order weights b, so stage 7 is taken on the
+# new state and is the next step's first (FSAL).  _DP_ERROR weighs the
+# stages into the embedded error estimate, and _DP_DENSE into the last
+# term of the 4th-order continuous extension (Hairer, Norsett & Wanner,
+# Solving ODEs I, II.5-II.6).
+_DP_NODES = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+_DP_ROWS = tuple(np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+))
+_DP_ERROR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_DP_DENSE = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                      -10690763975 / 1880347072, 701980252875 / 199316789632,
+                      -1453857185 / 822651844, 69997945 / 29380423])
+_DP_B = np.append(_DP_ROWS[-1], 0.0)
+_DP_SPLINE = np.eye(7)[0] - _DP_B
+_DP_CUBIC = _DP_B - _DP_SPLINE - np.eye(7)[6]
+
+
+def _dense_weights(theta: float) -> np.ndarray:
+    """Weights w of the continuous extension X(t + theta h) = X + h sum_i w_i k_i.
+
+    Hairer's form X + theta (dX + (1 - theta) (h k1 - dX + theta (dX - h k7
+    - (h k1 - dX) + (1 - theta) h sum d_i k_i))), dX = h sum b_i k_i.
+    """
+    return theta * (_DP_B + (1 - theta) * (_DP_SPLINE + theta * (_DP_CUBIC + (1 - theta) * _DP_DENSE)))
+
+
+def _step_factor(error: float, bound: float) -> float:
+    """Standard step-size controller: 0.9 (bound / error)^(1/5), clipped to [0.2, 5]."""
+    return min(5.0, max(0.2, 0.9 * (bound / error) ** 0.2)) if error > 0 else 5.0
 
 
 def propagate_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
-    """RK4 for X' = M(t) X + (M(t) X)^dag + N(X) on a Hermitian X, under step doubling.
+    """Adaptive Runge-Kutta for X' = M(t) X + (M(t) X)^dag + N(X) on a Hermitian X.
 
     X is a matrix or a stack of matrices (the Fock engine's density
     blocks); M(t) has the same shape, products are taken block by block
     and the conjugate transpose acts on the last two axes.
+    ``drifts(ts)`` returns M at an array of times, and ``add_noise(state,
+    out)`` adds N(state) to ``out``.
 
     ``dt`` is the record-grid unit: ``record(s dt, x_s)`` is called at
     every step index s that is a multiple of ``stride``, and at
-    ``n_steps``.  The state itself advances in pairs of RK4 steps of
-    h = m dt; each pair is checked against one step of 2h from the same
-    point (sharing its first stage) and accepted when the estimate
-    |X_{2h} - X_{h,h}| / 15 (max entry; Hairer, Norsett & Wanner, Solving
-    ODEs I, II.4) is at most ``_STEP_TOL`` max(1, max |X|).  The run
-    continues from the pair, never from the check step.  A rejected pair
-    is redone at m // 2, and m never grows back; a rejection at m = 1
-    raises :class:`StepControlError`.  m starts at ``_STEP_CAP``.  The
-    grid of m dt points does not depend on ``stride``; a record between
-    grid points comes from one side step off the last grid point before
-    it, which the run does not continue from.  At m = 1 every record is a
-    grid point and the continuation is the plain fixed-step RK4 of dt.
+    ``n_steps``.  The state advances by the Dormand-Prince 5(4) pair, with
+    one ``drifts`` call per attempted step on its five new stage times.  A
+    step is accepted when the largest entry of its error estimate is at
+    most ``_STEP_TOL`` max(1, max |X|), and :func:`_step_factor` sets the
+    next step; a rejected step is redone shorter, and one that would fall
+    below ``dt`` raises :class:`StepControlError`.  The first step is
+    10 ``dt``, and the last is clipped to end at ``n_steps dt``.  The
+    records before it come from the continuous extension, so the steps
+    never depend on ``stride``.  Returns the final state and the
+    :class:`RunStats` of the run.
 
-    Every stage time is k dt/2, k a global half-step index.
-    ``drifts(ts)`` is called once per attempted pair, on the sorted stage
-    times of its two steps, its check step and its side steps: at most
-    4m + 1 matrices, and at most 5 plus two per side step.
-    ``add_noise(state, out)`` adds N(state) to ``out``.  Returns the state
-    at ``n_steps`` and the :class:`RunStats` of the run.
-
-    X is re-Hermitized once per step: the exact flow preserves
-    Hermiticity, but for a density matrix the roundoff-seeded
-    anti-Hermitian component obeys a sign-flipped dissipator in this split
-    update and can grow exponentially if left in place.
+    X is re-Hermitized after each accepted step and each record: the
+    exact flow preserves Hermiticity, but for a density matrix the
+    roundoff-seeded anti-Hermitian component obeys a sign-flipped
+    dissipator in this split update and can grow exponentially if left in
+    place.
     """
-    # Preallocated work buffers.  Every stage input is Hermitian, so
-    # X M^dag = (M X)^dag and each stage costs one drift product plus N.
-    y, acc, tmp1, k, k1, x_start, x_mid, x_check = (np.empty_like(x) for _ in range(8))
+    # stack[0] is the state at the start of the step, stack[1:] its seven
+    # stages.  Every combination of them is one einsum over the real view
+    # of the stack, which never calls BLAS.  Every stage input is
+    # Hermitian, so X M^dag = (M X)^dag and each stage costs one drift
+    # product plus N.
+    x = np.ascontiguousarray(x)
+    stack = np.zeros((8,) + x.shape, x.dtype)
+    flat = stack.view(x.real.dtype).reshape(8, -1)
+    y, tmp = np.empty_like(x), np.empty_like(x)
 
     def stage(D, state, out):
-        np.matmul(D, state, out=tmp1)
-        np.add(tmp1, tmp1.conj().swapaxes(-1, -2), out=out)
+        np.matmul(D, state, out=tmp)
+        np.add(tmp, tmp.conj().swapaxes(-1, -2), out=out)
         add_noise(state, out)
 
-    def step(D, x0, k1, h, out):
-        """One step of h from x0 into out, given the drifts at its three
-        stage times and its first stage k1 = f(t0, x0)."""
-        half = h / 2.0
-        acc[:] = k1
-        np.multiply(k1, half, out=y)
-        np.add(y, x0, out=y)
-        stage(D[1], y, k)                             # k2
-        np.add(acc, 2.0 * k, out=acc)
-        np.multiply(k, half, out=y)
-        np.add(y, x0, out=y)
-        stage(D[1], y, k)                             # k3
-        np.add(acc, 2.0 * k, out=acc)
-        np.multiply(k, h, out=y)
-        np.add(y, x0, out=y)
-        stage(D[2], y, k)                             # k4
-        np.add(acc, k, out=acc)
-        np.multiply(acc, h / 6.0, out=acc)
-        np.add(x0, acc, out=out)
-        np.add(out, out.conj().swapaxes(-1, -2), out=out)
-        out *= 0.5
+    def combine(base, h, weights, out):
+        """out = base stack[0] + h sum_i weights[i] stack[1 + i]."""
+        coeffs = np.concatenate(((base,), h * weights))
+        np.einsum("i,ij->j", coeffs, flat[:coeffs.size], out=out.view(flat.dtype).reshape(-1))
         return out
 
-    def records_between(a, b):
-        """Record step indices strictly between a and b."""
-        found = list(range((a // stride + 1) * stride, min(b, n_steps), stride))
-        return found + [n_steps] if a < n_steps < b else found
+    def hermitize(state):
+        np.add(state, state.conj().swapaxes(-1, -2), out=state)
+        state *= 0.5
 
-    def side_steps(at, a, records, x0):
-        """Side steps off grid point a, from x0 with its first stage in k1,
-        to each record in ``records``."""
-        return {r: step((None, at[a + r], at[2 * r]), x0, k1, (r - a) * dt, np.empty_like(x))
-                for r in records}
-
-    m, g = _STEP_CAP, 0
-    steps, max_est = 0, 0.0
-    final = x
-    while g < n_steps:
-        h = m * dt
-        grid = [2 * g + j * m for j in range(5)]
-        sides = [(a, records_between(a, a + m)) for a in (g, g + m)]
-        ks = set(grid)
-        for a, records in sides:
-            ks.update(k for r in records for k in (a + r, 2 * r))
-        ks = sorted(ks)
-        at = dict(zip(ks, drifts(np.array(ks) * (dt / 2.0))))
-        D0, D1, D2, D3, D4 = (at[k] for k in grid)
-        np.copyto(x_start, x)
-        stage(D0, x_start, k1)
-        done = side_steps(at, *sides[0], x_start)
-        step((D0, D1, D2), x_start, k1, h, x_mid)
-        step((None, D2, D4), x_start, k1, 2 * h, x_check)
-        stage(D2, x_mid, k1)
-        done.update(side_steps(at, *sides[1], x_mid))
-        step((D2, D3, D4), x_mid, k1, h, x)
-        steps += 3 + len(done)
-        est = float(np.abs(x - x_check).max()) / 15.0
-        if est > _STEP_TOL * max(1.0, float(np.abs(x).max())):
-            if m == 1:
+    t_end = n_steps * dt
+    t, h, r = 0.0, 10.0 * dt, stride
+    accepted = rejected = 0
+    max_error = 0.0
+    if n_steps:
+        stack[0] = x
+        stage(drifts(np.zeros(1))[0], x, stack[1])
+    while t < t_end:
+        last = t + h >= t_end
+        step = t_end - t if last else h
+        D = drifts(t + step * _DP_NODES)
+        for i, row in enumerate(_DP_ROWS[:5]):
+            stage(D[i], combine(1.0, step, row, y), stack[i + 2])
+        hermitize(combine(1.0, step, _DP_ROWS[5], x))
+        stage(D[4], x, stack[7])
+        error = float(np.abs(combine(0.0, step, _DP_ERROR, y)).max())
+        bound = _STEP_TOL * max(1.0, float(np.abs(x).max()))
+        factor = _step_factor(error, bound)
+        if error > bound:
+            rejected += 1
+            h = step * factor
+            if h < dt:
                 raise StepControlError(
-                    f"step-doubling estimate {est:.3e} at t={g * dt:.6g} exceeds "
-                    f"{_STEP_TOL:g} at the finest step dt={dt}")
-            m //= 2
-            np.copyto(x, x_start)
+                    f"error estimate {error:.3e} at t={t:.6g} exceeds {bound:.3g}, and the "
+                    f"next step of {h / dt:.3g} dt would fall below the finest step dt={dt}")
+            x[...] = stack[0]
             continue
-        max_est = max(max_est, est)
-        done[g + m], done[g + 2 * m] = x_mid, x
-        for r in sorted(done):
-            if r <= n_steps and (r % stride == 0 or r == n_steps):
-                record(r * dt, done[r])
-        final = done.get(n_steps, final)
-        g += 2 * m
-    if final is not x:
-        x[...] = final
-    return x, RunStats(steps, m if n_steps else 0, max_est)
+        accepted += 1
+        max_error = max(max_error, error)
+        t_next = t_end if last else t + step
+        while r < n_steps and r * dt < t_next:
+            hermitize(combine(1.0, step, _dense_weights((r * dt - t) / step), y))
+            record(r * dt, y)
+            r += stride
+        t = t_next
+        if not last:
+            h = step * factor
+        stack[0] = x
+        stack[1] = stack[7]
+    if n_steps:
+        record(t_end, x)
+    evaluations = 1 + 6 * (accepted + rejected) if n_steps else 0
+    return x, RunStats(accepted, rejected, evaluations, h / dt if n_steps else 0.0, max_error)
 
 
 def _propagate_exact(gen, rho, n_steps, dt, stride, record):

@@ -10,21 +10,22 @@ as the Fock-space generator, one formula per Hamiltonian term and per
 jump.  Both propagation paths carry the augmented moment matrix
 [[cov, mean], [mean^T, 1]]: a constant drift and diffusion map it by the
 exact moment map of each record interval; a time-dependent drift steps
-it with the step-doubling RK4 kernel the Fock engine uses, with the
-drift at all the stage times of a checked pair of steps built in one
-call (:meth:`DriftDiffusion.drift_at` takes an array of times).
+it with the adaptive Runge-Kutta kernel the Fock engine uses, with the
+drift at the new stage times of a step built in one call
+(:meth:`DriftDiffusion.drift_at` takes an array of times).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .model import FrameParams
-from .fock import RunStats, effective_generator, propagate_rk4, quadratic_model, step_count
+from .fock import (RunStats, effective_generator, fewest_steps_dt, propagate_rk4,
+                   quadratic_model, step_count)
 
 VACUUM_CONVENTION = "quadrature ordering (x1,p1,...); vacuum variance 1/2; hbar=1"
 
@@ -239,8 +240,8 @@ def evolve_covariance(
     step) and must satisfy ``dt <= 0.01 / f_max``.  A constant drift maps
     X from record to record by X -> P X P^T + Q, P = blockdiag(Phi, 1) and
     Q = blockdiag(Q_S, 0) from :func:`_interval_map`; a time-dependent
-    drift takes RK4 steps of m ``dt`` under a step-doubling estimate, with
-    records off that grid taken by side steps
+    drift takes adaptive Dormand-Prince 5(4) steps, with the records
+    between steps taken from the pair's continuous extension
     (:func:`~cavmech.fock.propagate_rk4`; the trajectory's ``stats`` say
     how).  X is re-symmetrized after every update (pure roundoff control)
     and the uncertainty-bound defect is monitored at every record; a
@@ -295,7 +296,7 @@ def evolve_covariance(
         physicality=np.array(rec_phys),
         final_state=CovarianceState(x[:n, n].copy(), x[:n, :n].copy(), time=n_steps * dt),
         occupations=occ,
-        stats=stats,
+        stats=replace(stats, records=len(rec_t)),
     )
 
 
@@ -414,13 +415,15 @@ def entanglement_experiment(
 
     Reports the peak logarithmic negativity together with the coupling-
     to-noise ratio of the configuration; the two are reported side by
-    side without asserting any particular boundary between them.
+    side without asserting any particular boundary between them.  The
+    default ``dt`` is :func:`~cavmech.fock.fewest_steps_dt`, so the last
+    record lands on ``t_end``.
     """
     spec = effective_generator(frame)
     dd = drift_diffusion_from_generator(spec)
     state0 = squeezed_vacuum(2, 0, r)
     if dt is None:
-        dt = 0.01 / dd.f_max if dd.f_max > 0 else t_end / 1000
+        dt = fewest_steps_dt(t_end, dd.f_max)
     traj = evolve_covariance(dd, state0, t_end, dt, stride=stride, track_entanglement=True)
     return EntanglementResult(
         max_log_negativity=float(np.nanmax(traj.log_negativity)),

@@ -1,9 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from cavmech import frame_from_collective
+from cavmech import elimination, frame_from_collective
 from cavmech.effective import effective_params
 from cavmech.elimination import (
     StructureError,
@@ -124,6 +125,10 @@ class TestReduction:
         table.cross_terms[3].coefficient *= -1.0
         with pytest.raises(StructureError):
             reduce_to_effective(table)
+
+    def test_oracle_splits_the_shared_bath_itself(self):
+        # the oracle must not borrow the collective-mode closed form it checks
+        assert "collective_mode_coeffs" not in inspect.getsource(elimination)
 
     def test_corrupted_single_mode_term_is_detected(self):
         table = build_coefficient_table(frame())

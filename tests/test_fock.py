@@ -214,6 +214,8 @@ class TestIntegrate:
         # 157 steps: seven full record intervals and a final 17-step one
         assert list(traj.t) == [s * dt for s in range(0, 157, 20)] + [157 * dt]
         assert traj.final_state.time == 157 * dt
+        # the exact path takes no steps; the stats count its records
+        assert traj.stats == fock.RunStats(records=9, blocks=(5, 4))
         assert np.abs(traj.n2 - np.sin(J * traj.t) ** 2).max() < 1e-8
         assert traj.n2[-1] == pytest.approx(1.0, abs=1e-6)
 
@@ -271,23 +273,27 @@ class TestIntegrate:
             integrate(spec, space, fock_state(space, (0, 0, 0)), 1.0, 0.01 / f_max, stride=0)
 
     def test_fourth_order_convergence(self, monkeypatch):
-        # at the default cap both runs settle on a step of 5 dt and agree exactly
-        monkeypatch.setattr(fock, "_STEP_CAP", 1)
-        fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
-        spec = FullLinearized(fr)
-        space = FockSpace((3, 3, 3))
-        rho0 = fock_state(space, (0, 1, 0))
-        f_max = compile_generator(spec, space).f_max
-        dt = 0.01 / f_max
-        coarse = integrate(spec, space, rho0, 5.0, dt, stride=10**9, truncation_tol=0.05)
-        fine = integrate(spec, space, rho0, 5.0, dt / 2, stride=10**9, truncation_tol=0.05)
-        assert fine.stats.rk4_steps == 2 * coarse.stats.rk4_steps
-        for field in ("n1", "n2", "n_cav"):
-            a, b = getattr(coarse, field)[-1], getattr(fine, field)[-1]
-            assert abs(a - b) <= 1e-6 * max(abs(a), abs(b), 1e-3)
+        # one step of h = 10 dt on X' = M X + (M X)^dag, M = diag(-i, 0), so
+        # X_01 = exp(-i t) / 2: halving h divides the error of the record at
+        # the step's midpoint (continuous extension, 4th order, local error
+        # ~ h^5) by 2^5 and that of the step's end (5th order, ~ h^6) by 2^6
+        monkeypatch.setattr(fock, "_STEP_TOL", math.inf)
+        drift = np.diag([-1j, 0.0])
+        errors = []
+        for dt in (0.02, 0.01, 0.005):
+            recorded = {}
+            _, stats = propagate_rk4(lambda ts: np.array([drift] * ts.size), lambda state, out: None,
+                                     np.full((2, 2), 0.5, complex), 10, dt, 5,
+                                     lambda t, x: recorded.update({t: x[0, 1]}))
+            assert stats.accepted_steps == 1
+            errors.append([abs(recorded[s * dt] - 0.5 * np.exp(-1j * s * dt)) for s in (5, 10)])
+        errors = np.array(errors)
+        for (mid, end) in errors[:-1] / errors[1:]:
+            assert 26 < mid < 38
+            assert 52 < end < 76
 
     def test_records_do_not_depend_on_stride(self):
-        # records off the m dt grid come from side steps; 7 does not divide 200
+        # records between steps come from the continuous extension; 7 does not divide 200
         fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
         spec = FullLinearized(fr)
         space = FockSpace((3, 3, 3))
@@ -317,35 +323,35 @@ class TestIntegrate:
                                  stride, lambda t, x: recorded.append(t))
         return calls, recorded, stats
 
-    @pytest.mark.parametrize("stride,blocks,records", [(5, 8, (5, 10, 15)), (10**9, 7, (14,))])
-    def test_drift_blocks_stay_within_budget(self, monkeypatch, stride, blocks, records):
-        # m = 1: one drift call of the five stage times of each pair of dt
-        # steps, whatever the stride; an odd n_steps ends a pair at its midpoint
-        monkeypatch.setattr(fock, "_STEP_CAP", 1)
+    @staticmethod
+    def _stage_starts(calls):
+        """Start time of every step, checked against its call's five new stage times."""
+        assert np.array_equal(calls[0], [0.0])
+        starts = [0.0] + [ts[-1] for ts in calls[1:]]
+        for t, ts in zip(starts, calls[1:]):
+            assert np.abs(ts - (t + (ts[-1] - t) * fock._DP_NODES)).max() <= 1e-15
+        return starts
+
+    @pytest.mark.parametrize("stride,records", [(5, (5, 10, 15)), (10**9, (14,))])
+    def test_one_drift_call_per_attempted_step(self, stride, records):
+        # the first stage at t = 0, then the five new stage times t + c h of
+        # each step (its seventh stage, at t + h, is the next step's first)
         calls, recorded, stats = self._drift_calls(records[-1], stride)
-        assert (stats.step_multiple, stats.rk4_steps) == (1, 3 * blocks)
-        assert [ts.size for ts in calls] == [5] * blocks
-        # consecutive calls share their boundary time and cover every half step
-        assert all(a[-1] == b[0] for a, b in zip(calls, calls[1:]))
-        joined = np.concatenate([calls[0]] + [ts[1:] for ts in calls[1:]])
-        assert np.array_equal(joined, np.arange(4 * blocks + 1) * (0.1 / 2))
+        starts = self._stage_starts(calls)
+        assert starts[-1] == records[-1] * 0.1
+        assert (stats.accepted_steps, stats.rejected_steps) == (len(calls) - 1, 0)
+        assert stats.stage_evaluations == 1 + 6 * stats.accepted_steps
         assert recorded == [s * 0.1 for s in records]
 
     def test_drift_blocks_at_the_default_cap(self):
-        # m = 10: one drift call per pair of 10 dt steps over 0..60; the
-        # records at multiples of 7 sit off that grid and come from side steps
+        # a zero drift has a zero error estimate, so h grows by the
+        # controller's cap of 5 per step: 10 dt, then 50 dt to t = 60 dt; the
+        # records at multiples of 7 come from the continuous extension
         calls, recorded, stats = self._drift_calls(60, 7)
-        assert (stats.step_multiple, stats.rk4_steps) == (10, 3 * 3 + 8)
-        assert len(calls) == 3
-        assert all(np.all(np.diff(ts) > 0) for ts in calls)
-        # records inside the pairs: 7, 14 | 21, 28, 35 | 42, 49, 56
-        for ts, inside in zip(calls, (2, 3, 3)):
-            assert ts.size <= min(4 * 10 + 1, 5 + 2 * inside)
-        # stage times on the global half-step index: the grid's, and
-        # (anchor + r, 2 r) for a side step to record r off anchor r // 10 * 10
-        side = {k for r in range(7, 60, 7) for k in (r // 10 * 10 + r, 2 * r)}
-        expected = sorted(set(range(0, 121, 10)) | side)
-        assert np.array_equal(np.unique(np.concatenate(calls)), np.array(expected) * (0.1 / 2))
+        assert [ts.size for ts in calls] == [1, 5, 5]
+        assert np.allclose(self._stage_starts(calls), [0.0, 1.0, 6.0], rtol=0, atol=1e-15)
+        assert (stats.accepted_steps, stats.stage_evaluations, stats.max_error_estimate) == (2, 13, 0.0)
+        assert stats.last_step == pytest.approx(50)
         assert recorded == [s * 0.1 for s in (7, 14, 21, 28, 35, 42, 49, 56, 60)]
 
     def test_truncation_monitor_aborts(self):
@@ -383,9 +389,9 @@ class TestIntegrate:
 
 
 def fixed_step_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
-    """The fixed-step RK4 kernel that preceded step doubling, as it was.
+    """The fixed-step RK4 kernel that preceded the adaptive ones, as it was.
 
-    The reference for m = 1: one step of ``dt`` at a time, in blocks of one
+    The accuracy reference: one step of ``dt`` at a time, in blocks of one
     record interval (the memory budget never binds at these sizes).
     """
     y, acc, tmp1, k = (np.empty_like(x) for _ in range(4))
@@ -441,52 +447,73 @@ def stride_test_runs(stride=7):
 class TestStepControl:
     def test_stride_config_runs_above_the_record_step(self):
         for traj in stride_test_runs():
-            assert traj.stats.step_multiple > 1
-            assert 0 < traj.stats.max_step_estimate <= fock._STEP_TOL * 2
-            assert traj.stats.rk4_steps < 200
+            stats = traj.stats
+            assert stats.last_step > 1
+            assert 0 < stats.max_error_estimate <= fock._STEP_TOL * 2
+            assert stats.accepted_steps < 200 and stats.rejected_steps == 0
+            assert stats.stage_evaluations == 1 + 6 * stats.accepted_steps
+            assert stats.records == 30   # 0, every 7 steps to 196, and 200
 
-    def test_cap_one_reproduces_fixed_step_rk4_bit_for_bit(self, monkeypatch):
-        monkeypatch.setattr(fock, "_STEP_CAP", 1)
-        ftraj, gtraj = stride_test_runs()
-        assert ftraj.stats.step_multiple == gtraj.stats.step_multiple == 1
-        monkeypatch.setattr(fock, "propagate_rk4", fixed_step_rk4)
-        monkeypatch.setattr(gaussian, "propagate_rk4", fixed_step_rk4)
-        fref, gref = stride_test_runs()
-        for field in ("t", "n1", "n2", "n_cav", "coh", "trace", "trunc_monitor", "herm_dev", "min_eig"):
-            assert np.array_equal(getattr(ftraj, field), getattr(fref, field))
-        assert np.array_equal(ftraj.final_state.matrix, fref.final_state.matrix)
-        for field in ("t", "occupations", "physicality"):
-            assert np.array_equal(getattr(gtraj, field), getattr(gref, field))
-        assert np.array_equal(gtraj.final_state.cov, gref.final_state.cov)
-        assert np.array_equal(gtraj.final_state.mean, gref.final_state.mean)
+    @staticmethod
+    def _fixed_step_reference(monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(fock, "propagate_rk4", fixed_step_rk4)
+            patch.setattr(gaussian, "propagate_rk4", fixed_step_rk4)
+            return stride_test_runs()
 
-    def test_internal_step_is_fourth_order(self, monkeypatch):
-        # with the estimate switched off, doubling m multiplies the change
-        # in the final state by 2^4
+    @staticmethod
+    def _gap(runs, reference):
+        """Largest record deviation of both engines from the reference runs."""
+        (ftraj, gtraj), (fref, gref) = runs, reference
+        assert np.array_equal(ftraj.t, fref.t) and np.array_equal(gtraj.t, gref.t)
+        gaps = [np.abs(getattr(ftraj, field) - getattr(fref, field)).max()
+                for field in ("n1", "n2", "n_cav", "coh", "trace")]
+        gaps.append(np.abs(ftraj.final_state.matrix - fref.final_state.matrix).max())
+        gaps.append(np.abs(gtraj.occupations - gref.occupations).max())
+        return max(gaps)
+
+    def test_records_stay_near_fixed_step_rk4(self, monkeypatch):
+        # the step-doubling kernel this one replaced lay up to 1.1e-9 from
+        # fixed-step RK4 at dt on this run
+        assert self._gap(stride_test_runs(), self._fixed_step_reference(monkeypatch)) <= 1.1e-9
+
+    def test_internal_step_is_fifth_order(self, monkeypatch):
+        # with the controller switched off, h stays at its first value
+        # 10 dt, and halving it divides the change in the final state by 2^5;
+        # dt is a power of 2, so the steps land on 200 dt exactly
         monkeypatch.setattr(fock, "_STEP_TOL", math.inf)
+        monkeypatch.setattr(fock, "_step_factor", lambda error, bound: 1.0)
+        fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
+        spec = FullLinearized(fr)
+        space = FockSpace((3, 3, 3))
+        dt = 2.0 ** math.floor(math.log2(0.01 / quadratic_model(spec).f_max))
+        dd = gaussian.drift_diffusion_from_generator(spec)
         finals = []
-        for cap in (1, 2, 4):
-            monkeypatch.setattr(fock, "_STEP_CAP", cap)
-            ftraj, gtraj = stride_test_runs(10**9)
+        for k in (0, 1, 2):
+            ftraj = integrate(spec, space, fock_state(space, (0, 1, 0)), 200 * dt, dt / 2**k,
+                              stride=10**9, truncation_tol=0.05)
+            gtraj = gaussian.evolve_covariance(dd, gaussian.fock_moments(3, (0, 1, 0)), 200 * dt,
+                                               dt / 2**k, stride=10**9)
+            assert ftraj.stats.accepted_steps == gtraj.stats.accepted_steps == 20 * 2**k
             finals.append((ftraj.final_state.matrix, gtraj.final_state.cov))
         for engine in (0, 1):
-            fine, mid, coarse = (f[engine] for f in finals)
+            coarse, mid, fine = (f[engine] for f in finals)
             ratio = np.abs(coarse - mid).max() / np.abs(mid - fine).max()
-            assert 13 < ratio < 19
+            assert 26 < ratio < 38
 
     def test_tight_tolerance_refines_then_raises_at_the_finest_step(self, monkeypatch):
-        coarse, _ = stride_test_runs()
-        monkeypatch.setattr(fock, "_STEP_CAP", 1)
-        finest, _ = stride_test_runs()
-        monkeypatch.setattr(fock, "_STEP_CAP", 10)
+        reference = self._fixed_step_reference(monkeypatch)
+        coarse = stride_test_runs()
         monkeypatch.setattr(fock, "_STEP_TOL", 1e-12)
-        refined, _ = stride_test_runs()
-        assert 1 < refined.stats.step_multiple < coarse.stats.step_multiple
-        assert refined.stats.max_step_estimate <= 1e-12
-        gap = lambda traj: np.abs(traj.n2 - finest.n2).max()
-        assert gap(refined) < gap(coarse)
+        refined = stride_test_runs()
+        for tight, loose in zip(refined, coarse):
+            # the first step, at 10 dt, is rejected
+            assert tight.stats.rejected_steps > 0
+            assert tight.stats.last_step < loose.stats.last_step
+        assert refined[0].stats.max_error_estimate <= 1e-12
+        assert self._gap(refined, reference) < self._gap(coarse, reference) <= 1.1e-9
         monkeypatch.setattr(fock, "_STEP_TOL", 0.0)
-        with pytest.raises(fock.StepControlError, match="at the finest step"):
+        with pytest.raises(fock.StepControlError, match="below the finest step"):
             stride_test_runs()
 
 

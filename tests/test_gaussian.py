@@ -200,7 +200,7 @@ class TestEvolution:
             assert abs(a - b) <= 1e-6 * max(abs(a), abs(b), 1e-3)
 
     def test_records_do_not_depend_on_stride(self):
-        # records off the m dt grid come from side steps; 7 does not divide 200
+        # records between steps come from the continuous extension; 7 does not divide 200
         fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
         dd = drift_diffusion_from_generator(FullLinearized(fr))
         dt = 0.01 / dd.f_max
@@ -227,7 +227,7 @@ class TestEvolution:
         ticking = DriftDiffusion(dd.drift, dd.diffusion, phase_nus=np.array([0.5]),
                                  phase_basis=np.zeros((2, 4, 4)), f_max=dd.f_max)
         rk4 = evolve_covariance(ticking, CovarianceState(mean0, 0.5 * np.eye(4)), t_end, dt, stride=50)
-        assert rk4.stats.rk4_steps > 0
+        assert rk4.stats.accepted_steps > 0
         assert np.abs(rk4.final_state.mean - exact.final_state.mean).max() < 1e-9
         assert np.abs(rk4.final_state.cov - exact.final_state.cov).max() < 1e-9
         assert np.abs(rk4.occupations - exact.occupations).max() < 1e-9
@@ -351,6 +351,12 @@ class TestEntanglementExperiment:
         res = entanglement_experiment(fr, r=1.0, t_end=math.pi / (2 * J), stride=2)
         assert res.max_log_negativity > 0.3
         assert math.isinf(res.xi)
+
+    def test_default_step_ends_on_t_end(self):
+        fr = frame_from_collective(1.0, 0.2, 10.0, 0.2, 0.1, 0.1)
+        for t_end in (400.0, 800.0):
+            res = entanglement_experiment(fr, r=1.0, t_end=t_end, stride=4)
+            assert res.trajectory.t[-1] == pytest.approx(t_end, rel=1e-12)
 
     def test_no_squeezing_no_entanglement(self):
         fr = frame_from_collective(1.0, 0.2, 10.0, 0.2, 0.1, 0.1)
