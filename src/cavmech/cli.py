@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .model import SystemConfig, derive_frame, load_config
+from .model import SystemConfig, derive_frame, frame_from_collective, load_config
 from .effective import coupling_nulls, interaction_regime
 from .fock import (
     FitError,
@@ -69,19 +69,30 @@ def _require_config(args) -> SystemConfig:
     return load_config(args.config)
 
 
+def _finite_float(text: str) -> float:
+    """Type of every float option, and of each number in a list or range option."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_range(text: str) -> tuple[float, float, int]:
     try:
         lo, hi, count = text.split(":")
-        return float(lo), float(hi), int(count)
-    except ValueError as exc:
-        raise UsageError(f"bad range {text!r}, expected lo:hi:count") from exc
+        return _finite_float(lo), _finite_float(hi), int(count)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"bad range {text!r}, expected lo:hi:count with finite lo and hi") from exc
 
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad number list {text!r}") from exc
+        return [_finite_float(x) for x in text.split(",") if x.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"bad number list {text!r}: {exc}") from exc
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -115,7 +126,6 @@ def _cmd_nulls(args) -> int:
     if args.config:
         frame = derive_frame(load_config(args.config))
     else:
-        from .model import frame_from_collective
         frame = frame_from_collective(args.omega_bar, 0.1 * args.omega_bar, args.omega_bar,
                                       args.kappa, 0.1, 0.1)
     nulls = coupling_nulls(frame)
@@ -241,18 +251,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("nulls", help="detunings where the exchange coupling vanishes")
     _add_common(p)
-    p.add_argument("--omega-bar", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=1.0)
+    p.add_argument("--omega-bar", type=_finite_float, default=1.0)
+    p.add_argument("--kappa", type=_finite_float, default=1.0)
 
     p = subs.add_parser("fig1", help="normalized exchange-coupling curves vs detuning")
     _add_common(p)
-    p.add_argument("--omega-bar", type=float, default=1.0)
+    p.add_argument("--omega-bar", type=_finite_float, default=1.0)
     p.add_argument("--kappas", default="0.5,1,1.5,3")
     p.add_argument("--delta-range", default="-3:3:601")
 
     p = subs.add_parser("fig2", help="classicality regime map over detuning and decay")
     _add_common(p)
-    p.add_argument("--delta-omega", type=float, default=0.1,
+    p.add_argument("--delta-omega", type=_finite_float, default=0.1,
                    help="mechanical frequency difference over the average frequency")
     p.add_argument("--kappas", default="0.1,0.3,1,3,10")
     p.add_argument("--delta-range", default="-10:10:401")
@@ -260,34 +270,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("xi-asymptote", help="log-log growth exponent of the "
                                              "coupling-to-noise ratio far from resonance")
     _add_common(p)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--delta-omega", type=float, default=0.2)
-    p.add_argument("--decades", type=float, nargs=2, default=(2.0, 4.0))
+    p.add_argument("--kappa", type=_finite_float, default=1.0)
+    p.add_argument("--delta-omega", type=_finite_float, default=0.2)
+    p.add_argument("--decades", type=_finite_float, nargs=2, default=(2.0, 4.0))
 
     for name, model in (("simulate-full", "full"), ("simulate-effective", "effective")):
         p = subs.add_parser(name, help=f"integrate the {model} model, write a trajectory CSV")
         _add_common(p)
-        p.add_argument("--t-end", type=float, default=100.0)
-        p.add_argument("--dt", type=float, default=None)
+        p.add_argument("--t-end", type=_finite_float, default=100.0)
+        p.add_argument("--dt", type=_finite_float, default=None)
         p.add_argument("--dims", default="4,4,4" if model == "full" else "4,4")
         p.add_argument("--initial", default="0,1,0" if model == "full" else "1,0")
         p.add_argument("--stride", type=int, default=100)
-        p.add_argument("--truncation-tol", type=float, default=1e-3)
+        p.add_argument("--truncation-tol", type=_finite_float, default=1e-3)
         p.set_defaults(model=model)
 
     p = subs.add_parser("entangle", help="effective-model run from squeezed vacuum, "
                                          "tracking logarithmic negativity")
     _add_common(p)
-    p.add_argument("--squeezing", type=float, default=1.0)
-    p.add_argument("--t-end", type=float, default=500.0)
+    p.add_argument("--squeezing", type=_finite_float, default=1.0)
+    p.add_argument("--t-end", type=_finite_float, default=500.0)
     p.add_argument("--stride", type=int, default=1)
 
     p = subs.add_parser("validate", help="five-stage cross-module consistency pipeline")
     _add_common(p)
     p.add_argument("--draws", type=int, default=1000)
     p.add_argument("--dims", default="4,3,3")
-    p.add_argument("--transfer-t-end", type=float, default=600.0)
-    p.add_argument("--truncation-tol", type=float, default=0.02)
+    p.add_argument("--transfer-t-end", type=_finite_float, default=600.0)
+    p.add_argument("--truncation-tol", type=_finite_float, default=0.02)
     p.add_argument("--verbose", action="store_true")
 
     return parser

@@ -187,7 +187,11 @@ class ReductionResult:
     validity_ratios: dict[str, float]
 
 
-def reduce_to_effective(table: CoefficientTable, atol_scale: float = 1e-10) -> ReductionResult:
+# Largest residual a structure check forgives, relative to the largest coefficient.
+_STRUCTURE_TOL = 1e-10
+
+
+def reduce_to_effective(table: CoefficientTable) -> ReductionResult:
     """Group the resonant terms into Hamiltonian and bath contributions.
 
     Raises :class:`StructureError` if the term set is not closed under
@@ -216,7 +220,7 @@ def reduce_to_effective(table: CoefficientTable, atol_scale: float = 1e-10) -> R
                 residuals.append(f"sandwich {term.left} rho {term.right} from {term.source}")
 
     scale = max(_poly_scale(left_poly), np.abs(down).max(), np.abs(up).max())
-    tol = atol_scale * scale
+    tol = _STRUCTURE_TOL * scale
 
     # the right-acting half must be the dagger of the left-acting half
     dag = _poly_dagger(left_poly)

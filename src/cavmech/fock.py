@@ -488,7 +488,7 @@ def integrate(
     stride: int = 100,
     truncation_tol: float = 1e-3,
 ) -> Trajectory:
-    """Propagate ``round(t_end / dt)`` steps of ``dt``, recording every ``stride``.
+    """Propagate to ``round(t_end / dt) * dt``, recording every ``stride`` steps of ``dt``.
 
     ``dt`` sets the record grid (every ``stride`` steps, plus the last
     step) and must satisfy ``dt <= 0.01 / f_max`` for the generator's

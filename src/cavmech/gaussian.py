@@ -9,8 +9,8 @@ and diffusion are compiled from the same :class:`~cavmech.fock.QuadraticModel`
 as the Fock-space generator, one formula per Hamiltonian term and per
 jump.  Both propagation paths carry the augmented moment matrix
 [[cov, mean], [mean^T, 1]]: a constant drift and diffusion map it by the
-exact moment map of each record interval; a time-dependent drift steps
-it with the adaptive Runge-Kutta kernel the Fock engine uses, with the
+exponential of its superoperator; a time-dependent drift steps it with
+the adaptive Runge-Kutta kernel the Fock engine uses, with the
 drift at the new stage times of a step built in one call
 (:meth:`DriftDiffusion.drift_at` takes an array of times).
 """
@@ -147,6 +147,22 @@ class DriftDiffusion:
         out += self.drift
         return out
 
+    def superoperator(self) -> np.ndarray:
+        """Matrix of X -> M X + X M^T + N X[n, n] on the row-major flattening of X.
+
+        M = blockdiag(A, 0) and N = blockdiag(D, 0).  On a symmetric X this
+        is the right-hand side that :func:`evolve_covariance` integrates,
+        and it keeps X[n, n] fixed.
+        """
+        if self.time_dependent:
+            raise ValueError("the superoperator needs a time-independent drift")
+        n = self.drift.shape[0]
+        M, N = np.zeros((2, n + 1, n + 1))
+        M[:n, :n], N[:n, :n] = self.drift, self.diffusion
+        out = np.kron(M, np.eye(n + 1)) + np.kron(np.eye(n + 1), M)
+        out[:, -1] += N.reshape(-1)
+        return out
+
 
 def _quad_form(T, terms, phase=1):
     """Quadrature matrix H of the Hamiltonian terms (H = r^T H r / 2 up to a constant).
@@ -231,17 +247,17 @@ def evolve_covariance(
     stride: int = 100,
     track_entanglement: bool = False,
 ) -> GaussTrajectory:
-    """Propagate the moment equations ``round(t_end / dt)`` steps of ``dt``.
+    """Propagate the moments to ``round(t_end / dt) * dt``, recording every ``stride`` steps of ``dt``.
 
     Both paths carry the augmented moment matrix X = [[cov, mean],
     [mean^T, 1]]: with M = blockdiag(A, 0) and N = blockdiag(D, 0),
     X' = M X + (M X)^T + N holds the covariance and the mean equations.
     ``dt`` sets the record grid (every ``stride`` steps, plus the last
     step) and must satisfy ``dt <= 0.01 / f_max``.  A constant drift maps
-    X from record to record by X -> P X P^T + Q, P = blockdiag(Phi, 1) and
-    Q = blockdiag(Q_S, 0) from :func:`_interval_map`; a time-dependent
-    drift takes adaptive Dormand-Prince 5(4) steps, with the records
-    between steps taken from the pair's continuous extension
+    X from record to record by expm(L h) over each interval h, L =
+    :meth:`DriftDiffusion.superoperator`; a time-dependent drift takes
+    adaptive Dormand-Prince 5(4) steps, with the records between steps
+    taken from the pair's continuous extension
     (:func:`~cavmech.fock.propagate_rk4`; the trajectory's ``stats`` say
     how).  X is re-symmetrized after every update (pure roundoff control)
     and the uncertainty-bound defect is monitored at every record; a
@@ -301,56 +317,23 @@ def evolve_covariance(
 
 
 def _propagate_exact(dd, x, n_steps, dt, stride, record):
-    """Exact record-to-record maps of the augmented moment matrix ``x``
-    under a constant drift and diffusion.
-
-    The map of an interval is built once per distinct interval length:
-    ``stride`` steps, and a shorter final interval if there is one.
-    Returns the final matrix.
+    """Exact record-to-record maps expm(L h) of the augmented moment matrix
+    ``x``, L = :meth:`DriftDiffusion.superoperator`, built once per distinct
+    interval length h: ``stride`` steps, and a shorter final interval if
+    there is one.  Returns the final matrix.
     """
-    n = dd.drift.shape[0]
+    superop = dd.superoperator()
     maps = {}
     step = 0
     while step < n_steps:
         width = min(stride, n_steps - step)
         if width not in maps:
-            phi, q = np.eye(n + 1), np.zeros((n + 1, n + 1))
-            phi[:n, :n], q[:n, :n] = _interval_map(dd.drift, dd.diffusion, width * dt)
-            maps[width] = phi, q
-        phi, q = maps[width]
-        x = phi @ x @ phi.T + q
+            maps[width] = expm(superop * (width * dt))
+        x = (maps[width] @ x.reshape(-1)).reshape(x.shape)
         x = 0.5 * (x + x.T)
         step += width
         record(step * dt, x)
     return x
-
-
-def _interval_map(A: np.ndarray, D: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact moment map over time ``h``: mean -> Phi mean, S -> Phi S Phi^T + Q.
-
-    Phi = e^{A h} and Q = int_0^h e^{A s} D e^{A^T s} ds, from Van Loan's
-    block exponential (IEEE Trans. Autom. Control 23, 395 (1978)):
-    expm([[-A, D], [0, A^T]] tau) = [[e^{-A tau}, e^{-A tau} Q(tau)],
-    [0, e^{A^T tau}]].  Because e^{-A tau} grows, the block exponential
-    covers at most tau with |A tau|_1 <= 1, and the map over h = 2^k tau
-    follows by doubling: Q(2 tau) = Phi(tau) Q(tau) Phi(tau)^T + Q(tau).
-    The doubling needs no stability of A, so lossless drifts work too.
-    """
-    n = A.shape[0]
-    norm = float(np.abs(A).sum(axis=0).max()) * h
-    halvings = math.ceil(math.log2(norm)) if norm > 1.0 else 0
-    tau = h / 2**halvings
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = -A
-    block[:n, n:] = D
-    block[n:, n:] = A.T
-    E = expm(block * tau)
-    phi = E[n:, n:].T
-    q = phi @ E[:n, n:]
-    for _ in range(halvings):
-        q = phi @ q @ phi.T + q
-        phi = phi @ phi
-    return phi, 0.5 * (q + q.T)
 
 
 def steady_state(dd: DriftDiffusion) -> CovarianceState:

@@ -280,6 +280,8 @@ def parse_config_text(text: str) -> SystemConfig:
             values[key] = float(val.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad number for {key!r}: {val.strip()!r}") from exc
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"line {lineno}: {key!r} must be a finite number, got {val.strip()!r}")
 
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:

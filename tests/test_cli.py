@@ -209,6 +209,41 @@ class TestSimulate:
         assert float(last[0]) == pytest.approx(t_end, rel=1e-12)   # the last record is at --t-end
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("args", [
+        ["simulate-effective", "--t-end", "inf"],
+        ["entangle", "--t-end", "inf"],
+        ["validate", "--transfer-t-end", "inf"],
+        ["nulls", "--kappa", "nan"],
+    ])
+    def test_non_finite_flag_is_usage_error(self, config_file, capsys, args):
+        config = ["--config", config_file] if args[0] != "nulls" else []
+        with pytest.raises(SystemExit) as exc:
+            main(args + config)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {args[1]}: expected a finite number" in captured.err
+
+    @pytest.mark.parametrize("args", [
+        ["fig1", "--kappas", "0.5,nan"],
+        ["fig2", "--delta-range=-inf:3:11"],
+    ])
+    def test_non_finite_list_entry_is_usage_error(self, capsys, args):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad ")
+
+    def test_non_finite_config_value_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.cfg"
+        path.write_text(CONFIG.replace("kappa = 0.2", "kappa = nan"))
+        assert main(["params", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "'kappa' must be a finite number" in captured.err
+
+
 class TestEntangle:
     def test_summary_and_csv(self, config_file, tmp_path, capsys):
         out = tmp_path / "ent.csv"

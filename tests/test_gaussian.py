@@ -85,6 +85,18 @@ class TestDriftDiffusionMapping:
         tol = 8 * np.finfo(float).eps * np.abs(scalar).max()
         assert np.abs(dd.drift_at(ts) - scalar).max() <= tol
 
+    def test_superoperator_is_the_moment_right_hand_side(self):
+        thermal = ((0.01, 0.5), (0.02, 1.5))
+        fr = frame_from_collective(1.0, 0.3, -2.2, 0.45, 0.12, 0.08, thermal_baths=thermal)
+        dd = drift_diffusion_from_generator(effective_generator(fr))
+        n = dd.drift.shape[0]
+        x = np.random.default_rng(12).normal(size=(n + 1, n + 1))
+        x += x.T
+        M, N = np.zeros((2, n + 1, n + 1))
+        M[:n, :n], N[:n, :n] = dd.drift, dd.diffusion
+        rhs = M @ x + (M @ x).T + N * x[n, n]
+        assert np.abs(dd.superoperator() @ x.reshape(-1) - rhs.reshape(-1)).max() < 1e-15
+
     @pytest.mark.parametrize("model,dims,t", [
         ("effective", (8, 8), 0.0),
         ("effective-thermal", (8, 8), 0.0),
@@ -158,8 +170,9 @@ class TestEvolution:
 
     @pytest.mark.filterwarnings("error")
     def test_single_lossless_interval_by_doubling(self):
-        # one 200-time-unit record interval: the interval map is built by
-        # doubling, with no overflow and no Hurwitz drift to lean on
+        # one 200-time-unit record interval: the interval map is a single
+        # exponential of the superoperator, with no overflow and no Hurwitz
+        # drift to lean on
         fr = frame_from_collective(1.0, 0.2, 0.7, 0.0, 0.1, 0.1)
         dd = drift_diffusion_from_generator(effective_generator(fr))
         state0 = squeezed_vacuum(2, 0, 0.9)
@@ -199,12 +212,18 @@ class TestEvolution:
         for a, b in zip(coarse.occupations[-1], fine.occupations[-1]):
             assert abs(a - b) <= 1e-6 * max(abs(a), abs(b), 1e-3)
 
-    def test_records_do_not_depend_on_stride(self):
-        # records between steps come from the continuous extension; 7 does not divide 200
+    @pytest.mark.parametrize("model", ["full", "effective"])
+    def test_records_do_not_depend_on_stride(self, model):
+        # the full model's records between steps come from the continuous
+        # extension; the effective model's exact path builds one map per
+        # interval length, and 7 does not divide 200
         fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
-        dd = drift_diffusion_from_generator(FullLinearized(fr))
+        if model == "full":
+            spec, state0 = FullLinearized(fr), fock_moments(3, (0, 1, 0))
+        else:
+            spec, state0 = effective_generator(fr), fock_moments(2, (1, 0))
+        dd = drift_diffusion_from_generator(spec)
         dt = 0.01 / dd.f_max
-        state0 = fock_moments(3, (0, 1, 0))
         runs = {stride: evolve_covariance(dd, state0, 200 * dt, dt, stride=stride)
                 for stride in (1, 7, 10**9)}
         every = runs[1]
@@ -286,6 +305,8 @@ class TestSteadyState:
         dd = drift_diffusion_from_generator(FullLinearized(fr))
         with pytest.raises(ValueError, match="time-independent"):
             steady_state(dd)
+        with pytest.raises(ValueError, match="time-independent"):
+            dd.superoperator()
 
 
 class TestLogNegativity:
