@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FrameParams
+from .model import FrameParams, _anywhere
 
 
 class OutOfValidityError(ValueError):
@@ -86,12 +86,15 @@ def _lorentzian_pair(G_sq, kappa, delta_bar, x):
 
 
 def rate_pairs(delta_bar, omega_bar, delta_omega, kappa, G_1, G_2) -> dict[str, tuple]:
-    """(down, up) pair of each bath "1", "2", "collective"; elementwise in delta_bar.
+    """(down, up) pair of each bath "1", "2", "collective"; elementwise.
 
-    A lossless cavity gives every bath the pair (0, 0).
+    A lossless cavity gives every bath the pair (0, 0).  An array of
+    decays must be lossless everywhere or nowhere.
     """
     baths = _baths(omega_bar, delta_omega, G_1, G_2)
-    if kappa == 0.0:
+    if _anywhere(kappa == 0.0):
+        if _anywhere(kappa != 0.0):
+            raise ValueError("rate_pairs needs kappa lossless everywhere or nowhere")
         return {name: (0.0, 0.0) for name in baths}
     return {name: _lorentzian_pair(G_sq, kappa, delta_bar, x) for name, (G_sq, x) in baths.items()}
 
@@ -110,10 +113,11 @@ def exchange_coupling(frame: FrameParams) -> float:
 
     Evaluated as G1 G2 Im[(kappa + 2i delta_bar)/((kappa/2 + i delta_bar)^2
     + omega_bar^2)]; equal to G1 G2 times :func:`exchange_pathway_sum`.
+    Elementwise for a frame of arrays.
     """
     kappa, db, ob = frame.kappa, frame.delta_bar, frame.omega_bar
     den = (kappa / 2 + 1j * db) ** 2 + ob * ob
-    if den == 0:
+    if _anywhere(den == 0):
         raise OutOfValidityError(
             "exchange coupling diverges for a lossless cavity at delta_bar = +-omega_bar"
         )

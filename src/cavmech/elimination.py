@@ -12,6 +12,13 @@ of the collective coordinates, so no numeric near-zero test is involved),
 and reduces the surviving terms to Hamiltonian and bath parameters.  It
 shares no code with the closed forms in :mod:`cavmech.effective`, which it
 exists to check.
+
+The terms, their frequency labels and their normal-ordered monomials do
+not depend on the frame; only the coefficients do.  So a frame whose
+numeric fields are equal-length 1-D arrays (one entry per parameter draw)
+is enumerated and reduced once, with every coefficient, structure check
+and result an array over the draws.  A frame of scalars gives scalar
+results.
 """
 
 from __future__ import annotations
@@ -47,11 +54,12 @@ def _fneg(a: Freq) -> Freq:
 
 @dataclass
 class PreRwaTerm:
-    """One elementary contribution c * (left rho right)."""
+    """One elementary contribution c * (left rho right); ``c`` is an array
+    over the draws of an array frame."""
 
     left: tuple[Op, ...]
     right: tuple[Op, ...]
-    coefficient: complex
+    coefficient: complex | np.ndarray
     frequency: Freq
     source: str
 
@@ -81,9 +89,10 @@ def build_coefficient_table(frame: FrameParams) -> CoefficientTable:
     the stationary solution of the coherence matrix element; every pairing
     of mode, pump, quadrature component, inner component, and operator
     placement is generated (256 terms), then filtered on exact residual
-    frequency.
+    frequency.  The numeric fields of ``frame`` may be scalars or
+    equal-length 1-D arrays; each coefficient then has their shape.
     """
-    if frame.kappa <= 0:
+    if not np.all(frame.kappa > 0):
         raise ValueError("the elimination requires kappa > 0")
 
     G = {1: frame.G_1, 2: frame.G_2}
@@ -172,13 +181,33 @@ def _poly_dagger(poly: dict) -> dict:
     return out
 
 
-def _poly_scale(poly: dict) -> float:
-    return max((abs(c) for c in poly.values()), default=0.0)
+def _matrix_max(m: np.ndarray):
+    """Largest |entry| of each draw's 2 x 2 matrix."""
+    return np.abs(m).max(axis=(0, 1))
+
+
+def _at_draws(bad) -> str:
+    """The draws a structure check failed at; empty for a scalar frame."""
+    if np.ndim(bad) == 0:
+        return ""
+    idx = np.flatnonzero(bad)
+    shown = ", ".join(str(i) for i in idx[:10]) + (", ..." if idx.size > 10 else "")
+    return f" at draws [{shown}] ({idx.size} of {np.size(bad)})"
+
+
+def _where_defined(ok, num, den, fallback):
+    """num / den where ``ok``, else ``fallback``; per draw.  ``[()]`` turns
+    a scalar frame's 0-d result back into a scalar."""
+    return np.where(ok, num / np.where(ok, den, 1.0), fallback)[()]
 
 
 @dataclass
 class ReductionResult:
-    """Effective parameters recovered term-by-term from the table."""
+    """Effective parameters recovered term-by-term from the table.
+
+    Every number is an array over the draws of an array frame; the rate
+    matrices then have shape (2, 2, draws).
+    """
 
     params: EffectiveParams
     frequency_shifts: tuple[float, float]
@@ -194,16 +223,24 @@ _STRUCTURE_TOL = 1e-10
 def reduce_to_effective(table: CoefficientTable) -> ReductionResult:
     """Group the resonant terms into Hamiltonian and bath contributions.
 
+    The grouping is done once for all draws of an array frame, and every
+    structure check is made per draw against that draw's own scale.
     Raises :class:`StructureError` if the term set is not closed under
     conjugation, contains sandwich terms outside the down/up patterns, or
-    fails to conserve the trace, and identifies the offending monomials.
+    fails to conserve the trace, and identifies the offending monomials
+    and the draws they fail at.
     """
     frame = table.frame
+    shape = np.broadcast_shapes(*(np.shape(t.coefficient) for t in table.resonant_terms))
     left_poly: dict[tuple[Op, ...], complex] = {}
     right_poly: dict[tuple[Op, ...], complex] = {}
-    down = np.zeros((2, 2), complex)
-    up = np.zeros((2, 2), complex)
+    down = np.zeros((2, 2) + shape, complex)
+    up = np.zeros((2, 2) + shape, complex)
     residuals: list[str] = []
+
+    def check(bad, what: str) -> None:
+        if np.any(bad):
+            residuals.append(what + _at_draws(bad))
 
     for term in table.resonant_terms:
         if len(term.left) == 2:
@@ -219,14 +256,15 @@ def reduce_to_effective(table: CoefficientTable) -> ReductionResult:
             else:
                 residuals.append(f"sandwich {term.left} rho {term.right} from {term.source}")
 
-    scale = max(_poly_scale(left_poly), np.abs(down).max(), np.abs(up).max())
+    scale = np.max([*(np.abs(c) for c in left_poly.values()), _matrix_max(down), _matrix_max(up)],
+                   axis=0)
     tol = _STRUCTURE_TOL * scale
 
     # the right-acting half must be the dagger of the left-acting half
     dag = _poly_dagger(left_poly)
     for mono in set(dag) | set(right_poly):
-        if abs(dag.get(mono, 0) - right_poly.get(mono, 0)) > tol:
-            residuals.append(f"conjugation mismatch on monomial {mono}")
+        check(np.abs(dag.get(mono, 0) - right_poly.get(mono, 0)) > tol,
+              f"conjugation mismatch on monomial {mono}")
 
     # trace conservation: M + M^dag + sum_c (Q P) must cancel exactly
     balance: dict[tuple[Op, ...], complex] = dict(left_poly)
@@ -234,18 +272,18 @@ def reduce_to_effective(table: CoefficientTable) -> ReductionResult:
         balance[mono] = balance.get(mono, 0) + c
     for i in range(2):
         for j in range(2):
-            if down[i, j] != 0:
-                _poly_add(balance, ((j + 1, True), (i + 1, False)), down[i, j])
-            if up[i, j] != 0:
-                _poly_add(balance, ((j + 1, False), (i + 1, True)), up[i, j])
+            _poly_add(balance, ((j + 1, True), (i + 1, False)), down[i, j])
+            _poly_add(balance, ((j + 1, False), (i + 1, True)), up[i, j])
     for mono, c in balance.items():
-        if abs(c) > tol:
-            residuals.append(f"trace-violating remainder {c} on {mono}")
+        remainder = np.abs(c)
+        check(remainder > tol, f"trace-violating remainder up to {np.max(remainder):.3g} on {mono}")
 
-    if np.abs(down - down.conj().T).max() > tol or np.abs(up - up.conj().T).max() > tol:
-        residuals.append("non-Hermitian rate matrix")
-    if np.abs(down.imag).max() > tol or np.abs(up.imag).max() > tol:
-        residuals.append("complex bath rates")
+    def adjoint(m):
+        return m.swapaxes(0, 1).conj()
+
+    check((_matrix_max(down - adjoint(down)) > tol) | (_matrix_max(up - adjoint(up)) > tol),
+          "non-Hermitian rate matrix")
+    check((_matrix_max(down.imag) > tol) | (_matrix_max(up.imag) > tol), "complex bath rates")
 
     if residuals:
         raise StructureError("; ".join(residuals))
@@ -254,29 +292,29 @@ def reduce_to_effective(table: CoefficientTable) -> ReductionResult:
     ham: dict[tuple[Op, ...], complex] = {}
     for mono in set(left_poly) | set(dag):
         h = 0.5j * (left_poly.get(mono, 0) - dag.get(mono, 0))
-        if abs(h) > tol:
-            ham[mono] = h
+        ham[mono] = np.where(np.abs(h) > tol, h, 0)[()]
 
     def ham_coeff(mono):
         c = ham.get(mono, 0.0 + 0j)
-        if abs(c.imag) > tol:
-            raise StructureError(f"non-real Hamiltonian coefficient {c} on {mono}")
-        return c.real
+        bad = np.abs(np.imag(c)) > tol
+        if np.any(bad):
+            raise StructureError(f"non-real Hamiltonian coefficient on {mono}{_at_draws(bad)}")
+        return np.real(c)
 
     shift_1 = ham_coeff(((1, True), (1, False)))
     shift_2 = ham_coeff(((2, True), (2, False)))
     coupling = ham_coeff(((1, True), (2, False)))
     known = {((1, True), (1, False)), ((2, True), (2, False)),
              ((1, True), (2, False)), ((1, False), (2, True)), ()}
-    extra = [m for m in ham if m not in known]
+    extra = [f"{m}{_at_draws(h != 0)}" for m, h in ham.items() if m not in known and np.any(h != 0)]
     if extra:
-        raise StructureError(f"unexpected Hamiltonian monomials {extra}")
+        raise StructureError(f"unexpected Hamiltonian monomials {', '.join(extra)}")
 
     # split the rate matrices into per-mode baths and the shared bath
     # the shared bath couples through sqrt(g1/g2) b_1 + sqrt(g2/g1) b_2
-    if frame.g_1 <= 0 or frame.g_2 <= 0:
+    if np.any(frame.g_1 <= 0) or np.any(frame.g_2 <= 0):
         raise ValueError("couplings must be positive to define the collective mode")
-    c_1, c_2 = math.sqrt(frame.g_1 / frame.g_2), math.sqrt(frame.g_2 / frame.g_1)
+    c_1, c_2 = np.sqrt(frame.g_1 / frame.g_2), np.sqrt(frame.g_2 / frame.g_1)
     c_sq = (c_1 ** 2, c_2 ** 2)
     down_r, up_r = down.real, up.real
     down_coll = down_r[0, 1] / (c_1 * c_2)
@@ -293,23 +331,23 @@ def reduce_to_effective(table: CoefficientTable) -> ReductionResult:
         gamma_1=gammas[0],
         gamma_2=gammas[1],
         gamma_collective=gamma_coll,
-        nbar_1=up_j[0] / gammas[0] if gammas[0] != 0 else math.nan,
-        nbar_2=up_j[1] / gammas[1] if gammas[1] != 0 else math.nan,
-        nbar_collective=up_coll / gamma_coll if gamma_coll != 0 else math.nan,
+        nbar_1=_where_defined(gammas[0] != 0, up_j[0], gammas[0], math.nan),
+        nbar_2=_where_defined(gammas[1] != 0, up_j[1], gammas[1], math.nan),
+        nbar_collective=_where_defined(gamma_coll != 0, up_coll, gamma_coll, math.nan),
         gamma_total=gamma_total,
-        xi=abs(coupling) / gamma_total if gamma_total > 0 else math.inf,
+        xi=_where_defined(gamma_total > 0, np.abs(coupling), gamma_total, math.inf),
         rate_table={
             "1": (down_j[0], up_j[0]),
             "2": (down_j[1], up_j[1]),
             "collective": (down_coll, up_coll),
         },
     )
-    g_max = max(frame.G_1, frame.G_2)
+    g_max = np.maximum(frame.G_1, frame.G_2)
     ratios = {
         "G_over_kappa": g_max / frame.kappa,
-        "G_over_sideband_gap": g_max / min(
-            abs(frame.delta_bar - frame.omega_bar) + frame.kappa / 2,
-            abs(frame.delta_bar + frame.omega_bar) + frame.kappa / 2,
+        "G_over_sideband_gap": g_max / np.minimum(
+            np.abs(frame.delta_bar - frame.omega_bar) + frame.kappa / 2,
+            np.abs(frame.delta_bar + frame.omega_bar) + frame.kappa / 2,
         ),
     }
     return ReductionResult(

@@ -571,9 +571,11 @@ def integrate(
 def step_count(t_end: float, dt: float, stride: int, f_max: float) -> int:
     """Number of steps of ``dt`` in ``t_end``, after checking the run parameters.
 
-    Both engines require ``dt <= 0.01 / f_max`` for the generator's fastest
-    scale, a positive ``dt``, a nonnegative ``t_end`` and ``stride >= 1``.
+    Both engines require a finite ``t_end``, ``dt <= 0.01 / f_max`` for the
+    generator's fastest scale, a positive ``dt``, a nonnegative ``t_end``
+    and ``stride >= 1``.
     """
+    _require_finite_t_end(t_end)
     if f_max > 0 and dt > 0.01 / f_max * (1 + 1e-9):
         raise ValueError(
             f"dt={dt} too coarse for the fastest scale {f_max}; need dt <= {0.01 / f_max}"
@@ -587,9 +589,15 @@ def step_count(t_end: float, dt: float, stride: int, f_max: float) -> int:
     return int(round(t_end / dt)) if t_end > 0 else 0
 
 
+def _require_finite_t_end(t_end: float) -> None:
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+
+
 def fewest_steps_dt(t_end: float, f_max: float) -> float:
     """The ``dt`` of the fewest steps within the guard ``dt <= 0.01 / f_max``
     that divide ``t_end``, so the last record lands on ``t_end``."""
+    _require_finite_t_end(t_end)
     steps = math.ceil(t_end * f_max / 0.01) if f_max > 0 else 1000
     return t_end / steps if steps > 0 else 0.01 / f_max
 
@@ -894,7 +902,7 @@ def excitation_transfer_experiment(
 
     f_max = quadratic_model(spec).f_max
     dt = 0.01 / f_max if f_max > 0 else protocol.t_end / 1000
-    stride = max(1, int(round(protocol.t_end / dt)) // 2000)
+    stride = max(1, step_count(protocol.t_end, dt, 1, f_max) // 2000)
     traj = integrate(
         spec, space, rho0, protocol.t_end, dt,
         stride=stride, truncation_tol=protocol.truncation_tol,

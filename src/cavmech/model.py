@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Raised for invalid or inconsistent physical configurations."""
@@ -112,6 +114,12 @@ class FrameParams:
     thermal_baths: tuple[tuple[float, float], ...] | None = None
 
 
+def _anywhere(mask) -> bool:
+    """Whether a comparison holds for a scalar, or for any element of an
+    array (without ``np.any``'s cost of several microseconds on a scalar)."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def optical_spring(G: float, delta: float, omega: float, kappa: float) -> float:
     """Pump-induced mechanical frequency shift, one pump's contribution.
 
@@ -126,13 +134,15 @@ def optical_spring(G: float, delta: float, omega: float, kappa: float) -> float:
 
     A lossless cavity pumped exactly on a mechanical sideband has no
     finite shift; NaN is returned there (the value is informational).
+    Elementwise for arrays.
     """
     k2 = kappa * kappa / 4
     total = 0.0
     for x in (delta - omega, delta + omega):
         den = k2 + x * x
-        if den == 0.0:
-            return math.nan
+        pole = den == 0.0
+        if _anywhere(pole):
+            den = np.where(pole, math.nan, den)
         total += x / den
     return G * G * total
 
@@ -218,19 +228,20 @@ def frame_from_collective(
     from the collective values themselves rather than by differencing a
     large cavity frequency, so no precision is lost to cancellation;
     otherwise this is equivalent to ``derive_frame`` on a corresponding
-    lab-frame config.
+    lab-frame config.  Any argument may be an array: every field is then
+    the elementwise value, and one invalid element raises ``ConfigError``.
     """
     w1 = omega_bar + delta_omega / 2
     w2 = omega_bar - delta_omega / 2
-    if w1 <= 0 or w2 <= 0:
+    if _anywhere((w1 <= 0) | (w2 <= 0)):
         raise ConfigError("collective coordinates imply a nonpositive mode frequency")
-    if G_1 <= 0 or G_2 <= 0 or alpha == 0:
+    if _anywhere((G_1 <= 0) | (G_2 <= 0) | (alpha == 0)):
         raise ConfigError("dressed couplings must be positive")
     d1 = delta_bar + delta_omega / 2
     d2 = delta_bar - delta_omega / 2
-    if kappa < 0:
+    if _anywhere(kappa < 0):
         raise ConfigError("cavity decay must be nonnegative")
-    if kappa == 0 and (d1 == 0 or d2 == 0):
+    if _anywhere((kappa == 0) & ((d1 == 0) | (d2 == 0))):
         raise ConfigError("pump on exact resonance of a lossless cavity: displacement undefined")
     spring1 = optical_spring(G_1, d1, w1, kappa) + optical_spring(G_1, d2, w1, kappa)
     spring2 = optical_spring(G_2, d1, w2, kappa) + optical_spring(G_2, d2, w2, kappa)

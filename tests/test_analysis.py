@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cavmech import analysis, elimination
 from cavmech.analysis import (
     Dataset,
     SweepGrid,
@@ -149,6 +150,43 @@ class TestAsymptote:
 class TestChecks:
     def test_reduction_agreement_sample(self):
         assert check_reduction_agreement(60, seed=5) < 1e-9
+
+    @staticmethod
+    def count_oracle_calls(monkeypatch):
+        frames, calls = [], {"build": 0, "reduce": 0}
+
+        def build(frame):
+            calls["build"] += 1
+            frames.append(frame)
+            return elimination.build_coefficient_table(frame)
+
+        def reduce(table):
+            calls["reduce"] += 1
+            return elimination.reduce_to_effective(table)
+
+        monkeypatch.setattr(analysis, "build_coefficient_table", build)
+        monkeypatch.setattr(analysis, "reduce_to_effective", reduce)
+        return frames, calls
+
+    def test_reduction_agreement_runs_the_oracle_once(self, monkeypatch):
+        frames, calls = self.count_oracle_calls(monkeypatch)
+        assert check_reduction_agreement(1000) < 1e-9
+        assert calls == {"build": 1, "reduce": 1}
+        assert frames[0].kappa.shape == (1000,)
+
+    def test_reduction_agreement_draws_as_a_scalar_loop(self, monkeypatch):
+        frames, _ = self.count_oracle_calls(monkeypatch)
+        check_reduction_agreement(1000, seed=20240901)
+        rng = np.random.default_rng(20240901)
+        for i in range(1000):
+            kappa = float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
+            db = float(rng.uniform(-10.0, 10.0))
+            dw = float(rng.uniform(0.05, 1.9))
+            g1 = float(np.exp(rng.uniform(np.log(0.01), np.log(0.2))))
+            g2 = float(np.exp(rng.uniform(np.log(0.01), np.log(0.2))))
+            fr = frames[0]
+            assert (fr.kappa[i], fr.delta_bar[i], fr.delta_omega[i], fr.G_1[i], fr.G_2[i]) == (
+                kappa, db, dw, g1, g2)
 
     def test_rate_identity_sample(self):
         out = check_rate_identities(2000, seed=6)

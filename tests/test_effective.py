@@ -150,6 +150,28 @@ class TestRatePairs:
             assert total_noise(table)[i] == total_noise(scalar)
 
 
+    def test_elementwise_over_an_array_frame(self):
+        # the oracle check compares a frame of arrays draw by draw; a
+        # Python float's ** 2 may round differently from NumPy's square
+        scalars = random_frames(20, seed=7)
+        fr = frame(**{name: np.array([getattr(f, name) for f in scalars])
+                      for name in ("delta_omega", "delta_bar", "kappa", "G_1", "G_2")})
+        table, coupling = pairs(fr), exchange_coupling(fr)
+        for i, one in enumerate(scalars):
+            scalar = pairs(one)
+            for name in ("1", "2", "collective"):
+                assert (table[name][0][i], table[name][1][i]) == pytest.approx(scalar[name], rel=1e-15)
+            assert coupling[i] == pytest.approx(exchange_coupling(one), rel=1e-13)
+
+    def test_array_of_decays_lossless_everywhere_or_nowhere(self):
+        fr = frame(delta_bar=np.array([0.4, 0.6]), kappa=np.array([0.0, 0.0]))
+        assert all(pair == (0.0, 0.0) for pair in pairs(fr).values())
+        with pytest.raises(ValueError, match="everywhere or nowhere"):
+            pairs(frame(delta_bar=np.array([0.4, 0.6]), kappa=np.array([0.0, 0.2])))
+        with pytest.raises(OutOfValidityError):
+            exchange_coupling(frame(delta_bar=np.array([0.5, 1.0]), kappa=0.0))
+
+
 class TestTotalDecoherence:
     def test_reference_value_at_zero_detuning(self):
         fr = frame(delta_bar=0.0)

@@ -137,6 +137,59 @@ class TestReduction:
             reduce_to_effective(table)
 
 
+def draws(n, seed):
+    """An array frame of ``n`` random draws, and the same draws as scalar frames."""
+    rng = np.random.default_rng(seed)
+    cols = dict(
+        delta_omega=rng.uniform(0.05, 1.9, n),
+        delta_bar=rng.uniform(-10, 10, n),
+        kappa=np.exp(rng.uniform(np.log(0.01), np.log(10), n)),
+        G_1=np.exp(rng.uniform(np.log(0.01), np.log(0.2), n)),
+        G_2=np.exp(rng.uniform(np.log(0.01), np.log(0.2), n)),
+    )
+    scalars = [frame(**{k: float(v[i]) for k, v in cols.items()}) for i in range(n)]
+    return frame(**cols), scalars
+
+
+class TestArrayFrames:
+    def test_array_table_reduces_like_scalar_tables(self):
+        array_frame, scalar_frames = draws(50, 29)
+        reduced = reduce_to_effective(build_coefficient_table(array_frame))
+        for i, fr in enumerate(scalar_frames):
+            one = reduce_to_effective(build_coefficient_table(fr))
+            assert rel(one.params.exchange_coupling, reduced.params.exchange_coupling[i]) < 1e-12
+            assert rel(one.params.gamma_total, reduced.params.gamma_total[i]) < 1e-12
+            for bath in ("1", "2", "collective"):
+                for k in range(2):
+                    assert rel(one.params.rate_table[bath][k],
+                               reduced.params.rate_table[bath][k][i]) < 1e-12
+            for k in range(2):
+                assert rel(one.frequency_shifts[k], reduced.frequency_shifts[k][i]) < 1e-12
+            assert np.abs(one.down_matrix - reduced.down_matrix[..., i]).max() < 1e-12 * np.abs(
+                one.down_matrix).max()
+
+    def test_scalar_frame_gives_scalars(self):
+        reduced = reduce_to_effective(build_coefficient_table(frame()))
+        p = reduced.params
+        numbers = [p.exchange_coupling, p.gamma_total, p.xi, p.nbar_1, *reduced.frequency_shifts,
+                   *reduced.validity_ratios.values(), *p.rate_table["collective"]]
+        assert all(isinstance(x, float) for x in numbers)
+        assert reduced.down_matrix.shape == (2, 2)
+
+    @pytest.mark.parametrize("terms, index, factor", [("cross_terms", 3, -1.0),
+                                                      ("single_mode_terms", 0, 1.5)])
+    def test_corrupted_draw_is_named(self, terms, index, factor):
+        table = build_coefficient_table(draws(20, 31)[0])
+        getattr(table, terms)[index].coefficient[13] *= factor
+        with pytest.raises(StructureError, match=r"at draws \[13\] \(1 of 20\)"):
+            reduce_to_effective(table)
+
+    def test_every_draw_needs_a_dissipative_cavity(self):
+        fr = frame(kappa=np.array([0.4, 0.0, 0.2]), delta_bar=np.array([1.7, 1.0, -2.0]))
+        with pytest.raises(ValueError, match="kappa > 0"):
+            build_coefficient_table(fr)
+
+
 class TestGeneratorStructure:
     def test_trace_and_hermiticity_preservation(self):
         fr = frame()

@@ -387,6 +387,18 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="negative"):
             compile_generator(spec, FockSpace((3, 3)))
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_non_finite_t_end_rejected(self, t_end):
+        space = FockSpace((3, 3))
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            integrate(effective_generator(desk_frame()), space, fock_state(space, (1, 0)),
+                      t_end, 0.1)
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_fewest_steps_dt_rejects_non_finite_t_end(self, t_end):
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            fock.fewest_steps_dt(t_end, 1.0)
+
 
 def fixed_step_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
     """The fixed-step RK4 kernel that preceded the adaptive ones, as it was.
@@ -735,6 +747,12 @@ class TestTransferExperiment:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             excitation_transfer_experiment(desk_frame(), TransferProtocol(), model="hybrid")
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_non_finite_t_end_rejected(self, t_end):
+        protocol = TransferProtocol(t_end=t_end)
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            excitation_transfer_experiment(desk_frame(), protocol, model="full")
 
 
 class TestDensityState:

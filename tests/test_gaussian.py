@@ -168,6 +168,13 @@ class TestEvolution:
         end = symplectic_eigenvalues(traj.final_state.cov)
         assert end == pytest.approx(start, abs=1e-9)
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_non_finite_t_end_rejected(self, t_end):
+        fr = frame_from_collective(1.0, 0.2, 0.7, 0.0, 0.1, 0.1)
+        dd = drift_diffusion_from_generator(effective_generator(fr))
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            evolve_covariance(dd, vacuum_state(2), t_end, 0.01 / dd.f_max)
+
     @pytest.mark.filterwarnings("error")
     def test_single_lossless_interval_by_doubling(self):
         # one 200-time-unit record interval: the interval map is a single

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -144,6 +145,42 @@ class TestCollectiveConstructor:
             frame_from_collective(1.0, 2.5, 1.0, 0.1, 0.1, 0.1)  # omega_2 < 0
         with pytest.raises(ConfigError):
             frame_from_collective(1.0, 0.2, 1.0, 0.1, -0.1, 0.1)
+
+    def test_array_frame_equals_scalar_frames_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        n = 40
+        args = [1.0, rng.uniform(0.05, 1.9, n), rng.uniform(-10, 10, n),
+                np.exp(rng.uniform(np.log(0.01), np.log(10), n)),
+                rng.uniform(0.01, 0.2, n), rng.uniform(0.01, 0.2, n)]
+        # a lossless draw pumped on the mode-1 sideband, where spring_1 is NaN
+        args[1][0], args[2][0], args[3][0] = 0.2, 1.0, 0.0
+        array_frame = frame_from_collective(*args)
+        assert math.isnan(array_frame.spring_1[0])
+        for i in range(n):
+            one = frame_from_collective(*(a if np.ndim(a) == 0 else float(a[i]) for a in args))
+            for f in fields(one):
+                if f.name == "thermal_baths":
+                    continue
+                got = np.broadcast_to(getattr(array_frame, f.name), (n,))[i]
+                assert np.asarray(got).tobytes() == np.asarray(getattr(one, f.name)).tobytes(), f.name
+
+    @pytest.mark.parametrize("bad", [
+        dict(delta_omega=np.array([0.2, 2.5, 0.2])),  # omega_2 < 0 in one draw
+        dict(G_2=np.array([0.1, 0.1, -0.1])),
+        dict(kappa=np.array([0.1, -0.1, 0.1])),
+        dict(kappa=np.array([0.1, 0.0, 0.1]), delta_bar=np.array([1.0, 0.1, 1.0])),  # delta_2 = 0
+    ])
+    def test_one_invalid_element_raises(self, bad):
+        args = dict(omega_bar=1.0, delta_omega=0.2, delta_bar=1.0, kappa=0.1, G_1=0.1, G_2=0.1)
+        with pytest.raises(ConfigError):
+            frame_from_collective(**{**args, **bad})
+
+    def test_scalar_fields_keep_their_types(self):
+        frame = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.07)
+        for f in fields(frame):
+            if f.name != "thermal_baths":
+                want = complex if f.name.startswith("eta") else float
+                assert type(getattr(frame, f.name)) is want, f.name
 
 
 class TestConfigFile:
