@@ -30,7 +30,7 @@ from .fock import (
     integrate,
     quadratic_model,
 )
-from .gaussian import entanglement_experiment
+from .gaussian import PhysicalityError, entanglement_experiment
 from .analysis import (
     Dataset,
     SweepGrid,
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
         if args.command in ("simulate-full", "simulate-effective"):
             return _cmd_simulate(args, args.model)
         return _DISPATCH[args.command](args)
-    except (FitError, TruncationError, StepControlError) as exc:
+    except (FitError, TruncationError, StepControlError, PhysicalityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

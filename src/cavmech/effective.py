@@ -80,8 +80,11 @@ def bath_centers(frame: FrameParams) -> tuple[float, float]:
 
 def _lorentzian_pair(G_sq, kappa, delta_bar, x):
     """(down, up) Lorentzian rate pair of a lossy cavity; elementwise."""
-    down = G_sq * kappa / (kappa * kappa / 4 + (delta_bar - x) ** 2)
-    up = G_sq * kappa / (kappa * kappa / 4 + (delta_bar + x) ** 2)
+    # products, not ** 2: a Python float's ** is libm pow, which may round
+    # differently from NumPy's square of the same number
+    d_down, d_up = delta_bar - x, delta_bar + x
+    down = G_sq * kappa / (kappa * kappa / 4 + d_down * d_down)
+    up = G_sq * kappa / (kappa * kappa / 4 + d_up * d_up)
     return down, up
 
 
@@ -227,7 +230,8 @@ def coupling_nulls(frame: FrameParams, tol: float = 1e-12) -> list[float]:
 
 def _net_rate_denominator(x, delta_bar, kappa):
     """(kappa^2/4 + x^2 - delta_bar^2)^2 + kappa^2 delta_bar^2; elementwise."""
-    return (kappa * kappa / 4 + x * x - delta_bar * delta_bar) ** 2 + kappa * kappa * delta_bar * delta_bar
+    d = kappa * kappa / 4 + x * x - delta_bar * delta_bar
+    return d * d + kappa * kappa * delta_bar * delta_bar
 
 
 def net_rate_closed(G_sq, x, delta_bar, kappa):

@@ -21,7 +21,8 @@ one call (:meth:`CompiledGenerator.drift` takes an array of times and
 sums the phase terms by one sparse product, so no BLAS thread is
 woken).  Repeated runs are bit-identical, the trace is
 never rescaled, and trace, Hermiticity, positivity, and top-level
-population are monitored at every recorded step.
+population are monitored at every recorded step, over buffered stacks
+of records (:class:`RecordBuffer`).
 """
 
 from __future__ import annotations
@@ -475,8 +476,39 @@ class Trajectory:
         return float(self.min_eig.min())
 
 
-def _expect(op: np.ndarray, rho: np.ndarray) -> complex:
-    return np.einsum("bij,bji->", op, rho)
+class RecordBuffer:
+    """The ``record(t, x)`` callback of a run, buffered for a monitor over stacks.
+
+    :meth:`record` copies ``t`` and ``x`` into a preallocated stack of
+    ``_MONITOR_BLOCK`` entries (at least one record); when the stack is
+    full, and when the ``with`` block exits, ``monitor(ts, xs)`` runs over
+    the filled part.  The exit flush runs before any exception from the
+    block propagates, so a monitor abort on an earlier record wins.
+    """
+
+    def __init__(self, shape, dtype, monitor):
+        self.ts = np.empty(max(1, _MONITOR_BLOCK // math.prod(shape)))
+        self.xs = np.empty(self.ts.shape + shape, dtype)
+        self.count = 0
+        self.monitor = monitor
+
+    def record(self, t, x):
+        self.ts[self.count] = t
+        self.xs[self.count] = x
+        self.count += 1
+        if self.count == self.ts.size:
+            self.flush()
+
+    def flush(self):
+        k, self.count = self.count, 0
+        if k:
+            self.monitor(self.ts[:k], self.xs[:k])
+
+    def __enter__(self):
+        return self.record
+
+    def __exit__(self, *exc):
+        self.flush()
 
 
 def integrate(
@@ -500,7 +532,9 @@ def integrate(
     ``dt``).  The returned trajectory's ``stats`` say how.  Trace drift
     is compensated in the reported expectations only, never in the
     state.  Aborts when the top Fock level of any subsystem passes
-    ``truncation_tol``.
+    ``truncation_tol``.  The monitors run over stacks of records
+    (:class:`RecordBuffer`), so a run may propagate up to one stack past
+    the offending record before it aborts; the error names that record.
 
     The state is carried as the stack of its diagonal blocks
     (:func:`density_blocks`): the two parity sectors of the total
@@ -515,56 +549,57 @@ def integrate(
     n_steps = step_count(t_end, dt, stride, gen.f_max)
     rho = gen.pack(rho0)
 
-    rec_t, rec = [], {k: [] for k in ("n1", "n2", "n_cav", "coh", "trace", "trunc", "herm", "eig")}
+    rec = {k: [] for k in ("t", "n1", "n2", "n_cav", "coh", "trace", "trunc_monitor", "herm_dev", "min_eig")}
+    ghosts = (slice(None),) + gen.ghosts + gen.ghosts[1:]
 
-    def record(t, rho):
-        diag = rho.diagonal(0, -2, -1).real
-        tr = diag.sum()
-        tops = [diag[mask].sum() for mask in gen.top_level_masks]
-        top = max(tops)
-        sym = rho.conj().swapaxes(-1, -2)
-        herm = float(np.abs(rho - sym).max())
-        sym += rho
+    def monitor(ts, rhos):
+        """The monitors of a (records, blocks, h, h) stack of states."""
+        diag = rhos.diagonal(0, -2, -1).real
+        tr = diag.sum((-2, -1))
+        # the boolean gather comes out column-major; each contiguous row
+        # then sums in the order one record's gather did
+        tops = np.stack([np.ascontiguousarray(diag[:, mask]).sum(-1)
+                         for mask in gen.top_level_masks], axis=-1)
+        top = tops.max(-1)
+        sym = rhos.conj().swapaxes(-1, -2)
+        rec["herm_dev"].append(np.abs(rhos - sym).max((-3, -2, -1)))
+        sym += rhos
         sym /= 2
         # a ghost's eigenvalue is its diagonal entry: give it one that is
         # never below the smallest eigenvalue of the blocks
-        sym[gen.ghosts + gen.ghosts[1:]] = diag.max()
-        eig = float(np.linalg.eigvalsh(sym).min())
-        rec_t.append(t)
+        sym[ghosts] = diag.max((-2, -1))[:, None]
+        rec["min_eig"].append(np.linalg.eigvalsh(sym).min((-2, -1)))
+        rec["t"].append(ts.copy())
         rec["trace"].append(tr)
-        rec["trunc"].append(top)
-        rec["herm"].append(herm)
-        rec["eig"].append(eig)
-        for key, name in (("n1", "n1"), ("n2", "n2"), ("coh", "coh")):
-            rec[key].append(_expect(gen.observables[name], rho) / tr)
+        rec["trunc_monitor"].append(top)
+        for name in ("n1", "n2", "coh"):
+            rec[name].append(np.einsum("bij,kbji->k", gen.observables[name], rhos) / tr)
         ncav_op = gen.observables["n_cav"]
-        rec["n_cav"].append(float(_expect(ncav_op, rho).real / tr) if ncav_op is not None else math.nan)
-        if top > truncation_tol:
-            s = tops.index(top)
+        rec["n_cav"].append(np.einsum("bij,kbji->k", ncav_op, rhos).real / tr if ncav_op is not None
+                            else np.full(ts.size, math.nan))
+        over = np.flatnonzero(top > truncation_tol)
+        if over.size:
+            i = over[0]
+            s = int(tops[i].argmax())
             raise TruncationError(
-                f"subsystem {s} holds population {top:.3e} in its top Fock level "
-                f"n={space.dims[s] - 1} at t={t:.6g}, above {truncation_tol}: increase dimensions"
+                f"subsystem {s} holds population {top[i]:.3e} in its top Fock level "
+                f"n={space.dims[s] - 1} at t={ts[i]:.6g}, above {truncation_tol}: increase dimensions"
             )
 
-    record(0.0, rho)
     stats = RunStats()
-    if gen.phase_nus.size:
-        rho, stats = propagate_rk4(gen.drift, gen.add_jump_sandwiches, rho, n_steps, dt, stride, record)
-    else:
-        rho = _propagate_exact(gen, rho, n_steps, dt, stride, record)
+    with RecordBuffer(rho.shape, rho.dtype, monitor) as record:
+        record(0.0, rho)
+        if gen.phase_nus.size:
+            rho, stats = propagate_rk4(gen.drift, gen.add_jump_sandwiches, rho, n_steps, dt, stride, record)
+        else:
+            rho = _propagate_exact(gen, rho, n_steps, dt, stride, record)
+    rec = {k: np.concatenate(v) for k, v in rec.items()}
+    rec["n1"], rec["n2"] = rec["n1"].real, rec["n2"].real
 
     return Trajectory(
-        t=np.array(rec_t),
-        n1=np.array(rec["n1"]).real,
-        n2=np.array(rec["n2"]).real,
-        n_cav=np.array(rec["n_cav"], dtype=float),
-        coh=np.array(rec["coh"]),
-        trace=np.array(rec["trace"]),
-        trunc_monitor=np.array(rec["trunc"]),
-        herm_dev=np.array(rec["herm"]),
-        min_eig=np.array(rec["eig"]),
+        **rec,
         final_state=DensityState(gen.unpack(rho), time=n_steps * dt),
-        stats=replace(stats, records=len(rec_t), blocks=gen.block_sizes),
+        stats=replace(stats, records=rec["t"].size, blocks=gen.block_sizes),
     )
 
 
@@ -605,6 +640,10 @@ def fewest_steps_dt(t_end: float, f_max: float) -> float:
 # Complex entries held at once by the density-block records of one
 # expm_multiply call of the exact path (16 MiB).
 _RECORD_BLOCK = 2**20
+
+# Entries held at once by the stack of a RecordBuffer (256 KiB complex):
+# 25 density-block records at dims (4,3,3), 334 augmented 7x7 moment matrices.
+_MONITOR_BLOCK = 2**14
 
 # Largest error estimate a step may have, relative to max(1, max |X|).
 # On the desk-frame transfer runs at dims (4,3,3) and dt = 0.01 / f_max

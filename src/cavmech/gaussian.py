@@ -24,8 +24,8 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .model import FrameParams
-from .fock import (RunStats, effective_generator, fewest_steps_dt, propagate_rk4,
-                   quadratic_model, step_count)
+from .fock import (RecordBuffer, RunStats, effective_generator, fewest_steps_dt,
+                   propagate_rk4, quadratic_model, step_count)
 
 VACUUM_CONVENTION = "quadrature ordering (x1,p1,...); vacuum variance 1/2; hbar=1"
 
@@ -84,7 +84,7 @@ class CovarianceState:
         """<n> of one mode (0-indexed), including the mean displacement."""
         i = 2 * mode
         var = self.cov[i, i] + self.cov[i + 1, i + 1]
-        disp = self.mean[i] ** 2 + self.mean[i + 1] ** 2
+        disp = self.mean[i] * self.mean[i] + self.mean[i + 1] * self.mean[i + 1]
         return 0.5 * (var + disp - 1.0)
 
     def mode_coherence(self, m1: int, m2: int) -> complex:
@@ -260,9 +260,10 @@ def evolve_covariance(
     taken from the pair's continuous extension
     (:func:`~cavmech.fock.propagate_rk4`; the trajectory's ``stats`` say
     how).  X is re-symmetrized after every update (pure roundoff control)
-    and the uncertainty-bound defect is monitored at every record; a
-    defect beyond ``_PHYSICALITY_TOL`` aborts.  Entanglement is tracked
-    between the two modes of a two-mode state.
+    and the uncertainty-bound defect is monitored at every record, over
+    stacks of records (:class:`~cavmech.fock.RecordBuffer`); a defect
+    beyond ``_PHYSICALITY_TOL`` aborts, naming the first such record.
+    Entanglement is tracked between the two modes of a two-mode state.
     """
     n_steps = step_count(t_end, dt, stride, dd.f_max)
     n = state0.mean.size
@@ -271,48 +272,53 @@ def evolve_covariance(
     x[:n, n] = x[n, :n] = state0.mean
     x[n, n] = 1.0
 
-    rec_t, rec_n, rec_en, rec_nu, rec_phys = [], [], [], [], []
+    rec = {k: [] for k in ("t", "occupations", "log_negativity", "min_symp_eig", "physicality")}
+    bound = 0.5j * symplectic_form(n // 2)
 
-    def record(t, x):
-        state = CovarianceState(x[:n, n], x[:n, :n], time=t)
-        rec_t.append(t)
-        rec_n.append([state.occupation(m) for m in range(state.n_modes)])
-        defect = state.physicality_defect()
-        rec_phys.append(defect)
-        en, nu = _log_negativity(state.cov) if track_entanglement else (math.nan, math.nan)
-        rec_en.append(en)
-        rec_nu.append(nu)
-        if defect < -_PHYSICALITY_TOL:
+    def monitor(ts, xs):
+        """The monitors of a (records, n + 1, n + 1) stack of moment matrices."""
+        cov, mean = xs[:, :n, :n], xs[:, :n, n]
+        var, disp = cov.diagonal(0, -2, -1), mean * mean
+        occ = var[:, 0::2] + var[:, 1::2] + (disp[:, 0::2] + disp[:, 1::2])
+        rec["occupations"].append(0.5 * (occ - 1.0))
+        defect = np.minimum(np.linalg.eigvalsh(cov + bound).min(-1), 0.0)
+        rec["physicality"].append(defect)
+        en, nu = (np.array([_log_negativity(c) for c in cov]).T if track_entanglement
+                  else np.full((2, ts.size), math.nan))
+        rec["t"].append(ts.copy())
+        rec["log_negativity"].append(en)
+        rec["min_symp_eig"].append(nu)
+        over = np.flatnonzero(defect < -_PHYSICALITY_TOL)
+        if over.size:
+            i = over[0]
             raise PhysicalityError(
-                f"covariance defect {defect:.3e} at t={t:.6g} beyond {_PHYSICALITY_TOL}"
+                f"covariance defect {defect[i]:.3e} at t={ts[i]:.6g} beyond {_PHYSICALITY_TOL}"
             )
 
-    record(0.0, x)
+    def drifts(ts):
+        M = np.zeros((ts.size, n + 1, n + 1))
+        M[:, :n, :n] = dd.drift_at(ts)
+        return M
+
+    def add_diffusion(state, out):
+        out[:n, :n] += dd.diffusion
+
     stats = RunStats()
-    if dd.time_dependent:
-        def drifts(ts):
-            M = np.zeros((ts.size, n + 1, n + 1))
-            M[:, :n, :n] = dd.drift_at(ts)
-            return M
+    with RecordBuffer(x.shape, x.dtype, monitor) as record:
+        record(0.0, x)
+        if dd.time_dependent:
+            x, stats = propagate_rk4(drifts, add_diffusion, x, n_steps, dt, stride, record)
+        else:
+            x = _propagate_exact(dd, x, n_steps, dt, stride, record)
+    rec = {k: np.concatenate(v) for k, v in rec.items()}
 
-        def add_diffusion(state, out):
-            out[:n, :n] += dd.diffusion
-
-        x, stats = propagate_rk4(drifts, add_diffusion, x, n_steps, dt, stride, record)
-    else:
-        x = _propagate_exact(dd, x, n_steps, dt, stride, record)
-
-    occ = np.array(rec_n)
+    occ = rec["occupations"]
     return GaussTrajectory(
-        t=np.array(rec_t),
+        **rec,
         n1=occ[:, 0] if state0.n_modes < 3 else occ[:, 1],
         n2=occ[:, 1] if state0.n_modes < 3 else occ[:, 2],
-        log_negativity=np.array(rec_en),
-        min_symp_eig=np.array(rec_nu),
-        physicality=np.array(rec_phys),
         final_state=CovarianceState(x[:n, n].copy(), x[:n, :n].copy(), time=n_steps * dt),
-        occupations=occ,
-        stats=replace(stats, records=len(rec_t)),
+        stats=replace(stats, records=rec["t"].size),
     )
 
 

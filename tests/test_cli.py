@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from cavmech import cli
 from cavmech.cli import main
+from cavmech.gaussian import PhysicalityError
 
 CONFIG = """
 omega1 = 1.1
@@ -262,6 +264,16 @@ class TestEntangle:
         last = out.read_text().splitlines()[-1].split(",")
         t_end = float(args[-1]) if args else 500.0
         assert float(last[0]) == pytest.approx(t_end, rel=1e-12)
+
+    def test_physicality_abort_exits_1(self, config_file, monkeypatch, capsys):
+        def unphysical(*args, **kwargs):
+            raise PhysicalityError("covariance defect -2.000e-06 at t=3 beyond 1e-06")
+
+        monkeypatch.setattr(cli, "entanglement_experiment", unphysical)
+        assert main(["entangle", "--config", config_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: covariance defect -2.000e-06 at t=3 beyond 1e-06\n"
 
 
 class TestValidateCommand:

@@ -293,7 +293,8 @@ class TestIntegrate:
             assert 52 < end < 76
 
     def test_records_do_not_depend_on_stride(self):
-        # records between steps come from the continuous extension; 7 does not divide 200
+        # records between steps come from the continuous extension; 7 does
+        # not divide 200; the stride-1 run spans several monitor stacks
         fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
         spec = FullLinearized(fr)
         space = FockSpace((3, 3, 3))
@@ -305,7 +306,7 @@ class TestIntegrate:
         for stride, traj in runs.items():
             steps = sorted(set(range(0, 201, stride)) | {200})
             assert list(traj.t) == [s * dt for s in steps]
-            for field in ("n1", "n2", "n_cav", "coh", "trace"):
+            for field in ("n1", "n2", "n_cav", "coh", "trace", "trunc_monitor", "herm_dev", "min_eig"):
                 assert np.abs(getattr(traj, field) - getattr(every, field)[steps]).max() <= 1e-14
             assert np.abs(traj.final_state.matrix - every.final_state.matrix).max() <= 1e-14
 
@@ -372,6 +373,45 @@ class TestIntegrate:
         space = FockSpace((3, 3))
         with pytest.raises(TruncationError, match=r"subsystem 1 holds population .*increase dimensions"):
             integrate(spec, space, fock_state(space, (0, 0)), 20.0, 0.01, stride=50)
+
+    def test_truncation_abort_names_the_first_offending_record(self):
+        # the monitors run over buffered stacks of records; the abort still
+        # names the first record past the tolerance, here in a later stack
+        fr = frame_from_collective(1.0, 0.3, -(1.0 + 0.3), 0.4, 0.2, 0.2)
+        spec = FullLinearized(fr)
+        space = FockSpace((3, 3, 3))
+        dt = 0.01 / compile_generator(spec, space).f_max
+
+        def run(tol):
+            return integrate(spec, space, fock_state(space, (0, 0, 0)), 300 * dt, dt,
+                             stride=1, truncation_tol=tol)
+
+        free = run(1.0)
+        first = np.flatnonzero(free.trunc_monitor > 5e-3)[0]
+        assert fock._MONITOR_BLOCK // (2 * 14 * 14) < first < free.t.size - 1
+        with pytest.raises(TruncationError) as abort:
+            run(5e-3)
+        assert f"population {free.trunc_monitor[first]:.3e} " in str(abort.value)
+        assert f" at t={free.t[first]:.6g}, " in str(abort.value)
+
+    def test_truncation_abort_wins_over_a_later_kernel_error(self, monkeypatch):
+        # a record past the tolerance still sits in the buffer when the
+        # kernel raises; the flush on the way out surfaces the earlier failure
+        spec = FullLinearized(desk_frame())
+        space = FockSpace((3, 3, 3))
+        dt = 0.01 / compile_generator(spec, space).f_max
+        top = compile_generator(spec, space).pack(fock_state(space, (2, 0, 0)))
+
+        def kernel(drifts, add_noise, x, n_steps, dt, stride, record):
+            record(dt, top)
+            raise fock.StepControlError("the step would fall below dt")
+
+        monkeypatch.setattr(fock, "propagate_rk4", kernel)
+        with pytest.raises(TruncationError) as abort:
+            integrate(spec, space, fock_state(space, (0, 1, 0)), 100 * dt, dt, stride=1)
+        assert str(abort.value).startswith(f"subsystem 0 holds population 1.000e+00 in its top Fock "
+                                           f"level n=2 at t={dt:.6g}, ")
+        assert isinstance(abort.value.__context__, fock.StepControlError)
 
     def test_state_validation_on_entry(self):
         fr = desk_frame()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cavmech import frame_from_collective
+from cavmech import fock, frame_from_collective, gaussian
 from cavmech.effective import CollectiveMode
 from cavmech.fock import (
     EffectiveTwoMode,
@@ -269,6 +269,41 @@ class TestEvolution:
             evolve_covariance(dd, vacuum_state(2), 1.0, 1.0)
         with pytest.raises(ValueError, match="stride"):
             evolve_covariance(dd, vacuum_state(2), 1.0, 0.01, stride=0)
+
+    def test_monitors_match_the_covariance_state(self):
+        # the monitors of a stack of records against CovarianceState's
+        # methods on one state, bit for bit, at the first and the last
+        # record; libm pow rounds the square of the first mean off by 1 ulp
+        fr = frame_from_collective(1.0, 0.2, 1.0, 0.3, 0.15, 0.15)
+        dd = drift_diffusion_from_generator(effective_generator(fr))
+        state0 = squeezed_vacuum(2, 0, 0.7)
+        state0.mean = np.array([-7.795759322843109, -0.5, 0.3, 0.8])
+        traj = evolve_covariance(dd, state0, 20.0, 0.01 / dd.f_max, stride=50, track_entanglement=True)
+        for i, state in ((0, state0), (-1, traj.final_state)):
+            assert list(traj.occupations[i]) == [state.occupation(m) for m in range(2)]
+            assert traj.physicality[i] == state.physicality_defect()
+            assert (traj.log_negativity[i], traj.min_symp_eig[i]) == log_negativity(state)
+
+    @pytest.mark.parametrize("phase_nus", [np.zeros(0), np.array([0.5])])
+    def test_physicality_abort_names_the_first_offending_record(self, monkeypatch, phase_nus):
+        # a negative diffusion takes the vacuum below the uncertainty bound
+        # at a rate of 1.5e-7 per unit time, so the defect passes 1e-6 in a
+        # later monitor stack; a zero-amplitude phase term sends the same
+        # run down the Runge-Kutta path
+        dd = DriftDiffusion(np.zeros((4, 4)), -1.5e-7 * np.eye(4), phase_nus=phase_nus,
+                            phase_basis=np.zeros((2 * phase_nus.size, 4, 4)))
+
+        def run():
+            return evolve_covariance(dd, vacuum_state(2), 10.0, 0.01, stride=1)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gaussian, "_PHYSICALITY_TOL", math.inf)
+            free = run()
+        first = np.flatnonzero(free.physicality < -gaussian._PHYSICALITY_TOL)[0]
+        assert fock._MONITOR_BLOCK // 25 < first < free.t.size - 1
+        with pytest.raises(PhysicalityError) as abort:
+            run()
+        assert f"defect {free.physicality[first]:.3e} at t={free.t[first]:.6g} " in str(abort.value)
 
 
 class TestSteadyState:
