@@ -9,7 +9,8 @@ and diffusion are compiled from the same :class:`~cavmech.fock.QuadraticModel`
 as the Fock-space generator, one formula per Hamiltonian term and per
 jump.  Both propagation paths carry the augmented moment matrix
 [[cov, mean], [mean^T, 1]]: a constant drift and diffusion map it by the
-exponential of its superoperator; a time-dependent drift steps it with
+exponential of its superoperator, summed by the Fock engine's truncated
+Taylor series; a time-dependent drift steps it with
 the adaptive Runge-Kutta kernel the Fock engine uses, with the
 drift at the new stage times of a step built in one call
 (:meth:`DriftDiffusion.drift_at` takes an array of times).
@@ -21,11 +22,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .model import FrameParams
-from .fock import (RecordBuffer, RunStats, effective_generator, fewest_steps_dt,
-                   propagate_rk4, quadratic_model, step_count)
+from .fock import (RecordBuffer, RunStats, effective_generator, exponential_map, fewest_steps_dt,
+                   propagate_exact, propagate_rk4, quadratic_model, step_count)
 
 VACUUM_CONVENTION = "quadrature ordering (x1,p1,...); vacuum variance 1/2; hbar=1"
 
@@ -254,8 +254,10 @@ def evolve_covariance(
     X' = M X + (M X)^T + N holds the covariance and the mean equations.
     ``dt`` sets the record grid (every ``stride`` steps, plus the last
     step) and must satisfy ``dt <= 0.01 / f_max``.  A constant drift maps
-    X from record to record by expm(L h) over each interval h, L =
-    :meth:`DriftDiffusion.superoperator`; a time-dependent drift takes
+    X from record to record by exp(L h) over each interval h, L =
+    :meth:`DriftDiffusion.superoperator`, one dense matrix per interval
+    length from the truncated Taylor series of Al-Mohy & Higham
+    (:func:`~cavmech.fock.exponential_map`); a time-dependent drift takes
     adaptive Dormand-Prince 5(4) steps, with the records between steps
     taken from the pair's continuous extension
     (:func:`~cavmech.fock.propagate_rk4`; the trajectory's ``stats`` say
@@ -309,7 +311,11 @@ def evolve_covariance(
         if dd.time_dependent:
             x, stats = propagate_rk4(drifts, add_diffusion, x, n_steps, dt, stride, record)
         else:
-            x = _propagate_exact(dd, x, n_steps, dt, stride, record)
+            # one dense map per interval length: a record is one product
+            superop = dd.superoperator()
+            eye = np.eye(superop.shape[0])
+            x = propagate_exact(lambda h: exponential_map(superop * h)(eye).dot,
+                                x, n_steps, dt, stride, record)
     rec = {k: np.concatenate(v) for k, v in rec.items()}
 
     occ = rec["occupations"]
@@ -322,26 +328,6 @@ def evolve_covariance(
     )
 
 
-def _propagate_exact(dd, x, n_steps, dt, stride, record):
-    """Exact record-to-record maps expm(L h) of the augmented moment matrix
-    ``x``, L = :meth:`DriftDiffusion.superoperator`, built once per distinct
-    interval length h: ``stride`` steps, and a shorter final interval if
-    there is one.  Returns the final matrix.
-    """
-    superop = dd.superoperator()
-    maps = {}
-    step = 0
-    while step < n_steps:
-        width = min(stride, n_steps - step)
-        if width not in maps:
-            maps[width] = expm(superop * (width * dt))
-        x = (maps[width] @ x.reshape(-1)).reshape(x.shape)
-        x = 0.5 * (x + x.T)
-        step += width
-        record(step * dt, x)
-    return x
-
-
 def steady_state(dd: DriftDiffusion) -> CovarianceState:
     """Stationary covariance from the continuous Lyapunov equation."""
     if dd.time_dependent:
@@ -352,6 +338,8 @@ def steady_state(dd: DriftDiffusion) -> CovarianceState:
         raise StabilityError(
             f"no stable steady state: drift eigenvalue with Re = {eigs.real.max():.3e}"
         )
+    from scipy.linalg import solve_continuous_lyapunov
+
     sigma = solve_continuous_lyapunov(A, -D)
     sigma = 0.5 * (sigma + sigma.T)
     residual = np.abs(A @ sigma + sigma @ A.T + D).max()

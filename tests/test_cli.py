@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +103,18 @@ class TestRecordedOutputs:
         # without --out the same bytes go to stdout
         assert main(argv) == 0
         assert capsys.readouterr().out == out.read_text()
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # the closed-form commands use numpy only; scipy is imported inside
+        # the engine functions that need it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, cavmech.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
 
 class TestNulls:

@@ -220,8 +220,8 @@ class TestIntegrate:
         assert traj.n2[-1] == pytest.approx(1.0, abs=1e-6)
 
     def test_exact_path_ignores_and_keeps_global_rng(self):
-        # expm_multiply estimates norms with onenormest, which draws from
-        # NumPy's global RNG
+        # the exact path's records must not depend on NumPy's global RNG,
+        # and the run must leave its state as it found it
         fr = frame_from_collective(1.0, 0.2, 1.0, 0.3, 0.15, 0.15)
         spec = effective_generator(fr)
         space = FockSpace((4, 4))
@@ -496,6 +496,77 @@ def stride_test_runs(stride=7):
     return ftraj, gtraj
 
 
+class TestExponentialMap:
+    """fock.exponential_map against scipy's Pade expm of the dense matrix."""
+
+    FRAME = frame_from_collective(1.0, 0.2, 1.0, 0.3, 0.15, 0.15)
+
+    @pytest.mark.parametrize("steps,bound", [(10, 1e-14), (1000, 1e-13)])
+    def test_fock_superoperator_matches_dense_expm(self, steps, bound):
+        from scipy.linalg import expm
+
+        spec = effective_generator(self.FRAME)
+        space = FockSpace((4, 4))
+        gen = compile_generator(spec, space)
+        # the record interval of a run at dt = 0.01 / f_max and stride 10,
+        # and one of 1000 steps, whose 1-norm 223 forces several substeps
+        A = gen.superoperator() * (steps * 0.01 / gen.f_max)
+        rng = np.random.default_rng(5)
+        B = rng.normal(size=(A.shape[0], 3)) + 1j * rng.normal(size=(A.shape[0], 3))
+        ref = expm(A.toarray()) @ B
+        for block, want in ((B, ref), (B[:, 0], ref[:, 0])):
+            got = fock.exponential_map(A)(block)
+            assert got.shape == want.shape
+            # worst measured, relative to max |ref|: 6.4e-16 (10 steps),
+            # 5.2e-15 (1000 steps)
+            assert np.abs(got - want).max() <= bound * np.abs(ref).max()
+
+    @pytest.mark.parametrize("long_run", [False, True])
+    def test_gaussian_superoperator_matches_dense_expm(self, long_run):
+        from scipy.linalg import expm
+
+        dd = gaussian.drift_diffusion_from_generator(effective_generator(self.FRAME))
+        L = dd.superoperator()
+        relax = -np.linalg.eigvals(dd.drift).real.max()
+        # a record interval, and the criterion-5 long run of 10 relaxation
+        # times in one interval
+        h = 10 / relax if long_run else 10 * 0.01 / dd.f_max
+        norm = np.abs(L * h).sum(axis=0).max()
+        assert L.shape == (25, 25)
+        assert (norm > fock._TAYLOR_THETA[55]) == long_run  # more than one substep
+        got = fock.exponential_map(L * h)(np.eye(25))
+        # worst measured: 2.2e-16 (record interval), 5.6e-16 (long run)
+        assert np.abs(got - expm(L * h)).max() <= 1e-14
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_zero_matrix_returns_the_input(self, dense):
+        from scipy import sparse
+
+        zero = np.zeros((6, 6)) if dense else sparse.csr_matrix((6, 6))
+        B = np.arange(12.0).reshape(6, 2) + 1j
+        assert np.array_equal(fock.exponential_map(zero)(B), B)
+
+    def test_engines_run_without_scipy_exponentials(self, monkeypatch):
+        import scipy.linalg
+        import scipy.sparse.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an engine called a scipy matrix exponential")
+
+        # this catches an import inside a function; one at module level
+        # would load scipy with cavmech.cli, which test_cli.TestStartup catches
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        spec = effective_generator(self.FRAME)
+        space = FockSpace((4, 4))
+        dt = 0.01 / quadratic_model(spec).f_max
+        traj = integrate(spec, space, fock_state(space, (1, 0)), 105 * dt, dt, stride=10)
+        assert traj.t.size == 12
+        dd = gaussian.drift_diffusion_from_generator(spec)
+        gtraj = gaussian.evolve_covariance(dd, gaussian.fock_moments(2, (1, 0)), 105 * dt, dt, stride=10)
+        assert np.abs(traj.n2 - gtraj.n2).max() < 1e-3
+
+
 class TestStepControl:
     def test_stride_config_runs_above_the_record_step(self):
         for traj in stride_test_runs():
@@ -616,9 +687,15 @@ def dense_reference(spec, space, rho0, t_end, dt, stride):
         superop = np.kron(drift(0.0), eye) + np.kron(eye, drift(0.0).conj())
         superop += sum(np.kron(L, L.conj()) for L in jumps)
         count = n_steps // stride
-        with fock._seeded_global_rng():
+        # expm_multiply estimates norms with onenormest, which draws from
+        # NumPy's global RNG: seed it for the call, then restore it
+        state = np.random.get_state()
+        np.random.seed(0)
+        try:
             vecs = expm_multiply(superop, rho.reshape(-1), start=0.0, stop=n_steps * dt,
                                  num=count + 1, endpoint=True)
+        finally:
+            np.random.set_state(state)
         for k, vec in enumerate(vecs[1:], start=1):
             rho = vec.reshape(dim, dim)
             rho = 0.5 * (rho + dag(rho))
