@@ -10,16 +10,18 @@ as the Fock-space generator, one formula per Hamiltonian term and per
 jump.  Both propagation paths carry the augmented moment matrix
 [[cov, mean], [mean^T, 1]]: a constant drift and diffusion map it by the
 exponential of its superoperator, summed by the Fock engine's truncated
-Taylor series; a time-dependent drift steps it with
-the adaptive Runge-Kutta kernel the Fock engine uses, with the
-drift at the new stage times of a step built in one call
-(:meth:`DriftDiffusion.drift_at` takes an array of times).
+Taylor series; a time-dependent drift steps it with the adaptive
+Runge-Kutta kernel the Fock engine uses, each stage one product of the
+superoperator L(t) with the flat X, and the L(t) of the new stage times
+of a step built by one product (:meth:`DriftDiffusion.superoperator`
+takes an array of times).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -125,7 +127,8 @@ class DriftDiffusion:
     ``drift`` is the constant part of A.  A time-dependent drift adds
     sum_k cos(nu_k t) C_k + sin(nu_k t) S_k over the frequencies
     ``phase_nus``; ``phase_basis`` stacks C_1..C_K, then S_1..S_K, shape
-    (2K, 2N, 2N).  :meth:`drift_at` evaluates A(t).
+    (2K, 2N, 2N).  :meth:`drift_at` evaluates A(t), and
+    :meth:`superoperator` the moment equations' matrix at any time.
     """
 
     drift: np.ndarray
@@ -141,27 +144,49 @@ class DriftDiffusion:
     def drift_at(self, ts) -> np.ndarray:
         """Drift matrix at time ``ts``, or the stack of them over an array of times."""
         n = self.drift.shape[0]
-        phases = np.multiply.outer(ts, self.phase_nus)
-        coeffs = np.concatenate([np.cos(phases), np.sin(phases)], axis=-1)
-        out = (coeffs @ self.phase_basis.reshape(-1, n * n)).reshape(np.shape(ts) + (n, n))
+        out = (self._phase_coeffs(ts) @ self.phase_basis.reshape(-1, n * n)).reshape(np.shape(ts) + (n, n))
         out += self.drift
         return out
 
-    def superoperator(self) -> np.ndarray:
-        """Matrix of X -> M X + X M^T + N X[n, n] on the row-major flattening of X.
+    def _phase_coeffs(self, ts) -> np.ndarray:
+        """cos(nu_k t), then sin(nu_k t), along a last axis over ``ts``."""
+        phases = np.multiply.outer(ts, self.phase_nus)
+        return np.concatenate([np.cos(phases), np.sin(phases)], axis=-1)
+
+    def superoperator(self, ts=None) -> np.ndarray:
+        """Matrix L of X -> M X + X M^T + N X[n, n] on the row-major flattening of X.
 
         M = blockdiag(A, 0) and N = blockdiag(D, 0).  On a symmetric X this
         is the right-hand side that :func:`evolve_covariance` integrates,
-        and it keeps X[n, n] fixed.
+        and it keeps X[n, n] fixed.  Without ``ts`` the drift must be
+        constant; at a time ``ts``, or the stack of them over an array of
+        times, the phase terms are added to the constant part by one
+        product with their superoperators.
         """
-        if self.time_dependent:
-            raise ValueError("the superoperator needs a time-independent drift")
-        n = self.drift.shape[0]
-        M, N = np.zeros((2, n + 1, n + 1))
-        M[:n, :n], N[:n, :n] = self.drift, self.diffusion
-        out = np.kron(M, np.eye(n + 1)) + np.kron(np.eye(n + 1), M)
-        out[:, -1] += N.reshape(-1)
+        const, phase_terms = self._superoperator_parts
+        if ts is None:
+            if self.time_dependent:
+                raise ValueError("the superoperator needs a time-independent drift")
+            return const.copy()
+        out = (self._phase_coeffs(ts) @ phase_terms).reshape(np.shape(ts) + const.shape)
+        out += const
         return out
+
+    @cached_property
+    def _superoperator_parts(self):
+        """L's constant part, and the flat superoperator of each ``phase_basis`` matrix as a row."""
+        n = self.drift.shape[0]
+        eye = np.eye(n + 1)
+
+        def lift(A):
+            M = np.zeros((n + 1, n + 1))
+            M[:n, :n] = A
+            return np.kron(M, eye) + np.kron(eye, M)
+
+        const = lift(self.drift)
+        const[:, -1] += np.pad(self.diffusion, ((0, 1), (0, 1))).reshape(-1)
+        phase_terms = np.array([lift(B).reshape(-1) for B in self.phase_basis])
+        return const, phase_terms.reshape(len(self.phase_basis), const.size)
 
 
 def _quad_form(T, terms, phase=1):
@@ -258,12 +283,14 @@ def evolve_covariance(
     :meth:`DriftDiffusion.superoperator`, one dense matrix per interval
     length from the truncated Taylor series of Al-Mohy & Higham
     (:func:`~cavmech.fock.exponential_map`); a time-dependent drift takes
-    adaptive Dormand-Prince 5(4) steps, with the records between steps
-    taken from the pair's continuous extension
-    (:func:`~cavmech.fock.propagate_rk4`; the trajectory's ``stats`` say
-    how).  X is re-symmetrized after every update (pure roundoff control)
-    and the uncertainty-bound defect is monitored at every record, over
-    stacks of records (:class:`~cavmech.fock.RecordBuffer`); a defect
+    adaptive Dormand-Prince 5(4) steps, each stage one product of
+    :meth:`DriftDiffusion.superoperator` at the stage time with the flat
+    X, with the records between steps taken from the pair's continuous
+    extension (:func:`~cavmech.fock.propagate_rk4`; the trajectory's
+    ``stats`` say how).  X is re-symmetrized after every update (pure
+    roundoff control) and the uncertainty-bound defect is monitored at
+    every record, over stacks of records
+    (:class:`~cavmech.fock.RecordBuffer`); a defect
     beyond ``_PHYSICALITY_TOL`` aborts, naming the first such record.
     Entanglement is tracked between the two modes of a two-mode state.
     """
@@ -297,19 +324,14 @@ def evolve_covariance(
                 f"covariance defect {defect[i]:.3e} at t={ts[i]:.6g} beyond {_PHYSICALITY_TOL}"
             )
 
-    def drifts(ts):
-        M = np.zeros((ts.size, n + 1, n + 1))
-        M[:, :n, :n] = dd.drift_at(ts)
-        return M
-
-    def add_diffusion(state, out):
-        out[:n, :n] += dd.diffusion
+    def stage(L, state, out):
+        np.dot(L, state.reshape(-1), out=out.reshape(-1))
 
     stats = RunStats()
     with RecordBuffer(x.shape, x.dtype, monitor) as record:
         record(0.0, x)
         if dd.time_dependent:
-            x, stats = propagate_rk4(drifts, add_diffusion, x, n_steps, dt, stride, record)
+            x, stats = propagate_rk4(dd.superoperator, stage, x, n_steps, dt, stride, record)
         else:
             # one dense map per interval length: a record is one product
             superop = dd.superoperator()

@@ -58,6 +58,12 @@ def described_generator(spec, space):
     return drift, jumps
 
 
+def drift_stage(D, state, out):
+    """The kernel stage of X' = D X + (D X)^dag on a Hermitian X, with no jumps."""
+    tmp = D @ state
+    np.add(tmp, tmp.conj().swapaxes(-1, -2), out=out)
+
+
 def manual_params(rates, J=0.0):
     """EffectiveParams with an explicit rate table, for engine-level tests."""
     table = {"1": rates.get("1", (0.0, 0.0)),
@@ -196,6 +202,40 @@ class TestLiouvillian:
                 expected = gen.apply(0.0, rho)
                 assert np.abs(superop @ rho.reshape(-1) - expected.reshape(-1)).max() < 1e-14
 
+    @pytest.mark.parametrize("model,dims", [("full", (4, 3, 3)), ("effective", (8, 8))])
+    @pytest.mark.parametrize("thermal", [None, ((0.01, 0.3), (0.02, 0.1))])
+    def test_compiled_arrays_match_the_dense_construction(self, monkeypatch, model, dims, thermal):
+        # the compile forms each operator product as a Kronecker product of
+        # single-mode factors; the dense construction multiplies the
+        # identity-padded whole-space operators.  einsum sums each entry in
+        # index order, as the Kronecker factors do; zgemm may fuse a
+        # multiply-add into the two-term sums on the diagonal of L^dag L of
+        # the collective jump, which would move its last bit.
+        def dense_operator(dims, *factors):
+            product = None
+            for m, matrix in factors:
+                whole = np.ones((1, 1), complex)
+                for j, d in enumerate(dims):
+                    whole = np.kron(whole, matrix if j == m else np.eye(d))
+                product = whole if product is None else np.einsum("ij,jk->ik", product, whole)
+            return product
+
+        def arrays(gen):
+            return ([gen.base_drift, gen._phase_columns.toarray()]
+                    + [op for op in gen.observables.values() if op is not None]
+                    + [a for gather in gen._jump_gathers for a in gather])
+
+        fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08, thermal_baths=thermal)
+        spec = FullLinearized(fr) if model == "full" else effective_generator(fr, include_shifts=True)
+        space = FockSpace(dims)
+        compiled = arrays(compile_generator(spec, space))
+        monkeypatch.setattr(fock, "_operator", dense_operator)
+        dense = arrays(compile_generator(spec, space))
+        assert len(compiled) == len(dense)
+        for got, want in zip(compiled, dense):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_superoperator_rejects_time_dependent_generator(self):
         gen = compile_generator(FullLinearized(desk_frame()), FockSpace((2, 2, 2)))
         with pytest.raises(ValueError, match="time-independent"):
@@ -282,7 +322,7 @@ class TestIntegrate:
         errors = []
         for dt in (0.02, 0.01, 0.005):
             recorded = {}
-            _, stats = propagate_rk4(lambda ts: np.array([drift] * ts.size), lambda state, out: None,
+            _, stats = propagate_rk4(lambda ts: np.array([drift] * ts.size), drift_stage,
                                      np.full((2, 2), 0.5, complex), 10, dt, 5,
                                      lambda t, x: recorded.update({t: x[0, 1]}))
             assert stats.accepted_steps == 1
@@ -312,7 +352,7 @@ class TestIntegrate:
 
     @staticmethod
     def _drift_calls(n_steps, stride):
-        """Run the kernel on a zero drift; return its drifts(ts) calls,
+        """Run the kernel on a zero drift; return its operators(ts) calls,
         its record times and its RunStats."""
         calls, recorded = [], []
 
@@ -320,7 +360,7 @@ class TestIntegrate:
             calls.append(ts)
             return np.zeros((ts.size, 2, 2))
 
-        _, stats = propagate_rk4(drifts, lambda state, out: None, np.eye(2), n_steps, 0.1,
+        _, stats = propagate_rk4(drifts, drift_stage, np.eye(2), n_steps, 0.1,
                                  stride, lambda t, x: recorded.append(t))
         return calls, recorded, stats
 
@@ -402,7 +442,7 @@ class TestIntegrate:
         dt = 0.01 / compile_generator(spec, space).f_max
         top = compile_generator(spec, space).pack(fock_state(space, (2, 0, 0)))
 
-        def kernel(drifts, add_noise, x, n_steps, dt, stride, record):
+        def kernel(operators, stage, x, n_steps, dt, stride, record):
             record(dt, top)
             raise fock.StepControlError("the step would fall below dt")
 
@@ -440,25 +480,19 @@ class TestIntegrate:
             fock.fewest_steps_dt(t_end, 1.0)
 
 
-def fixed_step_rk4(drifts, add_noise, x, n_steps, dt, stride, record):
-    """The fixed-step RK4 kernel that preceded the adaptive ones, as it was.
+def fixed_step_rk4(operators, stage, x, n_steps, dt, stride, record):
+    """The fixed-step RK4 kernel that preceded the adaptive ones, on the engine's own stage.
 
     The accuracy reference: one step of ``dt`` at a time, in blocks of one
     record interval (the memory budget never binds at these sizes).
     """
-    y, acc, tmp1, k = (np.empty_like(x) for _ in range(4))
-
-    def stage(D, state, out):
-        np.matmul(D, state, out=tmp1)
-        np.add(tmp1, tmp1.conj().swapaxes(-1, -2), out=out)
-        add_noise(state, out)
-
+    y, acc, k = (np.empty_like(x) for _ in range(3))
     sixth = dt / 6.0
     half = dt / 2.0
     start = 0
     while start < n_steps:
         stop = min(n_steps, (start // stride + 1) * stride)
-        D = drifts(np.arange(2 * start, 2 * stop + 1) * half)
+        D = operators(np.arange(2 * start, 2 * stop + 1) * half)
         for j in range(0, 2 * (stop - start), 2):
             stage(D[j], x, k)
             acc[:] = k
@@ -672,7 +706,8 @@ def dense_reference(spec, space, rho0, t_end, dt, stride):
         records["herm_dev"].append(np.abs(rho - dag(rho)).max())
         records["min_eig"].append(np.linalg.eigvalsh((rho + dag(rho)) / 2).min())
 
-    def add_jumps(state, out):
+    def stage(D, state, out):
+        drift_stage(D, state, out)
         for L in jumps:
             out += L @ state @ dag(L)
 
@@ -680,7 +715,7 @@ def dense_reference(spec, space, rho0, t_end, dt, stride):
     rho = np.array(rho0, complex)
     record(0.0, rho)
     if quadratic_model(spec).oscillating:
-        rho, _ = propagate_rk4(lambda ts: np.array([drift(t) for t in ts]), add_jumps,
+        rho, _ = propagate_rk4(lambda ts: np.array([drift(t) for t in ts]), stage,
                                rho, n_steps, dt, stride, record)
     else:
         eye = np.eye(dim)

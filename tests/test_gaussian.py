@@ -97,6 +97,30 @@ class TestDriftDiffusionMapping:
         rhs = M @ x + (M @ x).T + N * x[n, n]
         assert np.abs(dd.superoperator() @ x.reshape(-1) - rhs.reshape(-1)).max() < 1e-15
 
+    def test_superoperator_is_the_moment_right_hand_side_at_any_time(self):
+        # the time-dependent kernel stage is one product with L(t)
+        thermal = ((0.01, 0.5), (0.02, 1.5))
+        fr = frame_from_collective(1.0, 0.3, -2.2, 0.45, 0.12, 0.08, thermal_baths=thermal)
+        dd = drift_diffusion_from_generator(FullLinearized(fr))
+        n = dd.drift.shape[0]
+        x = np.random.default_rng(12).normal(size=(n + 1, n + 1))
+        x += x.T
+        x[n, n] = 1.0
+        M, N = np.zeros((2, n + 1, n + 1))
+        N[:n, :n] = dd.diffusion
+        ts = np.array([0.0, 0.41, 3.7, 12.5, 101.3, 977.0])
+        stack = dd.superoperator(ts)
+        assert stack.shape == (ts.size, (n + 1) ** 2, (n + 1) ** 2)
+        for t, stacked in zip(ts, stack):
+            M[:n, :n] = dd.drift_at(t)
+            rhs = M @ x + x @ M.T + N
+            single = dd.superoperator(t)
+            # worst measured: 3.2e-16 of max |rhs|
+            assert np.abs(single @ x.reshape(-1) - rhs.reshape(-1)).max() <= 1e-15 * np.abs(rhs).max()
+            # the 12-term phase sum may be added in another order by a
+            # matrix-matrix than by a matrix-vector product
+            assert np.abs(stacked - single).max() <= 8 * np.finfo(float).eps * np.abs(single).max()
+
     @pytest.mark.parametrize("model,dims,t", [
         ("effective", (8, 8), 0.0),
         ("effective-thermal", (8, 8), 0.0),
