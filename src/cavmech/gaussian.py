@@ -10,11 +10,11 @@ as the Fock-space generator, one formula per Hamiltonian term and per
 jump.  Both propagation paths carry the augmented moment matrix
 [[cov, mean], [mean^T, 1]]: a constant drift and diffusion map it by the
 exponential of its superoperator, summed by the Fock engine's truncated
-Taylor series; a time-dependent drift steps it with the adaptive
-Runge-Kutta kernel the Fock engine uses, each stage one product of the
-superoperator L(t) with the flat X, and the L(t) of the new stage times
-of a step built by one product (:meth:`DriftDiffusion.superoperator`
-takes an array of times).
+Taylor series with halving and squaring; a time-dependent drift steps
+it with the adaptive Runge-Kutta kernel the Fock engine uses, each stage
+one product of the superoperator L(t) with the flat X, and the L(t) of
+the new stage times of a step built by one product
+(:meth:`DriftDiffusion.superoperator` takes an array of times).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import FrameParams
-from .fock import (RecordBuffer, RunStats, effective_generator, exponential_map, fewest_steps_dt,
+from .fock import (RecordBuffer, RunStats, effective_generator, fewest_steps_dt, matrix_exponential,
                    propagate_exact, propagate_rk4, quadratic_model, step_count)
 
 VACUUM_CONVENTION = "quadrature ordering (x1,p1,...); vacuum variance 1/2; hbar=1"
@@ -281,8 +281,9 @@ def evolve_covariance(
     step) and must satisfy ``dt <= 0.01 / f_max``.  A constant drift maps
     X from record to record by exp(L h) over each interval h, L =
     :meth:`DriftDiffusion.superoperator`, one dense matrix per interval
-    length from the truncated Taylor series of Al-Mohy & Higham
-    (:func:`~cavmech.fock.exponential_map`); a time-dependent drift takes
+    length (:func:`~cavmech.fock.matrix_exponential`: the truncated
+    Taylor series of Al-Mohy & Higham over an interval halved until one
+    substep covers it, then squared back); a time-dependent drift takes
     adaptive Dormand-Prince 5(4) steps, each stage one product of
     :meth:`DriftDiffusion.superoperator` at the stage time with the flat
     X, with the records between steps taken from the pair's continuous
@@ -335,8 +336,7 @@ def evolve_covariance(
         else:
             # one dense map per interval length: a record is one product
             superop = dd.superoperator()
-            eye = np.eye(superop.shape[0])
-            x = propagate_exact(lambda h: exponential_map(superop * h)(eye).dot,
+            x = propagate_exact(lambda h: matrix_exponential(superop * h).dot,
                                 x, n_steps, dt, stride, record)
     rec = {k: np.concatenate(v) for k, v in rec.items()}
 

@@ -236,6 +236,35 @@ class TestLiouvillian:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dims", [(4, 4), (8, 8)])
+    @pytest.mark.parametrize("kappa,thermal", [(0.5, None), (0.5, ((0.01, 0.3), (0.02, 0.1))), (0.0, None)])
+    @pytest.mark.parametrize("one_block", [False, True])
+    def test_superoperator_assembly_matches_the_kron_construction(self, dims, kappa, thermal, one_block):
+        # the reference adds one sparse matrix per part: the Kronecker
+        # products of every drift block, block-diagonal, then each jump
+        # gather.  The assembly must hold the same entries, summed in the
+        # same order (up to three gathers meet at one entry with thermal
+        # baths), and store the same nonzeros (a lossless drift with
+        # frequency shifts has entries D[i, i] + D*[j, j] that cancel)
+        from scipy import sparse
+
+        fr = frame_from_collective(1.0, 0.3, 1.9, kappa, 0.12, 0.08, thermal_baths=thermal)
+        space = FockSpace(dims)
+        blocks = [np.arange(space.total_dim)] if one_block else None
+        gen = compile_generator(effective_generator(fr, include_shifts=True), space, blocks)
+        eye = sparse.identity(gen.index.shape[1], format="csr")
+        want = sparse.block_diag([sparse.kron(D, eye) + sparse.kron(eye, D.conj())
+                                  for D in gen.base_drift]).tocsr()
+        for weight, source in gen._jump_gathers:
+            targets = np.flatnonzero(weight)
+            entries = (weight.reshape(-1)[targets], (targets, source.reshape(-1)[targets]))
+            want += sparse.csr_matrix(entries, shape=want.shape)
+        got = gen.superoperator()
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.toarray(), want.toarray())
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+
     def test_superoperator_rejects_time_dependent_generator(self):
         gen = compile_generator(FullLinearized(desk_frame()), FockSpace((2, 2, 2)))
         with pytest.raises(ValueError, match="time-independent"):
@@ -461,6 +490,57 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(spec, space, bad, 1.0, 0.1)
 
+    @pytest.mark.parametrize("dims", [(3, 3), (8, 8)])
+    def test_negative_state_rejected_before_propagation(self, monkeypatch, dims):
+        # the eigenvalues are taken over the parity blocks; a negative one
+        # in either block, or in the one block of a state with off-parity
+        # coherence, still stops the run before it propagates
+        def refuse(*args, **kwargs):
+            raise AssertionError("an invalid state was propagated")
+
+        monkeypatch.setattr(fock, "propagate_exact", refuse)
+        space = FockSpace(dims)
+        spec = effective_generator(desk_frame())
+        for occupied, negative in (((0, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 0), (0, 0))):
+            rho = 1.1 * fock_state(space, occupied) - 0.1 * fock_state(space, negative)
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                integrate(spec, space, rho, 1.0, 0.1)
+        # |0,0> + |1,0> is carried as one block: its spectrum is {1, 0, ...}
+        psi = fock_state(space, (0, 0)).diagonal() + fock_state(space, (1, 0)).diagonal()
+        rho = 0.5 * np.outer(psi, psi) - 0.1 * fock_state(space, (0, 1)) + 0.1 * fock_state(space, (1, 1))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            integrate(spec, space, rho.astype(complex), 1.0, 0.1)
+        with pytest.raises(ValueError, match="shape"):
+            integrate(spec, space, np.eye(4, dtype=complex) / 4, 1.0, 0.1)
+
+    def test_block_spectrum_check_matches_the_whole_matrix(self):
+        # a state with the given smallest eigenvalue, in the last row of
+        # the odd parity block
+        space = FockSpace((3, 4))
+        blocks = fock.density_blocks(space)
+        rng = np.random.default_rng(4)
+        for smallest in (0.0, -1e-9, -1e-3):
+            p = rng.uniform(0.1, 1.0, 12)
+            p[-1] = 0.0
+            p *= (1 - smallest) / p.sum()
+            p[-1] = smallest
+            rho = np.zeros((12, 12), complex)
+            start = 0
+            for rows in blocks:
+                q = np.linalg.qr(rng.normal(size=(rows.size,) * 2) + 1j * rng.normal(size=(rows.size,) * 2))[0]
+                rho[np.ix_(rows, rows)] = (q * p[start:start + rows.size]) @ q.conj().T
+                start += rows.size
+            assert len(fock.density_blocks(space, rho)) == 2
+            outcomes = []
+            for parts in (None, blocks):
+                try:
+                    DensityState(rho).validate(parts)
+                    outcomes.append("valid")
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1] == ("valid" if smallest > -1e-8 else
+                                                  "density matrix has a significantly negative eigenvalue")
+
     def test_negative_rate_rejected(self):
         params = manual_params({"1": (-0.1, 0.0)})
         spec = EffectiveTwoMode(params, CollectiveMode(1.0, 1.0))
@@ -579,6 +659,94 @@ class TestExponentialMap:
         zero = np.zeros((6, 6)) if dense else sparse.csr_matrix((6, 6))
         B = np.arange(12.0).reshape(6, 2) + 1j
         assert np.array_equal(fock.exponential_map(zero)(B), B)
+
+    @staticmethod
+    def plain_stop_rule_map(A):
+        """exponential_map with its stop test taken at every term, on max |F| of the partial sum."""
+        norm = float(abs(A).sum(axis=0).max())
+        _, m, s = min((m * math.ceil(norm / theta), m, math.ceil(norm / theta))
+                      for m, theta in fock._TAYLOR_THETA.items())
+
+        def apply(B):
+            F = B
+            for _ in range(s):
+                c1 = np.abs(B).max()
+                for j in range(1, m + 1):
+                    B = A @ B
+                    B *= 1.0 / (s * j)
+                    c2 = np.abs(B).max()
+                    F = F + B
+                    if c1 + c2 <= 2.0**-53 * np.abs(F).max():
+                        break
+                    c1 = c2
+                B = F
+            return F
+
+        return apply
+
+    def stop_rule_cases(self):
+        from scipy import sparse
+
+        # the cases of the two dense-expm tests above, and the zero matrix
+        gen = compile_generator(effective_generator(self.FRAME), FockSpace((4, 4)))
+        superop = gen.superoperator()
+        rng = np.random.default_rng(5)
+        B = rng.normal(size=(superop.shape[0], 3)) + 1j * rng.normal(size=(superop.shape[0], 3))
+        for steps in (10, 1000):
+            A = superop * (steps * 0.01 / gen.f_max)
+            yield A, B[:, :1]
+            yield A, B
+        dd = gaussian.drift_diffusion_from_generator(effective_generator(self.FRAME))
+        L = dd.superoperator()
+        relax = -np.linalg.eigvals(dd.drift).real.max()
+        for h in (10 * 0.01 / dd.f_max, 10 / relax):
+            yield L * h, np.eye(25)
+        yield np.zeros((6, 6)), np.arange(12.0).reshape(6, 2) + 1j
+        yield sparse.csr_matrix((6, 6), dtype=complex), np.arange(12.0).reshape(6, 2) + 1j
+
+    def test_running_bound_stops_where_the_plain_rule_stops(self):
+        # every stop decision is the same, so every sum is bit-identical,
+        # and the caller's array is never written to
+        for A, B in self.stop_rule_cases():
+            kept = B.copy()
+            got = fock.exponential_map(A)(B)
+            assert np.array_equal(B, kept)
+            want = self.plain_stop_rule_map(A)(B)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_matrix_exponential_without_halving_is_the_taylor_map(self):
+        dd = gaussian.drift_diffusion_from_generator(effective_generator(self.FRAME))
+        A = dd.superoperator() * (10 * 0.01 / dd.f_max)
+        assert np.abs(A).sum(axis=0).max() <= fock._TAYLOR_THETA[55]
+        got = fock.matrix_exponential(A)
+        assert got.tobytes() == fock.exponential_map(A)(np.eye(25)).tobytes()
+
+    @pytest.mark.parametrize("cfg", range(3))
+    @pytest.mark.parametrize("relax_times", [10, 30])
+    def test_matrix_exponential_on_the_long_runs(self, cfg, relax_times):
+        # the criterion-5 long runs: one interval of 10 (benchmark) or 30
+        # (acceptance) relaxation times
+        from scipy.linalg import expm
+
+        class Counted(np.ndarray):
+            products = 0
+
+            def __matmul__(self, other):
+                Counted.products += 1
+                return super().__matmul__(other)
+
+        delta_omega, delta_bar, kappa, G = [(0.2, 1.0, 0.3, 0.15), (0.3, 0.9, 0.5, 0.12),
+                                            (0.15, 1.1, 0.2, 0.10)][cfg]
+        fr = frame_from_collective(1.0, delta_omega, delta_bar, kappa, G, G)
+        dd = gaussian.drift_diffusion_from_generator(effective_generator(fr))
+        relax = -np.linalg.eigvals(dd.drift).real.max()
+        A = dd.superoperator() * (relax_times / relax)
+        got = fock.matrix_exponential(A.view(Counted))
+        # worst measured: 1.6e-15
+        assert np.abs(got - expm(A)).max() <= 1e-14
+        # Taylor terms plus squarings; worst measured: 40 (the substeps
+        # took 351-482 at 10 relaxation times)
+        assert Counted.products <= 45
 
     def test_engines_run_without_scipy_exponentials(self, monkeypatch):
         import scipy.linalg
