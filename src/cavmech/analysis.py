@@ -34,7 +34,6 @@ from .elimination import build_coefficient_table, reduce_to_effective
 from .fock import (
     FockSpace,
     TransferProtocol,
-    effective_generator,
     excitation_transfer_experiment,
     fock_state,
     integrate,
@@ -45,6 +44,7 @@ from .gaussian import (
     evolve_covariance,
     fock_moments,
 )
+from .quadratic import effective_generator
 
 FLOAT_FORMAT = "{:.16e}"
 

@@ -17,20 +17,10 @@ import numpy as np
 
 from .model import SystemConfig, derive_frame, frame_from_collective, load_config
 from .effective import coupling_nulls, interaction_regime
-from .fock import (
-    FitError,
-    FockSpace,
-    FullLinearized,
-    StepControlError,
-    TransferProtocol,
-    TruncationError,
-    effective_generator,
-    fewest_steps_dt,
-    fock_state,
-    integrate,
-    quadratic_model,
-)
+from .fock import FitError, FockSpace, TransferProtocol, TruncationError, fock_state, integrate
 from .gaussian import PhysicalityError, entanglement_experiment
+from .propagate import StepControlError, fewest_steps_dt
+from .quadratic import FullLinearized, effective_generator, quadratic_model
 from .analysis import (
     Dataset,
     SweepGrid,

@@ -1,34 +1,20 @@
-"""Truncated-Fock-space Lindblad integrator, and what both engines share.
+"""Truncated-Fock-space Lindblad engine, and the excitation-transfer experiment.
 
-Covers two generators: the full linearized tri-partite model (cavity plus
-two mechanical modes, explicitly time-dependent in the displaced rotating
-frame) and the time-independent effective two-mode model.  Each is
-described once, as a :class:`QuadraticModel` (Hamiltonian terms with
-exact frequency labels, linear jumps with their rates), from which this
-module compiles the Fock-space generator and :mod:`cavmech.gaussian` the
-moment equations.  The Lindbladian of such a model conserves the parity
-of N - N' for the total excitation number N, so the density matrix is
-carried as the stack of its two parity blocks (or as one block of the
-whole matrix when the initial state has coherence between the sectors;
+Compiles a :class:`~cavmech.quadratic.QuadraticModel` (the full
+linearized tri-partite model, explicitly time-dependent in the displaced
+rotating frame, or the time-independent effective two-mode model) to a
+Fock-space generator.  Its Lindbladian conserves the parity of N - N'
+for the total excitation number N, so the density matrix is carried as
+the stack of its two parity blocks (or as one block of the whole matrix
+when the initial state has coherence between the sectors;
 :func:`density_blocks`), and every stage and record works on the stack.
-A constant generator is propagated exactly from one record to the next
-(:func:`propagate_exact`) by the action of the exponential of its sparse
-Lindblad superoperator on the block entries, summed as a truncated
-Taylor series (:func:`exponential_map`, Al-Mohy & Higham 2011); a
-time-dependent one by the adaptive Runge-Kutta kernel
-:func:`propagate_rk4` (the Dormand-Prince 5(4) pair with its continuous
-extension for the records).  The Gaussian engine uses the same walk,
-map (halved and squared over a long interval, :func:`matrix_exponential`)
-and kernel.  Each engine supplies the kernel its operator at the new
-stage times of a step, from one call (:meth:`CompiledGenerator.drift`
-takes an array of times and sums the phase terms by one sparse
-product), and its stage, which writes the right-hand side for one
-operator; every combination of stages is one product with a row of
-coefficients, which OpenBLAS keeps on one thread up to about 47,000
-reals of state.  Repeated runs are bit-identical, the trace is never
-rescaled, and trace, Hermiticity, positivity, and top-level population
-are monitored at every recorded step, over buffered stacks of records
-(:class:`RecordBuffer`).
+:func:`integrate` runs it by :func:`cavmech.propagate.run`: a constant
+generator by the exponential of its sparse Lindblad superoperator, a
+time-dependent one by its drift blocks at the stage times of a step
+(:meth:`CompiledGenerator.drift` takes an array of times and sums the
+phase terms by one sparse product) and its stage.  Repeated runs are
+bit-identical, the trace is never rescaled, and trace, Hermiticity,
+positivity, and top-level population are monitored at every record.
 """
 
 from __future__ import annotations
@@ -39,23 +25,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import FrameParams
-from .effective import (
-    CollectiveMode,
-    EffectiveParams,
-    collective_mode_coeffs,
-    effective_params,
-    frequency_shifts,
-)
+from .propagate import RunStats, exponential_map, run, step_count
+from .quadratic import FullLinearized, effective_generator, quadratic_model
 
 DIMENSION_CAP = 4096
 
 
 class TruncationError(RuntimeError):
     """Top Fock level acquired more population than the run allows."""
-
-
-class StepControlError(RuntimeError):
-    """The adaptive step would have to fall below the finest step dt."""
 
 
 class FitError(RuntimeError):
@@ -154,116 +131,6 @@ def fock_state(space: FockSpace, occupations: tuple[int, ...]) -> np.ndarray:
     return rho
 
 
-# -- generator specifications ----------------------------------------------
-
-@dataclass(frozen=True)
-class FullLinearized:
-    """Displaced-frame tri-partite generator; subsystem order (cavity, 1, 2)."""
-
-    frame: FrameParams
-
-
-@dataclass(frozen=True)
-class EffectiveTwoMode:
-    """Effective two-mode generator; subsystem order (mode 1, mode 2).
-
-    ``freq_shifts`` are the coefficients of the two number operators; by
-    default the frame shifts are taken as absorbed into the mode operators
-    and set to zero.
-    """
-
-    params: EffectiveParams
-    collective: CollectiveMode
-    freq_shifts: tuple[float, float] = (0.0, 0.0)
-    thermal_baths: tuple[tuple[float, float], ...] | None = None
-
-
-def effective_generator(frame: FrameParams, include_shifts: bool = False) -> EffectiveTwoMode:
-    """Assemble the effective generator for a frame."""
-    return EffectiveTwoMode(
-        params=effective_params(frame),
-        collective=collective_mode_coeffs(frame.g_1, frame.g_2),
-        freq_shifts=frequency_shifts(frame) if include_shifts else (0.0, 0.0),
-        thermal_baths=frame.thermal_baths,
-    )
-
-
-# -- quadratic model ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadraticModel:
-    """One quadratic open-system model, read by both engines.
-
-    A Hamiltonian term ``(c, m, n, squeeze)`` is c b_m^dag X_n + h.c. with
-    X_n = b_n^dag if ``squeeze`` else b_n; for m == n it is c b_m^dag b_m.
-    ``static`` holds the constant terms and ``oscillating`` groups
-    ``(nu, terms)`` whose coefficients carry a factor exp(i nu t), sorted
-    by exact integer frequency label.  A jump ``(coeffs, dagger, rate)``
-    is sqrt(rate) sum_m c_m b_m over the ``(m, c_m)`` pairs, with b_m^dag
-    in place of b_m when ``dagger``; every rate is positive.
-    """
-
-    n_modes: int
-    static: tuple
-    oscillating: tuple
-    jumps: tuple
-    f_max: float
-
-
-def quadratic_model(spec) -> QuadraticModel:
-    """Describe a generator spec as a :class:`QuadraticModel`.
-
-    A :class:`QuadraticModel` is returned as it is.  Raises ``ValueError``
-    for a negative Lindblad rate.
-    """
-    if isinstance(spec, QuadraticModel):
-        return spec
-    if isinstance(spec, FullLinearized):
-        fr = spec.frame
-        # a^dag b_j^dag and a^dag b_j terms grouped by the exact label
-        # (n, m, p) of nu = n delta_bar + m omega_bar + p delta_omega/2
-        delta_sym = {1: (1, 0, 1), 2: (1, 0, -1)}
-        omega_sym = {1: (0, 1, 1), 2: (0, 1, -1)}
-        by_freq: dict[tuple[int, int, int], list] = {}
-        for j, G in ((1, fr.G_1), (2, fr.G_2)):
-            for k in (1, 2):
-                for sign, squeeze in ((1, True), (-1, False)):
-                    key = tuple(d + sign * w for d, w in zip(delta_sym[k], omega_sym[j]))
-                    by_freq.setdefault(key, []).append((G, 0, j, squeeze))
-        n_modes, static = 3, ()
-        oscillating = tuple(
-            (n * fr.delta_bar + m * fr.omega_bar + p * (fr.delta_omega / 2), tuple(terms))
-            for (n, m, p), terms in sorted(by_freq.items())
-        )
-        jumps = [(((0, 1.0),), False, fr.kappa)]
-        mechanical, baths = (1, 2), fr.thermal_baths
-    elif isinstance(spec, EffectiveTwoMode):
-        p = spec.params
-        s1, s2 = spec.freq_shifts
-        n_modes, oscillating = 2, ()
-        static = ((s1, 0, 0, False), (s2, 1, 1, False), (p.exchange_coupling, 0, 1, False))
-        collective = ((0, spec.collective.c_1), (1, spec.collective.c_2))
-        jumps = []
-        for coeffs, name in ((((0, 1.0),), "1"), (((1, 1.0),), "2"), (collective, "collective")):
-            down, up = p.rate_table[name]
-            jumps += [(coeffs, False, down), (coeffs, True, up)]
-        mechanical, baths = (0, 1), spec.thermal_baths
-    else:
-        raise TypeError(f"unknown generator spec {type(spec).__name__}")
-    for (rate, nth), m in zip(baths or (), mechanical):
-        jumps += [(((m, 1.0),), False, rate * (nth + 1)), (((m, 1.0),), True, rate * nth)]
-    for coeffs, dagger, rate in jumps:
-        if rate < 0:
-            kind = "raising" if dagger else "lowering"
-            modes = [m for m, _ in coeffs]
-            raise ValueError(f"negative Lindblad rate {rate} on the {kind} jump of modes {modes}")
-    f_max = max([abs(term[0]) for term in static] + [abs(nu) for nu, _ in oscillating]
-                + [rate for _, _, rate in jumps] + [0.0])
-    # a zero-rate jump does nothing and is dropped
-    return QuadraticModel(n_modes, static, oscillating,
-                          tuple(jump for jump in jumps if jump[2] > 0), f_max)
-
-
 # -- Fock-space compilation ---------------------------------------------------
 
 def _occupation_numbers(space: FockSpace) -> np.ndarray:
@@ -275,12 +142,13 @@ def _occupation_numbers(space: FockSpace) -> np.ndarray:
 def density_blocks(space: FockSpace, rho: np.ndarray | None = None) -> list[np.ndarray]:
     """Basis indices of the diagonal blocks a density matrix is carried in.
 
-    Every Hamiltonian term of a :class:`QuadraticModel` is quadratic and
-    every jump linear, so the Lindbladian conserves the parity of N - N'
-    for the total excitation number N (Buca & Prosen, New J. Phys. 14,
-    073007 (2012)): a state with no coherence between the two parity
-    sectors of N stays block-diagonal in them.  Returns the two sectors,
-    or one block of the whole space when ``rho`` has such a coherence.
+    Every Hamiltonian term of a :class:`~cavmech.quadratic.QuadraticModel`
+    is quadratic and every jump linear, so the Lindbladian conserves the
+    parity of N - N' for the total excitation number N (Buca & Prosen,
+    New J. Phys. 14, 073007 (2012)): a state with no coherence between the
+    two parity sectors of N stays block-diagonal in them.  Returns the two
+    sectors, or one block of the whole space when ``rho`` has such a
+    coherence.
     """
     parity = _occupation_numbers(space).sum(axis=0) % 2
     if rho is not None and np.any(rho[parity[:, None] != parity]):
@@ -289,7 +157,7 @@ def density_blocks(space: FockSpace, rho: np.ndarray | None = None) -> list[np.n
 
 
 class CompiledGenerator:
-    """Matrices of one quadratic model on a concrete Fock space, in block form.
+    """Matrices of a :class:`~cavmech.quadratic.QuadraticModel` on a Fock space, in block form.
 
     A density matrix is carried as the stack of its diagonal blocks over
     the basis indices of ``blocks`` (default: the two parity sectors of
@@ -304,7 +172,7 @@ class CompiledGenerator:
     bare ladder jump).
     """
 
-    def __init__(self, space: FockSpace, model: QuadraticModel, blocks=None):
+    def __init__(self, space: FockSpace, model, blocks=None):
         from scipy import sparse
 
         if len(space.dims) != model.n_modes:
@@ -486,31 +354,7 @@ def compile_generator(spec, space: FockSpace, blocks=None) -> CompiledGenerator:
     return CompiledGenerator(space, quadratic_model(spec), blocks)
 
 
-# -- propagation ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunStats:
-    """How an integration was carried out; never part of any output body.
-
-    On the time-dependent path (:func:`propagate_rk4`) ``accepted_steps``
-    and ``rejected_steps`` count the steps, ``stage_evaluations`` the
-    right-hand-side evaluations, ``last_step`` is the step size the
-    controller held at the end, before the last step was clipped to land
-    on the end time, in units of ``dt``, and ``max_error_estimate`` is the
-    largest error estimate of an accepted step; all are 0 on the exact
-    path.  ``records`` counts the recorded points on either path, and
-    ``blocks`` are the sizes of the diagonal blocks the Fock engine
-    carried the density matrix in (empty for the moment engine).
-    """
-
-    accepted_steps: int = 0
-    rejected_steps: int = 0
-    stage_evaluations: int = 0
-    last_step: float = 0.0
-    max_error_estimate: float = 0.0
-    records: int = 0
-    blocks: tuple[int, ...] = ()
-
+# -- integration ------------------------------------------------------------
 
 @dataclass
 class Trajectory:
@@ -541,41 +385,6 @@ class Trajectory:
         return float(self.min_eig.min())
 
 
-class RecordBuffer:
-    """The ``record(t, x)`` callback of a run, buffered for a monitor over stacks.
-
-    :meth:`record` copies ``t`` and ``x`` into a preallocated stack of
-    ``_MONITOR_BLOCK`` entries (at least one record); when the stack is
-    full, and when the ``with`` block exits, ``monitor(ts, xs)`` runs over
-    the filled part.  The exit flush runs before any exception from the
-    block propagates, so a monitor abort on an earlier record wins.
-    """
-
-    def __init__(self, shape, dtype, monitor):
-        self.ts = np.empty(max(1, _MONITOR_BLOCK // math.prod(shape)))
-        self.xs = np.empty(self.ts.shape + shape, dtype)
-        self.count = 0
-        self.monitor = monitor
-
-    def record(self, t, x):
-        self.ts[self.count] = t
-        self.xs[self.count] = x
-        self.count += 1
-        if self.count == self.ts.size:
-            self.flush()
-
-    def flush(self):
-        k, self.count = self.count, 0
-        if k:
-            self.monitor(self.ts[:k], self.xs[:k])
-
-    def __enter__(self):
-        return self.record
-
-    def __exit__(self, *exc):
-        self.flush()
-
-
 def integrate(
     spec,
     space: FockSpace,
@@ -589,20 +398,15 @@ def integrate(
 
     ``dt`` sets the record grid (every ``stride`` steps, plus the last
     step) and must satisfy ``dt <= 0.01 / f_max`` for the generator's
-    fastest scale.  A constant generator jumps from record to record
-    exactly (:func:`propagate_exact`): the action of exp(L h) of its
-    superoperator L over each record interval h, summed as a truncated
-    Taylor series (:func:`exponential_map`, Al-Mohy & Higham, SIAM J.
-    Sci. Comput. 33, 488 (2011)); a time-dependent one takes
-    adaptive Dormand-Prince 5(4) steps, with the records between steps
-    taken from the pair's continuous extension (:func:`propagate_rk4`,
-    which raises :class:`StepControlError` if the step would fall below
-    ``dt``).  The returned trajectory's ``stats`` say how.  Trace drift
-    is compensated in the reported expectations only, never in the
-    state.  Aborts when the top Fock level of any subsystem passes
-    ``truncation_tol``.  The monitors run over stacks of records
-    (:class:`RecordBuffer`), so a run may propagate up to one stack past
-    the offending record before it aborts; the error names that record.
+    fastest scale.  The run is carried out by :func:`cavmech.propagate.run`:
+    for a constant generator, the map exp(L h) of its sparse
+    superoperator L over each record interval h
+    (:func:`~cavmech.propagate.exponential_map`); for a time-dependent
+    one, its drift blocks at the stage times and its stage.  The returned
+    trajectory's ``stats`` say how.
+    Trace drift is compensated in the reported expectations only, never
+    in the state.  Aborts when the top Fock level of any subsystem passes
+    ``truncation_tol``; the error names the first such record.
 
     The state is carried as the stack of its diagonal blocks
     (:func:`density_blocks`): the two parity sectors of the total
@@ -620,7 +424,6 @@ def integrate(
     n_steps = step_count(t_end, dt, stride, gen.f_max)
     rho = gen.pack(rho0)
 
-    rec = {k: [] for k in ("t", "n1", "n2", "n_cav", "coh", "trace", "trunc_monitor", "herm_dev", "min_eig")}
     ghosts = (slice(None),) + gen.ghosts + gen.ghosts[1:]
     # tr(O rho) of every observable by one product with the flat record
     # stack: column q holds O_q transposed block by block
@@ -637,21 +440,14 @@ def integrate(
                          for mask in gen.top_level_masks], axis=-1)
         top = tops.max(-1)
         sym = rhos.conj().swapaxes(-1, -2)
-        rec["herm_dev"].append(np.abs(rhos - sym).max((-3, -2, -1)))
+        herm_dev = np.abs(rhos - sym).max((-3, -2, -1))
         sym += rhos
         sym /= 2
         # a ghost's eigenvalue is its diagonal entry: give it one that is
         # never below the smallest eigenvalue of the blocks
         sym[ghosts] = diag.max((-2, -1))[:, None]
-        rec["min_eig"].append(np.linalg.eigvalsh(sym).min((-2, -1)))
-        rec["t"].append(ts.copy())
-        rec["trace"].append(tr)
-        rec["trunc_monitor"].append(top)
-        values = rhos.reshape(ts.size, -1) @ observables / tr[:, None]
-        for name, column in zip(names, values.T):
-            rec[name].append(column)
-        if gen.observables["n_cav"] is None:
-            rec["n_cav"].append(np.full(ts.size, math.nan))
+        min_eig = np.linalg.eigvalsh(sym).min((-2, -1))
+        values = dict(zip(names, (rhos.reshape(ts.size, -1) @ observables / tr[:, None]).T))
         over = np.flatnonzero(top > truncation_tol)
         if over.size:
             i = over[0]
@@ -660,6 +456,9 @@ def integrate(
                 f"subsystem {s} holds population {top[i]:.3e} in its top Fock level "
                 f"n={space.dims[s] - 1} at t={ts[i]:.6g}, above {truncation_tol}: increase dimensions"
             )
+        n_cav = values["n_cav"].real if "n_cav" in values else np.full(ts.size, math.nan)
+        return {"n1": values["n1"].real, "n2": values["n2"].real, "n_cav": n_cav, "coh": values["coh"],
+                "trace": tr, "trunc_monitor": top, "herm_dev": herm_dev, "min_eig": min_eig}
 
     tmp = np.empty_like(rho)
 
@@ -670,300 +469,17 @@ def integrate(
         np.add(tmp, tmp.conj().swapaxes(-1, -2), out=out)
         gen.add_jump_sandwiches(state, out)
 
-    stats = RunStats()
-    with RecordBuffer(rho.shape, rho.dtype, monitor) as record:
-        record(0.0, rho)
-        if gen.phase_nus.size:
-            rho, stats = propagate_rk4(gen.drift, stage, rho, n_steps, dt, stride, record)
-        else:
-            superop = gen.superoperator()
-            rho = propagate_exact(lambda h: exponential_map(superop * h), rho, n_steps, dt, stride, record)
-    rec = {k: np.concatenate(v) for k, v in rec.items()}
-    rec["n1"], rec["n2"], rec["n_cav"] = rec["n1"].real, rec["n2"].real, rec["n_cav"].real
-
+    if gen.phase_nus.size:
+        path = {"operators": gen.drift, "stage": stage}
+    else:
+        superop = gen.superoperator()
+        path = {"interval_map": lambda h: exponential_map(superop * h)}
+    records, rho, stats = run(rho, monitor, n_steps, dt, stride, **path)
     return Trajectory(
-        **rec,
+        **records,
         final_state=DensityState(gen.unpack(rho), time=n_steps * dt),
-        stats=replace(stats, records=rec["t"].size, blocks=gen.block_sizes),
+        stats=replace(stats, blocks=gen.block_sizes),
     )
-
-
-def step_count(t_end: float, dt: float, stride: int, f_max: float) -> int:
-    """Number of steps of ``dt`` in ``t_end``, after checking the run parameters.
-
-    Both engines require a finite ``t_end``, ``dt <= 0.01 / f_max`` for the
-    generator's fastest scale, a positive ``dt``, a nonnegative ``t_end``
-    and ``stride >= 1``.
-    """
-    _require_finite_t_end(t_end)
-    if f_max > 0 and dt > 0.01 / f_max * (1 + 1e-9):
-        raise ValueError(
-            f"dt={dt} too coarse for the fastest scale {f_max}; need dt <= {0.01 / f_max}"
-        )
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
-    if stride < 1:
-        raise ValueError("stride must be a positive number of steps")
-    return int(round(t_end / dt)) if t_end > 0 else 0
-
-
-def _require_finite_t_end(t_end: float) -> None:
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
-
-
-def fewest_steps_dt(t_end: float, f_max: float) -> float:
-    """The ``dt`` of the fewest steps within the guard ``dt <= 0.01 / f_max``
-    that divide ``t_end``, so the last record lands on ``t_end``."""
-    _require_finite_t_end(t_end)
-    steps = math.ceil(t_end * f_max / 0.01) if f_max > 0 else 1000
-    return t_end / steps if steps > 0 else 0.01 / f_max
-
-
-# theta_m of the degree-m Taylor polynomial in double precision: at
-# |A|_1 / s <= theta_m, T_m(A / s)^s = exp(A + E) with |E|_1 <= 2^-53 |A|_1
-# (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1).
-_TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
-                 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
-
-# Entries held at once by the stack of a RecordBuffer (256 KiB complex):
-# 25 density-block records at dims (4,3,3), 334 augmented 7x7 moment matrices.
-_MONITOR_BLOCK = 2**14
-
-# Largest error estimate a step may have, relative to max(1, max |X|).
-# On the desk-frame transfer runs at dims (4,3,3) and dt = 0.01 / f_max
-# no step is rejected, and the recorded occupations lie within 1.2e-9
-# (horizon 100) and 6.1e-9 (horizon 400) of fixed-step RK4 at dt.
-_STEP_TOL = 1e-9
-
-# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math.
-# 6, 19 (1980)): the nodes c of stages 2..6 (stage 7 sits at t + h), and
-# the rows weighing the earlier stages into the inputs of stages 2..7.
-# The last row holds the 5th-order weights b, so stage 7 is taken on the
-# new state and is the next step's first (FSAL).  _DP_ERROR weighs the
-# stages into the embedded error estimate, and _DP_DENSE into the last
-# term of the 4th-order continuous extension (Hairer, Norsett & Wanner,
-# Solving ODEs I, II.5-II.6).
-_DP_NODES = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_DP_ROWS = tuple(np.array(row) for row in (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-))
-_DP_ERROR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-_DP_DENSE = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-                      -10690763975 / 1880347072, 701980252875 / 199316789632,
-                      -1453857185 / 822651844, 69997945 / 29380423])
-# One row per combination of a step: the inputs of stages 2..6, the
-# 5th-order update and the error estimate.  Column 0 weighs the state at
-# the start of the step, column 1 + i stage 1 + i in units of the step.
-_DP_TABLE = np.array([[1.0, *row, *[0.0] * (7 - row.size)] for row in _DP_ROWS] + [[0.0, *_DP_ERROR]])
-_DP_B = np.append(_DP_ROWS[-1], 0.0)
-_DP_SPLINE = np.eye(7)[0] - _DP_B
-_DP_CUBIC = _DP_B - _DP_SPLINE - np.eye(7)[6]
-
-
-def _dense_weights(theta: float) -> np.ndarray:
-    """Weights w of the continuous extension X(t + theta h) = X + h sum_i w_i k_i.
-
-    Hairer's form X + theta (dX + (1 - theta) (h k1 - dX + theta (dX - h k7
-    - (h k1 - dX) + (1 - theta) h sum d_i k_i))), dX = h sum b_i k_i.
-    """
-    return theta * (_DP_B + (1 - theta) * (_DP_SPLINE + theta * (_DP_CUBIC + (1 - theta) * _DP_DENSE)))
-
-
-def _step_factor(error: float, bound: float) -> float:
-    """Standard step-size controller: 0.9 (bound / error)^(1/5), clipped to [0.2, 5]."""
-    return min(5.0, max(0.2, 0.9 * (bound / error) ** 0.2)) if error > 0 else 5.0
-
-
-def propagate_rk4(operators, stage, x, n_steps, dt, stride, record):
-    """Adaptive Runge-Kutta for X' = F(t, X) on a Hermitian X.
-
-    X is a matrix or a stack of matrices (the Fock engine's density
-    blocks).  ``operators(ts)`` returns the engine's operator at each of
-    an array of times (the Fock drift blocks, the Gaussian moment
-    superoperator), and ``stage(op, state, out)`` writes F(t, state) into
-    ``out``, with ``op`` the operator at t.
-
-    ``dt`` is the record-grid unit: ``record(s dt, x_s)`` is called at
-    every step index s that is a multiple of ``stride``, and at
-    ``n_steps``.  The state advances by the Dormand-Prince 5(4) pair, with
-    one ``operators`` call per attempted step on its five new stage times.
-    A step is accepted when the largest entry of its error estimate is at
-    most ``_STEP_TOL`` max(1, max |X|), and :func:`_step_factor` sets the
-    next step; a rejected step is redone shorter, and one that would fall
-    below ``dt`` raises :class:`StepControlError`.  The first step is
-    10 ``dt``, and the last is clipped to end at ``n_steps dt``.  The
-    records before it come from the continuous extension, so the steps
-    never depend on ``stride``.  Returns the final state and the
-    :class:`RunStats` of the run.
-
-    Every stage input, update, error estimate and record is one product
-    of a row of step-scaled coefficients with the real view of the state
-    and its stages (``np.dot``, one OpenBLAS dgemv).  OpenBLAS keeps it on
-    one thread while X holds at most about 47,000 reals: 8 rows ran at
-    cpu/wall 1.00 at 1,296 reals (the Fock blocks at dims (4,3,3)),
-    20,000 and 46,656 (dims (6,6,6)), and at 1.99 at 100,000.
-
-    X is re-Hermitized after each accepted step and each record: the
-    exact flow preserves Hermiticity, but for a density matrix the
-    roundoff-seeded anti-Hermitian component obeys a sign-flipped
-    dissipator in this split update and can grow exponentially if left in
-    place.
-    """
-    # stack[0] is the state at the start of the step, stack[1:] its seven
-    # stages; a combination writes through the real view of x or y, and a
-    # record's row weighs stack[0] by 1
-    x = np.ascontiguousarray(x)
-    stack = np.zeros((8,) + x.shape, x.dtype)
-    flat = stack.view(x.real.dtype).reshape(8, -1)
-    y = np.empty_like(x)
-    x_flat, y_flat = (v.view(flat.dtype).reshape(-1) for v in (x, y))
-    row = np.ones(8)
-
-    def hermitize(state):
-        np.add(state, state.conj().swapaxes(-1, -2), out=state)
-        state *= 0.5
-
-    t_end = n_steps * dt
-    t, h, r = 0.0, 10.0 * dt, stride
-    accepted = rejected = 0
-    max_error = 0.0
-    if n_steps:
-        stack[0] = x
-        stage(operators(np.zeros(1))[0], x, stack[1])
-    while t < t_end:
-        last = t + h >= t_end
-        step = t_end - t if last else h
-        ops = operators(t + step * _DP_NODES)
-        C = step * _DP_TABLE
-        C[:, 0] = _DP_TABLE[:, 0]
-        for i in range(5):
-            np.dot(C[i, :i + 2], flat[:i + 2], out=y_flat)
-            stage(ops[i], y, stack[i + 2])
-        np.dot(C[5, :7], flat[:7], out=x_flat)
-        hermitize(x)
-        stage(ops[4], x, stack[7])
-        np.dot(C[6], flat, out=y_flat)
-        error = float(np.abs(y).max())
-        bound = _STEP_TOL * max(1.0, float(np.abs(x).max()))
-        factor = _step_factor(error, bound)
-        if error > bound:
-            rejected += 1
-            h = step * factor
-            if h < dt:
-                raise StepControlError(
-                    f"error estimate {error:.3e} at t={t:.6g} exceeds {bound:.3g}, and the "
-                    f"next step of {h / dt:.3g} dt would fall below the finest step dt={dt}")
-            x[...] = stack[0]
-            continue
-        accepted += 1
-        max_error = max(max_error, error)
-        t_next = t_end if last else t + step
-        while r < n_steps and r * dt < t_next:
-            np.multiply(_dense_weights((r * dt - t) / step), step, out=row[1:])
-            np.dot(row, flat, out=y_flat)
-            hermitize(y)
-            record(r * dt, y)
-            r += stride
-        t = t_next
-        if not last:
-            h = step * factor
-        stack[0] = x
-        stack[1] = stack[7]
-    if n_steps:
-        record(t_end, x)
-    evaluations = 1 + 6 * (accepted + rejected) if n_steps else 0
-    return x, RunStats(accepted, rejected, evaluations, h / dt if n_steps else 0.0, max_error)
-
-
-def propagate_exact(interval_map, x, n_steps, dt, stride, record):
-    """Exact record-to-record propagation of a constant flow on a Hermitian X.
-
-    Walks the record grid of :func:`propagate_rk4` (``stride`` steps of
-    ``dt`` at a time, then one shorter tail) by ``interval_map(h)``, the
-    map of flat X over an interval h, built once per interval length.
-    Each record is re-Hermitized.  Returns the final state.
-    """
-    maps = {}
-    step = 0
-    while step < n_steps:
-        width = min(stride, n_steps - step)
-        if width not in maps:
-            maps[width] = interval_map(width * dt)
-        x = maps[width](x.reshape(-1)).reshape(x.shape)
-        x = 0.5 * (x + x.conj().swapaxes(-1, -2))
-        step += width
-        record(step * dt, x)
-    return x
-
-
-def exponential_map(A):
-    """The map B -> exp(A) B of a square CSR or dense ``A``, by truncated Taylor series.
-
-    Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011)): exp(A) B =
-    T_m(A / s)^s B, with the degree m and substeps s of ``_TAYLOR_THETA``
-    that take the fewest products m ceil(|A|_1 / theta_m) at the exact
-    1-norm.  A substep stops once the largest entries of its last two
-    terms sum to at most 2^-53 max |F| of the partial sum F.  That test
-    is taken only where it can pass: max |F| is at most the running bound
-    U = max |B_0| + sum_j max |B_j| of the substep's terms B_j (widened
-    by 2^-30 for rounding), so while c1 + c2 > 2^-53 U the sum goes on
-    without reducing F, and every stop falls where the plain test puts it.
-    Only products with A: no random norm estimate and no LAPACK call.
-    The caller's B is never written to.
-    """
-    norm = float(abs(A).sum(axis=0).max())
-    _, m, s = min((m * math.ceil(norm / theta), m, math.ceil(norm / theta))
-                  for m, theta in _TAYLOR_THETA.items())
-    tol = 2.0**-53
-    widened = tol * (1 + 2.0**-30)
-
-    def apply(B):
-        F = B
-        for _ in range(s):
-            c1 = bound = np.abs(B).max()
-            for j in range(1, m + 1):
-                B = A @ B
-                B *= 1.0 / (s * j)
-                c2 = np.abs(B).max()
-                bound += c2
-                # in place from the second term: F starts as the caller's B
-                F = F + B if j == 1 else np.add(F, B, out=F)
-                if c1 + c2 <= widened * bound and c1 + c2 <= tol * np.abs(F).max():
-                    break
-                c1 = c2
-            B = F
-        return F
-
-    return apply
-
-
-def matrix_exponential(A: np.ndarray) -> np.ndarray:
-    """exp(A) of a dense square ``A``, by halving and squaring.
-
-    exp(A) = exp(A / 2^k)^(2^k) with the fewest halvings k that bring
-    |A|_1 / 2^k within ``_TAYLOR_THETA[55]``, so that
-    :func:`exponential_map` sums exp(A / 2^k) in one substep; k squarings
-    follow.  At k = 0 this is ``exponential_map(A)(I)``.  A long interval
-    (|A|_1 of a few hundred) then takes about 40 products instead of the
-    several hundred of the substeps, and matches scipy's Pade ``expm``
-    to a few ulps of the result.
-    """
-    norm = float(np.abs(A).sum(axis=0).max())
-    k = 0
-    while norm / 2**k > _TAYLOR_THETA[55]:
-        k += 1
-    X = exponential_map(A / 2**k)(np.eye(A.shape[0]))
-    for _ in range(k):
-        X = X @ X
-    return X
 
 
 # -- excitation-transfer experiment -----------------------------------------

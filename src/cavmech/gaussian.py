@@ -5,29 +5,26 @@ second moments for any state, so these engines track the mean vector and
 the symmetric covariance matrix exactly, independent of Fock truncation.
 Quadratures are ordered (x_1, p_1, ..., x_N, p_N) with vacuum variance 1/2
 (hbar = 1); that convention is stamped on every emitted header.  Drift
-and diffusion are compiled from the same :class:`~cavmech.fock.QuadraticModel`
-as the Fock-space generator, one formula per Hamiltonian term and per
-jump.  Both propagation paths carry the augmented moment matrix
-[[cov, mean], [mean^T, 1]]: a constant drift and diffusion map it by the
-exponential of its superoperator, summed by the Fock engine's truncated
-Taylor series with halving and squaring; a time-dependent drift steps
-it with the adaptive Runge-Kutta kernel the Fock engine uses, each stage
-one product of the superoperator L(t) with the flat X, and the L(t) of
-the new stage times of a step built by one product
-(:meth:`DriftDiffusion.superoperator` takes an array of times).
+and diffusion are compiled from the same
+:class:`~cavmech.quadratic.QuadraticModel` as the Fock-space generator,
+one formula per Hamiltonian term and per jump.  :func:`evolve_covariance`
+carries the augmented moment matrix [[cov, mean], [mean^T, 1]] through
+:func:`cavmech.propagate.run`, with the moment superoperator L
+(:meth:`DriftDiffusion.superoperator`, which takes an array of times) as
+the operator of a time-dependent drift.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .model import FrameParams
-from .fock import (RecordBuffer, RunStats, effective_generator, fewest_steps_dt, matrix_exponential,
-                   propagate_exact, propagate_rk4, quadratic_model, step_count)
+from .propagate import RunStats, fewest_steps_dt, matrix_exponential, run, step_count
+from .quadratic import effective_generator, quadratic_model
 
 VACUUM_CONVENTION = "quadrature ordering (x1,p1,...); vacuum variance 1/2; hbar=1"
 
@@ -209,7 +206,7 @@ def _quad_form(T, terms, phase=1):
 def drift_diffusion_from_generator(spec) -> DriftDiffusion:
     """Map a generator spec onto moment dynamics.
 
-    Reads the spec's :class:`~cavmech.fock.QuadraticModel`.  An oscillating
+    Reads the spec's :class:`~cavmech.quadratic.QuadraticModel`.  An oscillating
     coefficient c e^{i nu t} contributes cos(nu t) times the drift of c and
     sin(nu t) times the drift of i c.  A jump L = sum_m c_m X_m is
     lambda^T r with lambda = sum_m c_m Y_m / sqrt(2), Y_m = T_m for
@@ -274,24 +271,18 @@ def evolve_covariance(
 ) -> GaussTrajectory:
     """Propagate the moments to ``round(t_end / dt) * dt``, recording every ``stride`` steps of ``dt``.
 
-    Both paths carry the augmented moment matrix X = [[cov, mean],
+    The run carries the augmented moment matrix X = [[cov, mean],
     [mean^T, 1]]: with M = blockdiag(A, 0) and N = blockdiag(D, 0),
     X' = M X + (M X)^T + N holds the covariance and the mean equations.
     ``dt`` sets the record grid (every ``stride`` steps, plus the last
-    step) and must satisfy ``dt <= 0.01 / f_max``.  A constant drift maps
-    X from record to record by exp(L h) over each interval h, L =
-    :meth:`DriftDiffusion.superoperator`, one dense matrix per interval
-    length (:func:`~cavmech.fock.matrix_exponential`: the truncated
-    Taylor series of Al-Mohy & Higham over an interval halved until one
-    substep covers it, then squared back); a time-dependent drift takes
-    adaptive Dormand-Prince 5(4) steps, each stage one product of
-    :meth:`DriftDiffusion.superoperator` at the stage time with the flat
-    X, with the records between steps taken from the pair's continuous
-    extension (:func:`~cavmech.fock.propagate_rk4`; the trajectory's
-    ``stats`` say how).  X is re-symmetrized after every update (pure
-    roundoff control) and the uncertainty-bound defect is monitored at
-    every record, over stacks of records
-    (:class:`~cavmech.fock.RecordBuffer`); a defect
+    step) and must satisfy ``dt <= 0.01 / f_max``.  The run is carried
+    out by :func:`cavmech.propagate.run` with L =
+    :meth:`DriftDiffusion.superoperator`: for a constant drift, the dense
+    exp(L h) of each record-interval length h
+    (:func:`~cavmech.propagate.matrix_exponential`); for a time-dependent
+    one, L at the stage times and a stage that is one product of L with
+    the flat X.  The trajectory's ``stats`` say how.  The
+    uncertainty-bound defect is monitored at every record; a defect
     beyond ``_PHYSICALITY_TOL`` aborts, naming the first such record.
     Entanglement is tracked between the two modes of a two-mode state.
     """
@@ -302,7 +293,6 @@ def evolve_covariance(
     x[:n, n] = x[n, :n] = state0.mean
     x[n, n] = 1.0
 
-    rec = {k: [] for k in ("t", "occupations", "log_negativity", "min_symp_eig", "physicality")}
     bound = 0.5j * symplectic_form(n // 2)
 
     def monitor(ts, xs):
@@ -310,43 +300,35 @@ def evolve_covariance(
         cov, mean = xs[:, :n, :n], xs[:, :n, n]
         var, disp = cov.diagonal(0, -2, -1), mean * mean
         occ = var[:, 0::2] + var[:, 1::2] + (disp[:, 0::2] + disp[:, 1::2])
-        rec["occupations"].append(0.5 * (occ - 1.0))
         defect = np.minimum(np.linalg.eigvalsh(cov + bound).min(-1), 0.0)
-        rec["physicality"].append(defect)
         en, nu = (np.array([_log_negativity(c) for c in cov]).T if track_entanglement
                   else np.full((2, ts.size), math.nan))
-        rec["t"].append(ts.copy())
-        rec["log_negativity"].append(en)
-        rec["min_symp_eig"].append(nu)
         over = np.flatnonzero(defect < -_PHYSICALITY_TOL)
         if over.size:
             i = over[0]
             raise PhysicalityError(
                 f"covariance defect {defect[i]:.3e} at t={ts[i]:.6g} beyond {_PHYSICALITY_TOL}"
             )
+        return {"occupations": 0.5 * (occ - 1.0), "physicality": defect,
+                "log_negativity": en, "min_symp_eig": nu}
 
     def stage(L, state, out):
         np.dot(L, state.reshape(-1), out=out.reshape(-1))
 
-    stats = RunStats()
-    with RecordBuffer(x.shape, x.dtype, monitor) as record:
-        record(0.0, x)
-        if dd.time_dependent:
-            x, stats = propagate_rk4(dd.superoperator, stage, x, n_steps, dt, stride, record)
-        else:
-            # one dense map per interval length: a record is one product
-            superop = dd.superoperator()
-            x = propagate_exact(lambda h: matrix_exponential(superop * h).dot,
-                                x, n_steps, dt, stride, record)
-    rec = {k: np.concatenate(v) for k, v in rec.items()}
-
-    occ = rec["occupations"]
+    if dd.time_dependent:
+        path = {"operators": dd.superoperator, "stage": stage}
+    else:
+        # one dense map per interval length: a record is one product
+        superop = dd.superoperator()
+        path = {"interval_map": lambda h: matrix_exponential(superop * h).dot}
+    records, x, stats = run(x, monitor, n_steps, dt, stride, **path)
+    occ = records["occupations"]
     return GaussTrajectory(
-        **rec,
+        **records,
         n1=occ[:, 0] if state0.n_modes < 3 else occ[:, 1],
         n2=occ[:, 1] if state0.n_modes < 3 else occ[:, 2],
         final_state=CovarianceState(x[:n, n].copy(), x[:n, :n].copy(), time=n_steps * dt),
-        stats=replace(stats, records=rec["t"].size),
+        stats=stats,
     )
 
 
@@ -415,7 +397,7 @@ def entanglement_experiment(
     Reports the peak logarithmic negativity together with the coupling-
     to-noise ratio of the configuration; the two are reported side by
     side without asserting any particular boundary between them.  The
-    default ``dt`` is :func:`~cavmech.fock.fewest_steps_dt`, so the last
+    default ``dt`` is :func:`~cavmech.propagate.fewest_steps_dt`, so the last
     record lands on ``t_end``.
     """
     spec = effective_generator(frame)

@@ -3,13 +3,9 @@ import time
 import pytest
 
 from cavmech import frame_from_collective
-from cavmech.fock import (
-    FullLinearized,
-    TransferProtocol,
-    excitation_transfer_experiment,
-    quadratic_model,
-)
+from cavmech.fock import TransferProtocol, excitation_transfer_experiment
 from cavmech.gaussian import drift_diffusion_from_generator, evolve_covariance, fock_moments
+from cavmech.quadratic import FullLinearized, quadratic_model
 
 
 def desk_scale_frame():

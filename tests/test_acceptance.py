@@ -21,7 +21,7 @@ from cavmech.analysis import (
 )
 from cavmech.cli import main
 from cavmech.effective import coupling_nulls, exchange_coupling
-from cavmech.fock import FockSpace, effective_generator, fock_state, integrate
+from cavmech.fock import FockSpace, fock_state, integrate
 from cavmech.gaussian import (
     drift_diffusion_from_generator,
     entanglement_experiment,
@@ -29,6 +29,7 @@ from cavmech.gaussian import (
     fock_moments,
     steady_state,
 )
+from cavmech.quadratic import effective_generator
 
 pytestmark = pytest.mark.acceptance
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavmech import cli
+from cavmech import cli, propagate
 from cavmech.cli import main
 from cavmech.gaussian import PhysicalityError
 
@@ -199,6 +199,16 @@ class TestSimulate:
                      "--t-end", "5", "--dims", "3,3,3",
                      "--truncation-tol", "0.05", "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_kernel_abort_exits_1(self, config_file, monkeypatch, capsys):
+        def abort(*args, **kwargs):
+            raise propagate.StepControlError("the next step would fall below the finest step")
+
+        monkeypatch.setattr(propagate, "dopri5", abort)
+        assert main(["simulate-full", "--config", config_file, "--t-end", "5", "--dims", "3,3,3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the next step would fall below the finest step\n"
 
     def test_dims_mismatch_is_usage_error(self, config_file, capsys):
         assert main(["simulate-full", "--config", config_file, "--dims", "3,3"]) == 2

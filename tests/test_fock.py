@@ -3,27 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from cavmech import fock, frame_from_collective, gaussian
+from cavmech import fock, frame_from_collective, gaussian, propagate
 from cavmech.effective import EffectiveParams, CollectiveMode, exchange_coupling
 from cavmech.fock import (
     DensityState,
-    EffectiveTwoMode,
     FitError,
     FockSpace,
-    FullLinearized,
     TransferProtocol,
     TruncationError,
     build_operators,
     compile_generator,
     destroy,
-    effective_generator,
     excitation_transfer_experiment,
     fit_damped_rabi,
     fock_state,
     integrate,
-    propagate_rk4,
-    quadratic_model,
 )
+from cavmech.propagate import dopri5
+from cavmech.quadratic import EffectiveTwoMode, FullLinearized, effective_generator, quadratic_model
 
 
 def desk_frame():
@@ -284,7 +281,7 @@ class TestIntegrate:
         assert list(traj.t) == [s * dt for s in range(0, 157, 20)] + [157 * dt]
         assert traj.final_state.time == 157 * dt
         # the exact path takes no steps; the stats count its records
-        assert traj.stats == fock.RunStats(records=9, blocks=(5, 4))
+        assert traj.stats == propagate.RunStats(records=9, blocks=(5, 4))
         assert np.abs(traj.n2 - np.sin(J * traj.t) ** 2).max() < 1e-8
         assert traj.n2[-1] == pytest.approx(1.0, abs=1e-6)
 
@@ -346,14 +343,14 @@ class TestIntegrate:
         # X_01 = exp(-i t) / 2: halving h divides the error of the record at
         # the step's midpoint (continuous extension, 4th order, local error
         # ~ h^5) by 2^5 and that of the step's end (5th order, ~ h^6) by 2^6
-        monkeypatch.setattr(fock, "_STEP_TOL", math.inf)
+        monkeypatch.setattr(propagate, "_STEP_TOL", math.inf)
         drift = np.diag([-1j, 0.0])
         errors = []
         for dt in (0.02, 0.01, 0.005):
             recorded = {}
-            _, stats = propagate_rk4(lambda ts: np.array([drift] * ts.size), drift_stage,
-                                     np.full((2, 2), 0.5, complex), 10, dt, 5,
-                                     lambda t, x: recorded.update({t: x[0, 1]}))
+            _, stats = dopri5(lambda ts: np.array([drift] * ts.size), drift_stage,
+                              np.full((2, 2), 0.5, complex), 10, dt, 5,
+                              lambda t, x: recorded.update({t: x[0, 1]}))
             assert stats.accepted_steps == 1
             errors.append([abs(recorded[s * dt] - 0.5 * np.exp(-1j * s * dt)) for s in (5, 10)])
         errors = np.array(errors)
@@ -389,8 +386,8 @@ class TestIntegrate:
             calls.append(ts)
             return np.zeros((ts.size, 2, 2))
 
-        _, stats = propagate_rk4(drifts, drift_stage, np.eye(2), n_steps, 0.1,
-                                 stride, lambda t, x: recorded.append(t))
+        _, stats = dopri5(drifts, drift_stage, np.eye(2), n_steps, 0.1,
+                          stride, lambda t, x: recorded.append(t))
         return calls, recorded, stats
 
     @staticmethod
@@ -399,7 +396,7 @@ class TestIntegrate:
         assert np.array_equal(calls[0], [0.0])
         starts = [0.0] + [ts[-1] for ts in calls[1:]]
         for t, ts in zip(starts, calls[1:]):
-            assert np.abs(ts - (t + (ts[-1] - t) * fock._DP_NODES)).max() <= 1e-15
+            assert np.abs(ts - (t + (ts[-1] - t) * propagate._DP_NODES)).max() <= 1e-15
         return starts
 
     @pytest.mark.parametrize("stride,records", [(5, (5, 10, 15)), (10**9, (14,))])
@@ -457,7 +454,7 @@ class TestIntegrate:
 
         free = run(1.0)
         first = np.flatnonzero(free.trunc_monitor > 5e-3)[0]
-        assert fock._MONITOR_BLOCK // (2 * 14 * 14) < first < free.t.size - 1
+        assert propagate._MONITOR_BLOCK // (2 * 14 * 14) < first < free.t.size - 1
         with pytest.raises(TruncationError) as abort:
             run(5e-3)
         assert f"population {free.trunc_monitor[first]:.3e} " in str(abort.value)
@@ -473,14 +470,14 @@ class TestIntegrate:
 
         def kernel(operators, stage, x, n_steps, dt, stride, record):
             record(dt, top)
-            raise fock.StepControlError("the step would fall below dt")
+            raise propagate.StepControlError("the step would fall below dt")
 
-        monkeypatch.setattr(fock, "propagate_rk4", kernel)
+        monkeypatch.setattr(propagate, "dopri5", kernel)
         with pytest.raises(TruncationError) as abort:
             integrate(spec, space, fock_state(space, (0, 1, 0)), 100 * dt, dt, stride=1)
         assert str(abort.value).startswith(f"subsystem 0 holds population 1.000e+00 in its top Fock "
                                            f"level n=2 at t={dt:.6g}, ")
-        assert isinstance(abort.value.__context__, fock.StepControlError)
+        assert isinstance(abort.value.__context__, propagate.StepControlError)
 
     def test_state_validation_on_entry(self):
         fr = desk_frame()
@@ -498,9 +495,11 @@ class TestIntegrate:
         def refuse(*args, **kwargs):
             raise AssertionError("an invalid state was propagated")
 
-        monkeypatch.setattr(fock, "propagate_exact", refuse)
+        monkeypatch.setattr(fock, "run", refuse)
         space = FockSpace(dims)
         spec = effective_generator(desk_frame())
+        with pytest.raises(AssertionError, match="propagated"):   # the patch is live
+            integrate(spec, space, fock_state(space, (1, 0)), 1.0, 0.1)
         for occupied, negative in (((0, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 0), (0, 0))):
             rho = 1.1 * fock_state(space, occupied) - 0.1 * fock_state(space, negative)
             with pytest.raises(ValueError, match="negative eigenvalue"):
@@ -557,7 +556,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("t_end", [math.nan, math.inf])
     def test_fewest_steps_dt_rejects_non_finite_t_end(self, t_end):
         with pytest.raises(ValueError, match="t_end must be finite"):
-            fock.fewest_steps_dt(t_end, 1.0)
+            propagate.fewest_steps_dt(t_end, 1.0)
 
 
 def fixed_step_rk4(operators, stage, x, n_steps, dt, stride, record):
@@ -594,7 +593,7 @@ def fixed_step_rk4(operators, stage, x, n_steps, dt, stride, record):
             x *= 0.5
         start = stop
         record(stop * dt, x)
-    return x, fock.RunStats()
+    return x, propagate.RunStats()
 
 
 def stride_test_runs(stride=7):
@@ -611,7 +610,7 @@ def stride_test_runs(stride=7):
 
 
 class TestExponentialMap:
-    """fock.exponential_map against scipy's Pade expm of the dense matrix."""
+    """propagate.exponential_map against scipy's Pade expm of the dense matrix."""
 
     FRAME = frame_from_collective(1.0, 0.2, 1.0, 0.3, 0.15, 0.15)
 
@@ -629,7 +628,7 @@ class TestExponentialMap:
         B = rng.normal(size=(A.shape[0], 3)) + 1j * rng.normal(size=(A.shape[0], 3))
         ref = expm(A.toarray()) @ B
         for block, want in ((B, ref), (B[:, 0], ref[:, 0])):
-            got = fock.exponential_map(A)(block)
+            got = propagate.exponential_map(A)(block)
             assert got.shape == want.shape
             # worst measured, relative to max |ref|: 6.4e-16 (10 steps),
             # 5.2e-15 (1000 steps)
@@ -647,8 +646,8 @@ class TestExponentialMap:
         h = 10 / relax if long_run else 10 * 0.01 / dd.f_max
         norm = np.abs(L * h).sum(axis=0).max()
         assert L.shape == (25, 25)
-        assert (norm > fock._TAYLOR_THETA[55]) == long_run  # more than one substep
-        got = fock.exponential_map(L * h)(np.eye(25))
+        assert (norm > propagate._TAYLOR_THETA[55]) == long_run  # more than one substep
+        got = propagate.exponential_map(L * h)(np.eye(25))
         # worst measured: 2.2e-16 (record interval), 5.6e-16 (long run)
         assert np.abs(got - expm(L * h)).max() <= 1e-14
 
@@ -658,14 +657,14 @@ class TestExponentialMap:
 
         zero = np.zeros((6, 6)) if dense else sparse.csr_matrix((6, 6))
         B = np.arange(12.0).reshape(6, 2) + 1j
-        assert np.array_equal(fock.exponential_map(zero)(B), B)
+        assert np.array_equal(propagate.exponential_map(zero)(B), B)
 
     @staticmethod
     def plain_stop_rule_map(A):
         """exponential_map with its stop test taken at every term, on max |F| of the partial sum."""
         norm = float(abs(A).sum(axis=0).max())
         _, m, s = min((m * math.ceil(norm / theta), m, math.ceil(norm / theta))
-                      for m, theta in fock._TAYLOR_THETA.items())
+                      for m, theta in propagate._TAYLOR_THETA.items())
 
         def apply(B):
             F = B
@@ -709,7 +708,7 @@ class TestExponentialMap:
         # and the caller's array is never written to
         for A, B in self.stop_rule_cases():
             kept = B.copy()
-            got = fock.exponential_map(A)(B)
+            got = propagate.exponential_map(A)(B)
             assert np.array_equal(B, kept)
             want = self.plain_stop_rule_map(A)(B)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -717,9 +716,9 @@ class TestExponentialMap:
     def test_matrix_exponential_without_halving_is_the_taylor_map(self):
         dd = gaussian.drift_diffusion_from_generator(effective_generator(self.FRAME))
         A = dd.superoperator() * (10 * 0.01 / dd.f_max)
-        assert np.abs(A).sum(axis=0).max() <= fock._TAYLOR_THETA[55]
-        got = fock.matrix_exponential(A)
-        assert got.tobytes() == fock.exponential_map(A)(np.eye(25)).tobytes()
+        assert np.abs(A).sum(axis=0).max() <= propagate._TAYLOR_THETA[55]
+        got = propagate.matrix_exponential(A)
+        assert got.tobytes() == propagate.exponential_map(A)(np.eye(25)).tobytes()
 
     @pytest.mark.parametrize("cfg", range(3))
     @pytest.mark.parametrize("relax_times", [10, 30])
@@ -741,7 +740,7 @@ class TestExponentialMap:
         dd = gaussian.drift_diffusion_from_generator(effective_generator(fr))
         relax = -np.linalg.eigvals(dd.drift).real.max()
         A = dd.superoperator() * (relax_times / relax)
-        got = fock.matrix_exponential(A.view(Counted))
+        got = propagate.matrix_exponential(A.view(Counted))
         # worst measured: 1.6e-15
         assert np.abs(got - expm(A)).max() <= 1e-14
         # Taylor terms plus squarings; worst measured: 40 (the substeps
@@ -774,7 +773,7 @@ class TestStepControl:
         for traj in stride_test_runs():
             stats = traj.stats
             assert stats.last_step > 1
-            assert 0 < stats.max_error_estimate <= fock._STEP_TOL * 2
+            assert 0 < stats.max_error_estimate <= propagate._STEP_TOL * 2
             assert stats.accepted_steps < 200 and stats.rejected_steps == 0
             assert stats.stage_evaluations == 1 + 6 * stats.accepted_steps
             assert stats.records == 30   # 0, every 7 steps to 196, and 200
@@ -782,9 +781,11 @@ class TestStepControl:
     @staticmethod
     def _fixed_step_reference(monkeypatch):
         with monkeypatch.context() as patch:
-            patch.setattr(fock, "propagate_rk4", fixed_step_rk4)
-            patch.setattr(gaussian, "propagate_rk4", fixed_step_rk4)
-            return stride_test_runs()
+            patch.setattr(propagate, "dopri5", fixed_step_rk4)
+            runs = stride_test_runs()
+        # both engines took the reference kernel, which counts no steps
+        assert all(traj.stats.accepted_steps == 0 for traj in runs)
+        return runs
 
     @staticmethod
     def _gap(runs, reference):
@@ -806,8 +807,8 @@ class TestStepControl:
         # with the controller switched off, h stays at its first value
         # 10 dt, and halving it divides the change in the final state by 2^5;
         # dt is a power of 2, so the steps land on 200 dt exactly
-        monkeypatch.setattr(fock, "_STEP_TOL", math.inf)
-        monkeypatch.setattr(fock, "_step_factor", lambda error, bound: 1.0)
+        monkeypatch.setattr(propagate, "_STEP_TOL", math.inf)
+        monkeypatch.setattr(propagate, "_step_factor", lambda error, bound: 1.0)
         fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
         spec = FullLinearized(fr)
         space = FockSpace((3, 3, 3))
@@ -829,7 +830,7 @@ class TestStepControl:
     def test_tight_tolerance_refines_then_raises_at_the_finest_step(self, monkeypatch):
         reference = self._fixed_step_reference(monkeypatch)
         coarse = stride_test_runs()
-        monkeypatch.setattr(fock, "_STEP_TOL", 1e-12)
+        monkeypatch.setattr(propagate, "_STEP_TOL", 1e-12)
         refined = stride_test_runs()
         for tight, loose in zip(refined, coarse):
             # the first step, at 10 dt, is rejected
@@ -837,8 +838,8 @@ class TestStepControl:
             assert tight.stats.last_step < loose.stats.last_step
         assert refined[0].stats.max_error_estimate <= 1e-12
         assert self._gap(refined, reference) < self._gap(coarse, reference) <= 1.1e-9
-        monkeypatch.setattr(fock, "_STEP_TOL", 0.0)
-        with pytest.raises(fock.StepControlError, match="below the finest step"):
+        monkeypatch.setattr(propagate, "_STEP_TOL", 0.0)
+        with pytest.raises(propagate.StepControlError, match="below the finest step"):
             stride_test_runs()
 
 
@@ -848,7 +849,7 @@ RECORD_FIELDS = ("n1", "n2", "n_cav", "coh", "trace", "trunc_monitor", "herm_dev
 def dense_reference(spec, space, rho0, t_end, dt, stride):
     """Records and final state of the model description's dense Lindbladian.
 
-    A time-dependent generator is stepped by the shared RK4 kernel on the
+    A time-dependent generator is stepped by the shared kernel (dopri5) on the
     dense matrix, a constant one by ``expm_multiply`` on its dense
     superoperator over the record grid (``t_end`` a whole number of
     record intervals).  Returns (records by field, final state).
@@ -883,8 +884,8 @@ def dense_reference(spec, space, rho0, t_end, dt, stride):
     rho = np.array(rho0, complex)
     record(0.0, rho)
     if quadratic_model(spec).oscillating:
-        rho, _ = propagate_rk4(lambda ts: np.array([drift(t) for t in ts]), stage,
-                               rho, n_steps, dt, stride, record)
+        rho, _ = dopri5(lambda ts: np.array([drift(t) for t in ts]), stage,
+                        rho, n_steps, dt, stride, record)
     else:
         eye = np.eye(dim)
         superop = np.kron(drift(0.0), eye) + np.kron(eye, drift(0.0).conj())

@@ -1,21 +1,17 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cavmech import fock, frame_from_collective, gaussian
+from cavmech import frame_from_collective, gaussian, propagate
 from cavmech.effective import CollectiveMode
-from cavmech.fock import (
-    EffectiveTwoMode,
-    FockSpace,
-    FullLinearized,
-    build_operators,
-    compile_generator,
-    effective_generator,
-    fock_state,
-    integrate,
-)
+from cavmech.fock import FockSpace, build_operators, compile_generator, fock_state, integrate
 from cavmech.gaussian import (
     CovarianceState,
     DriftDiffusion,
@@ -31,7 +27,26 @@ from cavmech.gaussian import (
     symplectic_form,
     vacuum_state,
 )
+from cavmech.quadratic import (
+    EffectiveTwoMode,
+    FullLinearized,
+    QuadraticModel,
+    effective_generator,
+    quadratic_model,
+)
 from test_fock import manual_params
+
+
+class TestImports:
+    def test_gaussian_engine_loads_without_the_fock_engine(self):
+        # the moment engine shares the model description and the run driver,
+        # never the Fock engine itself
+        src = str(Path(gaussian.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, cavmech.gaussian; print('cavmech.fock' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 class TestDriftDiffusionMapping:
@@ -243,7 +258,7 @@ class TestEvolution:
         jumps.append((tuple((m, complex(*rng.normal(size=2))) for m in range(3)), False,
                       rng.uniform(0.05, 0.5)))
         f_max = max([abs(c) for c, *_ in static] + [rate for *_, rate in jumps])
-        return fock.QuadraticModel(3, tuple(static), (), tuple(jumps), f_max)
+        return QuadraticModel(3, tuple(static), (), tuple(jumps), f_max)
 
     def test_exact_paths_agree_on_random_models(self):
         # one excitation never leaves levels 0 and 1 of a number-conserving
@@ -267,6 +282,38 @@ class TestEvolution:
                         abs(ftraj.coh[-1] - gtraj.final_state.mode_coherence(1, 2)))
         # worst measured: 3.7e-15
         assert worst <= 1e-13
+
+    def test_constant_models_through_the_kernel_match_the_exact_paths(self):
+        # the criterion-5 configs with their frequency shifts; the m != n
+        # static terms moved into one oscillating group at nu = 0 leave the
+        # generator constant but send it down the Dormand-Prince path, so
+        # the kernel is checked against the Taylor exponential on both engines
+        space = FockSpace((4, 4))
+        fock_gap = gauss_gap = 0.0
+        for delta_omega, delta_bar, kappa, G in [(0.2, 1.0, 0.3, 0.15), (0.3, 0.9, 0.5, 0.12),
+                                                 (0.15, 1.1, 0.2, 0.10)]:
+            spec = effective_generator(frame_from_collective(1.0, delta_omega, delta_bar, kappa, G, G),
+                                       include_shifts=True)
+            model = quadratic_model(spec)
+            ticking = dataclasses.replace(
+                model, static=tuple(term for term in model.static if term[1] == term[2]),
+                oscillating=((0.0, tuple(term for term in model.static if term[1] != term[2])),))
+            horizon = 0.5 / spec.params.gamma_total
+            dt = min(0.01 / model.f_max, horizon / 100)
+            stride = max(1, int(round(horizon / dt)) // 300)
+            ftrajs, gtrajs = [], []
+            for m in (model, ticking):
+                ftrajs.append(integrate(m, space, fock_state(space, (1, 0)), horizon, dt, stride=stride))
+                gtrajs.append(evolve_covariance(drift_diffusion_from_generator(m), fock_moments(2, (1, 0)),
+                                                horizon, dt, stride=stride))
+            for exact, kernel in (ftrajs, gtrajs):
+                assert exact.stats.accepted_steps == 0 < kernel.stats.accepted_steps
+                assert np.array_equal(exact.t, kernel.t)
+            fock_gap = max([fock_gap] + [np.abs(getattr(ftrajs[0], f) - getattr(ftrajs[1], f)).max()
+                                         for f in ("n1", "n2", "coh", "trace")])
+            gauss_gap = max(gauss_gap, np.abs(gtrajs[0].occupations - gtrajs[1].occupations).max())
+        # worst measured: 2.3e-10 (Fock), 2.5e-10 (Gaussian)
+        assert fock_gap <= 2.5e-9 and gauss_gap <= 2.5e-9
 
     def test_fourth_order_convergence_on_full_model(self):
         fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
@@ -359,7 +406,7 @@ class TestEvolution:
             patch.setattr(gaussian, "_PHYSICALITY_TOL", math.inf)
             free = run()
         first = np.flatnonzero(free.physicality < -gaussian._PHYSICALITY_TOL)[0]
-        assert fock._MONITOR_BLOCK // 25 < first < free.t.size - 1
+        assert propagate._MONITOR_BLOCK // 25 < first < free.t.size - 1
         with pytest.raises(PhysicalityError) as abort:
             run()
         assert f"defect {free.physicality[first]:.3e} at t={free.t[first]:.6g} " in str(abort.value)
