@@ -320,7 +320,7 @@ def evolve_covariance(
     else:
         # one dense map per interval length: a record is one product
         superop = dd.superoperator()
-        path = {"interval_map": lambda h: matrix_exponential(superop * h).dot}
+        path = {"interval_map": lambda h: matrix_exponential(superop * h)}
     records, x, stats = run(x, monitor, n_steps, dt, stride, **path)
     occ = records["occupations"]
     return GaussTrajectory(

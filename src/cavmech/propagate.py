@@ -5,7 +5,8 @@ blocks, the Gaussian engine's augmented moment matrix), a monitor over
 stacks of records, and either the exact map of a constant flow over a
 record interval or the operator and stage of a time-dependent one.  The
 map is a truncated Taylor series (:func:`exponential_map`, with
-:func:`matrix_exponential` for a dense map over a long interval); the
+:func:`matrix_exponential` for a dense map over a long interval, and
+:func:`exponential_increment` for a dense map less the identity); the
 time-dependent flow is stepped by the adaptive Dormand-Prince 5(4)
 kernel :func:`dopri5`.  Both walk the same record grid, and both report
 how the run was carried out in a :class:`RunStats`.
@@ -33,7 +34,9 @@ class RunStats:
     controller held at the end, before the last step was clipped to land
     on the end time, in units of ``dt``, and ``max_error_estimate`` is the
     largest error estimate of an accepted step; all are 0 on the exact
-    path.  ``records`` counts the recorded points on either path, and
+    path.  ``records`` counts the recorded points on either path,
+    ``dense_maps`` the record-interval maps of the exact path that were
+    built as dense matrices (0 on the time-dependent path), and
     ``blocks`` are the sizes of the diagonal blocks the Fock engine
     carried the density matrix in (empty for the moment engine).
     """
@@ -44,6 +47,7 @@ class RunStats:
     last_step: float = 0.0
     max_error_estimate: float = 0.0
     records: int = 0
+    dense_maps: int = 0
     blocks: tuple[int, ...] = ()
 
 
@@ -91,6 +95,13 @@ _TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
 # 25 density-block records at dims (4,3,3), 334 augmented 7x7 moment matrices.
 _MONITOR_BLOCK = 2**14
 
+# Most rows of the real matrix an exact-path interval map may be built as.
+# A record is then one OpenBLAS dgemv, which stays on one thread up to
+# here: 20,000 products after a 1 s settle ran at cpu/wall 1.00 at 128,
+# 256 and 512 rows, and at 1.91 at 768 (2 CPUs).  The complex zgemv of
+# the same map wakes the second thread from 64 x 64 up (1.93).
+_DENSE_MAP_ROWS = 512
+
 # Largest error estimate a step may have, relative to max(1, max |X|).
 # On the desk-frame transfer runs at dims (4,3,3) and dt = 0.01 / f_max
 # no step is rejected, and the recorded occupations lie within 1.2e-9
@@ -127,7 +138,8 @@ _DP_SPLINE = np.eye(7)[0] - _DP_B
 _DP_CUBIC = _DP_B - _DP_SPLINE - np.eye(7)[6]
 
 
-def run(x, monitor, n_steps, dt, stride, interval_map=None, operators=None, stage=None):
+def run(x, monitor, n_steps, dt, stride, interval_map=None, interval_increment=None,
+        operators=None, stage=None):
     """Propagate a Hermitian X over ``n_steps`` steps of ``dt``, monitoring every record.
 
     X is recorded at t = 0, at every ``stride`` steps and at ``n_steps``.
@@ -135,6 +147,17 @@ def run(x, monitor, n_steps, dt, stride, interval_map=None, operators=None, stag
     jumps exactly from record to record, one map per interval length, and
     each record is re-Hermitized; otherwise :func:`dopri5` steps it with
     the engine's ``operators`` and ``stage``.
+
+    The map is a function of flat X, or its matrix M.  An engine may also
+    give ``interval_increment(h)``, the matrix K of the map less the
+    identity, which is taken instead for an interval length that serves
+    at least as many records as flat X has entries (``n_steps // stride``
+    records for the stride, 1 for a shorter last interval), when its real
+    form has at most ``_DENSE_MAP_ROWS`` rows: building it then costs no
+    more than the records it serves.  A matrix is applied as one product
+    on the view of X in its own dtype, as M X or X + K X, and is counted
+    in ``dense_maps``; K is taken in its interleaved real form on the real
+    view of X, so no complex BLAS product is made.
 
     The records are copied into a stack of ``_MONITOR_BLOCK`` entries (at
     least one record), and ``monitor(ts, xs)`` runs over each full stack
@@ -169,25 +192,60 @@ def run(x, monitor, n_steps, dt, stride, interval_map=None, operators=None, stag
             flush()
 
     stats = RunStats()
+    maps = {}  # interval length -> (map, whether it is an increment)
     try:
         record(0.0, x)
         if interval_map is None:
             x, stats = dopri5(operators, stage, x, n_steps, dt, stride, record)
         else:
-            maps = {}
+            real_rows = x.size * (2 if np.iscomplexobj(x) else 1)
             step = 0
             while step < n_steps:
                 width = min(stride, n_steps - step)
                 if width not in maps:
-                    maps[width] = interval_map(width * dt)
-                x = maps[width](x.reshape(-1)).reshape(x.shape)
-                x = 0.5 * (x + x.conj().swapaxes(-1, -2))
+                    served = n_steps // stride if width == stride else 1
+                    if interval_increment is not None and served >= x.size and real_rows <= _DENSE_MAP_ROWS:
+                        maps[width] = _real_form(interval_increment(width * dt)), True
+                    else:
+                        maps[width] = interval_map(width * dt), False
+                step_map, increment = maps[width]
+                if callable(step_map):
+                    x = step_map(x.reshape(-1)).reshape(x.shape)
+                else:
+                    flat = x.reshape(-1).view(step_map.dtype)
+                    mapped = np.dot(step_map, flat)
+                    if increment:
+                        mapped += flat
+                    x = mapped.view(x.dtype).reshape(x.shape)
+                _hermitize(x)
                 step += width
                 record(step * dt, x)
     finally:
         flush()
     columns = {name: np.concatenate(parts) for name, parts in columns.items()}
-    return columns, x, replace(stats, records=columns["t"].size)
+    dense_maps = sum(not callable(step_map) for step_map, _ in maps.values())
+    return columns, x, replace(stats, records=columns["t"].size, dense_maps=dense_maps)
+
+
+def _hermitize(x: np.ndarray) -> None:
+    """Replace a matrix, or each of a stack of matrices, by its Hermitian part, in place."""
+    np.add(x, x.conj().swapaxes(-1, -2), out=x)
+    x *= 0.5
+
+
+def _real_form(M: np.ndarray) -> np.ndarray:
+    """The real matrix of a complex ``M`` on interleaved (real, imaginary) vectors.
+
+    ``_real_form(M) @ v.view(float)`` is ``(M @ v).view(float)`` for a
+    complex vector v: each entry m of M becomes the block [[Re m, -Im m],
+    [Im m, Re m]].
+    """
+    rows, cols = M.shape
+    out = np.empty((rows, 2, cols, 2))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = M.real
+    out[:, 1, :, 0] = M.imag
+    out[:, 0, :, 1] = -M.imag
+    return out.reshape(2 * rows, 2 * cols)
 
 
 def _dense_weights(theta: float) -> np.ndarray:
@@ -248,11 +306,6 @@ def dopri5(operators, stage, x, n_steps, dt, stride, record):
     y = np.empty_like(x)
     x_flat, y_flat = (v.view(flat.dtype).reshape(-1) for v in (x, y))
     row = np.ones(8)
-
-    def hermitize(state):
-        np.add(state, state.conj().swapaxes(-1, -2), out=state)
-        state *= 0.5
-
     t_end = n_steps * dt
     t, h, r = 0.0, 10.0 * dt, stride
     accepted = rejected = 0
@@ -270,7 +323,7 @@ def dopri5(operators, stage, x, n_steps, dt, stride, record):
             np.dot(C[i, :i + 2], flat[:i + 2], out=y_flat)
             stage(ops[i], y, stack[i + 2])
         np.dot(C[5, :7], flat[:7], out=x_flat)
-        hermitize(x)
+        _hermitize(x)
         stage(ops[4], x, stack[7])
         np.dot(C[6], flat, out=y_flat)
         error = float(np.abs(y).max())
@@ -291,7 +344,7 @@ def dopri5(operators, stage, x, n_steps, dt, stride, record):
         while r < n_steps and r * dt < t_next:
             np.multiply(_dense_weights((r * dt - t) / step), step, out=row[1:])
             np.dot(row, flat, out=y_flat)
-            hermitize(y)
+            _hermitize(y)
             record(r * dt, y)
             r += stride
         t = t_next
@@ -305,20 +358,20 @@ def dopri5(operators, stage, x, n_steps, dt, stride, record):
     return x, RunStats(accepted, rejected, evaluations, h / dt if n_steps else 0.0, max_error)
 
 
-def exponential_map(A):
-    """The map B -> exp(A) B of a square CSR or dense ``A``, by truncated Taylor series.
+def _taylor_substep(A):
+    """The substeps s of exp(A) = T_m(A / s)^s, and the substep (B, F) -> F + (T_m(A / s) - I) B.
 
-    Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011)): exp(A) B =
-    T_m(A / s)^s B, with the degree m and substeps s of ``_TAYLOR_THETA``
-    that take the fewest products m ceil(|A|_1 / theta_m) at the exact
-    1-norm.  A substep stops once the largest entries of its last two
-    terms sum to at most 2^-53 max |F| of the partial sum F.  That test
-    is taken only where it can pass: max |F| is at most the running bound
-    U = max |B_0| + sum_j max |B_j| of the substep's terms B_j (widened
-    by 2^-30 for rounding), so while c1 + c2 > 2^-53 U the sum goes on
-    without reducing F, and every stop falls where the plain test puts it.
-    Only products with A: no random norm estimate and no LAPACK call.
-    The caller's B is never written to.
+    Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011)): the degree m
+    and substeps s of ``_TAYLOR_THETA`` that take the fewest products
+    m ceil(|A|_1 / theta_m) at the exact 1-norm of a square CSR or dense
+    ``A``.  A substep adds the terms B_j = (A / s)^j B / j! to F and stops
+    once the largest entries of its last two terms (B_0 = B first) sum to
+    at most 2^-53 max |F| of the partial sum.  That test is taken only
+    where it can pass: max |F| is at most the running bound U = max |F_0|
+    + sum_j max |B_j| (widened by 2^-30 for rounding), so while c1 + c2 >
+    2^-53 U the sum goes on without reducing F, and every stop falls where
+    the plain test puts it.  Only products with A: no random norm estimate
+    and no LAPACK call.  F is written to from the second term on, never B.
     """
     norm = float(abs(A).sum(axis=0).max())
     _, m, s = min((m * math.ceil(norm / theta), m, math.ceil(norm / theta))
@@ -326,24 +379,56 @@ def exponential_map(A):
     tol = 2.0**-53
     widened = tol * (1 + 2.0**-30)
 
-    def apply(B):
-        F = B
-        for _ in range(s):
-            c1 = bound = np.abs(B).max()
-            for j in range(1, m + 1):
-                B = A @ B
-                B *= 1.0 / (s * j)
-                c2 = np.abs(B).max()
-                bound += c2
-                # in place from the second term: F starts as the caller's B
-                F = F + B if j == 1 else np.add(F, B, out=F)
-                if c1 + c2 <= widened * bound and c1 + c2 <= tol * np.abs(F).max():
-                    break
-                c1 = c2
-            B = F
+    def substep(B, F):
+        c1 = np.abs(B).max()
+        bound = c1 if F is B else np.abs(F).max()
+        for j in range(1, m + 1):
+            B = A @ B
+            B *= 1.0 / (s * j)
+            c2 = np.abs(B).max()
+            bound += c2
+            F = F + B if j == 1 else np.add(F, B, out=F)
+            if c1 + c2 <= widened * bound and c1 + c2 <= tol * np.abs(F).max():
+                break
+            c1 = c2
         return F
 
+    return s, substep
+
+
+def exponential_map(A):
+    """The map B -> exp(A) B of a square CSR or dense ``A``, by truncated Taylor series.
+
+    s substeps of :func:`_taylor_substep`, each adding its terms to the
+    last.  The caller's B is never written to.
+    """
+    s, substep = _taylor_substep(A)
+
+    def apply(B):
+        for _ in range(s):
+            B = substep(B, B)
+        return B
+
     return apply
+
+
+def exponential_increment(A) -> np.ndarray:
+    """exp(A) - I of a square CSR or dense ``A``, summed without the identity.
+
+    The substeps of :func:`exponential_map` on the identity, whose partial
+    sums K of exp(A) - I start at 0: exp(A) = I + K is never formed, so
+    each entry of K is rounded to its own magnitude and not to that of
+    the identity.  A map X -> X + K X applied over many record intervals
+    then drifts from exact trace preservation by the rounding of each
+    addition (a random walk), not by the same rounding of I + K at every
+    interval.  With a dense ``A`` every product is a BLAS one; with a CSR
+    ``A`` none is.
+    """
+    s, substep = _taylor_substep(A)
+    K = np.zeros(A.shape)
+    for _ in range(s):
+        K = substep(K + np.eye(A.shape[0]), K)
+    return K
 
 
 def matrix_exponential(A: np.ndarray) -> np.ndarray:

@@ -634,6 +634,19 @@ class TestExponentialMap:
             # 5.2e-15 (1000 steps)
             assert np.abs(got - want).max() <= bound * np.abs(ref).max()
 
+    @pytest.mark.parametrize("steps,bound", [(10, 1e-14), (1000, 2e-13)])
+    def test_increment_matches_dense_expm(self, steps, bound):
+        from scipy.linalg import expm
+
+        gen = compile_generator(effective_generator(self.FRAME), FockSpace((4, 4)))
+        A = gen.superoperator() * (steps * 0.01 / gen.f_max)
+        want = expm(A.toarray()) - np.eye(A.shape[0])
+        got = propagate.exponential_increment(A)
+        # worst measured, relative to max |want|: 5.0e-16 (10 steps),
+        # 1.3e-14 (1000 steps)
+        assert np.abs(got - want).max() <= bound * np.abs(want).max()
+        assert not propagate.exponential_increment(A * 0).any()
+
     @pytest.mark.parametrize("long_run", [False, True])
     def test_gaussian_superoperator_matches_dense_expm(self, long_run):
         from scipy.linalg import expm
@@ -961,6 +974,66 @@ class TestDensityBlocks:
             if field != "n_cav":
                 assert np.abs(getattr(traj, field) - ref[field]).max() <= 1e-14, field
         assert np.abs(traj.final_state.matrix - final).max() <= 1e-14
+
+    def test_dense_interval_map_matches_dense_reference(self):
+        # 130 records of one interval length at dims (4, 4), whose flat
+        # state has 128 entries: the run takes the dense increment
+        fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08,
+                                   thermal_baths=((0.01, 0.3), (0.02, 0.1)))
+        spec, space = effective_generator(fr, include_shifts=True), FockSpace((4, 4))
+        rho0 = fock_state(space, (1, 0))
+        dt = 0.01 / compile_generator(spec, space).f_max
+        traj = integrate(spec, space, rho0, 390 * dt, dt, stride=3, truncation_tol=0.5)
+        assert traj.stats.dense_maps == 1 and traj.t.size == 131
+        ref, final = dense_reference(spec, space, rho0, 390 * dt, dt, 3)
+        assert np.array_equal(traj.t, ref["t"])
+        # worst measured: 1.0e-15 (records), 1.4e-16 (final state)
+        for field in RECORD_FIELDS:
+            if field != "n_cav":
+                assert np.abs(getattr(traj, field) - ref[field]).max() <= 1e-14, field
+        assert np.abs(traj.final_state.matrix - final).max() <= 1e-14
+
+    def test_dense_interval_map_only_where_it_pays(self, monkeypatch):
+        built = []
+
+        def spy(name, exponential):
+            def wrapped(A):
+                built.append(name)
+                return exponential(A)
+            return wrapped
+
+        monkeypatch.setattr(fock, "exponential_map", spy("taylor", fock.exponential_map))
+        monkeypatch.setattr(fock, "exponential_increment", spy("dense", fock.exponential_increment))
+        fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08)
+        spec = effective_generator(fr)
+        space = FockSpace((4, 4))
+        dt = 0.01 / compile_generator(spec, space).f_max
+        # 133 records of 3 steps take the dense increment; the last
+        # interval of 1 step serves one record and keeps the Taylor map
+        traj = integrate(spec, space, fock_state(space, (1, 0)), 400 * dt, dt, stride=3, truncation_tol=0.5)
+        assert built == ["dense", "taylor"]
+        assert traj.stats.dense_maps == 1
+
+        class Declined(Exception):
+            pass
+
+        def decline(name):
+            def refuse(A):
+                built.append(name)
+                raise Declined
+            return refuse
+
+        # at dims (8, 8) the flat state has 2,048 entries: 2,048 records
+        # would pay for a dense map, but its real form would have 4,096
+        # rows (a 128 MiB matrix), so the run asks for the Taylor map;
+        # neither map is built here
+        built.clear()
+        monkeypatch.setattr(fock, "exponential_map", decline("taylor"))
+        monkeypatch.setattr(fock, "exponential_increment", decline("dense"))
+        space = FockSpace((8, 8))
+        with pytest.raises(Declined):
+            integrate(spec, space, fock_state(space, (1, 0)), 2048 * dt, dt, stride=1, truncation_tol=0.5)
+        assert built == ["taylor"]
 
     def test_ghost_rows_stay_out_of_the_monitors(self):
         # a full-rank state at (3, 3, 3), where the odd block carries a

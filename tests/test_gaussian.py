@@ -264,24 +264,29 @@ class TestEvolution:
         # one excitation never leaves levels 0 and 1 of a number-conserving
         # model with lowering jumps, so dims (2, 2, 2) truncate nothing (its
         # top levels are occupied by design) and both exact engines must
-        # agree to roundoff
-        rng = np.random.default_rng(2024)
+        # agree to roundoff.  At stride 10 the Fock engine maps each of 30
+        # records by its Taylor sum; at stride 1 its 300 records (its flat
+        # state has 32 entries) take the dense increment.
         space = FockSpace((2, 2, 2))
-        worst = 0.0
-        for draw in range(24):
-            model = self.random_model(rng)
-            occupations = tuple(int(m == draw % 3) for m in range(3))
-            dt = 0.01 / model.f_max
-            ftraj = integrate(model, space, fock_state(space, occupations), 300 * dt, dt,
-                              stride=10, truncation_tol=1.0)
-            gtraj = evolve_covariance(drift_diffusion_from_generator(model), fock_moments(3, occupations),
-                                      300 * dt, dt, stride=10)
-            assert np.array_equal(ftraj.t, gtraj.t)
-            fock_occ = np.stack([ftraj.n_cav, ftraj.n1, ftraj.n2], axis=1)
-            worst = max(worst, float(np.abs(fock_occ - gtraj.occupations).max()),
-                        abs(ftraj.coh[-1] - gtraj.final_state.mode_coherence(1, 2)))
-        # worst measured: 3.7e-15
-        assert worst <= 1e-13
+        for stride in (10, 1):
+            rng = np.random.default_rng(2024)
+            worst = 0.0
+            for draw in range(24):
+                model = self.random_model(rng)
+                occupations = tuple(int(m == draw % 3) for m in range(3))
+                dt = 0.01 / model.f_max
+                ftraj = integrate(model, space, fock_state(space, occupations), 300 * dt, dt,
+                                  stride=stride, truncation_tol=1.0)
+                gtraj = evolve_covariance(drift_diffusion_from_generator(model), fock_moments(3, occupations),
+                                          300 * dt, dt, stride=stride)
+                assert (ftraj.stats.dense_maps, gtraj.stats.dense_maps) == (int(stride == 1), 1)
+                assert np.array_equal(ftraj.t, gtraj.t)
+                fock_occ = np.stack([ftraj.n_cav, ftraj.n1, ftraj.n2], axis=1)
+                # np.max, unlike max, carries a NaN through to the bound
+                worst = np.max([worst, np.abs(fock_occ - gtraj.occupations).max(),
+                                abs(ftraj.coh[-1] - gtraj.final_state.mode_coherence(1, 2))])
+            # worst measured: 3.7e-15 (stride 10), 2.1e-14 (stride 1)
+            assert worst <= 1e-13, stride
 
     def test_constant_models_through_the_kernel_match_the_exact_paths(self):
         # the criterion-5 configs with their frequency shifts; the m != n
@@ -309,9 +314,10 @@ class TestEvolution:
             for exact, kernel in (ftrajs, gtrajs):
                 assert exact.stats.accepted_steps == 0 < kernel.stats.accepted_steps
                 assert np.array_equal(exact.t, kernel.t)
-            fock_gap = max([fock_gap] + [np.abs(getattr(ftrajs[0], f) - getattr(ftrajs[1], f)).max()
-                                         for f in ("n1", "n2", "coh", "trace")])
-            gauss_gap = max(gauss_gap, np.abs(gtrajs[0].occupations - gtrajs[1].occupations).max())
+            # np.max, unlike max, carries a NaN through to the bound
+            fock_gap = np.max([fock_gap] + [np.abs(getattr(ftrajs[0], f) - getattr(ftrajs[1], f)).max()
+                                            for f in ("n1", "n2", "coh", "trace")])
+            gauss_gap = np.max([gauss_gap, np.abs(gtrajs[0].occupations - gtrajs[1].occupations).max()])
         # worst measured: 2.3e-10 (Fock), 2.5e-10 (Gaussian)
         assert fock_gap <= 2.5e-9 and gauss_gap <= 2.5e-9
 
