@@ -9,14 +9,13 @@ the stack of its two parity blocks (or as one block of the whole matrix
 when the initial state has coherence between the sectors;
 :func:`density_blocks`), and every stage and record works on the stack.
 :func:`integrate` runs it by :func:`cavmech.propagate.run`: a constant
-generator by the exponential of its sparse Lindblad superoperator (its
-Taylor sum on the state, or a dense matrix for an interval length that
-serves many records), a time-dependent one by its drift blocks at the
-stage times of a step
-(:meth:`CompiledGenerator.drift` takes an array of times and sums the
-phase terms by one sparse product) and its stage.  Repeated runs are
-bit-identical, the trace is never rescaled, and trace, Hermiticity,
-positivity, and top-level population are monitored at every record.
+generator by its sparse Lindblad superoperator, which the driver
+exponentiates, a time-dependent one by its drift blocks at the stage
+times of a step (:meth:`CompiledGenerator.drift` takes an array of times
+and sums the phase terms by one sparse product) and its stage.  Repeated
+runs are bit-identical, the trace is never rescaled, and trace,
+Hermiticity, positivity, and top-level population are monitored at
+every record.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import FrameParams
-from .propagate import RunStats, exponential_increment, exponential_map, run, step_count
+from .propagate import RunStats, run, step_count
 from .quadratic import FullLinearized, effective_generator, quadratic_model
 
 DIMENSION_CAP = 4096
@@ -402,13 +401,10 @@ def integrate(
     step) and must satisfy ``dt <= 0.01 / f_max`` for the generator's
     fastest scale.  The run is carried out by :func:`cavmech.propagate.run`:
     for a constant generator, the map exp(L h) of its sparse
-    superoperator L over each record interval h, as a Taylor sum on the
-    state (:func:`~cavmech.propagate.exponential_map`) or, where the run
-    asks for it, as the dense increment exp(L h) - I
-    (:func:`~cavmech.propagate.exponential_increment`), both by sparse
-    products only; for a time-dependent one, its drift blocks at the
-    stage times and its stage.  The returned trajectory's ``stats`` say
-    how (``dense_maps`` counts the dense increments).
+    superoperator L over each record interval h, which the driver sums
+    by sparse products only; for a time-dependent one, its drift blocks
+    at the stage times and its stage.  The returned trajectory's
+    ``stats`` say how (``dense_maps`` counts the dense increments).
     Trace drift is compensated in the reported expectations only, never
     in the state.  Aborts when the top Fock level of any subsystem passes
     ``truncation_tol``; the error names the first such record.
@@ -474,13 +470,8 @@ def integrate(
         np.add(tmp, tmp.conj().swapaxes(-1, -2), out=out)
         gen.add_jump_sandwiches(state, out)
 
-    if gen.phase_nus.size:
-        path = {"operators": gen.drift, "stage": stage}
-    else:
-        superop = gen.superoperator()
-        path = {"interval_map": lambda h: exponential_map(superop * h),
-                "interval_increment": lambda h: exponential_increment(superop * h)}
-    records, rho, stats = run(rho, monitor, n_steps, dt, stride, **path)
+    generator = None if gen.phase_nus.size else gen.superoperator()
+    records, rho, stats = run(rho, monitor, n_steps, dt, stride, generator, gen.drift, stage)
     return Trajectory(
         **records,
         final_state=DensityState(gen.unpack(rho), time=n_steps * dt),

@@ -11,7 +11,8 @@ one formula per Hamiltonian term and per jump.  :func:`evolve_covariance`
 carries the augmented moment matrix [[cov, mean], [mean^T, 1]] through
 :func:`cavmech.propagate.run`, with the moment superoperator L
 (:meth:`DriftDiffusion.superoperator`, which takes an array of times) as
-the operator of a time-dependent drift.
+the generator of a constant drift and the operator of a time-dependent
+one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import FrameParams
-from .propagate import RunStats, fewest_steps_dt, matrix_exponential, run, step_count
+from .propagate import RunStats, fewest_steps_dt, run, step_count
 from .quadratic import effective_generator, quadratic_model
 
 VACUUM_CONVENTION = "quadrature ordering (x1,p1,...); vacuum variance 1/2; hbar=1"
@@ -277,13 +278,13 @@ def evolve_covariance(
     ``dt`` sets the record grid (every ``stride`` steps, plus the last
     step) and must satisfy ``dt <= 0.01 / f_max``.  The run is carried
     out by :func:`cavmech.propagate.run` with L =
-    :meth:`DriftDiffusion.superoperator`: for a constant drift, the dense
-    exp(L h) of each record-interval length h
-    (:func:`~cavmech.propagate.matrix_exponential`); for a time-dependent
-    one, L at the stage times and a stage that is one product of L with
-    the flat X.  The trajectory's ``stats`` say how.  The
-    uncertainty-bound defect is monitored at every record; a defect
-    beyond ``_PHYSICALITY_TOL`` aborts, naming the first such record.
+    :meth:`DriftDiffusion.superoperator`: for a constant drift, L itself,
+    whose dense increment exp(L h) - I the driver takes once per
+    record-interval length h; for a time-dependent one, L at the stage
+    times and a stage that is one product of L with the flat X.  The
+    trajectory's ``stats`` say how.  The uncertainty-bound defect is
+    monitored at every record; a defect beyond ``_PHYSICALITY_TOL``
+    aborts, naming the first such record.
     Entanglement is tracked between the two modes of a two-mode state.
     """
     n_steps = step_count(t_end, dt, stride, dd.f_max)
@@ -315,13 +316,8 @@ def evolve_covariance(
     def stage(L, state, out):
         np.dot(L, state.reshape(-1), out=out.reshape(-1))
 
-    if dd.time_dependent:
-        path = {"operators": dd.superoperator, "stage": stage}
-    else:
-        # one dense map per interval length: a record is one product
-        superop = dd.superoperator()
-        path = {"interval_map": lambda h: matrix_exponential(superop * h)}
-    records, x, stats = run(x, monitor, n_steps, dt, stride, **path)
+    generator = None if dd.time_dependent else dd.superoperator()
+    records, x, stats = run(x, monitor, n_steps, dt, stride, generator, dd.superoperator, stage)
     occ = records["occupations"]
     return GaussTrajectory(
         **records,

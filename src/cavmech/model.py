@@ -231,6 +231,8 @@ def frame_from_collective(
     lab-frame config.  Any argument may be an array: every field is then
     the elementwise value, and one invalid element raises ``ConfigError``.
     """
+    if not all(np.isfinite(v).all() for v in (omega_bar, delta_omega, delta_bar, kappa, G_1, G_2, alpha)):
+        raise ConfigError("collective coordinates must be finite numbers")
     w1 = omega_bar + delta_omega / 2
     w2 = omega_bar - delta_omega / 2
     if _anywhere((w1 <= 0) | (w2 <= 0)):

@@ -2,14 +2,14 @@
 
 An engine hands :func:`run` its state X (the Fock engine's density
 blocks, the Gaussian engine's augmented moment matrix), a monitor over
-stacks of records, and either the exact map of a constant flow over a
-record interval or the operator and stage of a time-dependent one.  The
-map is a truncated Taylor series (:func:`exponential_map`, with
-:func:`matrix_exponential` for a dense map over a long interval, and
-:func:`exponential_increment` for a dense map less the identity); the
-time-dependent flow is stepped by the adaptive Dormand-Prince 5(4)
-kernel :func:`dopri5`.  Both walk the same record grid, and both report
-how the run was carried out in a :class:`RunStats`.
+stacks of records, and either the generator L of a constant flow or the
+operator and stage of a time-dependent one.  The driver alone maps a
+record interval h by exp(L h): a truncated Taylor series on X
+(:func:`exponential_map`) or the dense increment exp(L h) - I
+(:func:`exponential_increment`); the time-dependent flow is stepped by
+the adaptive Dormand-Prince 5(4) kernel :func:`dopri5`.  Both walk the
+same record grid, and both report how the run was carried out in a
+:class:`RunStats`.
 """
 
 from __future__ import annotations
@@ -138,26 +138,27 @@ _DP_SPLINE = np.eye(7)[0] - _DP_B
 _DP_CUBIC = _DP_B - _DP_SPLINE - np.eye(7)[6]
 
 
-def run(x, monitor, n_steps, dt, stride, interval_map=None, interval_increment=None,
-        operators=None, stage=None):
+def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=None):
     """Propagate a Hermitian X over ``n_steps`` steps of ``dt``, monitoring every record.
 
     X is recorded at t = 0, at every ``stride`` steps and at ``n_steps``.
-    With ``interval_map(h)``, the map of flat X over an interval h, X
-    jumps exactly from record to record, one map per interval length, and
-    each record is re-Hermitized; otherwise :func:`dopri5` steps it with
-    the engine's ``operators`` and ``stage``.
+    With a constant ``generator`` L of flat X (a square CSR or dense
+    matrix), X jumps exactly from record to record by exp(L h), one map
+    per interval length h, and each record is re-Hermitized; otherwise
+    :func:`dopri5` steps it with the engine's ``operators`` and ``stage``.
 
-    The map is a function of flat X, or its matrix M.  An engine may also
-    give ``interval_increment(h)``, the matrix K of the map less the
-    identity, which is taken instead for an interval length that serves
-    at least as many records as flat X has entries (``n_steps // stride``
-    records for the stride, 1 for a shorter last interval), when its real
-    form has at most ``_DENSE_MAP_ROWS`` rows: building it then costs no
-    more than the records it serves.  A matrix is applied as one product
-    on the view of X in its own dtype, as M X or X + K X, and is counted
-    in ``dense_maps``; K is taken in its interleaved real form on the real
-    view of X, so no complex BLAS product is made.
+    An interval length takes the dense increment K = exp(L h) - I
+    (:func:`exponential_increment`) when its real form has at most
+    ``_DENSE_MAP_ROWS`` rows and either L is dense or the length serves at
+    least as many records as flat X has entries (``n_steps // stride``
+    records for the stride, 1 for a shorter last interval): building K
+    from a sparse L then costs no more than the records it serves, and K
+    of a dense L takes a few dozen products even over a long interval,
+    where the Taylor sum on X takes hundreds.  K is
+    applied as X + K X, one product on the real view of X (its
+    interleaved real form for a complex X, so no complex BLAS product is
+    made), and is counted in ``dense_maps``.  Any other length takes the
+    Taylor sum on flat X (:func:`exponential_map`).
 
     The records are copied into a stack of ``_MONITOR_BLOCK`` entries (at
     least one record), and ``monitor(ts, xs)`` runs over each full stack
@@ -192,39 +193,44 @@ def run(x, monitor, n_steps, dt, stride, interval_map=None, interval_increment=N
             flush()
 
     stats = RunStats()
-    maps = {}  # interval length -> (map, whether it is an increment)
+    maps = {}  # interval length -> map of flat X
+    dense_maps = 0
     try:
         record(0.0, x)
-        if interval_map is None:
+        if generator is None:
             x, stats = dopri5(operators, stage, x, n_steps, dt, stride, record)
         else:
-            real_rows = x.size * (2 if np.iscomplexobj(x) else 1)
+            complex_x = np.iscomplexobj(x)
+            fits = x.size * (2 if complex_x else 1) <= _DENSE_MAP_ROWS
             step = 0
             while step < n_steps:
                 width = min(stride, n_steps - step)
                 if width not in maps:
                     served = n_steps // stride if width == stride else 1
-                    if interval_increment is not None and served >= x.size and real_rows <= _DENSE_MAP_ROWS:
-                        maps[width] = _real_form(interval_increment(width * dt)), True
+                    if fits and (isinstance(generator, np.ndarray) or served >= x.size):
+                        K = exponential_increment(generator * (width * dt))
+                        maps[width] = _increment_map(_real_form(K) if complex_x else K)
+                        dense_maps += 1
                     else:
-                        maps[width] = interval_map(width * dt), False
-                step_map, increment = maps[width]
-                if callable(step_map):
-                    x = step_map(x.reshape(-1)).reshape(x.shape)
-                else:
-                    flat = x.reshape(-1).view(step_map.dtype)
-                    mapped = np.dot(step_map, flat)
-                    if increment:
-                        mapped += flat
-                    x = mapped.view(x.dtype).reshape(x.shape)
+                        maps[width] = exponential_map(generator * (width * dt))
+                x = maps[width](x.reshape(-1)).reshape(x.shape)
                 _hermitize(x)
                 step += width
                 record(step * dt, x)
     finally:
         flush()
     columns = {name: np.concatenate(parts) for name, parts in columns.items()}
-    dense_maps = sum(not callable(step_map) for step_map, _ in maps.values())
     return columns, x, replace(stats, records=columns["t"].size, dense_maps=dense_maps)
+
+
+def _increment_map(K: np.ndarray):
+    """The map v -> v + K v of a real ``K``, as one product on the real view of v."""
+    def apply(v):
+        flat = v.view(K.dtype)
+        mapped = np.dot(K, flat)
+        mapped += flat
+        return mapped.view(v.dtype)
+    return apply
 
 
 def _hermitize(x: np.ndarray) -> None:
@@ -421,32 +427,25 @@ def exponential_increment(A) -> np.ndarray:
     the identity.  A map X -> X + K X applied over many record intervals
     then drifts from exact trace preservation by the rounding of each
     addition (a random walk), not by the same rounding of I + K at every
-    interval.  With a dense ``A`` every product is a BLAS one; with a CSR
-    ``A`` none is.
+    interval.  With a CSR ``A`` no product is a BLAS one.
+
+    A dense ``A`` is first halved k times, the fewest that bring
+    |A|_1 / 2^k within ``_TAYLOR_THETA[55]``, so that one substep sums
+    exp(A / 2^k) - I; k squarings K <- K K + 2 K = (I + K)^2 - I follow.
+    A long interval (|A|_1 of a few hundred) then takes about 40 products
+    instead of the several hundred of the substeps.  A CSR ``A`` is never
+    halved: squaring would make K a dense BLAS product, whose threads
+    cost more than the sparse substeps save.
     """
-    s, substep = _taylor_substep(A)
+    k = 0
+    if isinstance(A, np.ndarray):
+        norm = float(np.abs(A).sum(axis=0).max())
+        while norm / 2**k > _TAYLOR_THETA[55]:
+            k += 1
+    s, substep = _taylor_substep(A / 2**k)
     K = np.zeros(A.shape)
     for _ in range(s):
         K = substep(K + np.eye(A.shape[0]), K)
-    return K
-
-
-def matrix_exponential(A: np.ndarray) -> np.ndarray:
-    """exp(A) of a dense square ``A``, by halving and squaring.
-
-    exp(A) = exp(A / 2^k)^(2^k) with the fewest halvings k that bring
-    |A|_1 / 2^k within ``_TAYLOR_THETA[55]``, so that
-    :func:`exponential_map` sums exp(A / 2^k) in one substep; k squarings
-    follow.  At k = 0 this is ``exponential_map(A)(I)``.  A long interval
-    (|A|_1 of a few hundred) then takes about 40 products instead of the
-    several hundred of the substeps, and matches scipy's Pade ``expm``
-    to a few ulps of the result.
-    """
-    norm = float(np.abs(A).sum(axis=0).max())
-    k = 0
-    while norm / 2**k > _TAYLOR_THETA[55]:
-        k += 1
-    X = exponential_map(A / 2**k)(np.eye(A.shape[0]))
     for _ in range(k):
-        X = X @ X
-    return X
+        K = K @ K + 2 * K
+    return K

@@ -9,6 +9,7 @@ and :mod:`cavmech.gaussian` to moment equations.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .model import FrameParams
@@ -77,7 +78,8 @@ def quadratic_model(spec) -> QuadraticModel:
     """Describe a generator spec as a :class:`QuadraticModel`.
 
     A :class:`QuadraticModel` is returned as it is.  Raises ``ValueError``
-    for a negative Lindblad rate.
+    for a non-finite coefficient, frequency or rate, and for a negative
+    Lindblad rate.
     """
     if isinstance(spec, QuadraticModel):
         return spec
@@ -115,6 +117,13 @@ def quadratic_model(spec) -> QuadraticModel:
         raise TypeError(f"unknown generator spec {type(spec).__name__}")
     for (rate, nth), m in zip(baths or (), mechanical):
         jumps += [(((m, 1.0),), False, rate * (nth + 1)), (((m, 1.0),), True, rate * nth)]
+    coefficients = [term[0] for _, terms in ((0.0, static), *oscillating) for term in terms]
+    coefficients += [c for coeffs, _, _ in jumps for _, c in coeffs]
+    for kind, values in (("coefficient", coefficients), ("frequency", [nu for nu, _ in oscillating]),
+                         ("rate", [rate for *_, rate in jumps])):
+        bad = [v for v in values if not cmath.isfinite(v)]
+        if bad:
+            raise ValueError(f"non-finite {kind} {bad[0]} in the model")
     for coeffs, dagger, rate in jumps:
         if rate < 0:
             kind = "raising" if dagger else "lowering"

@@ -634,16 +634,25 @@ class TestExponentialMap:
             # 5.2e-15 (1000 steps)
             assert np.abs(got - want).max() <= bound * np.abs(ref).max()
 
-    @pytest.mark.parametrize("steps,bound", [(10, 1e-14), (1000, 2e-13)])
-    def test_increment_matches_dense_expm(self, steps, bound):
+    @pytest.mark.parametrize("engine,steps,bound", [("fock", 10, 1e-14), ("fock", 1000, 2e-13),
+                                                    ("gaussian", 10, 1e-14)])
+    def test_increment_matches_dense_expm(self, engine, steps, bound):
         from scipy.linalg import expm
 
-        gen = compile_generator(effective_generator(self.FRAME), FockSpace((4, 4)))
-        A = gen.superoperator() * (steps * 0.01 / gen.f_max)
-        want = expm(A.toarray()) - np.eye(A.shape[0])
+        spec = effective_generator(self.FRAME)
+        if engine == "fock":
+            gen = compile_generator(spec, FockSpace((4, 4)))
+            A = gen.superoperator() * (steps * 0.01 / gen.f_max)
+            dense = A.toarray()
+        else:
+            # a dense A within one substep: summed from 0 without halving
+            dd = gaussian.drift_diffusion_from_generator(spec)
+            A = dense = dd.superoperator() * (steps * 0.01 / dd.f_max)
+            assert np.abs(A).sum(axis=0).max() <= propagate._TAYLOR_THETA[55]
+        want = expm(dense) - np.eye(A.shape[0])
         got = propagate.exponential_increment(A)
-        # worst measured, relative to max |want|: 5.0e-16 (10 steps),
-        # 1.3e-14 (1000 steps)
+        # worst measured, relative to max |want|: 5.0e-16 (Fock, 10 steps),
+        # 1.3e-14 (Fock, 1000 steps), 5.6e-16 (Gaussian)
         assert np.abs(got - want).max() <= bound * np.abs(want).max()
         assert not propagate.exponential_increment(A * 0).any()
 
@@ -673,26 +682,36 @@ class TestExponentialMap:
         assert np.array_equal(propagate.exponential_map(zero)(B), B)
 
     @staticmethod
-    def plain_stop_rule_map(A):
-        """exponential_map with its stop test taken at every term, on max |F| of the partial sum."""
+    def plain_stop_rule_substep(A):
+        """The substeps s and the substep (B, F) -> F + (T_m(A / s) - I) B of
+        exponential_map, with its stop test taken at every term, on max |F|
+        of the partial sum."""
         norm = float(abs(A).sum(axis=0).max())
         _, m, s = min((m * math.ceil(norm / theta), m, math.ceil(norm / theta))
                       for m, theta in propagate._TAYLOR_THETA.items())
 
-        def apply(B):
-            F = B
-            for _ in range(s):
-                c1 = np.abs(B).max()
-                for j in range(1, m + 1):
-                    B = A @ B
-                    B *= 1.0 / (s * j)
-                    c2 = np.abs(B).max()
-                    F = F + B
-                    if c1 + c2 <= 2.0**-53 * np.abs(F).max():
-                        break
-                    c1 = c2
-                B = F
+        def substep(B, F):
+            c1 = np.abs(B).max()
+            for j in range(1, m + 1):
+                B = A @ B
+                B *= 1.0 / (s * j)
+                c2 = np.abs(B).max()
+                F = F + B
+                if c1 + c2 <= 2.0**-53 * np.abs(F).max():
+                    break
+                c1 = c2
             return F
+
+        return s, substep
+
+    @classmethod
+    def plain_stop_rule_map(cls, A):
+        s, substep = cls.plain_stop_rule_substep(A)
+
+        def apply(B):
+            for _ in range(s):
+                B = substep(B, B)
+            return B
 
         return apply
 
@@ -726,16 +745,24 @@ class TestExponentialMap:
             want = self.plain_stop_rule_map(A)(B)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    def test_matrix_exponential_without_halving_is_the_taylor_map(self):
-        dd = gaussian.drift_diffusion_from_generator(effective_generator(self.FRAME))
-        A = dd.superoperator() * (10 * 0.01 / dd.f_max)
-        assert np.abs(A).sum(axis=0).max() <= propagate._TAYLOR_THETA[55]
-        got = propagate.matrix_exponential(A)
-        assert got.tobytes() == propagate.exponential_map(A)(np.eye(25)).tobytes()
+    def test_sparse_increment_is_never_squared(self):
+        # a Fock increment over 1000 steps lies far beyond one substep, yet
+        # keeps the substeps of its sparse products, summed from 0: squaring
+        # it would take dense complex BLAS products, which wake a second
+        # thread at this size
+        gen = compile_generator(effective_generator(self.FRAME), FockSpace((4, 4)))
+        A = gen.superoperator() * (1000 * 0.01 / gen.f_max)
+        assert abs(A).sum(axis=0).max() > propagate._TAYLOR_THETA[55]
+        s, substep = self.plain_stop_rule_substep(A)
+        want = np.zeros(A.shape)
+        for _ in range(s):
+            want = substep(want + np.eye(A.shape[0]), want)
+        got = propagate.exponential_increment(A)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cfg", range(3))
     @pytest.mark.parametrize("relax_times", [10, 30])
-    def test_matrix_exponential_on_the_long_runs(self, cfg, relax_times):
+    def test_increment_on_the_long_runs(self, cfg, relax_times):
         # the criterion-5 long runs: one interval of 10 (benchmark) or 30
         # (acceptance) relaxation times
         from scipy.linalg import expm
@@ -753,9 +780,9 @@ class TestExponentialMap:
         dd = gaussian.drift_diffusion_from_generator(effective_generator(fr))
         relax = -np.linalg.eigvals(dd.drift).real.max()
         A = dd.superoperator() * (relax_times / relax)
-        got = propagate.matrix_exponential(A.view(Counted))
-        # worst measured: 1.6e-15
-        assert np.abs(got - expm(A)).max() <= 1e-14
+        got = propagate.exponential_increment(A.view(Counted))
+        # worst measured: 1.8e-15
+        assert np.abs(got - (expm(A) - np.eye(A.shape[0]))).max() <= 1e-14
         # Taylor terms plus squarings; worst measured: 40 (the substeps
         # took 351-482 at 10 relaxation times)
         assert Counted.products <= 45
@@ -1002,8 +1029,8 @@ class TestDensityBlocks:
                 return exponential(A)
             return wrapped
 
-        monkeypatch.setattr(fock, "exponential_map", spy("taylor", fock.exponential_map))
-        monkeypatch.setattr(fock, "exponential_increment", spy("dense", fock.exponential_increment))
+        monkeypatch.setattr(propagate, "exponential_map", spy("taylor", propagate.exponential_map))
+        monkeypatch.setattr(propagate, "exponential_increment", spy("dense", propagate.exponential_increment))
         fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08)
         spec = effective_generator(fr)
         space = FockSpace((4, 4))
@@ -1013,6 +1040,16 @@ class TestDensityBlocks:
         traj = integrate(spec, space, fock_state(space, (1, 0)), 400 * dt, dt, stride=3, truncation_tol=0.5)
         assert built == ["dense", "taylor"]
         assert traj.stats.dense_maps == 1
+
+        # the Gaussian long run: one interval serves one record, but the
+        # moment superoperator is dense, so its 25-row increment is taken
+        built.clear()
+        dd = gaussian.drift_diffusion_from_generator(spec)
+        relax = -np.linalg.eigvals(dd.drift).real.max()
+        gtraj = gaussian.evolve_covariance(dd, gaussian.fock_moments(2, (1, 0)), 10 / relax,
+                                           0.01 / dd.f_max, stride=10**9)
+        assert built == ["dense"]
+        assert gtraj.t.size == 2 and gtraj.stats.dense_maps == 1
 
         class Declined(Exception):
             pass
@@ -1028,8 +1065,8 @@ class TestDensityBlocks:
         # rows (a 128 MiB matrix), so the run asks for the Taylor map;
         # neither map is built here
         built.clear()
-        monkeypatch.setattr(fock, "exponential_map", decline("taylor"))
-        monkeypatch.setattr(fock, "exponential_increment", decline("dense"))
+        monkeypatch.setattr(propagate, "exponential_map", decline("taylor"))
+        monkeypatch.setattr(propagate, "exponential_increment", decline("dense"))
         space = FockSpace((8, 8))
         with pytest.raises(Declined):
             integrate(spec, space, fock_state(space, (1, 0)), 2048 * dt, dt, stride=1, truncation_tol=0.5)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cavmech import frame_from_collective, gaussian, propagate
+from cavmech import fock, frame_from_collective, gaussian, propagate
 from cavmech.effective import CollectiveMode
 from cavmech.fock import FockSpace, build_operators, compile_generator, fock_state, integrate
 from cavmech.gaussian import (
@@ -47,6 +47,21 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                              check=True, timeout=60)
         assert out.stdout.strip() == "False"
+
+    def test_engines_import_no_exponential(self):
+        # the run driver alone chooses how a constant generator is mapped:
+        # neither engine imports an exponential or reaches one through the
+        # propagate module
+        import ast
+
+        exponentials = {name for name in vars(propagate) if "exponential" in name or "taylor" in name}
+        assert {"exponential_map", "exponential_increment", "_taylor_substep"} <= exponentials
+        for engine in (fock, gaussian):
+            tree = ast.parse(Path(engine.__file__).read_text())
+            names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                     for alias in node.names}
+            names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            assert not names & exponentials, engine.__name__
 
 
 class TestDriftDiffusionMapping:
@@ -89,6 +104,28 @@ class TestDriftDiffusionMapping:
             compile_generator(spec, space)
         with pytest.raises(ValueError, match="negative Lindblad rate"):
             drift_diffusion_from_generator(spec)
+
+    @pytest.mark.parametrize("model", ["full", "effective"])
+    def test_non_finite_rate_rejected_by_both_engines(self, model):
+        # a NaN rate passes rate < 0, and rate > 0 would then drop its jump
+        fr = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05,
+                                   thermal_baths=((math.nan, 0.0), (0, 0)))
+        if model == "full":
+            spec, space = FullLinearized(fr), FockSpace((3, 3, 3))
+        else:
+            spec, space = effective_generator(fr), FockSpace((3, 3))
+        with pytest.raises(ValueError, match="non-finite rate"):
+            compile_generator(spec, space)
+        with pytest.raises(ValueError, match="non-finite rate"):
+            drift_diffusion_from_generator(spec)
+
+    def test_non_finite_coefficient_or_frequency_rejected(self):
+        fr = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05)
+        shifted = dataclasses.replace(effective_generator(fr), freq_shifts=(math.inf, 0.0))
+        with pytest.raises(ValueError, match="non-finite coefficient inf"):
+            quadratic_model(shifted)
+        with pytest.raises(ValueError, match="non-finite frequency nan"):
+            quadratic_model(FullLinearized(dataclasses.replace(fr, delta_bar=math.nan)))
 
     def test_drift_at_stack_matches_scalar_calls(self):
         fr = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05)

@@ -169,11 +169,22 @@ class TestCollectiveConstructor:
         dict(G_2=np.array([0.1, 0.1, -0.1])),
         dict(kappa=np.array([0.1, -0.1, 0.1])),
         dict(kappa=np.array([0.1, 0.0, 0.1]), delta_bar=np.array([1.0, 0.1, 1.0])),  # delta_2 = 0
+        dict(G_2=np.array([0.1, math.nan, 0.1])),
+        dict(delta_bar=np.array([1.0, 1.0, -math.inf])),
     ])
     def test_one_invalid_element_raises(self, bad):
         args = dict(omega_bar=1.0, delta_omega=0.2, delta_bar=1.0, kappa=0.1, G_1=0.1, G_2=0.1)
         with pytest.raises(ConfigError):
             frame_from_collective(**{**args, **bad})
+
+    @pytest.mark.parametrize("name", ["omega_bar", "delta_omega", "delta_bar", "kappa", "G_1", "G_2", "alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalar_raises(self, name, value):
+        # a NaN fails every comparison: without the check a NaN G_2 gave
+        # xi = inf, a "unitary-limit" frame
+        args = dict(omega_bar=1.0, delta_omega=0.2, delta_bar=1.0, kappa=0.1, G_1=0.1, G_2=0.1)
+        with pytest.raises(ConfigError, match="finite"):
+            frame_from_collective(**{**args, name: value})
 
     def test_scalar_fields_keep_their_types(self):
         frame = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.07)
