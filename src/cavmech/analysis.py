@@ -164,6 +164,11 @@ def write_json(doc: dict, path: str | Path) -> None:
 
 # -- normalized-coupling curves ---------------------------------------------
 
+def _check_decays(kappas):
+    if not len(kappas) or min(kappas) <= 0:
+        raise ValueError(f"need one or more cavity decay values, all positive; got {list(kappas)}")
+
+
 def coupling_curve_data(
     omega_bar: float,
     kappa_list: list[float],
@@ -178,6 +183,7 @@ def coupling_curve_data(
     lo, hi, count = delta_range
     if count < 2:
         raise ValueError("need at least two grid points")
+    _check_decays(kappa_list)
     deltas = np.linspace(lo, hi, int(count))
     columns = ["delta_bar"]
     md = base_metadata()
@@ -208,8 +214,7 @@ class SweepGrid:
     def __post_init__(self):
         if self.delta_count < 2:
             raise ValueError("need at least two detuning points")
-        if any(k <= 0 for k in self.kappa_values):
-            raise ValueError("cavity decay values must be positive")
+        _check_decays(self.kappa_values)
 
     def delta_axis(self) -> np.ndarray:
         return np.linspace(self.delta_min, self.delta_max, self.delta_count)

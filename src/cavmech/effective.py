@@ -187,13 +187,14 @@ def coupling_nulls(frame: FrameParams, tol: float = 1e-12) -> list[float]:
     """All central detunings where the exchange coupling vanishes.
 
     Zero is always a root (returned analytically).  Interior roots at
-    +-sqrt(omega_bar^2 - kappa^2/4) exist only for kappa < 2 omega_bar;
-    they are located by sign-change bracketing on a log grid followed by
+    +-sqrt(omega_bar^2 - kappa^2/4) exist only for 0 < kappa < 2 omega_bar:
+    a lossless cavity has poles at +-omega_bar and no other zero.  They
+    are located by sign-change bracketing on a log grid followed by
     bisection, and checked against the analytic values.
     """
     ob, kappa = frame.omega_bar, frame.kappa
     roots = [0.0]
-    if kappa >= 2 * ob:
+    if not 0 < kappa < 2 * ob:
         return roots
 
     grid = np.geomspace(1e-6 * ob, 4.0 * ob, 400)

@@ -268,7 +268,6 @@ def evolve_covariance(
     t_end: float,
     dt: float,
     stride: int = 100,
-    track_entanglement: bool = False,
 ) -> GaussTrajectory:
     """Propagate the moments to ``round(t_end / dt) * dt``, recording every ``stride`` steps of ``dt``.
 
@@ -284,8 +283,8 @@ def evolve_covariance(
     times and a stage that is one product of L with the flat X.  The
     trajectory's ``stats`` say how.  The uncertainty-bound defect is
     monitored at every record; a defect beyond ``_PHYSICALITY_TOL``
-    aborts, naming the first such record.
-    Entanglement is tracked between the two modes of a two-mode state.
+    aborts, naming the first such record.  The entanglement columns hold
+    :func:`_log_negativity` of the record stack for two modes, else NaN.
     """
     n_steps = step_count(t_end, dt, stride, dd.f_max)
     n = state0.mean.size
@@ -302,14 +301,13 @@ def evolve_covariance(
         var, disp = cov.diagonal(0, -2, -1), mean * mean
         occ = var[:, 0::2] + var[:, 1::2] + (disp[:, 0::2] + disp[:, 1::2])
         defect = np.minimum(np.linalg.eigvalsh(cov + bound).min(-1), 0.0)
-        en, nu = (np.array([_log_negativity(c) for c in cov]).T if track_entanglement
-                  else np.full((2, ts.size), math.nan))
         over = np.flatnonzero(defect < -_PHYSICALITY_TOL)
         if over.size:
             i = over[0]
             raise PhysicalityError(
                 f"covariance defect {defect[i]:.3e} at t={ts[i]:.6g} beyond {_PHYSICALITY_TOL}"
             )
+        en, nu = _log_negativity(cov) if n == 4 else np.full((2, ts.size), math.nan)
         return {"occupations": 0.5 * (occ - 1.0), "physicality": defect,
                 "log_negativity": en, "min_symp_eig": nu}
 
@@ -358,20 +356,25 @@ def log_negativity(state: CovarianceState):
     max(0, -ln 2 nu-).
     """
     state.validate(sym_tol=1e-10, phys_tol=1e-8)
-    return _log_negativity(state.cov)
+    return tuple(map(float, _log_negativity(state.cov)))
 
 
 def _log_negativity(cov: np.ndarray):
-    """:func:`log_negativity` of a two-mode covariance, without validating it."""
-    if cov.shape != (4, 4):
+    """``(E_N, nu-)`` of a two-mode covariance or a (..., 4, 4) stack, without validating.
+
+    With D = det A + det B - 2 det C over the blocks [[A, C], [C^T, B]],
+    nu+^2 = (D + sqrt(D^2 - 4 det cov)) / 2 and nu-^2 = det cov / nu+^2
+    (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)); the
+    difference form of nu-^2 cancels for strong squeezing.  E_N is exactly
+    0 where nu- >= 1/2.
+    """
+    if cov.shape[-2:] != (4, 4):
         raise ValueError("log negativity implemented for a 1|1 split of two modes")
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    sigma_pt = flip @ cov @ flip
-    omega = symplectic_form(2)
-    eigs = np.linalg.eigvals(omega @ sigma_pt)
-    nu_min = float(np.sort(np.abs(eigs))[0])
-    en = max(0.0, -math.log(2 * nu_min))
-    return en, nu_min
+    det = np.linalg.det
+    delta = det(cov[..., :2, :2]) + det(cov[..., 2:, 2:]) - 2 * det(cov[..., :2, 2:])
+    det_cov = det(cov)
+    nu = np.sqrt(det_cov / (0.5 * (delta + np.sqrt(np.maximum(delta * delta - 4 * det_cov, 0.0)))))
+    return np.where(nu < 0.5, -np.log(2 * nu), 0.0), nu
 
 
 @dataclass
@@ -385,7 +388,6 @@ def entanglement_experiment(
     frame: FrameParams,
     r: float,
     t_end: float,
-    dt: float | None = None,
     stride: int = 1,
 ) -> EntanglementResult:
     """Evolve mode-1 squeezed vacuum under the effective model, track E_N.
@@ -393,17 +395,15 @@ def entanglement_experiment(
     Reports the peak logarithmic negativity together with the coupling-
     to-noise ratio of the configuration; the two are reported side by
     side without asserting any particular boundary between them.  The
-    default ``dt`` is :func:`~cavmech.propagate.fewest_steps_dt`, so the last
+    step is :func:`~cavmech.propagate.fewest_steps_dt`, so the last
     record lands on ``t_end``.
     """
     spec = effective_generator(frame)
     dd = drift_diffusion_from_generator(spec)
     state0 = squeezed_vacuum(2, 0, r)
-    if dt is None:
-        dt = fewest_steps_dt(t_end, dd.f_max)
-    traj = evolve_covariance(dd, state0, t_end, dt, stride=stride, track_entanglement=True)
+    traj = evolve_covariance(dd, state0, t_end, fewest_steps_dt(t_end, dd.f_max), stride=stride)
     return EntanglementResult(
-        max_log_negativity=float(np.nanmax(traj.log_negativity)),
+        max_log_negativity=float(traj.log_negativity.max()),
         xi=spec.params.xi,
         trajectory=traj,
     )

@@ -64,22 +64,47 @@ class QuadraticModel:
     ``(nu, terms)`` whose coefficients carry a factor exp(i nu t), sorted
     by exact integer frequency label.  A jump ``(coeffs, dagger, rate)``
     is sqrt(rate) sum_m c_m b_m over the ``(m, c_m)`` pairs, with b_m^dag
-    in place of b_m when ``dagger``; every rate is positive.
+    in place of b_m when ``dagger``.  Construction rejects a non-finite
+    term, a negative rate or a mode index outside the model; then it drops
+    the jumps of zero rate, which do nothing.
     """
 
     n_modes: int
     static: tuple
     oscillating: tuple
     jumps: tuple
-    f_max: float
+
+    def __post_init__(self):
+        terms = [term for _, group in ((0.0, self.static), *self.oscillating) for term in group]
+        coefficients = [c for c, *_ in terms] + [c for coeffs, _, _ in self.jumps for _, c in coeffs]
+        for kind, values in (("coefficient", coefficients), ("frequency", [nu for nu, _ in self.oscillating]),
+                             ("rate", [rate for *_, rate in self.jumps])):
+            bad = [v for v in values if not cmath.isfinite(v)]
+            if bad:
+                raise ValueError(f"non-finite {kind} {bad[0]} in the model")
+        modes = [i for term in terms for i in term[1:3]] + [m for coeffs, *_ in self.jumps for m, _ in coeffs]
+        bad = [m for m in modes if not 0 <= m < self.n_modes]
+        if bad:
+            raise ValueError(f"mode index {bad[0]} outside a {self.n_modes}-mode model")
+        for coeffs, dagger, rate in self.jumps:
+            if rate < 0:
+                kind = "raising" if dagger else "lowering"
+                raise ValueError(f"negative Lindblad rate {rate} on the {kind} jump of modes "
+                                 f"{[m for m, _ in coeffs]}")
+        object.__setattr__(self, "jumps", tuple(jump for jump in self.jumps if jump[2] > 0))
+
+    @property
+    def f_max(self) -> float:
+        """Fastest scale of the model: the largest static |c|, |nu| and rate."""
+        return max([abs(term[0]) for term in self.static] + [abs(nu) for nu, _ in self.oscillating]
+                   + [rate for _, _, rate in self.jumps] + [0.0])
 
 
 def quadratic_model(spec) -> QuadraticModel:
     """Describe a generator spec as a :class:`QuadraticModel`.
 
-    A :class:`QuadraticModel` is returned as it is.  Raises ``ValueError``
-    for a non-finite coefficient, frequency or rate, and for a negative
-    Lindblad rate.
+    A :class:`QuadraticModel` is returned as it is; its construction
+    checks the terms.
     """
     if isinstance(spec, QuadraticModel):
         return spec
@@ -117,20 +142,4 @@ def quadratic_model(spec) -> QuadraticModel:
         raise TypeError(f"unknown generator spec {type(spec).__name__}")
     for (rate, nth), m in zip(baths or (), mechanical):
         jumps += [(((m, 1.0),), False, rate * (nth + 1)), (((m, 1.0),), True, rate * nth)]
-    coefficients = [term[0] for _, terms in ((0.0, static), *oscillating) for term in terms]
-    coefficients += [c for coeffs, _, _ in jumps for _, c in coeffs]
-    for kind, values in (("coefficient", coefficients), ("frequency", [nu for nu, _ in oscillating]),
-                         ("rate", [rate for *_, rate in jumps])):
-        bad = [v for v in values if not cmath.isfinite(v)]
-        if bad:
-            raise ValueError(f"non-finite {kind} {bad[0]} in the model")
-    for coeffs, dagger, rate in jumps:
-        if rate < 0:
-            kind = "raising" if dagger else "lowering"
-            modes = [m for m, _ in coeffs]
-            raise ValueError(f"negative Lindblad rate {rate} on the {kind} jump of modes {modes}")
-    f_max = max([abs(term[0]) for term in static] + [abs(nu) for nu, _ in oscillating]
-                + [rate for _, _, rate in jumps] + [0.0])
-    # a zero-rate jump does nothing and is dropped
-    return QuadraticModel(n_modes, static, oscillating,
-                          tuple(jump for jump in jumps if jump[2] > 0), f_max)
+    return QuadraticModel(n_modes, static, oscillating, tuple(jumps))

@@ -56,6 +56,12 @@ class TestCouplingCurves:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             coupling_curve_data(1.0, [0.5], (-1.0, 1.0, 1))
+        # a lossless decay would put poles at delta_bar = +-omega_bar
+        for kappas in ([0.5, 0.0], [-1.0]):
+            with pytest.raises(ValueError, match="all positive"):
+                coupling_curve_data(1.0, kappas)
+        with pytest.raises(ValueError, match=r"cavity decay values, all positive; got \[\]"):
+            coupling_curve_data(1.0, [])
 
 
 class TestRegimeMap:
@@ -118,6 +124,8 @@ class TestRegimeMap:
             SweepGrid(delta_count=1)
         with pytest.raises(ValueError):
             SweepGrid(kappa_values=(0.0,))
+        with pytest.raises(ValueError, match=r"cavity decay values, all positive; got \[\]"):
+            SweepGrid(kappa_values=())
 
 
 class TestAsymptote:

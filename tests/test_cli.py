@@ -125,9 +125,12 @@ class TestNulls:
         assert doc["nulls"][2] == pytest.approx(np.sqrt(3) / 2, abs=1e-9)
 
     def test_wide_cavity_has_single_null(self, capsys):
-        assert main(["nulls", "--kappa", "3.0"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["nulls"] == [0.0]
+        # so has a lossless one, whose sign changes at +-omega_bar are poles
+        for kappa in ("3.0", "0"):
+            assert main(["nulls", "--kappa", kappa]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["nulls"] == [0.0]
+            assert not doc["interior_nulls_exist"]
 
 
 class TestCurves:
@@ -164,6 +167,17 @@ class TestCurves:
 
     def test_bad_range_is_usage_error(self, capsys):
         assert main(["fig1", "--delta-range", "oops"]) == 2
+
+    @pytest.mark.parametrize("command, kappas, message", [
+        ("fig1", "0", "cavity decay values, all positive; got [0.0]"),
+        ("fig1", "", "cavity decay values, all positive; got []"),
+        ("fig2", "", "cavity decay values, all positive; got []"),
+    ])
+    def test_bad_decay_list_is_usage_error(self, command, kappas, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([command, f"--kappas={kappas}", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAsymptoteCommand:

@@ -231,6 +231,11 @@ class TestNulls:
     def test_only_origin_at_large_decay(self, kappa):
         assert coupling_nulls(frame(kappa=kappa)) == [0.0]
 
+    def test_only_origin_in_a_lossless_cavity(self):
+        # at kappa = 0, J ~ -2 delta_bar / (delta_bar^2 - omega_bar^2): the
+        # sign changes at +-omega_bar are poles, not nulls
+        assert coupling_nulls(frame(kappa=0.0)) == [0.0]
+
     def test_sign_change_structure(self):
         # exactly one sign change for positive detunings when kappa < 2
         deltas = np.linspace(1e-3, 5.0, 2000)

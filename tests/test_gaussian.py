@@ -127,6 +127,31 @@ class TestDriftDiffusionMapping:
         with pytest.raises(ValueError, match="non-finite frequency nan"):
             quadratic_model(FullLinearized(dataclasses.replace(fr, delta_bar=math.nan)))
 
+    @pytest.mark.parametrize("static, oscillating, jumps, message", [
+        ((), (), ((((0, 1.0),), False, math.nan),), "non-finite rate nan"),
+        ((), (), ((((0, 1.0),), True, -0.1),), r"negative Lindblad rate -0.1 on the raising jump of modes \[0\]"),
+        ((), (), ((((2, 1.0),), False, 0.1),), "mode index 2 outside a 2-mode model"),
+        (((0.1, 0, 2, False),), (), (), "mode index 2 outside a 2-mode model"),
+        ((), ((0.5, ((math.nan, 0, 1, True),)),), (), "non-finite coefficient nan"),
+    ])
+    def test_directly_built_model_checks_its_terms(self, static, oscillating, jumps, message):
+        # a model built without quadratic_model gets the same checks
+        with pytest.raises(ValueError, match=message):
+            QuadraticModel(2, ((1.0, 0, 0, False),) + static, oscillating, jumps)
+
+    def test_model_works_out_its_fastest_scale(self):
+        # |c| = 5 sets f_max, so the guard needs dt <= 0.002 on both engines;
+        # a zero-rate jump is checked, then dropped
+        model = QuadraticModel(2, ((5.0, 0, 1, False),), ((0.5, ((1.0, 0, 1, True),)),),
+                               ((((0, 1.0),), False, 0.1), (((1, 1.0),), True, 0.0)))
+        assert model.f_max == 5.0
+        assert model.jumps == ((((0, 1.0),), False, 0.1),)
+        with pytest.raises(ValueError, match="too coarse"):
+            evolve_covariance(drift_diffusion_from_generator(model), vacuum_state(2), 1.0, 0.01)
+        space = FockSpace((3, 3))
+        with pytest.raises(ValueError, match="too coarse"):
+            integrate(model, space, fock_state(space, (0, 0)), 1.0, 0.01)
+
     def test_drift_at_stack_matches_scalar_calls(self):
         fr = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05)
         dd = drift_diffusion_from_generator(FullLinearized(fr))
@@ -294,8 +319,7 @@ class TestEvolution:
         jumps = [(((m, 1.0),), False, rng.uniform(0.05, 0.5)) for m in range(3)]
         jumps.append((tuple((m, complex(*rng.normal(size=2))) for m in range(3)), False,
                       rng.uniform(0.05, 0.5)))
-        f_max = max([abs(c) for c, *_ in static] + [rate for *_, rate in jumps])
-        return QuadraticModel(3, tuple(static), (), tuple(jumps), f_max)
+        return QuadraticModel(3, tuple(static), (), tuple(jumps))
 
     def test_exact_paths_agree_on_random_models(self):
         # one excitation never leaves levels 0 and 1 of a number-conserving
@@ -427,11 +451,27 @@ class TestEvolution:
         dd = drift_diffusion_from_generator(effective_generator(fr))
         state0 = squeezed_vacuum(2, 0, 0.7)
         state0.mean = np.array([-7.795759322843109, -0.5, 0.3, 0.8])
-        traj = evolve_covariance(dd, state0, 20.0, 0.01 / dd.f_max, stride=50, track_entanglement=True)
+        traj = evolve_covariance(dd, state0, 20.0, 0.01 / dd.f_max, stride=50)
         for i, state in ((0, state0), (-1, traj.final_state)):
             assert list(traj.occupations[i]) == [state.occupation(m) for m in range(2)]
             assert traj.physicality[i] == state.physicality_defect()
             assert (traj.log_negativity[i], traj.min_symp_eig[i]) == log_negativity(state)
+
+    def test_monitors_make_no_eigenvalue_call_per_record(self, monkeypatch):
+        # the log negativity of every record comes from one closed form on
+        # the record stack, with no general eigenvalue solve
+        fr = frame_from_collective(1.0, 0.2, 1.0, 0.3, 0.15, 0.15)
+        dd = drift_diffusion_from_generator(effective_generator(fr))
+        expected = evolve_covariance(dd, squeezed_vacuum(2, 0, 0.7), 20.0, 0.01 / dd.f_max, stride=5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        traj = evolve_covariance(dd, squeezed_vacuum(2, 0, 0.7), 20.0, 0.01 / dd.f_max, stride=5)
+        assert np.all(np.isfinite(traj.log_negativity)) and traj.log_negativity.max() > 0
+        assert np.array_equal(traj.log_negativity, expected.log_negativity)
+        assert np.array_equal(traj.min_symp_eig, expected.min_symp_eig)
 
     @pytest.mark.parametrize("phase_nus", [np.zeros(0), np.array([0.5])])
     def test_physicality_abort_names_the_first_offending_record(self, monkeypatch, phase_nus):
@@ -503,17 +543,22 @@ class TestSteadyState:
 class TestLogNegativity:
     def test_vacuum_is_separable(self):
         en, nu = log_negativity(vacuum_state(2))
-        assert en == 0.0
+        # +0.0, so an output file never prints a negative zero
+        assert en == 0.0 and math.copysign(1.0, en) == 1.0
         assert nu == pytest.approx(0.5, rel=1e-12)
 
     def test_two_mode_squeezed_value(self):
-        r = 0.8
-        c2, s2 = math.cosh(2 * r), math.sinh(2 * r)
-        cov = 0.5 * np.array([
-            [c2, 0, s2, 0], [0, c2, 0, -s2], [s2, 0, c2, 0], [0, -s2, 0, c2]])
-        en, nu = log_negativity(CovarianceState(np.zeros(4), cov))
-        assert en == pytest.approx(2 * r, rel=1e-12)
-        assert nu == pytest.approx(0.5 * math.exp(-2 * r), rel=1e-12)
+        # nu-^2 = det / nu+^2 keeps the eigenvalue solver's accuracy under
+        # strong squeezing (worst measured: 1.7e-12 at r = 3, 1.5e-10 at
+        # r = 4); the difference form (D - sqrt(D^2 - 4 det)) / 2 loses
+        # 6.9e-8 and 6.9e-4
+        for r, bound in ((0.8, 1e-12), (3.0, 1e-10), (4.0, 1e-8)):
+            c2, s2 = math.cosh(2 * r), math.sinh(2 * r)
+            cov = 0.5 * np.array([
+                [c2, 0, s2, 0], [0, c2, 0, -s2], [s2, 0, c2, 0], [0, -s2, 0, c2]])
+            en, nu = log_negativity(CovarianceState(np.zeros(4), cov))
+            assert en == pytest.approx(2 * r, rel=bound)
+            assert nu == pytest.approx(0.5 * math.exp(-2 * r), rel=bound)
 
     def test_beam_splitter_on_vacuum_stays_separable(self):
         theta = 0.7
@@ -545,6 +590,31 @@ class TestLogNegativity:
             transformed = CovarianceState(np.zeros(4), S @ cov @ S.T)
             en, _ = log_negativity(transformed)
             assert en == pytest.approx(2 * r, abs=1e-9)
+
+    def test_closed_form_matches_the_eigenvalue_definition(self):
+        # nu- is the smallest |eigenvalue| of Omega sigma_PT, the partial
+        # transpose flipping p_2; sigma = S diag(nu_1, nu_1, nu_2, nu_2) S^T
+        # with S = exp(Omega H) symplectic, a fifth of the states pure
+        rng = np.random.default_rng(22)
+        count = 2000
+        H = rng.normal(size=(count, 4, 4)) * rng.uniform(0.01, 0.4, size=(count, 1, 1))
+        S = expm(symplectic_form(2) @ (H + H.transpose(0, 2, 1)))
+        nus = np.where(rng.uniform(size=(count, 1)) < 0.2, 0.5, rng.uniform(0.5, 2.0, size=(count, 2)))
+        cov = S * np.repeat(nus, 2, axis=1)[:, None, :] @ S.transpose(0, 2, 1)
+        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+        flip = np.diag([1.0, 1.0, 1.0, -1.0])
+        ref_nu = np.array([np.abs(np.linalg.eigvals(symplectic_form(2) @ flip @ c @ flip)).min()
+                           for c in cov])
+        ref_en = np.maximum(0.0, -np.log(2 * ref_nu))
+        en, nu = gaussian._log_negativity(cov)
+        assert 300 < np.count_nonzero(ref_nu < 0.5) < count - 300
+        # worst measured: 1.5e-13 in E_N, 1.5e-13 relative in nu-
+        assert np.abs(en - ref_en).max() <= 1e-12
+        assert np.abs(nu / ref_nu - 1).max() <= 1e-12
+        # a separable state gives exactly 0, and each state of the stack
+        # the same bits alone
+        assert np.all(en[ref_nu > 0.5 + 1e-12] == 0.0) and not np.signbit(en).any()
+        assert all((en[i], nu[i]) == gaussian._log_negativity(cov[i]) for i in range(0, count, 97))
 
     def test_unphysical_covariance_rejected(self):
         with pytest.raises(PhysicalityError):
