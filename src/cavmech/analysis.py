@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import FrameParams, SystemConfig, config_digest, derive_frame, frame_from_collective
+from .model import (FrameParams, SystemConfig, config_digest, derive_frame, frame_from_collective,
+                    mode_frequencies)
 from .effective import (
     _baths,
     _lorentzian_pair,
@@ -69,28 +70,33 @@ def _fmt(x: float) -> str:
     return FLOAT_FORMAT.format(float(x))
 
 
-def render(dataset: Dataset, fmt: str) -> str:
-    """Serialize a dataset as CSV or JSON text with byte-stable formatting."""
-    if fmt == "csv":
-        lines = [f"# {k} = {v}" for k, v in sorted(dataset.metadata.items())]
-        lines.append(",".join(dataset.columns))
-        for row in dataset.rows:
-            lines.append(",".join(_fmt(x) for x in row))
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        doc = {
-            "metadata": dict(sorted(dataset.metadata.items())),
-            "columns": dataset.columns,
-            "rows": [[float(_fmt(x)) for x in row] for row in dataset.rows],
+def render(result: Dataset | dict, fmt: str) -> str:
+    """Serialize a dataset as CSV or JSON, or a report dict as JSON, with
+    byte-stable formatting; any other format raises ``ValueError``."""
+    if isinstance(result, Dataset):
+        if fmt == "csv":
+            lines = [f"# {k} = {v}" for k, v in sorted(result.metadata.items())]
+            lines.append(",".join(result.columns))
+            for row in result.rows:
+                lines.append(",".join(_fmt(x) for x in row))
+            return "\n".join(lines) + "\n"
+        if fmt != "json":
+            raise ValueError(f"unknown format {fmt!r}")
+        result = {
+            "metadata": dict(sorted(result.metadata.items())),
+            "columns": result.columns,
+            "rows": [[float(_fmt(x)) for x in row] for row in result.rows],
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    elif fmt != "json":
+        raise ValueError(f"a report is written only as json, not {fmt!r}")
+    return json.dumps(result, indent=2, sort_keys=True) + "\n"
 
 
-def emit(dataset: Dataset, fmt: str, path: str | Path) -> None:
-    """Write a dataset as CSV or JSON with byte-stable formatting."""
+def emit(result: Dataset | dict, fmt: str, path: str | Path) -> None:
+    """Write ``render(result, fmt)`` to ``path``; a failed write raises
+    ``OSError`` naming the path."""
     path = Path(path)
-    text = render(dataset, fmt)
+    text = render(result, fmt)
     try:
         path.write_text(text)
     except OSError as exc:
@@ -156,10 +162,6 @@ def _json_num(x: float):
     if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
         return None
     return x
-
-
-def write_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # -- normalized-coupling curves ---------------------------------------------
@@ -254,9 +256,11 @@ def regime_map(
 
     The xi = 1/2 boundary is extracted per decay row by linear
     interpolation of sign changes of xi - 1/2 along the detuning axis.
+    Raises ``ConfigError`` where ``mode_frequencies`` rejects the splitting.
     """
     deltas = grid.delta_axis()
     dw = delta_omega_over_omega_bar * omega_bar
+    mode_frequencies(omega_bar, dw)
 
     xi = np.vstack([_xi_row(deltas, omega_bar, dw, kappa, G_1, G_2)
                     for kappa in grid.kappa_values])
@@ -315,14 +319,21 @@ def xi_asymptote(
     kappa) and reports the measured exponent with a confidence width, the
     exponent predicted by the implemented closed forms (1.0), and the
     externally claimed quadratic growth for comparison.  Raises
-    ``ValueError`` unless ``kappa > 0`` and ``G_1 + G_2 != 0``.
+    ``ValueError`` unless ``kappa > 0``, ``G_1 + G_2 != 0`` and the window
+    has nonzero width, and ``ConfigError`` where ``mode_frequencies``
+    rejects the splitting.
     """
     if not kappa > 0:
         raise ValueError(f"cavity decay kappa must be positive, got {kappa}")
     if G_1 + G_2 == 0:
         raise ValueError("the couplings must not sum to zero")
+    mode_frequencies(omega_bar, delta_omega)
     scale = max(omega_bar, kappa)
-    deltas = np.geomspace(10.0 ** decades[0] * scale, 10.0 ** decades[1] * scale, points)
+    lo, hi = 10.0 ** decades[0] * scale, 10.0 ** decades[1] * scale
+    if lo == hi:
+        raise ValueError(f"the fit window [{lo:g}, {hi:g}] (decades {decades[0]:g} to {decades[1]:g}) "
+                         "has zero width")
+    deltas = np.geomspace(lo, hi, points)
     xi = _xi_row(deltas, omega_bar, delta_omega, kappa, G_1, G_2)
     slope, intercept, stderr = _loglog_fit(deltas, xi)
     predicted_coeff = 2 * G_1 * G_2 / (kappa * (G_1 + G_2) ** 2)
@@ -348,14 +359,10 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray):
 
 # -- validation pipeline ------------------------------------------------------
 
-@dataclass
-class StageReport:
-    name: str
-    passed: bool
-    measured: float | None
-    tolerance: float | None
-    detail: str = ""
-    skipped: bool = False
+def _stage(name, passed, measured, tolerance, detail="", skipped=False) -> dict:
+    """One stage entry of the ``validate`` report."""
+    return {"name": name, "passed": bool(passed), "measured": _json_num(measured),
+            "tolerance": tolerance, "detail": detail, "skipped": skipped}
 
 
 def _rel_err(a, b):
@@ -455,18 +462,18 @@ def validate(
     vs the closed form on the full model.
     """
     frame = derive_frame(config)
-    stages: list[StageReport] = []
+    stages: list[dict] = []
 
     err = check_reduction_agreement(n_reduction_draws)
-    stages.append(StageReport("reduction-vs-closed-forms", err < 1e-9, err, 1e-9))
+    stages.append(_stage("reduction-vs-closed-forms", err < 1e-9, err, 1e-9))
 
     ids = check_rate_identities()
-    stages.append(StageReport(
+    stages.append(_stage(
         "rate-pair-identities",
         ids["worst_identity_rel"] < 1e-12 and ids["worst_factorization_rel"] < 1e-12,
         max(ids["worst_identity_rel"], ids["worst_factorization_rel"]), 1e-12,
     ))
-    stages.append(StageReport(
+    stages.append(_stage(
         "complete-positivity", ids["min_rate"] >= 0.0, ids["min_rate"], 0.0,
         detail="smallest down/up rate over the scan",
     ))
@@ -475,7 +482,7 @@ def validate(
     stages.append(_stage_engine_agreement(frame, unitary))
 
     if unitary:
-        stages.append(StageReport(
+        stages.append(_stage(
             "transfer-rate-vs-closed-form", True, None, None,
             detail="skipped: lossless cavity, no mediated dissipation to validate against",
             skipped=True,
@@ -485,18 +492,8 @@ def validate(
 
     report = {
         "metadata": base_metadata(config),
-        "stages": [
-            {
-                "name": s.name,
-                "passed": bool(s.passed),
-                "measured": _json_num(s.measured) if s.measured is not None else None,
-                "tolerance": s.tolerance,
-                "detail": s.detail,
-                "skipped": s.skipped,
-            }
-            for s in stages
-        ],
-        "all_passed": all(s.passed for s in stages),
+        "stages": stages,
+        "all_passed": all(s["passed"] for s in stages),
     }
     if verbose:
         table = build_coefficient_table(frame) if frame.kappa > 0 else None
@@ -514,7 +511,7 @@ def validate(
     return report
 
 
-def _stage_engine_agreement(frame: FrameParams, unitary: bool) -> StageReport:
+def _stage_engine_agreement(frame: FrameParams, unitary: bool) -> dict:
     spec = effective_generator(frame)
     p = spec.params
     if unitary or p.gamma_total == 0:
@@ -537,14 +534,14 @@ def _stage_engine_agreement(frame: FrameParams, unitary: bool) -> StageReport:
         float(np.abs(ftraj.n1 - gtraj.occupations[:, 0]).max()),
         float(np.abs(ftraj.n2 - gtraj.occupations[:, 1]).max()),
     )
-    return StageReport("fock-vs-gaussian-effective", err < 1e-3, err, 1e-3, detail=detail)
+    return _stage("fock-vs-gaussian-effective", err < 1e-3, err, 1e-3, detail=detail)
 
 
-def _stage_transfer(frame: FrameParams, protocol: TransferProtocol) -> StageReport:
+def _stage_transfer(frame: FrameParams, protocol: TransferProtocol) -> dict:
     closed = abs(exchange_coupling(frame))
     result = excitation_transfer_experiment(frame, protocol, model="full")
     err = abs(result.exchange_rate - closed) / closed
-    return StageReport(
+    return _stage(
         "transfer-rate-vs-closed-form", err < 0.10, err, 0.10,
         detail=f"fitted {result.exchange_rate:.6e} vs closed {closed:.6e}",
     )

@@ -1,15 +1,19 @@
 """Command-line interface: one subcommand per analysis task.
 
-Exit codes: 0 on success, 1 when a validation stage fails, 2 on bad input.
-All outputs are deterministic for a fixed configuration; ``--seed`` and
-``--threads`` are accepted for interface stability but unused: nothing is
-stochastic, and every sweep runs in one thread.
+Each subparser names its handler (``set_defaults(run=...)``), which builds
+one result, a ``Dataset`` table or a report dict, and hands it to
+``_output``: ``analysis.emit`` writes it to ``--out``, or ``analysis.render``
+to stdout.  Tables take ``--format csv|json``; reports are JSON only.
+
+Exit codes: 0 on success, 1 when a validation stage fails or a run stops,
+2 on bad input.  All outputs are deterministic for a fixed configuration;
+``--seed`` and ``--threads`` are accepted for interface stability but
+unused: nothing is stochastic, and every sweep runs in one thread.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -32,7 +36,6 @@ from .analysis import (
     regime_map_dataset,
     render,
     validate,
-    write_json,
     xi_asymptote,
     _fmt,
     _json_num,
@@ -43,14 +46,21 @@ class UsageError(ValueError):
     pass
 
 
-def _add_common(sub):
+TABLE_FORMATS = ("csv", "json")
+REPORT_FORMATS = ("json",)
+
+
+def _add_subcommand(subs, name: str, run, help: str, formats=TABLE_FORMATS):
+    sub = subs.add_parser(name, help=help)
+    sub.set_defaults(run=run)
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--out", help="output file path")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument("--threads", type=int, default=1,
                      help="accepted for interface stability; unused")
     sub.add_argument("--seed", type=int, default=None,
                      help="reserved; all computations are deterministic")
+    return sub
 
 
 def _require_config(args) -> SystemConfig:
@@ -92,32 +102,28 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad integer list {text!r}") from exc
 
 
-def _emit_or_print(dataset: Dataset, args):
+def _output(result: Dataset | dict, args) -> None:
+    """Write a table or report to ``--out``, or to stdout without one."""
     if args.out:
-        emit(dataset, args.format, args.out)
+        emit(result, args.format, args.out)
     else:
-        sys.stdout.write(render(dataset, args.format))
-
-
-def _write_or_print_json(doc: dict, args):
-    if args.out:
-        write_json(doc, args.out)
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        sys.stdout.write(render(result, args.format))
 
 
 def _cmd_params(args) -> int:
-    config = _require_config(args)
-    _write_or_print_json(params_report(config), args)
+    _output(params_report(_require_config(args)), args)
     return 0
 
 
 def _cmd_nulls(args) -> int:
     if args.config:
+        if (args.omega_bar, args.kappa) != (None, None):
+            raise UsageError("nulls takes --config or --omega-bar/--kappa, not both")
         frame = derive_frame(load_config(args.config))
     else:
-        frame = frame_from_collective(args.omega_bar, 0.1 * args.omega_bar, args.omega_bar,
-                                      args.kappa, 0.1, 0.1)
+        omega_bar = 1.0 if args.omega_bar is None else args.omega_bar
+        kappa = 1.0 if args.kappa is None else args.kappa
+        frame = frame_from_collective(omega_bar, 0.1 * omega_bar, omega_bar, kappa, 0.1, 0.1)
     nulls = coupling_nulls(frame)
     doc = {
         "metadata": base_metadata(),
@@ -126,14 +132,13 @@ def _cmd_nulls(args) -> int:
         "nulls": nulls,
         "interior_nulls_exist": len(nulls) > 1,
     }
-    _write_or_print_json(doc, args)
+    _output(doc, args)
     return 0
 
 
 def _cmd_fig1(args) -> int:
-    dataset = coupling_curve_data(args.omega_bar, _parse_floats(args.kappas),
-                                  _parse_range(args.delta_range))
-    _emit_or_print(dataset, args)
+    _output(coupling_curve_data(args.omega_bar, _parse_floats(args.kappas),
+                                _parse_range(args.delta_range)), args)
     return 0
 
 
@@ -141,16 +146,14 @@ def _cmd_fig2(args) -> int:
     lo, hi, count = _parse_range(args.delta_range)
     grid = SweepGrid(delta_min=lo, delta_max=hi, delta_count=count,
                      kappa_values=tuple(_parse_floats(args.kappas)))
-    rmap = regime_map(args.delta_omega, grid)
-    dataset = regime_map_dataset(rmap, args.delta_omega)
-    _emit_or_print(dataset, args)
+    _output(regime_map_dataset(regime_map(args.delta_omega, grid), args.delta_omega), args)
     return 0
 
 
 def _cmd_xi_asymptote(args) -> int:
     doc = xi_asymptote(kappa=args.kappa, delta_omega=args.delta_omega,
                        decades=(args.decades[0], args.decades[1]))
-    _write_or_print_json(doc, args)
+    _output(doc, args)
     return 0
 
 
@@ -166,18 +169,18 @@ def _trajectory_dataset(traj, config) -> Dataset:
     )
 
 
-def _cmd_simulate(args, model: str) -> int:
+def _cmd_simulate(args) -> int:
     config = _require_config(args)
     frame = derive_frame(config)
     dims = _parse_ints(args.dims)
-    if model == "full":
+    if args.model == "full":
         spec = FullLinearized(frame)
         expected = 3
     else:
         spec = effective_generator(frame)
         expected = 2
     if len(dims) != expected:
-        raise UsageError(f"--dims needs {expected} entries for the {model} model")
+        raise UsageError(f"--dims needs {expected} entries for the {args.model} model")
     space = FockSpace(dims)
     occupations = _parse_ints(args.initial)
     if len(occupations) != expected:
@@ -186,8 +189,7 @@ def _cmd_simulate(args, model: str) -> int:
     dt = args.dt if args.dt is not None else fewest_steps_dt(args.t_end, quadratic_model(spec).f_max)
     traj = integrate(spec, space, rho0, args.t_end, dt, stride=args.stride,
                      truncation_tol=args.truncation_tol)
-    dataset = _trajectory_dataset(traj, config)
-    _emit_or_print(dataset, args)
+    _output(_trajectory_dataset(traj, config), args)
     return 0
 
 
@@ -202,13 +204,13 @@ def _cmd_entangle(args) -> int:
     md["xi"] = _fmt(result.xi) if math.isfinite(result.xi) else "unitary-limit"
     md["max_log_negativity"] = _fmt(result.max_log_negativity)
     dataset = Dataset(columns=["t", "n1", "n2", "EN", "min_symp_eig"], rows=rows, metadata=md)
-    _emit_or_print(dataset, args)
+    _output(dataset, args)
     summary = {
         "max_log_negativity": result.max_log_negativity,
         "xi": _json_num(result.xi),
         "regime": interaction_regime(result.xi),
     }
-    print(json.dumps(summary, indent=2, sort_keys=True), file=sys.stderr)
+    sys.stderr.write(render(summary, "json"))
     return 0
 
 
@@ -221,10 +223,9 @@ def _cmd_validate(args) -> int:
     )
     report = validate(config, transfer_protocol=protocol,
                       n_reduction_draws=args.draws, verbose=args.verbose)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        write_json(report, args.out)
-    print(text)
+    _output(report, args)
+    if args.out:  # the report also goes to stdout
+        sys.stdout.write(render(report, args.format))
     return 0 if report["all_passed"] else 1
 
 
@@ -236,37 +237,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("params", help="derived frame and effective parameters as JSON")
-    _add_common(p)
+    _add_subcommand(subs, "params", _cmd_params, "derived frame and effective parameters as JSON",
+                    REPORT_FORMATS)
 
-    p = subs.add_parser("nulls", help="detunings where the exchange coupling vanishes")
-    _add_common(p)
-    p.add_argument("--omega-bar", type=_finite_float, default=1.0)
-    p.add_argument("--kappa", type=_finite_float, default=1.0)
+    p = _add_subcommand(subs, "nulls", _cmd_nulls, "detunings where the exchange coupling vanishes",
+                        REPORT_FORMATS)
+    p.add_argument("--omega-bar", type=_finite_float, help="default 1.0; not with --config")
+    p.add_argument("--kappa", type=_finite_float, help="default 1.0; not with --config")
 
-    p = subs.add_parser("fig1", help="normalized exchange-coupling curves vs detuning")
-    _add_common(p)
+    p = _add_subcommand(subs, "fig1", _cmd_fig1, "normalized exchange-coupling curves vs detuning")
     p.add_argument("--omega-bar", type=_finite_float, default=1.0)
     p.add_argument("--kappas", default="0.5,1,1.5,3")
     p.add_argument("--delta-range", default="-3:3:601")
 
-    p = subs.add_parser("fig2", help="classicality regime map over detuning and decay")
-    _add_common(p)
+    p = _add_subcommand(subs, "fig2", _cmd_fig2, "classicality regime map over detuning and decay")
     p.add_argument("--delta-omega", type=_finite_float, default=0.1,
                    help="mechanical frequency difference over the average frequency")
     p.add_argument("--kappas", default="0.1,0.3,1,3,10")
     p.add_argument("--delta-range", default="-10:10:401")
 
-    p = subs.add_parser("xi-asymptote", help="log-log growth exponent of the "
-                                             "coupling-to-noise ratio far from resonance")
-    _add_common(p)
+    p = _add_subcommand(subs, "xi-asymptote", _cmd_xi_asymptote, "log-log growth exponent of the "
+                        "coupling-to-noise ratio far from resonance", REPORT_FORMATS)
     p.add_argument("--kappa", type=_finite_float, default=1.0)
     p.add_argument("--delta-omega", type=_finite_float, default=0.2)
     p.add_argument("--decades", type=_finite_float, nargs=2, default=(2.0, 4.0))
 
     for name, model in (("simulate-full", "full"), ("simulate-effective", "effective")):
-        p = subs.add_parser(name, help=f"integrate the {model} model, write a trajectory CSV")
-        _add_common(p)
+        p = _add_subcommand(subs, name, _cmd_simulate,
+                            f"integrate the {model} model, write a trajectory CSV")
         p.add_argument("--t-end", type=_finite_float, default=100.0)
         p.add_argument("--dt", type=_finite_float, default=None)
         p.add_argument("--dims", default="4,4,4" if model == "full" else "4,4")
@@ -275,15 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--truncation-tol", type=_finite_float, default=1e-3)
         p.set_defaults(model=model)
 
-    p = subs.add_parser("entangle", help="effective-model run from squeezed vacuum, "
-                                         "tracking logarithmic negativity")
-    _add_common(p)
+    p = _add_subcommand(subs, "entangle", _cmd_entangle, "effective-model run from squeezed "
+                        "vacuum, tracking logarithmic negativity")
     p.add_argument("--squeezing", type=_finite_float, default=1.0)
     p.add_argument("--t-end", type=_finite_float, default=500.0)
     p.add_argument("--stride", type=int, default=1)
 
-    p = subs.add_parser("validate", help="five-stage cross-module consistency pipeline")
-    _add_common(p)
+    p = _add_subcommand(subs, "validate", _cmd_validate, "five-stage cross-module consistency "
+                        "pipeline", REPORT_FORMATS)
     p.add_argument("--draws", type=int, default=1000)
     p.add_argument("--dims", default="4,3,3")
     p.add_argument("--transfer-t-end", type=_finite_float, default=600.0)
@@ -293,24 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "params": _cmd_params,
-    "nulls": _cmd_nulls,
-    "fig1": _cmd_fig1,
-    "fig2": _cmd_fig2,
-    "xi-asymptote": _cmd_xi_asymptote,
-    "entangle": _cmd_entangle,
-    "validate": _cmd_validate,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command in ("simulate-full", "simulate-effective"):
-            return _cmd_simulate(args, args.model)
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except (FitError, TruncationError, StepControlError, PhysicalityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -120,6 +120,18 @@ def _anywhere(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
 
 
+def mode_frequencies(omega_bar, delta_omega):
+    """``(omega_1, omega_2) = omega_bar +- delta_omega / 2`` elementwise; raises
+    ``ConfigError`` unless both are positive and distinct, as ``SystemConfig`` does."""
+    w1 = omega_bar + delta_omega / 2
+    w2 = omega_bar - delta_omega / 2
+    if _anywhere((w1 <= 0) | (w2 <= 0)):
+        raise ConfigError("collective coordinates imply a nonpositive mode frequency")
+    if _anywhere(delta_omega == 0):
+        raise ConfigError("the two mechanical modes must have distinct frequencies")
+    return w1, w2
+
+
 def optical_spring(G: float, delta: float, omega: float, kappa: float) -> float:
     """Pump-induced mechanical frequency shift, one pump's contribution.
 
@@ -230,13 +242,12 @@ def frame_from_collective(
     otherwise this is equivalent to ``derive_frame`` on a corresponding
     lab-frame config.  Any argument may be an array: every field is then
     the elementwise value, and one invalid element raises ``ConfigError``.
+    The mode frequencies come from ``mode_frequencies``, so a splitting
+    that leaves a mode at or below zero frequency, or one of zero, raises.
     """
     if not all(np.isfinite(v).all() for v in (omega_bar, delta_omega, delta_bar, kappa, G_1, G_2, alpha)):
         raise ConfigError("collective coordinates must be finite numbers")
-    w1 = omega_bar + delta_omega / 2
-    w2 = omega_bar - delta_omega / 2
-    if _anywhere((w1 <= 0) | (w2 <= 0)):
-        raise ConfigError("collective coordinates imply a nonpositive mode frequency")
+    w1, w2 = mode_frequencies(omega_bar, delta_omega)
     if _anywhere((G_1 <= 0) | (G_2 <= 0) | (alpha == 0)):
         raise ConfigError("dressed couplings must be positive")
     d1 = delta_bar + delta_omega / 2

@@ -21,7 +21,7 @@ from cavmech.analysis import (
     _loglog_fit,
 )
 from cavmech.effective import effective_params
-from cavmech.model import frame_from_collective, parse_config_text
+from cavmech.model import ConfigError, frame_from_collective, parse_config_text
 
 FAST_CONFIG = """
 omega1 = 1.1
@@ -140,6 +140,19 @@ class TestAsymptote:
     def test_rejects_degenerate_inputs(self, kwargs):
         with pytest.raises(ValueError):
             xi_asymptote(**kwargs)
+
+    def test_zero_width_window_rejected(self):
+        with pytest.raises(ValueError, match=r"fit window \[100, 100\] \(decades 2 to 2\) has zero width"):
+            xi_asymptote(decades=(2.0, 2.0))
+        assert xi_asymptote(decades=(4.0, 2.0))["fit_window"] == [1e4, 1e2]
+
+    @pytest.mark.parametrize("delta_omega, message", [(3.0, "nonpositive mode frequency"),
+                                                      (0.0, "distinct frequencies")])
+    def test_sweeps_check_the_splitting(self, delta_omega, message):
+        with pytest.raises(ConfigError, match=message):
+            xi_asymptote(delta_omega=delta_omega)
+        with pytest.raises(ConfigError, match=message):
+            regime_map(delta_omega, SweepGrid(delta_count=11, kappa_values=(1.0,)))
 
     def test_fit_recovers_pure_power_law(self):
         x = np.geomspace(1.0, 1e3, 50)
@@ -285,6 +298,16 @@ class TestEmission:
     def test_write_failure_has_path_context(self, tmp_path):
         with pytest.raises(OSError, match="cannot write"):
             emit(self.make_dataset(), "csv", tmp_path / "missing_dir" / "x.csv")
+
+    def test_report_is_json_only(self, tmp_path):
+        report = {"b": [1.0, None], "a": "x"}
+        assert render(report, "json") == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        with pytest.raises(ValueError, match="only as json"):
+            render(report, "csv")
+        emit(report, "json", tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_text() == render(report, "json")
+        with pytest.raises(OSError, match="cannot write"):
+            emit(report, "json", tmp_path / "missing_dir" / "r.json")
 
     def test_row_width_checked(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from cavmech import cli, propagate
-from cavmech.cli import main
+from cavmech.cli import build_parser, main
 from cavmech.gaussian import PhysicalityError
 
 CONFIG = """
@@ -105,6 +107,66 @@ class TestRecordedOutputs:
         assert capsys.readouterr().out == out.read_text()
 
 
+class TestOutputPath:
+    REPORT_ARGS = {
+        "params": ["--config"],
+        "nulls": [],
+        "xi-asymptote": [],
+        "validate": ["--draws", "60", "--config"],
+    }
+
+    @pytest.fixture
+    def lossless_config(self, tmp_path):
+        # a lossless cavity skips the transfer stage, so validate stays fast
+        path = tmp_path / "lossless.cfg"
+        path.write_text(CONFIG.replace("kappa = 0.2", "kappa = 0"))
+        return str(path)
+
+    def report_argv(self, command, config):
+        extra = self.REPORT_ARGS[command]
+        return [command] + extra + ([config] if extra and extra[-1] == "--config" else [])
+
+    @pytest.mark.parametrize("command", sorted(REPORT_ARGS))
+    def test_report_commands_reject_csv(self, command, lossless_config, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.report_argv(command, lossless_config) + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(REPORT_ARGS))
+    def test_report_format_json_is_the_default(self, command, lossless_config, tmp_path, capsys):
+        argv = self.report_argv(command, lossless_config)
+        plain, explicit = tmp_path / "plain.json", tmp_path / "explicit.json"
+        assert main(argv + ["--out", str(plain)]) == 0
+        assert main(argv + ["--format", "json", "--out", str(explicit)]) == 0
+        assert plain.read_bytes() == explicit.read_bytes()
+        json.loads(plain.read_text())
+
+    def test_validate_out_also_prints_the_report(self, lossless_config, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(self.report_argv("validate", lossless_config) + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    @pytest.mark.parametrize("argv", [["params", "--config", "CONFIG"], ["fig1"]])
+    def test_out_into_missing_directory(self, argv, config_file, tmp_path, capsys):
+        argv = [config_file if a == "CONFIG" else a for a in argv]
+        path = tmp_path / "missing" / "x.out"
+        assert main(argv + ["--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+
+    def test_readme_examples_parse(self):
+        # every example line of the README parses and names a handler; nothing runs
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+        lines = [line for block in blocks for line in block.splitlines() if line.startswith("cavmech ")]
+        assert len(lines) >= 3
+        for line in lines:
+            args = build_parser().parse_args(shlex.split(line)[1:])
+            assert callable(args.run), line
+
+
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):
         # the closed-form commands use numpy only; scipy is imported inside
@@ -123,6 +185,13 @@ class TestNulls:
         doc = json.loads(capsys.readouterr().out)
         assert doc["interior_nulls_exist"]
         assert doc["nulls"][2] == pytest.approx(np.sqrt(3) / 2, abs=1e-9)
+
+    @pytest.mark.parametrize("flag", [["--kappa", "5"], ["--omega-bar", "2"]])
+    def test_config_excludes_collective_flags(self, flag, config_file, capsys):
+        assert main(["nulls", "--config", config_file] + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: nulls takes --config or --omega-bar/--kappa, not both\n"
 
     def test_wide_cavity_has_single_null(self, capsys):
         # so has a lossless one, whose sign changes at +-omega_bar are poles
@@ -180,12 +249,33 @@ class TestCurves:
         assert not out.exists()
 
 
+class TestSplittingChecks:
+    @pytest.mark.parametrize("command", ["fig2", "xi-asymptote"])
+    @pytest.mark.parametrize("delta_omega, message", [
+        ("3", "collective coordinates imply a nonpositive mode frequency"),   # omega_2 = -0.5
+        ("0", "the two mechanical modes must have distinct frequencies"),
+    ])
+    def test_bad_splitting_is_usage_error(self, command, delta_omega, message, capsys):
+        assert main([command, "--delta-omega", delta_omega]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestAsymptoteCommand:
     def test_report(self, capsys):
         assert main(["xi-asymptote", "--kappa", "2.0"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["measured_slope"] - 1.0) < 0.05
         assert doc["claimed_quadratic_slope"] == 2.0
+
+    def test_zero_width_window_is_usage_error(self, capsys):
+        assert main(["xi-asymptote", "--decades", "2", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the fit window [100, 100] (decades 2 to 2) has zero width\n"
+        # a reversed window is a window
+        assert main(["xi-asymptote", "--decades", "4", "2"]) == 0
 
     @pytest.mark.parametrize("kappa", ["0", "-1"])
     def test_nonpositive_kappa_is_usage_error(self, kappa, capsys):
@@ -294,8 +384,15 @@ class TestEntangle:
         header = [line for line in out.read_text().splitlines()
                   if not line.startswith("#")][0]
         assert header == "t,n1,n2,EN,min_symp_eig"
-        summary = json.loads(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        summary = json.loads(err)
         assert summary["regime"] in ("classical", "quantum", "unitary-limit")
+        # the summary keeps its layout: sorted keys, two-space indent, one newline
+        assert err == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        assert list(summary) == ["max_log_negativity", "regime", "xi"]
+        metadata = dict(line[2:].split(" = ", 1) for line in out.read_text().splitlines()
+                        if line.startswith("# "))
+        assert summary["max_log_negativity"] == float(metadata["max_log_negativity"])
 
     @pytest.mark.parametrize("args", [[], ["--t-end", "100"]])
     def test_readme_config_last_row_at_t_end(self, readme_config, tmp_path, args):

@@ -14,6 +14,7 @@ from cavmech.model import (
     displacement_from_pump,
     frame_from_collective,
     load_config,
+    mode_frequencies,
     optical_spring,
     parse_config_text,
 )
@@ -185,6 +186,16 @@ class TestCollectiveConstructor:
         args = dict(omega_bar=1.0, delta_omega=0.2, delta_bar=1.0, kappa=0.1, G_1=0.1, G_2=0.1)
         with pytest.raises(ConfigError, match="finite"):
             frame_from_collective(**{**args, name: value})
+
+    def test_mode_frequencies_checks_the_splitting(self):
+        w1, w2 = mode_frequencies(1.0, np.array([0.2, -0.4]))
+        assert w1.tolist() == [1.1, 0.8] and w2.tolist() == [0.9, 1.2]
+        with pytest.raises(ConfigError, match="nonpositive mode frequency"):
+            mode_frequencies(1.0, np.array([0.2, 3.0]))   # omega_2 = -0.5 in one element
+        with pytest.raises(ConfigError, match="distinct frequencies"):
+            mode_frequencies(1.0, np.array([0.2, 0.0]))
+        with pytest.raises(ConfigError, match="distinct frequencies"):
+            frame_from_collective(1.0, 0.0, 1.0, 0.1, 0.1, 0.1)
 
     def test_scalar_fields_keep_their_types(self):
         frame = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.07)
