@@ -319,8 +319,9 @@ def xi_asymptote(
     kappa) and reports the measured exponent with a confidence width, the
     exponent predicted by the implemented closed forms (1.0), and the
     externally claimed quadratic growth for comparison.  Raises
-    ``ValueError`` unless ``kappa > 0``, ``G_1 + G_2 != 0`` and the window
-    has nonzero width, and ``ConfigError`` where ``mode_frequencies``
+    ``ValueError`` unless ``kappa > 0``, ``G_1 + G_2 != 0``, the window
+    has finite positive end points and nonzero width, and xi is finite
+    and positive on it; ``ConfigError`` where ``mode_frequencies``
     rejects the splitting.
     """
     if not kappa > 0:
@@ -329,12 +330,18 @@ def xi_asymptote(
         raise ValueError("the couplings must not sum to zero")
     mode_frequencies(omega_bar, delta_omega)
     scale = max(omega_bar, kappa)
-    lo, hi = 10.0 ** decades[0] * scale, 10.0 ** decades[1] * scale
-    if lo == hi:
-        raise ValueError(f"the fit window [{lo:g}, {hi:g}] (decades {decades[0]:g} to {decades[1]:g}) "
-                         "has zero width")
-    deltas = np.geomspace(lo, hi, points)
-    xi = _xi_row(deltas, omega_bar, delta_omega, kappa, G_1, G_2)
+    # an overflow or underflow is reported by the checks below, not warned of
+    with np.errstate(all="ignore"):
+        lo, hi = (float(np.float64(10.0) ** d * scale) for d in decades)
+        window = f"the fit window [{lo:g}, {hi:g}] (decades {decades[0]:g} to {decades[1]:g})"
+        if not (0 < lo < math.inf and 0 < hi < math.inf):
+            raise ValueError(f"{window} has an end point that is not finite and positive")
+        if lo == hi:
+            raise ValueError(f"{window} has zero width")
+        deltas = np.geomspace(lo, hi, points)
+        xi = _xi_row(deltas, omega_bar, delta_omega, kappa, G_1, G_2)
+    if not (np.isfinite(xi) & (xi > 0)).all():
+        raise ValueError(f"xi is not finite and positive on {window}")
     slope, intercept, stderr = _loglog_fit(deltas, xi)
     predicted_coeff = 2 * G_1 * G_2 / (kappa * (G_1 + G_2) ** 2)
     return {
@@ -420,12 +427,11 @@ def check_rate_identities(n_draws: int = 10000, seed: int = 20240902) -> dict[st
     g = np.exp(rng.uniform(np.log(0.01), np.log(0.2), (2, n_draws)))
     k2 = kappa * kappa / 4
 
-    worst_identity = 0.0
-    min_rate = math.inf
-    worst_factor = 0.0
+    # np.max/np.min, unlike max/min, carry a NaN through to the stage
+    identity, factorization, rates = [], [], []
     for gg, x in _baths(1.0, dw, g[0], g[1]).values():
         down, up = _lorentzian_pair(gg, kappa, db, x)
-        min_rate = min(min_rate, float(down.min()), float(up.min()))
+        rates += [down.min(), up.min()]
         gamma_closed = net_rate_closed(gg, x, db, kappa)
         nbar_closed = (k2 + (db - x) ** 2) / (4 * db * x)
         # nbar + 1 in its own closed rational form: adding 1 to the float
@@ -433,18 +439,15 @@ def check_rate_identities(n_draws: int = 10000, seed: int = 20240902) -> dict[st
         nbar_plus_1 = (k2 + (db + x) ** 2) / (4 * db * x)
         prod_up = gamma_closed * nbar_closed
         prod_down = gamma_closed * nbar_plus_1
-        worst_identity = max(
-            worst_identity,
-            float(np.max(np.abs(prod_up - up) / np.maximum(np.abs(up), 1e-300))),
-            float(np.max(np.abs(prod_down - down) / np.maximum(np.abs(down), 1e-300))),
-        )
+        identity += [np.max(np.abs(prod_up - up) / np.maximum(np.abs(up), 1e-300)),
+                     np.max(np.abs(prod_down - down) / np.maximum(np.abs(down), 1e-300))]
         den = _net_rate_denominator(x, db, kappa)
         factored = (k2 + (db - x) ** 2) * (k2 + (db + x) ** 2)
-        worst_factor = max(worst_factor, float(np.max(np.abs(factored - den) / den)))
+        factorization.append(np.max(np.abs(factored - den) / den))
     return {
-        "worst_identity_rel": worst_identity,
-        "worst_factorization_rel": worst_factor,
-        "min_rate": min_rate,
+        "worst_identity_rel": float(np.max(identity)),
+        "worst_factorization_rel": float(np.max(factorization)),
+        "min_rate": float(np.min(rates)),
     }
 
 
@@ -471,7 +474,7 @@ def validate(
     stages.append(_stage(
         "rate-pair-identities",
         ids["worst_identity_rel"] < 1e-12 and ids["worst_factorization_rel"] < 1e-12,
-        max(ids["worst_identity_rel"], ids["worst_factorization_rel"]), 1e-12,
+        float(np.max([ids["worst_identity_rel"], ids["worst_factorization_rel"]])), 1e-12,
     ))
     stages.append(_stage(
         "complete-positivity", ids["min_rate"] >= 0.0, ids["min_rate"], 0.0,
@@ -530,10 +533,7 @@ def _stage_engine_agreement(frame: FrameParams, unitary: bool) -> dict:
     stride = max(1, int(round(horizon / dt / 200)))
     ftraj = integrate(spec, space, rho0, horizon, dt, stride=stride)
     gtraj = evolve_covariance(dd, fock_moments(2, (1, 0)), horizon, dt, stride=stride)
-    err = max(
-        float(np.abs(ftraj.n1 - gtraj.occupations[:, 0]).max()),
-        float(np.abs(ftraj.n2 - gtraj.occupations[:, 1]).max()),
-    )
+    err = float(np.abs(np.stack([ftraj.n1, ftraj.n2], axis=1) - gtraj.occupations).max())
     return _stage("fock-vs-gaussian-effective", err < 1e-3, err, 1e-3, detail=detail)
 
 

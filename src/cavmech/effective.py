@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FrameParams, _anywhere
+from .model import FrameParams, _anywhere, sideband_dispersion
 
 
 class OutOfValidityError(ValueError):
@@ -128,14 +128,12 @@ def exchange_coupling(frame: FrameParams) -> float:
 
 
 def exchange_pathway_sum(delta_bar, omega_bar: float, kappa: float):
-    """Exchange coupling per unit G_1 G_2 as the sum of its two pathways.
-
-    -[lo/(kappa^2/4 + lo^2) + hi/(kappa^2/4 + hi^2)] with lo, hi =
-    delta_bar -+ omega_bar; elementwise for an array of detunings.
+    """Exchange coupling per unit G_1 G_2 as the sum of its two pathways:
+    minus :func:`~cavmech.model.sideband_dispersion` at ``delta_bar`` and
+    ``omega_bar``, the same sum whose G^2 multiple is the optical spring.
+    Elementwise for an array of detunings.
     """
-    lo, hi = delta_bar - omega_bar, delta_bar + omega_bar
-    k2 = kappa * kappa / 4
-    return -(lo / (k2 + lo * lo) + hi / (k2 + hi * hi))
+    return -sideband_dispersion(delta_bar, omega_bar, kappa)
 
 
 def interaction_regime(xi: float) -> str:

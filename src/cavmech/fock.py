@@ -69,7 +69,7 @@ class DensityState:
     time: float = 0.0
 
     def validate(self, blocks=None):
-        """Require trace 1 and Hermiticity to 1e-8 and 1e-10, and no eigenvalue below -1e-8.
+        """Require finite entries, trace 1 and Hermiticity to 1e-8 and 1e-10, and no eigenvalue below -1e-8.
 
         ``blocks`` are the basis indices of diagonal blocks outside which
         the matrix is 0 (:func:`density_blocks`); the eigenvalues are then
@@ -78,6 +78,8 @@ class DensityState:
         which a whole 64 x 64 matrix takes.
         """
         rho = self.matrix
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix has non-finite entries")
         if abs(np.trace(rho).real - 1.0) > 1e-8 or abs(np.trace(rho).imag) > 1e-8:
             raise ValueError("density matrix trace is not 1")
         if np.abs(rho - rho.conj().T).max() > 1e-10:

@@ -292,6 +292,8 @@ def evolve_covariance(
     x[:n, :n] = 0.5 * (state0.cov + state0.cov.T)
     x[:n, n] = x[n, :n] = state0.mean
     x[n, n] = 1.0
+    if not np.isfinite(x).all():
+        raise ValueError("initial moments must be finite")
 
     bound = 0.5j * symplectic_form(n // 2)
 

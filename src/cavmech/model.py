@@ -87,11 +87,14 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class FrameParams:
-    """Derived rotating-frame quantities consumed by every other module.
+    """Rotating-frame quantities consumed by every other module.
 
-    ``delta_1 - delta_2 == delta_omega`` holds by construction.  The spring
-    shifts ``spring_1/2`` are informational: they are not folded back into
-    the mode frequencies unless requested at derivation time.
+    Only independent quantities are stored (``delta_1 - delta_2 ==
+    delta_omega`` by construction); the pump amplitudes ``eta_1/2`` and the
+    spring shifts ``spring_1/2`` are derived from them, elementwise for a
+    frame of arrays.  The springs are reported, never folded into the mode
+    frequencies.  A lossless cavity pumped on exact resonance, where the
+    displacement is undefined, raises ``ConfigError``.
     """
 
     omega_1: float
@@ -107,11 +110,30 @@ class FrameParams:
     delta_omega: float
     G_1: float
     G_2: float
-    eta_1: complex
-    eta_2: complex
-    spring_1: float
-    spring_2: float
     thermal_baths: tuple[tuple[float, float], ...] | None = None
+
+    def __post_init__(self):
+        if _anywhere((self.kappa == 0) & ((self.delta_1 == 0) | (self.delta_2 == 0))):
+            raise ConfigError("pump on exact resonance of a lossless cavity: displacement undefined")
+
+    # invert alpha = -i eta / (kappa/2 + i delta) with a common real alpha
+    @property
+    def eta_1(self) -> complex:
+        return 1j * self.alpha * (self.kappa / 2 + 1j * self.delta_1)
+
+    @property
+    def eta_2(self) -> complex:
+        return 1j * self.alpha * (self.kappa / 2 + 1j * self.delta_2)
+
+    @property
+    def spring_1(self) -> float:
+        return (optical_spring(self.G_1, self.delta_1, self.omega_1, self.kappa)
+                + optical_spring(self.G_1, self.delta_2, self.omega_1, self.kappa))
+
+    @property
+    def spring_2(self) -> float:
+        return (optical_spring(self.G_2, self.delta_1, self.omega_2, self.kappa)
+                + optical_spring(self.G_2, self.delta_2, self.omega_2, self.kappa))
 
 
 def _anywhere(mask) -> bool:
@@ -132,21 +154,12 @@ def mode_frequencies(omega_bar, delta_omega):
     return w1, w2
 
 
-def optical_spring(G: float, delta: float, omega: float, kappa: float) -> float:
-    """Pump-induced mechanical frequency shift, one pump's contribution.
+def sideband_dispersion(delta, omega, kappa):
+    """Dispersive cavity response at the two mechanical sidebands, elementwise:
 
-    Uses the dispersive two-sideband form
+        (delta-omega)/(kappa^2/4+(delta-omega)^2) + (delta+omega)/(kappa^2/4+(delta+omega)^2)
 
-        G^2 [ (delta-omega)/(kappa^2/4+(delta-omega)^2)
-            + (delta+omega)/(kappa^2/4+(delta+omega)^2) ].
-
-    Sign convention note: the coefficient of the number operator obtained
-    by eliminating the cavity is the negative of this value; see
-    ``cavmech.elimination``.  This is recorded in output metadata.
-
-    A lossless cavity pumped exactly on a mechanical sideband has no
-    finite shift; NaN is returned there (the value is informational).
-    Elementwise for arrays.
+    NaN for a lossless cavity pumped exactly on a sideband, where it has no finite value.
     """
     k2 = kappa * kappa / 4
     total = 0.0
@@ -156,62 +169,47 @@ def optical_spring(G: float, delta: float, omega: float, kappa: float) -> float:
         if _anywhere(pole):
             den = np.where(pole, math.nan, den)
         total += x / den
-    return G * G * total
+    return total
 
 
-def derive_frame(config: SystemConfig, absorb_spring: bool = False) -> FrameParams:
-    """Derive detunings, dressed couplings, and pump amplitudes.
+def optical_spring(G: float, delta: float, omega: float, kappa: float) -> float:
+    """Pump-induced mechanical frequency shift, one pump's contribution:
+    ``G^2`` times :func:`sideband_dispersion`.
 
-    Pure and deterministic.  ``absorb_spring=True`` folds the eliminated
-    frame's frequency shift (the negative of :func:`optical_spring`) into
-    the reported mechanical frequencies; the pump derivation always uses
-    the bare frequencies.
+    Sign convention note: the coefficient of the number operator obtained
+    by eliminating the cavity is the negative of this value; see
+    ``cavmech.elimination``.  This is recorded in output metadata.
 
-    Raises ``ConfigError`` for a lossless cavity pumped on exact resonance,
-    where the displacement is undefined.
+    NaN on a lossless sideband (the value is informational).  Elementwise.
+    """
+    return G * G * sideband_dispersion(delta, omega, kappa)
+
+
+def derive_frame(config: SystemConfig) -> FrameParams:
+    """Derive detunings and dressed couplings from a lab-frame config.
+
+    Pure and deterministic.  Raises ``ConfigError`` for a lossless cavity
+    pumped on exact resonance, where the displacement is undefined.
     """
     w1, w2 = config.mode_1.frequency, config.mode_2.frequency
     g1, g2 = config.mode_1.coupling, config.mode_2.coupling
-    kappa = config.cavity.kappa
     alpha = config.cavity.alpha
-
-    wl1 = config.cavity.pump_frequency_1
-    wl2 = config.pump_frequency_2()
-    d1 = config.cavity.cavity_frequency - wl1
-    d2 = config.cavity.cavity_frequency - wl2
-    if kappa == 0 and (d1 == 0 or d2 == 0):
-        raise ConfigError("pump on exact resonance of a lossless cavity: displacement undefined")
-
-    # invert alpha = -i eta / (kappa/2 + i delta) with a common real alpha
-    eta1 = 1j * alpha * (kappa / 2 + 1j * d1)
-    eta2 = 1j * alpha * (kappa / 2 + 1j * d2)
-
-    G1, G2 = g1 * alpha, g2 * alpha
-    spring1 = optical_spring(G1, d1, w1, kappa) + optical_spring(G1, d2, w1, kappa)
-    spring2 = optical_spring(G2, d1, w2, kappa) + optical_spring(G2, d2, w2, kappa)
-
-    if absorb_spring:
-        w1 = w1 - spring1
-        w2 = w2 - spring2
-
+    d1 = config.cavity.cavity_frequency - config.cavity.pump_frequency_1
+    d2 = config.cavity.cavity_frequency - config.pump_frequency_2()
     return FrameParams(
         omega_1=w1,
         omega_2=w2,
         g_1=g1,
         g_2=g2,
-        kappa=kappa,
+        kappa=config.cavity.kappa,
         alpha=alpha,
         delta_1=d1,
         delta_2=d2,
         delta_bar=(d1 + d2) / 2,
         omega_bar=(w1 + w2) / 2,
         delta_omega=w1 - w2,
-        G_1=G1,
-        G_2=G2,
-        eta_1=eta1,
-        eta_2=eta2,
-        spring_1=spring1,
-        spring_2=spring2,
+        G_1=g1 * alpha,
+        G_2=g2 * alpha,
         thermal_baths=config.thermal_baths,
     )
 
@@ -254,10 +252,6 @@ def frame_from_collective(
     d2 = delta_bar - delta_omega / 2
     if _anywhere(kappa < 0):
         raise ConfigError("cavity decay must be nonnegative")
-    if _anywhere((kappa == 0) & ((d1 == 0) | (d2 == 0))):
-        raise ConfigError("pump on exact resonance of a lossless cavity: displacement undefined")
-    spring1 = optical_spring(G_1, d1, w1, kappa) + optical_spring(G_1, d2, w1, kappa)
-    spring2 = optical_spring(G_2, d1, w2, kappa) + optical_spring(G_2, d2, w2, kappa)
     return FrameParams(
         omega_1=w1,
         omega_2=w2,
@@ -272,10 +266,6 @@ def frame_from_collective(
         delta_omega=delta_omega,
         G_1=G_1,
         G_2=G_2,
-        eta_1=1j * alpha * (kappa / 2 + 1j * d1),
-        eta_2=1j * alpha * (kappa / 2 + 1j * d2),
-        spring_1=spring1,
-        spring_2=spring2,
         thermal_baths=thermal_baths,
     )
 

@@ -21,7 +21,8 @@ import numpy as np
 
 
 class StepControlError(RuntimeError):
-    """The adaptive step would have to fall below the finest step dt."""
+    """The adaptive step would have to fall below the finest step dt, or
+    its error estimate is not finite."""
 
 
 @dataclass(frozen=True)
@@ -284,7 +285,8 @@ def dopri5(operators, stage, x, n_steps, dt, stride, record):
     A step is accepted when the largest entry of its error estimate is at
     most ``_STEP_TOL`` max(1, max |X|), and :func:`_step_factor` sets the
     next step; a rejected step is redone shorter, and one that would fall
-    below ``dt`` raises :class:`StepControlError`.  The first step is
+    below ``dt``, or a non-finite error estimate, raises
+    :class:`StepControlError`.  The first step is
     10 ``dt``, and the last is clipped to end at ``n_steps dt``.  The
     records before it come from the continuous extension, so the steps
     never depend on ``stride``.  Returns the final state and the
@@ -333,6 +335,8 @@ def dopri5(operators, stage, x, n_steps, dt, stride, record):
         stage(ops[4], x, stack[7])
         np.dot(C[6], flat, out=y_flat)
         error = float(np.abs(y).max())
+        if not math.isfinite(error):
+            raise StepControlError(f"non-finite error estimate at t={t:.6g}")
         bound = _STEP_TOL * max(1.0, float(np.abs(x).max()))
         factor = _step_factor(error, bound)
         if error > bound:

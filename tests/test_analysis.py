@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cavmech import analysis, elimination
+from cavmech import analysis, effective, elimination, gaussian
 from cavmech.analysis import (
     Dataset,
     SweepGrid,
@@ -146,6 +146,18 @@ class TestAsymptote:
             xi_asymptote(decades=(2.0, 2.0))
         assert xi_asymptote(decades=(4.0, 2.0))["fit_window"] == [1e4, 1e2]
 
+    @pytest.mark.parametrize("decades, message", [
+        ((300.0, 400.0), r"\[1e\+300, inf\] \(decades 300 to 400\) has an end point that is not finite"),
+        ((-400.0, -300.0), r"\[0, 1e-300\] \(decades -400 to -300\) has an end point that is not finite"),
+        ((100.0, 200.0), r"xi is not finite and positive on the fit window \[1e\+100, 1e\+200\]"),
+        ((-300.0, -200.0), r"xi is not finite and positive on the fit window \[1e-300, 1e-200\]"),
+    ])
+    def test_window_beyond_float_range_rejected(self, decades, message):
+        # an overflowing end point raised OverflowError; an overflowing xi
+        # gave a NaN slope after overflow warnings
+        with pytest.raises(ValueError, match=message):
+            xi_asymptote(decades=decades)
+
     @pytest.mark.parametrize("delta_omega, message", [(3.0, "nonpositive mode frequency"),
                                                       (0.0, "distinct frequencies")])
     def test_sweeps_check_the_splitting(self, delta_omega, message):
@@ -253,6 +265,33 @@ class TestValidatePipeline:
         engine = report["stages"][3]
         assert "unitary" in engine["detail"]
         assert report["all_passed"]
+
+    def test_nan_rates_fail_the_identity_and_positivity_stages(self, monkeypatch):
+        # with the builtin max/min a NaN rate read as worst_identity_rel 0
+        # and min_rate inf, and both stages passed
+        def nan_pair(*args):
+            down, up = (a.copy() for a in effective._lorentzian_pair(*args))
+            down[0] = up[1] = math.nan
+            return down, up
+
+        monkeypatch.setattr(analysis, "_lorentzian_pair", nan_pair)
+        stages = validate(parse_config_text(UNITARY_CONFIG), n_reduction_draws=30)["stages"]
+        for stage in stages[1:3]:
+            assert not stage["passed"] and stage["measured"] is None, stage["name"]
+        assert stages[0]["passed"] and stages[3]["passed"]
+
+    def test_nan_record_fails_the_engine_stage(self, monkeypatch):
+        # with the builtin max a NaN n2 record was dropped and the stage passed
+        def nan_record(*args, **kwargs):
+            traj = gaussian.evolve_covariance(*args, **kwargs)
+            traj.occupations[3, 1] = math.nan
+            return traj
+
+        monkeypatch.setattr(analysis, "evolve_covariance", nan_record)
+        report = validate(parse_config_text(UNITARY_CONFIG), n_reduction_draws=30)
+        engine = report["stages"][3]
+        assert not engine["passed"] and engine["measured"] is None
+        assert not report["all_passed"]
 
 
 class TestEmission:

@@ -277,6 +277,21 @@ class TestAsymptoteCommand:
         # a reversed window is a window
         assert main(["xi-asymptote", "--decades", "4", "2"]) == 0
 
+    @pytest.mark.parametrize("decades, message", [
+        (("300", "400"), "the fit window [1e+300, inf] (decades 300 to 400) has an end point that is "
+                         "not finite and positive"),
+        (("100", "200"), "xi is not finite and positive on the fit window [1e+100, 1e+200] "
+                         "(decades 100 to 200)"),
+    ])
+    def test_window_beyond_float_range_is_usage_error(self, decades, message, tmp_path, capsys):
+        # 300 400 died with an OverflowError traceback; 100 200 wrote a NaN slope
+        out = tmp_path / "xi.json"
+        assert main(["xi-asymptote", "--decades", *decades, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("kappa", ["0", "-1"])
     def test_nonpositive_kappa_is_usage_error(self, kappa, capsys):
         assert main(["xi-asymptote", "--kappa", kappa]) == 2

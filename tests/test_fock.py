@@ -882,6 +882,20 @@ class TestStepControl:
         with pytest.raises(propagate.StepControlError, match="below the finest step"):
             stride_test_runs()
 
+    def test_non_finite_error_estimate_raises(self):
+        # NaN > bound is False: the kernel took such a step as accepted,
+        # grew the next one fivefold and dropped the NaN from its estimate
+        def stage(D, state, out):
+            drift_stage(D, state, out)
+            if D[0, 0].real < -1.5:
+                out[0, 0] = math.nan
+
+        recorded = []
+        with pytest.raises(propagate.StepControlError, match="non-finite error estimate at t="):
+            dopri5(lambda ts: np.array([np.diag([-1j - t, 0.0]) for t in ts]), stage,
+                   np.full((2, 2), 0.5, complex), 400, 0.01, 10, lambda t, x: recorded.append(x.copy()))
+        assert recorded and all(np.isfinite(x).all() for x in recorded)
+
 
 RECORD_FIELDS = ("n1", "n2", "n_cav", "coh", "trace", "trunc_monitor", "herm_dev", "min_eig")
 
@@ -1198,3 +1212,15 @@ class TestDensityState:
         neg = np.diag([1.4, -0.4]).astype(complex)
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityState(neg).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_state_rejected(self, value):
+        # a NaN entry passed the trace and Hermiticity checks and reached
+        # eigvalsh, which raised LinAlgError
+        space = FockSpace((2, 2))
+        rho = fock_state(space, (1, 0))
+        rho[0, 1] = rho[1, 0] = value
+        with pytest.raises(ValueError, match="non-finite entries"):
+            DensityState(rho).validate()
+        with pytest.raises(ValueError, match="non-finite entries"):
+            integrate(effective_generator(desk_frame()), space, rho, 1.0, 0.01)

@@ -276,6 +276,16 @@ class TestEvolution:
         with pytest.raises(ValueError, match="t_end must be finite"):
             evolve_covariance(dd, vacuum_state(2), t_end, 0.01 / dd.f_max)
 
+    @pytest.mark.parametrize("part", ["mean", "cov"])
+    def test_non_finite_initial_state_rejected(self, part):
+        # a NaN mean entry ran five ever longer accepted steps of the kernel
+        # before eigvalsh raised LinAlgError in the monitor
+        dd = drift_diffusion_from_generator(FullLinearized(frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05)))
+        state0 = fock_moments(3, (0, 1, 0))
+        getattr(state0, part)[1] = math.nan
+        with pytest.raises(ValueError, match="initial moments must be finite"):
+            evolve_covariance(dd, state0, 5.0, 0.01 / dd.f_max)
+
     @pytest.mark.filterwarnings("error")
     def test_single_lossless_interval_by_doubling(self):
         # one 200-time-unit record interval: the interval map is a single
@@ -348,6 +358,40 @@ class TestEvolution:
                                 abs(ftraj.coh[-1] - gtraj.final_state.mode_coherence(1, 2))])
             # worst measured: 3.7e-15 (stride 10), 2.1e-14 (stride 1)
             assert worst <= 1e-13, stride
+
+    @staticmethod
+    def random_oscillating_model(rng):
+        """A 3-mode model: number terms, one complex b_m^dag b_n term at each
+        of three distinct frequencies, and a lowering jump per mode."""
+        static = tuple((rng.uniform(-1.0, 1.0), m, m, False) for m in range(3))
+        oscillating = tuple((float(nu), ((complex(*rng.normal(size=2)), m, n, False),))
+                            for nu, (m, n) in zip(np.sort(rng.uniform(-2.0, 2.0, 3)),
+                                                  ((0, 1), (0, 2), (1, 2))))
+        jumps = tuple((((m, 1.0),), False, rng.uniform(0.05, 0.5)) for m in range(3))
+        return QuadraticModel(3, static, oscillating, jumps)
+
+    def test_kernel_paths_agree_on_random_oscillating_models(self):
+        # as in test_exact_paths_agree_on_random_models, dims (2, 2, 2)
+        # truncate nothing, so the engines differ only by the Dormand-Prince
+        # kernel's error on their two state representations
+        space = FockSpace((2, 2, 2))
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for draw in range(8):
+            model = self.random_oscillating_model(rng)
+            occupations = tuple(int(m == draw % 3) for m in range(3))
+            dt = 0.01 / model.f_max
+            ftraj = integrate(model, space, fock_state(space, occupations), 1000 * dt, dt,
+                              stride=25, truncation_tol=1.0)
+            gtraj = evolve_covariance(drift_diffusion_from_generator(model), fock_moments(3, occupations),
+                                      1000 * dt, dt, stride=25)
+            assert ftraj.stats.accepted_steps > 0 and gtraj.stats.accepted_steps > 0
+            assert np.array_equal(ftraj.t, gtraj.t)
+            fock_occ = np.stack([ftraj.n_cav, ftraj.n1, ftraj.n2], axis=1)
+            # np.max, unlike max, carries a NaN through to the bound
+            worst = np.max([worst, np.abs(fock_occ - gtraj.occupations).max()])
+        # worst measured: 4.2e-10
+        assert worst <= 5e-9
 
     def test_constant_models_through_the_kernel_match_the_exact_paths(self):
         # the criterion-5 configs with their frequency shifts; the m != n

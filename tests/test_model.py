@@ -7,6 +7,7 @@ import pytest
 from cavmech.model import (
     CavityPump,
     ConfigError,
+    FrameParams,
     MechanicalMode,
     SystemConfig,
     config_digest,
@@ -86,12 +87,11 @@ class TestDeriveFrame:
         with pytest.raises(ConfigError, match="displacement undefined"):
             derive_frame(config)
 
-    def test_absorb_spring_shifts_frequencies(self):
-        config = make_config()
-        bare = derive_frame(config)
-        absorbed = derive_frame(config, absorb_spring=True)
-        assert absorbed.omega_1 == pytest.approx(bare.omega_1 - bare.spring_1, rel=1e-12)
-        assert absorbed.omega_2 == pytest.approx(bare.omega_2 - bare.spring_2, rel=1e-12)
+    def test_frame_built_directly_rejects_lossless_resonant_pump(self):
+        frame = derive_frame(make_config())
+        values = {f.name: getattr(frame, f.name) for f in fields(frame)}
+        with pytest.raises(ConfigError, match="displacement undefined"):
+            FrameParams(**{**values, "kappa": 0.0, "delta_2": 0.0})
 
 
 class TestInvariants:
@@ -131,6 +131,14 @@ class TestOpticalSpring:
             0.49875311720698254, rel=1e-12)
 
 
+# the stored fields plus the values derived from them on access
+DERIVED = ("eta_1", "eta_2", "spring_1", "spring_2")
+
+
+def frame_values(frame):
+    return [f.name for f in fields(frame) if f.name != "thermal_baths"] + list(DERIVED)
+
+
 class TestCollectiveConstructor:
     def test_matches_lab_frame_derivation(self):
         frame = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.07, alpha=2.0)
@@ -159,11 +167,9 @@ class TestCollectiveConstructor:
         assert math.isnan(array_frame.spring_1[0])
         for i in range(n):
             one = frame_from_collective(*(a if np.ndim(a) == 0 else float(a[i]) for a in args))
-            for f in fields(one):
-                if f.name == "thermal_baths":
-                    continue
-                got = np.broadcast_to(getattr(array_frame, f.name), (n,))[i]
-                assert np.asarray(got).tobytes() == np.asarray(getattr(one, f.name)).tobytes(), f.name
+            for name in frame_values(one):
+                got = np.broadcast_to(getattr(array_frame, name), (n,))[i]
+                assert np.asarray(got).tobytes() == np.asarray(getattr(one, name)).tobytes(), name
 
     @pytest.mark.parametrize("bad", [
         dict(delta_omega=np.array([0.2, 2.5, 0.2])),  # omega_2 < 0 in one draw
@@ -199,10 +205,9 @@ class TestCollectiveConstructor:
 
     def test_scalar_fields_keep_their_types(self):
         frame = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.07)
-        for f in fields(frame):
-            if f.name != "thermal_baths":
-                want = complex if f.name.startswith("eta") else float
-                assert type(getattr(frame, f.name)) is want, f.name
+        for name in frame_values(frame):
+            want = complex if name.startswith("eta") else float
+            assert type(getattr(frame, name)) is want, name
 
 
 class TestConfigFile:
