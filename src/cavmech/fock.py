@@ -15,7 +15,7 @@ times of a step (:meth:`CompiledGenerator.drift` takes an array of times
 and sums the phase terms by one sparse product) and its stage.  Repeated
 runs are bit-identical, the trace is never rescaled, and trace,
 Hermiticity, positivity, and top-level population are monitored at
-every record.
+every record; the initial state is rejected by the same checks.
 """
 
 from __future__ import annotations
@@ -37,11 +37,7 @@ class TruncationError(RuntimeError):
 
 
 class FitError(RuntimeError):
-    """Rabi fit did not converge; carries the raw trajectory."""
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
+    """Rabi fit did not converge."""
 
 
 @dataclass(frozen=True)
@@ -63,31 +59,10 @@ class FockSpace:
 
 @dataclass
 class DensityState:
-    """Dense density matrix with a time stamp."""
+    """Dense density matrix with a time stamp: the final state of a run."""
 
     matrix: np.ndarray
     time: float = 0.0
-
-    def validate(self, blocks=None):
-        """Require finite entries, trace 1 and Hermiticity to 1e-8 and 1e-10, and no eigenvalue below -1e-8.
-
-        ``blocks`` are the basis indices of diagonal blocks outside which
-        the matrix is 0 (:func:`density_blocks`); the eigenvalues are then
-        taken block by block.  They are the same eigenvalues, and a
-        32 x 32 block keeps ``eigvalsh`` off OpenBLAS's threaded path,
-        which a whole 64 x 64 matrix takes.
-        """
-        rho = self.matrix
-        if not np.isfinite(rho).all():
-            raise ValueError("density matrix has non-finite entries")
-        if abs(np.trace(rho).real - 1.0) > 1e-8 or abs(np.trace(rho).imag) > 1e-8:
-            raise ValueError("density matrix trace is not 1")
-        if np.abs(rho - rho.conj().T).max() > 1e-10:
-            raise ValueError("density matrix is not Hermitian")
-        sym = (rho + rho.conj().T) / 2
-        parts = [sym] if blocks is None else [sym[np.ix_(rows, rows)] for rows in blocks]
-        if min(np.linalg.eigvalsh(part).min() for part in parts) < -1e-8:
-            raise ValueError("density matrix has a significantly negative eigenvalue")
 
 
 def destroy(dim: int) -> np.ndarray:
@@ -417,31 +392,25 @@ def integrate(
     coherence between them.  Every stage, record and monitor works on the
     blocks; ``stats.blocks`` gives their sizes, and the final state is
     returned as the dense matrix in the Fock basis.
+
+    ``rho0`` must be finite and pass the checks every record is monitored
+    by, on its own block stack: trace 1 to 1e-8, Hermitian to 1e-10 and
+    no eigenvalue below -1e-8; otherwise a ``ValueError`` names the first
+    check it fails.
     """
     rho0 = np.array(rho0, dtype=complex)
     if rho0.shape != (space.total_dim,) * 2:
         raise ValueError(f"rho0 has shape {rho0.shape}, the space needs {(space.total_dim,) * 2}")
-    blocks = density_blocks(space, rho0)
-    DensityState(rho0).validate(blocks)
-    gen = compile_generator(spec, space, blocks)
-    n_steps = step_count(t_end, dt, stride, gen.f_max)
+    if not np.isfinite(rho0).all():
+        raise ValueError("density matrix has non-finite entries")
+    gen = compile_generator(spec, space, density_blocks(space, rho0))
     rho = gen.pack(rho0)
 
     ghosts = (slice(None),) + gen.ghosts + gen.ghosts[1:]
-    # tr(O rho) of every observable by one product with the flat record
-    # stack: column q holds O_q transposed block by block
-    names = [name for name, op in gen.observables.items() if op is not None]
-    observables = np.array([gen.observables[name].swapaxes(-1, -2).reshape(-1) for name in names]).T
 
-    def monitor(ts, rhos):
-        """The monitors of a (records, blocks, h, h) stack of states."""
+    def structure(rhos):
+        """Real diagonal, Hermiticity defect and smallest eigenvalue of a (records, blocks, h, h) stack."""
         diag = rhos.diagonal(0, -2, -1).real
-        tr = diag.sum((-2, -1))
-        # the boolean gather comes out column-major; each contiguous row
-        # then sums in the order one record's gather did
-        tops = np.stack([np.ascontiguousarray(diag[:, mask]).sum(-1)
-                         for mask in gen.top_level_masks], axis=-1)
-        top = tops.max(-1)
         sym = rhos.conj().swapaxes(-1, -2)
         herm_dev = np.abs(rhos - sym).max((-3, -2, -1))
         sym += rhos
@@ -449,7 +418,34 @@ def integrate(
         # a ghost's eigenvalue is its diagonal entry: give it one that is
         # never below the smallest eigenvalue of the blocks
         sym[ghosts] = diag.max((-2, -1))[:, None]
-        min_eig = np.linalg.eigvalsh(sym).min((-2, -1))
+        return diag, herm_dev, np.linalg.eigvalsh(sym).min((-2, -1))
+
+    # rho0 holds no entry outside the blocks, so the checks of every
+    # record on its one-record stack are its own
+    _, herm_dev, min_eig = structure(rho[None])
+    trace = np.trace(rho0)
+    if abs(trace.real - 1.0) > 1e-8 or abs(trace.imag) > 1e-8:
+        raise ValueError("density matrix trace is not 1")
+    if herm_dev[0] > 1e-10:
+        raise ValueError("density matrix is not Hermitian")
+    if min_eig[0] < -1e-8:
+        raise ValueError("density matrix has a significantly negative eigenvalue")
+    n_steps = step_count(t_end, dt, stride, gen.f_max)
+
+    # tr(O rho) of every observable by one product with the flat record
+    # stack: column q holds O_q transposed block by block
+    names = [name for name, op in gen.observables.items() if op is not None]
+    observables = np.array([gen.observables[name].swapaxes(-1, -2).reshape(-1) for name in names]).T
+
+    def monitor(ts, rhos):
+        """The monitors of a (records, blocks, h, h) stack of states."""
+        diag, herm_dev, min_eig = structure(rhos)
+        tr = diag.sum((-2, -1))
+        # the boolean gather comes out column-major; each contiguous row
+        # then sums in the order one record's gather did
+        tops = np.stack([np.ascontiguousarray(diag[:, mask]).sum(-1)
+                         for mask in gen.top_level_masks], axis=-1)
+        top = tops.max(-1)
         values = dict(zip(names, (rhos.reshape(ts.size, -1) @ observables / tr[:, None]).T))
         over = np.flatnonzero(top > truncation_tol)
         if over.size:
@@ -500,11 +496,7 @@ class TransferProtocol:
 @dataclass
 class TransferResult:
     exchange_rate: float
-    decay_rate: float
-    amplitude: float
-    offset: float
     trajectory: Trajectory
-    regime_ratios: dict[str, float]
 
 
 def _rabi_model(t, amplitude, omega, gamma, offset, slope):
@@ -596,24 +588,5 @@ def excitation_transfer_experiment(
         spec, space, rho0, protocol.t_end, dt,
         stride=stride, truncation_tol=protocol.truncation_tol,
     )
-    try:
-        amplitude, omega, gamma, offset = fit_damped_rabi(traj.t, traj.n2)
-    except FitError as exc:
-        raise FitError(str(exc), trajectory=traj) from exc
-
-    g_max = max(frame.G_1, frame.G_2)
-    ratios = {
-        "G_over_kappa": g_max / frame.kappa if frame.kappa > 0 else math.inf,
-        "G_over_sideband_gap": g_max / min(
-            abs(frame.delta_bar - frame.omega_bar) + frame.kappa / 2,
-            abs(frame.delta_bar + frame.omega_bar) + frame.kappa / 2,
-        ),
-    }
-    return TransferResult(
-        exchange_rate=float(omega),
-        decay_rate=float(gamma),
-        amplitude=float(amplitude),
-        offset=float(offset),
-        trajectory=traj,
-        regime_ratios=ratios,
-    )
+    omega = fit_damped_rabi(traj.t, traj.n2)[1]
+    return TransferResult(exchange_rate=float(omega), trajectory=traj)

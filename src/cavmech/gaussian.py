@@ -70,9 +70,7 @@ class CovarianceState:
 
     def physicality_defect(self) -> float:
         """Most negative eigenvalue of cov + i Omega/2 (0 when physical)."""
-        omega = symplectic_form(self.n_modes)
-        eigs = np.linalg.eigvalsh(self.cov + 0.5j * omega)
-        return float(min(eigs.min(), 0.0))
+        return float(uncertainty_defect(self.cov))
 
     def validate(self, sym_tol: float = 1e-12, phys_tol: float = 1e-8):
         if self.symmetry_defect() > sym_tol:
@@ -82,10 +80,7 @@ class CovarianceState:
 
     def occupation(self, mode: int) -> float:
         """<n> of one mode (0-indexed), including the mean displacement."""
-        i = 2 * mode
-        var = self.cov[i, i] + self.cov[i + 1, i + 1]
-        disp = self.mean[i] * self.mean[i] + self.mean[i + 1] * self.mean[i + 1]
-        return 0.5 * (var + disp - 1.0)
+        return float(mode_occupations(self.cov, self.mean)[mode])
 
     def mode_coherence(self, m1: int, m2: int) -> complex:
         """<b_m1^dag b_m2> from the moments."""
@@ -94,6 +89,18 @@ class CovarianceState:
         re = c[i, j] + c[i + 1, j + 1] + self.mean[i] * self.mean[j] + self.mean[i + 1] * self.mean[j + 1]
         im = c[i, j + 1] - c[i + 1, j] + self.mean[i] * self.mean[j + 1] - self.mean[i + 1] * self.mean[j]
         return 0.5 * (re + 1j * im)
+
+
+def mode_occupations(cov: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """<n> of every mode of a (..., 2N, 2N) covariance stack with its (..., 2N) means."""
+    var, disp = cov.diagonal(0, -2, -1), mean * mean
+    return 0.5 * (var[..., 0::2] + var[..., 1::2] + (disp[..., 0::2] + disp[..., 1::2]) - 1.0)
+
+
+def uncertainty_defect(cov: np.ndarray) -> np.ndarray:
+    """Most negative eigenvalue of cov + i Omega/2 of a (..., 2N, 2N) stack (0 where physical)."""
+    bound = 0.5j * symplectic_form(cov.shape[-1] // 2)
+    return np.minimum(np.linalg.eigvalsh(cov + bound).min(-1), 0.0)
 
 
 def vacuum_state(n_modes: int) -> CovarianceState:
@@ -295,14 +302,10 @@ def evolve_covariance(
     if not np.isfinite(x).all():
         raise ValueError("initial moments must be finite")
 
-    bound = 0.5j * symplectic_form(n // 2)
-
     def monitor(ts, xs):
         """The monitors of a (records, n + 1, n + 1) stack of moment matrices."""
-        cov, mean = xs[:, :n, :n], xs[:, :n, n]
-        var, disp = cov.diagonal(0, -2, -1), mean * mean
-        occ = var[:, 0::2] + var[:, 1::2] + (disp[:, 0::2] + disp[:, 1::2])
-        defect = np.minimum(np.linalg.eigvalsh(cov + bound).min(-1), 0.0)
+        cov = xs[:, :n, :n]
+        defect = uncertainty_defect(cov)
         over = np.flatnonzero(defect < -_PHYSICALITY_TOL)
         if over.size:
             i = over[0]
@@ -310,7 +313,7 @@ def evolve_covariance(
                 f"covariance defect {defect[i]:.3e} at t={ts[i]:.6g} beyond {_PHYSICALITY_TOL}"
             )
         en, nu = _log_negativity(cov) if n == 4 else np.full((2, ts.size), math.nan)
-        return {"occupations": 0.5 * (occ - 1.0), "physicality": defect,
+        return {"occupations": mode_occupations(cov, xs[:, :n, n]), "physicality": defect,
                 "log_negativity": en, "min_symp_eig": nu}
 
     def stage(L, state, out):

@@ -277,8 +277,9 @@ _THERMAL_KEYS = ("gamma_th_1", "n_th_1", "gamma_th_2", "n_th_2")
 
 
 def parse_config_text(text: str) -> SystemConfig:
-    """Parse a flat ``key = value`` config (``#`` comments allowed)."""
+    """Parse a flat ``key = value`` config (``#`` comments allowed); each key is set once."""
     values: dict[str, float] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -290,6 +291,9 @@ def parse_config_text(text: str) -> SystemConfig:
         else:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key = key.strip()
+        if key in lines:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on line {lines[key]}")
+        lines[key] = lineno
         try:
             values[key] = float(val.strip())
         except ValueError as exc:

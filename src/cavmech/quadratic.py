@@ -75,7 +75,7 @@ class QuadraticModel:
     jumps: tuple
 
     def __post_init__(self):
-        terms = [term for _, group in ((0.0, self.static), *self.oscillating) for term in group]
+        terms = self.terms
         coefficients = [c for c, *_ in terms] + [c for coeffs, _, _ in self.jumps for _, c in coeffs]
         for kind, values in (("coefficient", coefficients), ("frequency", [nu for nu, _ in self.oscillating]),
                              ("rate", [rate for *_, rate in self.jumps])):
@@ -94,9 +94,14 @@ class QuadraticModel:
         object.__setattr__(self, "jumps", tuple(jump for jump in self.jumps if jump[2] > 0))
 
     @property
+    def terms(self) -> list:
+        """Every Hamiltonian term, the static ones first, then the oscillating ones."""
+        return [term for _, group in ((0.0, self.static), *self.oscillating) for term in group]
+
+    @property
     def f_max(self) -> float:
-        """Fastest scale of the model: the largest static |c|, |nu| and rate."""
-        return max([abs(term[0]) for term in self.static] + [abs(nu) for nu, _ in self.oscillating]
+        """Fastest scale of the model: the largest |c| of any term, static or oscillating, |nu| and rate."""
+        return max([abs(term[0]) for term in self.terms] + [abs(nu) for nu, _ in self.oscillating]
                    + [rate for _, _, rate in self.jumps] + [0.0])
 
 

@@ -390,6 +390,14 @@ class TestNonFiniteInput:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "'kappa' must be a finite number" in captured.err
 
+    def test_repeated_config_key_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text(CONFIG + "kappa = 0.3\n")
+        assert main(["params", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "'kappa' is already set on line" in captured.err
+
 
 class TestEntangle:
     def test_summary_and_csv(self, config_file, tmp_path, capsys):

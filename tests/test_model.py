@@ -242,6 +242,11 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown"):
             parse_config_text(self.GOOD + "\nbogus = 1\n")
 
+    def test_repeated_key(self):
+        # the second kappa used to override the first without a word
+        with pytest.raises(ConfigError, match=r"^line 12: 'kappa' is already set on line 6$"):
+            parse_config_text(self.GOOD + "\nkappa = 0.2\n")
+
     def test_bad_number(self):
         with pytest.raises(ConfigError, match="bad number"):
             parse_config_text(self.GOOD.replace("0.05", "five", 1))
