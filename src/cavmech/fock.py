@@ -12,7 +12,8 @@ when the initial state has coherence between the sectors;
 generator by its sparse Lindblad superoperator, which the driver
 exponentiates, a time-dependent one by its drift blocks at the stage
 times of a step (:meth:`CompiledGenerator.drift` takes an array of times
-and sums the phase terms by one sparse product) and its stage.  Repeated
+and sums the phase terms by one sparse product) and
+:meth:`CompiledGenerator.stage`, the one right-hand side.  Repeated
 runs are bit-identical, the trace is never rescaled, and trace,
 Hermiticity, positivity, and top-level population are monitored at
 every record; the initial state is rejected by the same checks.
@@ -237,6 +238,7 @@ class CompiledGenerator:
             base = base - 0.5 * rate * sum(_operator(dims, (m, f.conj().T), (n, g))
                                            for m, f in scaled for n, g in scaled)
         self.base_drift = self.pack(base)
+        self._product = np.empty_like(self.base_drift)  # D state, in every stage
         if any(not np.array_equal(self.unpack(self.pack(m)), m) for m in [base] + phase_mats):
             raise ValueError("the density blocks are not closed under the generator")
 
@@ -279,19 +281,22 @@ class CompiledGenerator:
             gathered *= weight
             out += gathered
 
-    def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
-        """The Lindbladian at time ``t`` applied to the block stack ``rho``."""
-        D = self.drift(t)
-        out = D @ rho + rho @ D.conj().swapaxes(-1, -2)
-        self.add_jump_sandwiches(rho, out)
-        return out
+    def stage(self, D: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
+        """Write D state + (D state)^dag plus the jump sandwiches into ``out``.
+
+        This is the Lindbladian of drift blocks ``D`` only for a Hermitian
+        ``state``, as every stage input of a run is: then state D^dag = (D state)^dag.
+        """
+        np.matmul(D, state, out=self._product)
+        np.add(self._product, self._product.conj().swapaxes(-1, -2), out=out)
+        self.add_jump_sandwiches(state, out)
 
     def superoperator(self):
         """Sparse Lindblad superoperator of a constant generator.
 
         Acts on the row-major flattening of the block stack, where
         vec(X rho Y) = (X kron Y^T) vec(rho) within each block; built from
-        the same drift blocks and jump gathers that :meth:`apply` uses.
+        the same drift blocks and jump gathers that :meth:`stage` uses.
         Assembled in one pass, with no sparse Kronecker product and no
         sparse addition: the entries of kron(D, I) and kron(I, D*) of
         every drift block D and of every jump gather, stably sorted by
@@ -380,8 +385,9 @@ def integrate(
     for a constant generator, the map exp(L h) of its sparse
     superoperator L over each record interval h, which the driver sums
     by sparse products only; for a time-dependent one, its drift blocks
-    at the stage times and its stage.  The returned trajectory's
-    ``stats`` say how (``dense_maps`` counts the dense increments).
+    at the stage times and :meth:`CompiledGenerator.stage`.  The
+    returned trajectory's ``stats`` say how (``dense_maps`` counts the
+    dense increments).
     Trace drift is compensated in the reported expectations only, never
     in the state.  Aborts when the top Fock level of any subsystem passes
     ``truncation_tol``; the error names the first such record.
@@ -459,17 +465,8 @@ def integrate(
         return {"n1": values["n1"].real, "n2": values["n2"].real, "n_cav": n_cav, "coh": values["coh"],
                 "trace": tr, "trunc_monitor": top, "herm_dev": herm_dev, "min_eig": min_eig}
 
-    tmp = np.empty_like(rho)
-
-    def stage(D, state, out):
-        """D state + (D state)^dag plus the jump sandwiches: every stage input
-        is Hermitian, so state D^dag = (D state)^dag."""
-        np.matmul(D, state, out=tmp)
-        np.add(tmp, tmp.conj().swapaxes(-1, -2), out=out)
-        gen.add_jump_sandwiches(state, out)
-
     generator = None if gen.phase_nus.size else gen.superoperator()
-    records, rho, stats = run(rho, monitor, n_steps, dt, stride, generator, gen.drift, stage)
+    records, rho, stats = run(rho, monitor, n_steps, dt, stride, generator, gen.drift, gen.stage)
     return Trajectory(
         **records,
         final_state=DensityState(gen.unpack(rho), time=n_steps * dt),

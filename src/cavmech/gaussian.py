@@ -132,8 +132,8 @@ class DriftDiffusion:
     ``drift`` is the constant part of A.  A time-dependent drift adds
     sum_k cos(nu_k t) C_k + sin(nu_k t) S_k over the frequencies
     ``phase_nus``; ``phase_basis`` stacks C_1..C_K, then S_1..S_K, shape
-    (2K, 2N, 2N).  :meth:`drift_at` evaluates A(t), and
-    :meth:`superoperator` the moment equations' matrix at any time.
+    (2K, 2N, 2N).  :meth:`superoperator` gives the moment equations'
+    matrix at any time: the one right-hand side of both propagation paths.
     """
 
     drift: np.ndarray
@@ -145,13 +145,6 @@ class DriftDiffusion:
     @property
     def time_dependent(self) -> bool:
         return bool(self.phase_nus.size)
-
-    def drift_at(self, ts) -> np.ndarray:
-        """Drift matrix at time ``ts``, or the stack of them over an array of times."""
-        n = self.drift.shape[0]
-        out = (self._phase_coeffs(ts) @ self.phase_basis.reshape(-1, n * n)).reshape(np.shape(ts) + (n, n))
-        out += self.drift
-        return out
 
     def _phase_coeffs(self, ts) -> np.ndarray:
         """cos(nu_k t), then sin(nu_k t), along a last axis over ``ts``."""

@@ -35,7 +35,7 @@ from cavmech.quadratic import (
     effective_generator,
     quadratic_model,
 )
-from test_fock import manual_params
+from test_fock import engine_rhs, manual_params
 
 
 class TestImports:
@@ -153,16 +153,6 @@ class TestDriftDiffusionMapping:
         with pytest.raises(ValueError, match="too coarse"):
             integrate(model, space, fock_state(space, (0, 0)), 1.0, 0.01)
 
-    def test_drift_at_stack_matches_scalar_calls(self):
-        fr = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05)
-        dd = drift_diffusion_from_generator(FullLinearized(fr))
-        ts = np.arange(63) * 0.0137
-        scalar = np.array([dd.drift_at(t) for t in ts])
-        # the 24-term cos/sin sum may be added in another order by a
-        # matrix-matrix than by a matrix-vector product
-        tol = 8 * np.finfo(float).eps * np.abs(scalar).max()
-        assert np.abs(dd.drift_at(ts) - scalar).max() <= tol
-
     def test_superoperator_is_the_moment_right_hand_side(self):
         thermal = ((0.01, 0.5), (0.02, 1.5))
         fr = frame_from_collective(1.0, 0.3, -2.2, 0.45, 0.12, 0.08, thermal_baths=thermal)
@@ -190,7 +180,9 @@ class TestDriftDiffusionMapping:
         stack = dd.superoperator(ts)
         assert stack.shape == (ts.size, (n + 1) ** 2, (n + 1) ** 2)
         for t, stacked in zip(ts, stack):
-            M[:n, :n] = dd.drift_at(t)
+            # A(t) = A + sum_k cos(nu_k t) C_k + sin(nu_k t) S_k
+            coeffs = np.concatenate([np.cos(t * dd.phase_nus), np.sin(t * dd.phase_nus)])
+            M[:n, :n] = dd.drift + np.tensordot(coeffs, dd.phase_basis, 1)
             rhs = M @ x + x @ M.T + N
             single = dd.superoperator(t)
             # worst measured: 3.2e-16 of max |rhs|
@@ -241,7 +233,7 @@ class TestDriftDiffusionMapping:
         # the means live in the coherence between the parity sectors:
         # carry rho as one block
         gen = compile_generator(spec, space, [np.arange(space.total_dim)])
-        drho = gen.unpack(gen.apply(t, gen.pack(rho)))
+        drho = gen.unpack(engine_rhs(gen, t, gen.pack(rho)))
         dmean = np.array([np.trace(q @ drho).real for q in quads])
         dcov = np.empty((nq, nq))
         for i in range(nq):
@@ -250,10 +242,13 @@ class TestDriftDiffusionMapping:
                 dcov[i, j] = (np.trace(sym @ drho).real
                               - dmean[i] * mean[j] - mean[i] * dmean[j])
 
-        dd = drift_diffusion_from_generator(spec)
-        A = dd.drift_at(t)
-        assert np.abs(A @ mean - dmean).max() < 1e-9
-        assert np.abs(A @ cov + cov @ A.T + dd.diffusion - dcov).max() < 1e-9
+        # the moment superoperator on the flat [[cov, mean], [mean^T, 1]]
+        # gives [[A cov + cov A^T + D, A mean], [(A mean)^T, 0]]
+        x, dx = np.zeros((2, nq + 1, nq + 1))
+        x[:nq, :nq], x[:nq, nq], x[nq, :nq], x[nq, nq] = cov, mean, mean, 1.0
+        dx[:nq, :nq], dx[:nq, nq], dx[nq, :nq] = dcov, dmean, dmean
+        L = drift_diffusion_from_generator(spec).superoperator(t)
+        assert np.abs(L @ x.reshape(-1) - dx.reshape(-1)).max() < 1e-9
 
 
 def symplectic_eigenvalues(cov):
