@@ -8,8 +8,9 @@ Quadratures are ordered (x_1, p_1, ..., x_N, p_N) with vacuum variance 1/2
 and diffusion are compiled from the same
 :class:`~cavmech.quadratic.QuadraticModel` as the Fock-space generator,
 one formula per Hamiltonian term and per jump.  :func:`evolve_covariance`
-carries the augmented moment matrix [[cov, mean], [mean^T, 1]] through
-:func:`cavmech.propagate.run`, with the moment superoperator L
+carries the augmented moment matrix X = [[cov, mean], [mean^T, 1]] as its
+packed upper triangle vech(X) through :func:`cavmech.propagate.run`, with
+the moment superoperator L on vech(X)
 (:meth:`DriftDiffusion.superoperator`, which takes an array of times) as
 the generator of a constant drift and the operator of a time-dependent
 one.
@@ -123,6 +124,20 @@ def squeezed_vacuum(n_modes: int, mode: int, r: float) -> CovarianceState:
     return state
 
 
+def _packing(m: int):
+    """Where vech(X), the upper triangle of a symmetric m x m X row by row, sits.
+
+    Returns the positions of vech(X) in the row-major flattening of X, so
+    that ``X.reshape(-1)[upper]`` packs X, and the (m, m) index of each
+    entry of X in vech(X), so that ``v[..., index]`` unpacks a stack of
+    them with one gather.
+    """
+    rows, cols = np.triu_indices(m)
+    index = np.empty((m, m), int)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    return rows * m + cols, index
+
+
 # -- drift/diffusion construction -------------------------------------------
 
 @dataclass
@@ -152,14 +167,15 @@ class DriftDiffusion:
         return np.concatenate([np.cos(phases), np.sin(phases)], axis=-1)
 
     def superoperator(self, ts=None) -> np.ndarray:
-        """Matrix L of X -> M X + X M^T + N X[n, n] on the row-major flattening of X.
+        """Matrix L of X -> M X + X M^T + N X[n, n] on vech(X) of a symmetric X.
 
-        M = blockdiag(A, 0) and N = blockdiag(D, 0).  On a symmetric X this
-        is the right-hand side that :func:`evolve_covariance` integrates,
-        and it keeps X[n, n] fixed.  Without ``ts`` the drift must be
-        constant; at a time ``ts``, or the stack of them over an array of
-        times, the phase terms are added to the constant part by one
-        product with their superoperators.
+        M = blockdiag(A, 0) and N = blockdiag(D, 0), and vech(X) is the
+        upper triangle of X row by row (``np.triu_indices``): (n + 1)(n + 2)
+        / 2 entries.  This is the right-hand side that
+        :func:`evolve_covariance` integrates, and it keeps X[n, n] fixed.
+        Without ``ts`` the drift must be constant; at a time ``ts``, or the
+        stack of them over an array of times, the phase terms are added to
+        the constant part by one product with their superoperators.
         """
         const, phase_terms = self._superoperator_parts
         if ts is None:
@@ -172,17 +188,26 @@ class DriftDiffusion:
 
     @cached_property
     def _superoperator_parts(self):
-        """L's constant part, and the flat superoperator of each ``phase_basis`` matrix as a row."""
+        """L's constant part, and the flat superoperator of each ``phase_basis`` matrix as a row.
+
+        The operator on vech(X) is the operator on the flattening of X at
+        the rows of vech(X), times the duplication matrix that unpacks
+        vech(X) into the flattening (Magnus & Neudecker, SIAM J. Algebraic
+        Discrete Methods 1, 422 (1980)): an off-diagonal entry of vech(X)
+        stands for two entries of X.
+        """
         n = self.drift.shape[0]
         eye = np.eye(n + 1)
+        upper, index = _packing(n + 1)
+        duplication = np.equal.outer(index.reshape(-1), np.arange(upper.size)).astype(float)
 
         def lift(A):
             M = np.zeros((n + 1, n + 1))
             M[:n, :n] = A
-            return np.kron(M, eye) + np.kron(eye, M)
+            return (np.kron(M, eye) + np.kron(eye, M))[upper] @ duplication
 
         const = lift(self.drift)
-        const[:, -1] += np.pad(self.diffusion, ((0, 1), (0, 1))).reshape(-1)
+        const[:, -1] += np.pad(self.diffusion, ((0, 1), (0, 1))).reshape(-1)[upper]
         phase_terms = np.array([lift(B).reshape(-1) for B in self.phase_basis])
         return const, phase_terms.reshape(len(self.phase_basis), const.size)
 
@@ -272,15 +297,17 @@ def evolve_covariance(
     """Propagate the moments to ``round(t_end / dt) * dt``, recording every ``stride`` steps of ``dt``.
 
     The run carries the augmented moment matrix X = [[cov, mean],
-    [mean^T, 1]]: with M = blockdiag(A, 0) and N = blockdiag(D, 0),
-    X' = M X + (M X)^T + N holds the covariance and the mean equations.
+    [mean^T, 1]] as vech(X), its packed upper triangle: with M =
+    blockdiag(A, 0) and N = blockdiag(D, 0), X' = M X + (M X)^T + N holds
+    the covariance and the mean equations, and a packed X is symmetric by
+    construction.  Each stack of records is unpacked by one gather.
     ``dt`` sets the record grid (every ``stride`` steps, plus the last
     step) and must satisfy ``dt <= 0.01 / f_max``.  The run is carried
     out by :func:`cavmech.propagate.run` with L =
     :meth:`DriftDiffusion.superoperator`: for a constant drift, L itself,
     whose dense increment exp(L h) - I the driver takes once per
     record-interval length h; for a time-dependent one, L at the stage
-    times and a stage that is one product of L with the flat X.  The
+    times and a stage that is one product of L with vech(X).  The
     trajectory's ``stats`` say how.  The uncertainty-bound defect is
     monitored at every record; a defect beyond ``_PHYSICALITY_TOL``
     aborts, naming the first such record.  The entanglement columns hold
@@ -294,9 +321,11 @@ def evolve_covariance(
     x[n, n] = 1.0
     if not np.isfinite(x).all():
         raise ValueError("initial moments must be finite")
+    upper, index = _packing(n + 1)
 
-    def monitor(ts, xs):
-        """The monitors of a (records, n + 1, n + 1) stack of moment matrices."""
+    def monitor(ts, packed):
+        """The monitors of a (records, (n + 1)(n + 2) / 2) stack of packed moment matrices."""
+        xs = packed[:, index]
         cov = xs[:, :n, :n]
         defect = uncertainty_defect(cov)
         over = np.flatnonzero(defect < -_PHYSICALITY_TOL)
@@ -310,16 +339,18 @@ def evolve_covariance(
                 "log_negativity": en, "min_symp_eig": nu}
 
     def stage(L, state, out):
-        np.dot(L, state.reshape(-1), out=out.reshape(-1))
+        np.dot(L, state, out=out)
 
     generator = None if dd.time_dependent else dd.superoperator()
-    records, x, stats = run(x, monitor, n_steps, dt, stride, generator, dd.superoperator, stage)
+    records, x, stats = run(x.reshape(-1)[upper], monitor, n_steps, dt, stride, generator,
+                            dd.superoperator, stage)
+    x = x[index]
     occ = records["occupations"]
     return GaussTrajectory(
         **records,
         n1=occ[:, 0] if state0.n_modes < 3 else occ[:, 1],
         n2=occ[:, 1] if state0.n_modes < 3 else occ[:, 2],
-        final_state=CovarianceState(x[:n, n].copy(), x[:n, :n].copy(), time=n_steps * dt),
+        final_state=CovarianceState(x[:n, n], x[:n, :n], time=n_steps * dt),
         stats=stats,
     )
 

@@ -1,9 +1,10 @@
 """The run driver both engines propagate by, and the maps it steps with.
 
 An engine hands :func:`run` its state X (the Fock engine's density
-blocks, the Gaussian engine's augmented moment matrix), a monitor over
-stacks of records, and either the generator L of a constant flow or the
-operator and stage of a time-dependent one.  The driver alone maps a
+blocks, the packed upper triangle of the Gaussian engine's augmented
+moment matrix), a monitor over stacks of records, and either the
+generator L of a constant flow or the operator and stage of a
+time-dependent one.  The driver alone maps a
 record interval h by exp(L h): a truncated Taylor series on X
 (:func:`exponential_map`) or the dense increment exp(L h) - I
 (:func:`exponential_increment`); the time-dependent flow is stepped by
@@ -93,7 +94,8 @@ _TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
                  35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
 
 # Entries held at once by a run's stack of records (256 KiB complex):
-# 25 density-block records at dims (4,3,3), 334 augmented 7x7 moment matrices.
+# 25 density-block records at dims (4,3,3) (two 18 x 18 blocks), 585
+# packed moment records of three modes (28 entries each), 1,092 of two (15).
 _MONITOR_BLOCK = 2**14
 
 # Most rows of the real matrix an exact-path interval map may be built as.
@@ -135,18 +137,31 @@ _DP_DENSE = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799
 # the start of the step, column 1 + i stage 1 + i in units of the step.
 _DP_TABLE = np.array([[1.0, *row, *[0.0] * (7 - row.size)] for row in _DP_ROWS] + [[0.0, *_DP_ERROR]])
 _DP_B = np.append(_DP_ROWS[-1], 0.0)
-_DP_SPLINE = np.eye(7)[0] - _DP_B
-_DP_CUBIC = _DP_B - _DP_SPLINE - np.eye(7)[6]
+# The continuous extension X(t + theta h) = X + h sum_i w_i(theta) k_i.
+# Hairer's nested form X + theta (dX + (1 - theta) (h k1 - dX + theta (dX
+# - h k7 - (h k1 - dX) + (1 - theta) h sum d_i k_i))), dX = h sum b_i k_i,
+# expanded once in powers of theta: w(theta) = _DP_POLY (theta, theta^2,
+# theta^3, theta^4), and w(1) = b.
+_E1, _E7 = np.eye(7)[[0, 6]]
+_DP_POLY = np.stack([_E1, 3 * _DP_B - 2 * _E1 - _E7 + _DP_DENSE,
+                     _E1 + _E7 - 2 * _DP_B - 2 * _DP_DENSE, _DP_DENSE], axis=1)
+_DP_POWERS = np.arange(1, 5)
 
 
 def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=None):
-    """Propagate a Hermitian X over ``n_steps`` steps of ``dt``, monitoring every record.
+    """Propagate a state X over ``n_steps`` steps of ``dt``, monitoring every record.
+
+    X is a Hermitian matrix or a stack of them (the Fock engine's density
+    blocks), re-Hermitized after every step or interval map, or a vector:
+    the packed upper triangle of a symmetric matrix (the Gaussian engine's
+    moments), symmetric by construction and never projected.  The
+    caller's array is never written to.
 
     X is recorded at t = 0, at every ``stride`` steps and at ``n_steps``.
     With a constant ``generator`` L of flat X (a square CSR or dense
     matrix), X jumps exactly from record to record by exp(L h), one map
-    per interval length h, and each record is re-Hermitized; otherwise
-    :func:`dopri5` steps it with the engine's ``operators`` and ``stage``.
+    per interval length h; otherwise :func:`dopri5` steps it with the
+    engine's ``operators`` and ``stage``.
 
     An interval length takes the dense increment K = exp(L h) - I
     (:func:`exponential_increment`) when its real form has at most
@@ -163,7 +178,9 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
 
     The records are copied into a stack of ``_MONITOR_BLOCK`` entries (at
     least one record), and ``monitor(ts, xs)`` runs over each full stack
-    and over the rest at the end, returning its columns by name.  That
+    and over the rest at the end, returning its columns by name.  A stack
+    of matrix records is re-Hermitized in one call first (a no-op, bit for
+    bit, on the exact path's records, which are projected already).  That
     last flush runs before any exception of the run propagates, so a
     monitor abort on an earlier record wins over a later kernel error; a
     run may propagate up to one stack past the record that aborts it.
@@ -172,6 +189,7 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
     record times as ``t``, the final X, and the :class:`RunStats` of the
     run.
     """
+    matrix = x.ndim > 1
     ts = np.empty(max(1, _MONITOR_BLOCK // x.size))
     xs = np.empty(ts.shape + x.shape, x.dtype)
     columns = {"t": []}
@@ -181,6 +199,8 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
         nonlocal count
         k, count = count, 0
         if k:
+            if matrix:
+                _hermitize(xs[:k])
             for name, values in monitor(ts[:k], xs[:k]).items():
                 columns.setdefault(name, []).append(values)
             columns["t"].append(ts[:k].copy())
@@ -215,7 +235,8 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
                     else:
                         maps[width] = exponential_map(generator * (width * dt))
                 x = maps[width](x.reshape(-1)).reshape(x.shape)
-                _hermitize(x)
+                if matrix:
+                    _hermitize(x)
                 step += width
                 record(step * dt, x)
     finally:
@@ -255,26 +276,19 @@ def _real_form(M: np.ndarray) -> np.ndarray:
     return out.reshape(2 * rows, 2 * cols)
 
 
-def _dense_weights(theta: float) -> np.ndarray:
-    """Weights w of the continuous extension X(t + theta h) = X + h sum_i w_i k_i.
-
-    Hairer's form X + theta (dX + (1 - theta) (h k1 - dX + theta (dX - h k7
-    - (h k1 - dX) + (1 - theta) h sum d_i k_i))), dX = h sum b_i k_i.
-    """
-    return theta * (_DP_B + (1 - theta) * (_DP_SPLINE + theta * (_DP_CUBIC + (1 - theta) * _DP_DENSE)))
-
-
 def _step_factor(error: float, bound: float) -> float:
     """Standard step-size controller: 0.9 (bound / error)^(1/5), clipped to [0.2, 5]."""
     return min(5.0, max(0.2, 0.9 * (bound / error) ** 0.2)) if error > 0 else 5.0
 
 
 def dopri5(operators, stage, x, n_steps, dt, stride, record):
-    """Adaptive Dormand-Prince 5(4) steps for X' = F(t, X) on a Hermitian X.
+    """Adaptive Dormand-Prince 5(4) steps for X' = F(t, X) on a Hermitian or packed symmetric X.
 
     X is a matrix or a stack of matrices (the Fock engine's density
-    blocks).  ``operators(ts)`` returns the engine's operator at each of
-    an array of times (the Fock drift blocks, the Gaussian moment
+    blocks), or a vector holding the packed upper triangle of a symmetric
+    matrix (the Gaussian engine's moments).  The steps are taken on a
+    private copy of X.  ``operators(ts)`` returns the engine's operator at
+    each of an array of times (the Fock drift blocks, the Gaussian moment
     superoperator), and ``stage(op, state, out)`` writes F(t, state) into
     ``out``, with ``op`` the operator at t.
 
@@ -299,16 +313,19 @@ def dopri5(operators, stage, x, n_steps, dt, stride, record):
     cpu/wall 1.00 at 1,296 reals (the Fock blocks at dims (4,3,3)),
     20,000 and 46,656 (dims (6,6,6)), and at 1.99 at 100,000.
 
-    X is re-Hermitized after each accepted step and each record: the
-    exact flow preserves Hermiticity, but for a density matrix the
-    roundoff-seeded anti-Hermitian component obeys a sign-flipped
-    dissipator in this split update and can grow exponentially if left in
-    place.
+    A matrix X is re-Hermitized after each step update: the exact flow
+    preserves Hermiticity, but for a density matrix the roundoff-seeded
+    anti-Hermitian component obeys a sign-flipped dissipator in this split
+    update and can grow exponentially if left in place.  The records taken
+    between steps are passed on as the continuous extension gives them;
+    :func:`run` projects them a stack at a time.  A packed symmetric X has
+    no antisymmetric part to project.
     """
     # stack[0] is the state at the start of the step, stack[1:] its seven
     # stages; a combination writes through the real view of x or y, and a
     # record's row weighs stack[0] by 1
-    x = np.ascontiguousarray(x)
+    x = np.array(x, order="C")
+    matrix = x.ndim > 1
     stack = np.zeros((8,) + x.shape, x.dtype)
     flat = stack.view(x.real.dtype).reshape(8, -1)
     y = np.empty_like(x)
@@ -331,7 +348,8 @@ def dopri5(operators, stage, x, n_steps, dt, stride, record):
             np.dot(C[i, :i + 2], flat[:i + 2], out=y_flat)
             stage(ops[i], y, stack[i + 2])
         np.dot(C[5, :7], flat[:7], out=x_flat)
-        _hermitize(x)
+        if matrix:
+            _hermitize(x)
         stage(ops[4], x, stack[7])
         np.dot(C[6], flat, out=y_flat)
         error = float(np.abs(y).max())
@@ -352,9 +370,8 @@ def dopri5(operators, stage, x, n_steps, dt, stride, record):
         max_error = max(max_error, error)
         t_next = t_end if last else t + step
         while r < n_steps and r * dt < t_next:
-            np.multiply(_dense_weights((r * dt - t) / step), step, out=row[1:])
+            np.multiply(_DP_POLY @ ((r * dt - t) / step) ** _DP_POWERS, step, out=row[1:])
             np.dot(row, flat, out=y_flat)
-            _hermitize(y)
             record(r * dt, y)
             r += stride
         t = t_next

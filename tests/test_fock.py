@@ -331,6 +331,19 @@ class TestIntegrate:
                            + traj.final_state.matrix.tobytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_run_leaves_the_callers_state_alone(self, exact):
+        # the time-dependent path once stepped in place on the caller's
+        # contiguous array and left the final state in it
+        D = np.diag([-1j - 0.5, -0.2])
+        x = np.full((2, 2), 0.5, complex)
+        kept = x.copy()
+        generator = np.kron(D, np.eye(2)) + np.kron(np.eye(2), D.conj()) if exact else None
+        _, final, _ = propagate.run(x, lambda ts, xs: {}, 100, 0.01, 10, generator,
+                                    lambda ts: np.array([D] * ts.size), drift_stage)
+        assert np.array_equal(x, kept)
+        assert np.abs(final - kept).max() > 0.1
+
     def test_single_mode_decay(self):
         spec = EffectiveTwoMode(manual_params({"1": (0.4, 0.0)}), CollectiveMode(1.0, 1.0))
         space = FockSpace((3, 3))
@@ -624,8 +637,9 @@ def fixed_step_rk4(operators, stage, x, n_steps, dt, stride, record):
             acc += k
             acc *= sixth
             x += acc
-            np.add(x, x.conj().swapaxes(-1, -2), out=x)
-            x *= 0.5
+            if x.ndim > 1:  # a packed symmetric state is never projected
+                np.add(x, x.conj().swapaxes(-1, -2), out=x)
+                x *= 0.5
         start = stop
         record(stop * dt, x)
     return x, propagate.RunStats()
@@ -702,9 +716,9 @@ class TestExponentialMap:
         # times in one interval
         h = 10 / relax if long_run else 10 * 0.01 / dd.f_max
         norm = np.abs(L * h).sum(axis=0).max()
-        assert L.shape == (25, 25)
+        assert L.shape == (15, 15)  # the packed upper triangle of the 5 x 5 moment matrix
         assert (norm > propagate._TAYLOR_THETA[55]) == long_run  # more than one substep
-        got = propagate.exponential_map(L * h)(np.eye(25))
+        got = propagate.exponential_map(L * h)(np.eye(15))
         # worst measured: 2.2e-16 (record interval), 5.6e-16 (long run)
         assert np.abs(got - expm(L * h)).max() <= 1e-14
 
@@ -766,7 +780,7 @@ class TestExponentialMap:
         L = dd.superoperator()
         relax = -np.linalg.eigvals(dd.drift).real.max()
         for h in (10 * 0.01 / dd.f_max, 10 / relax):
-            yield L * h, np.eye(25)
+            yield L * h, np.eye(L.shape[0])
         yield np.zeros((6, 6)), np.arange(12.0).reshape(6, 2) + 1j
         yield sparse.csr_matrix((6, 6), dtype=complex), np.arange(12.0).reshape(6, 2) + 1j
 
@@ -917,6 +931,19 @@ class TestStepControl:
         with pytest.raises(propagate.StepControlError, match="below the finest step"):
             stride_test_runs()
 
+    def test_dense_output_table_is_the_nested_form(self):
+        # Hairer's nested continuous extension, weights w of the stages:
+        # theta (b + (1 - theta) (e1 - b + theta (b - e7 - (e1 - b) + (1 - theta) d)))
+        b, d = propagate._DP_B, propagate._DP_DENSE
+        e1, e7 = np.eye(7)[[0, 6]]
+        for theta in np.linspace(0.0, 1.0, 201):
+            nested = theta * (b + (1 - theta) * (e1 - b + theta * (b - e7 - (e1 - b) + (1 - theta) * d)))
+            table = propagate._DP_POLY @ (theta ** np.arange(1, 5))
+            # the table's terms reach 10 in size, so the power form rounds
+            # to a few eps of that; worst measured: 1.9e-15
+            assert np.abs(table - nested).max() <= 4e-15
+        assert np.abs(propagate._DP_POLY.sum(axis=1) - b).max() <= 1e-15  # w(1) = b
+
     def test_non_finite_error_estimate_raises(self):
         # NaN > bound is False: the kernel took such a step as accepted,
         # grew the next one fivefold and dropped the NaN from its estimate
@@ -954,6 +981,7 @@ def dense_reference(spec, space, rho0, t_end, dt, stride):
     records = {field: [] for field in ("t",) + RECORD_FIELDS}
 
     def record(t, rho):
+        rho = 0.5 * (rho + dag(rho))  # a run monitors its records projected
         tr = np.trace(rho).real
         for name, op in observables.items():
             records[name].append(np.trace(op @ rho) / tr if op is not None else math.nan)
@@ -991,7 +1019,6 @@ def dense_reference(spec, space, rho0, t_end, dt, stride):
             np.random.set_state(state)
         for k, vec in enumerate(vecs[1:], start=1):
             rho = vec.reshape(dim, dim)
-            rho = 0.5 * (rho + dag(rho))
             record(k * stride * dt, rho)
     return {field: np.array(values) for field, values in records.items()}, rho
 
@@ -1212,6 +1239,20 @@ class TestTransferExperiment:
         amp, w, g, c = fit_damped_rabi(t, n2)
         assert w == pytest.approx(omega, rel=2e-3)
         assert amp == pytest.approx(0.97, rel=0.05)
+
+    def test_fit_jacobian_matches_central_differences(self):
+        t = np.linspace(0, 100, 201)
+        params = np.array([0.93, 1.05e-3, 2e-3, 8e-4, 2e-6])
+        want = np.empty((t.size, params.size))
+        for j in range(params.size):
+            step = 1e-6 * abs(params[j])
+            up, down = params.copy(), params.copy()
+            up[j] += step
+            down[j] -= step
+            want[:, j] = (fock._rabi_model(t, *up) - fock._rabi_model(t, *down)) / (2 * step)
+        got = fock._rabi_jacobian(t, *params)
+        # worst measured, relative to the column's largest entry: 3.9e-9 (the slope)
+        assert np.all(np.abs(got - want).max(axis=0) <= 1e-7 * np.abs(want).max(axis=0))
 
     def test_fit_is_reproducible_under_roundoff(self):
         # a 100-unit window short of the first swap, with a fast sideband

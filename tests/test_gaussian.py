@@ -38,6 +38,11 @@ from cavmech.quadratic import (
 from test_fock import engine_rhs, manual_params
 
 
+def vech(x):
+    """The upper triangle of a symmetric matrix, row by row: the state the moment engine carries."""
+    return x[np.triu_indices(x.shape[-1])]
+
+
 class TestImports:
     def test_gaussian_engine_loads_without_the_fock_engine(self):
         # the moment engine shares the model description and the run driver,
@@ -163,7 +168,7 @@ class TestDriftDiffusionMapping:
         M, N = np.zeros((2, n + 1, n + 1))
         M[:n, :n], N[:n, :n] = dd.drift, dd.diffusion
         rhs = M @ x + (M @ x).T + N * x[n, n]
-        assert np.abs(dd.superoperator() @ x.reshape(-1) - rhs.reshape(-1)).max() < 1e-15
+        assert np.abs(dd.superoperator() @ vech(x) - vech(rhs)).max() < 1e-15
 
     def test_superoperator_is_the_moment_right_hand_side_at_any_time(self):
         # the time-dependent kernel stage is one product with L(t)
@@ -178,7 +183,7 @@ class TestDriftDiffusionMapping:
         N[:n, :n] = dd.diffusion
         ts = np.array([0.0, 0.41, 3.7, 12.5, 101.3, 977.0])
         stack = dd.superoperator(ts)
-        assert stack.shape == (ts.size, (n + 1) ** 2, (n + 1) ** 2)
+        assert stack.shape == (ts.size, 28, 28)   # vech of the 7 x 7 moment matrix
         for t, stacked in zip(ts, stack):
             # A(t) = A + sum_k cos(nu_k t) C_k + sin(nu_k t) S_k
             coeffs = np.concatenate([np.cos(t * dd.phase_nus), np.sin(t * dd.phase_nus)])
@@ -186,7 +191,7 @@ class TestDriftDiffusionMapping:
             rhs = M @ x + x @ M.T + N
             single = dd.superoperator(t)
             # worst measured: 3.2e-16 of max |rhs|
-            assert np.abs(single @ x.reshape(-1) - rhs.reshape(-1)).max() <= 1e-15 * np.abs(rhs).max()
+            assert np.abs(single @ vech(x) - vech(rhs)).max() <= 1e-15 * np.abs(rhs).max()
             # the 12-term phase sum may be added in another order by a
             # matrix-matrix than by a matrix-vector product
             assert np.abs(stacked - single).max() <= 8 * np.finfo(float).eps * np.abs(single).max()
@@ -242,13 +247,13 @@ class TestDriftDiffusionMapping:
                 dcov[i, j] = (np.trace(sym @ drho).real
                               - dmean[i] * mean[j] - mean[i] * dmean[j])
 
-        # the moment superoperator on the flat [[cov, mean], [mean^T, 1]]
-        # gives [[A cov + cov A^T + D, A mean], [(A mean)^T, 0]]
+        # the moment superoperator on vech([[cov, mean], [mean^T, 1]])
+        # gives vech([[A cov + cov A^T + D, A mean], [(A mean)^T, 0]])
         x, dx = np.zeros((2, nq + 1, nq + 1))
         x[:nq, :nq], x[:nq, nq], x[nq, :nq], x[nq, nq] = cov, mean, mean, 1.0
         dx[:nq, :nq], dx[:nq, nq], dx[nq, :nq] = dcov, dmean, dmean
         L = drift_diffusion_from_generator(spec).superoperator(t)
-        assert np.abs(L @ x.reshape(-1) - dx.reshape(-1)).max() < 1e-9
+        assert np.abs(L @ vech(x) - vech(dx)).max() < 1e-9
 
 
 def symplectic_eigenvalues(cov):
