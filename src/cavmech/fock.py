@@ -9,7 +9,8 @@ the stack of its two parity blocks (or as one block of the whole matrix
 when the initial state has coherence between the sectors;
 :func:`density_blocks`), and every stage and record works on the stack.
 :func:`integrate` runs it by :func:`cavmech.propagate.run`: a constant
-generator by its sparse Lindblad superoperator, which the driver
+generator by its sparse real Lindblad superoperator on the real form
+S = Re rho + Im rho of the blocks (:func:`s_form`), which the driver
 exponentiates, a time-dependent one by its drift blocks at the stage
 times of a step (:meth:`CompiledGenerator.drift` takes an array of times
 and sums the phase terms by one sparse product) and
@@ -148,7 +149,8 @@ class CompiledGenerator:
     sum of ladder operators, each of which sends every basis row to at
     most one row, so each term X_m rho X_n^dag of L rho L^dag is one
     precomputed gather from the flat stack times a weight (one term for a
-    bare ladder jump).
+    bare ladder jump), stored complex so that a stage multiplies the
+    complex gather without casting it.
     """
 
     def __init__(self, space: FockSpace, model, blocks=None):
@@ -232,7 +234,7 @@ class CompiledGenerator:
                     if np.any((w != 0) & (block_of[k] != block_of[l])):
                         raise ValueError("the density blocks are not closed under the generator")
                     src = np.where(w != 0, (block_of[k] * h + row_of[k]) * h + row_of[l], 0)
-                    self._jump_gathers.append((w.real if not w.imag.any() else w, src))
+                    self._jump_gathers.append((w, src))
             # L^dag L = sum_mn (c_m X_m)^dag (c_n X_n)
             scaled = [(m, c * ladder(m, dagger)[1]) for m, c in coeffs]
             base = base - 0.5 * rate * sum(_operator(dims, (m, f.conj().T), (n, g))
@@ -293,17 +295,19 @@ class CompiledGenerator:
         self.add_jump_sandwiches(state, out)
 
     def superoperator(self):
-        """Sparse Lindblad superoperator of a constant generator.
+        """Sparse real Lindblad superoperator of a constant generator, on flat S.
 
-        Acts on the row-major flattening of the block stack, where
-        vec(X rho Y) = (X kron Y^T) vec(rho) within each block; built from
-        the same drift blocks and jump gathers that :meth:`stage` uses.
-        Assembled in one pass, with no sparse Kronecker product and no
-        sparse addition: the entries of kron(D, I) and kron(I, D*) of
-        every drift block D and of every jump gather, stably sorted by
-        position, so that ``sum_duplicates`` finds the entries of each
-        position already in order (it sorts no row) and sums them in the
-        order that adding one CSR matrix per part does, to the last bit.
+        A Hermitian block stack rho is carried as the real stack
+        S = Re rho + Im rho, whose symmetric part is Re rho and whose
+        antisymmetric part is Im rho (:func:`hermitian_form`), so every real
+        S is a Hermitian rho.  On the row-major flattening, where
+        vec(X rho Y) = (X kron Y^T) vec(rho) within each block, an entry
+        a + ib of the complex superoperator at (p, q) adds a at (p, q) and b
+        at (p, q'), with q' the transposed position of q in its block.  The
+        complex entries are those of kron(D, I) and kron(I, D*) of every
+        drift block D and of every jump gather, the same ones :meth:`stage`
+        uses; assembled in one pass, with no sparse Kronecker product and
+        no sparse addition.
         """
         from scipy import sparse
 
@@ -312,7 +316,7 @@ class CompiledGenerator:
         n_blocks, h, _ = self.base_drift.shape
         size = n_blocks * h * h
         j = np.arange(h)
-        parts = []  # (rows, columns, values), in the order a position's entries are summed
+        parts = []  # (rows, columns, complex values)
         for b, D in enumerate(self.base_drift):
             i, k = np.nonzero(D)
             start = b * h * h
@@ -325,12 +329,38 @@ class CompiledGenerator:
             targets = np.flatnonzero(weight)
             parts.append((targets, source.reshape(-1)[targets], weight.reshape(-1)[targets]))
         rows, cols, vals = (np.concatenate([a.reshape(-1) for a in arrays]) for arrays in zip(*parts))
-        order = np.argsort(rows * size + cols, kind="stable")
-        out = sparse.csr_matrix((vals[order], (rows[order], cols[order])), shape=(size, size))
-        out.sum_duplicates()
-        # adding one CSR matrix per part stored no entry that summed to 0
+        transposed = np.arange(size).reshape(n_blocks, h, h).swapaxes(1, 2).reshape(-1)
+        rows = np.concatenate([rows, rows])
+        cols = np.concatenate([cols, transposed[cols]])
+        vals = np.concatenate([vals.real, vals.imag])
+        kept = vals != 0
+        # the constructor sums the entries of each position; a lossless
+        # drift with frequency shifts has sums that cancel
+        out = sparse.csr_matrix((vals[kept], (rows[kept], cols[kept])), shape=(size, size))
         out.eliminate_zeros()
         return out
+
+
+def s_form(rho: np.ndarray) -> np.ndarray:
+    """The real form S = Re H + Im H of the Hermitian part H of a block stack ``rho``.
+
+    The exact path carries its blocks in this form
+    (:meth:`CompiledGenerator.superoperator`); :func:`hermitian_form` is
+    its inverse.
+    """
+    H = rho + rho.conj().swapaxes(-1, -2)
+    H /= 2
+    return H.real + H.imag
+
+
+def hermitian_form(S: np.ndarray) -> np.ndarray:
+    """The Hermitian blocks rho = (S + S^T)/2 + i (S - S^T)/2 of a real S, or of a stack of them."""
+    St = S.swapaxes(-1, -2)
+    rho = np.empty(S.shape, complex)
+    np.add(S, St, out=rho.real)
+    np.subtract(S, St, out=rho.imag)
+    rho *= 0.5
+    return rho
 
 
 def compile_generator(spec, space: FockSpace, blocks=None) -> CompiledGenerator:
@@ -383,10 +413,14 @@ def integrate(
     ``dt`` sets the record grid (every ``stride`` steps, plus the last
     step) and must satisfy ``dt <= 0.01 / f_max`` for the generator's
     fastest scale.  The run is carried out by :func:`cavmech.propagate.run`:
-    for a constant generator, the map exp(L h) of its sparse
+    for a constant generator, the map exp(L h) of its sparse real
     superoperator L over each record interval h, which the driver sums
-    by sparse products only; for a time-dependent one, its drift blocks
-    at the stage times and :meth:`CompiledGenerator.stage`.  The
+    by sparse products only, on the real form S = Re rho + Im rho of the
+    blocks (:func:`s_form`, taken of the Hermitian part of ``rho0``): every
+    real S is a Hermitian state, so it is never projected, and each stack
+    of records is turned back into Hermitian blocks for the monitors
+    (:func:`hermitian_form`).  For a time-dependent generator, its drift
+    blocks at the stage times and :meth:`CompiledGenerator.stage`.  The
     returned trajectory's ``stats`` say how (``dense_maps`` counts the
     dense increments).
     Trace drift is compensated in the reported expectations only, never
@@ -466,8 +500,13 @@ def integrate(
         return {"n1": values["n1"].real, "n2": values["n2"].real, "n_cav": n_cav, "coh": values["coh"],
                 "trace": tr, "trunc_monitor": top, "herm_dev": herm_dev, "min_eig": min_eig}
 
-    generator = None if gen.phase_nus.size else gen.superoperator()
-    records, rho, stats = run(rho, monitor, n_steps, dt, stride, generator, gen.drift, gen.stage)
+    if gen.phase_nus.size:
+        records, rho, stats = run(rho, monitor, n_steps, dt, stride, None, gen.drift, gen.stage)
+    else:
+        records, S, stats = run(s_form(rho).reshape(-1),
+                                lambda ts, Ss: monitor(ts, hermitian_form(Ss.reshape(ts.shape + rho.shape))),
+                                n_steps, dt, stride, gen.superoperator())
+        rho = hermitian_form(S.reshape(rho.shape))
     return Trajectory(
         **records,
         final_state=DensityState(gen.unpack(rho), time=n_steps * dt),

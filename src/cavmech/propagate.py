@@ -4,7 +4,9 @@ An engine hands :func:`run` its state X (the Fock engine's density
 blocks, the packed upper triangle of the Gaussian engine's augmented
 moment matrix), a monitor over stacks of records, and either the
 generator L of a constant flow or the operator and stage of a
-time-dependent one.  The driver alone maps a
+time-dependent one.  A constant flow runs on a real X: the Fock engine
+then carries its blocks as S = Re rho + Im rho, so the dense-map rule
+counts the real entries of S.  The driver alone maps a
 record interval h by exp(L h): a truncated Taylor series on X
 (:func:`exponential_map`) or the dense increment exp(L h) - I
 (:func:`exponential_increment`); the time-dependent flow is stepped by
@@ -93,16 +95,17 @@ def fewest_steps_dt(t_end: float, f_max: float) -> float:
 _TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
                  35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
 
-# Entries held at once by a run's stack of records (256 KiB complex):
-# 25 density-block records at dims (4,3,3) (two 18 x 18 blocks), 585
-# packed moment records of three modes (28 entries each), 1,092 of two (15).
+# Entries held at once by a run's stack of records (256 KiB complex, 128
+# KiB real): 25 density-block records at dims (4,3,3) (two 18 x 18
+# blocks), 128 S records at dims (4,4) (two 8 x 8), 585 packed moment
+# records of three modes (28 entries each), 1,092 of two (15).
 _MONITOR_BLOCK = 2**14
 
-# Most rows of the real matrix an exact-path interval map may be built as.
-# A record is then one OpenBLAS dgemv, which stays on one thread up to
-# here: 20,000 products after a 1 s settle ran at cpu/wall 1.00 at 128,
-# 256 and 512 rows, and at 1.91 at 768 (2 CPUs).  The complex zgemv of
-# the same map wakes the second thread from 64 x 64 up (1.93).
+# Most rows of the real matrix an exact-path interval map may be built
+# as: the real entries of flat X (128 for the S form at dims (4,4), 2,048
+# at (8,8)).  A record is then one OpenBLAS dgemv, which stays on one
+# thread up to here: 20,000 products after a 1 s settle ran at cpu/wall
+# 1.00 at 128, 256 and 512 rows, and at 1.91 at 768 (2 CPUs).
 _DENSE_MAP_ROWS = 512
 
 # Largest error estimate a step may have, relative to max(1, max |X|).
@@ -152,35 +155,35 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
     """Propagate a state X over ``n_steps`` steps of ``dt``, monitoring every record.
 
     X is a Hermitian matrix or a stack of them (the Fock engine's density
-    blocks), re-Hermitized after every step or interval map, or a vector:
-    the packed upper triangle of a symmetric matrix (the Gaussian engine's
-    moments), symmetric by construction and never projected.  The
-    caller's array is never written to.
+    blocks on the time-dependent path), re-Hermitized after every step, or
+    a real vector that needs no projection: the packed upper triangle of a
+    symmetric matrix (the Gaussian engine's moments), or the flat real form
+    S = Re rho + Im rho of Hermitian blocks (the Fock engine's exact path),
+    where every real S is a Hermitian rho.  The caller's array is never
+    written to.
 
     X is recorded at t = 0, at every ``stride`` steps and at ``n_steps``.
-    With a constant ``generator`` L of flat X (a square CSR or dense
+    With a constant ``generator`` L of flat X (a square real CSR or dense
     matrix), X jumps exactly from record to record by exp(L h), one map
-    per interval length h; otherwise :func:`dopri5` steps it with the
-    engine's ``operators`` and ``stage``.
+    per interval length h; this exact path takes a real X only, and a
+    complex one raises ``ValueError``.  Otherwise :func:`dopri5` steps X
+    with the engine's ``operators`` and ``stage``.
 
     An interval length takes the dense increment K = exp(L h) - I
-    (:func:`exponential_increment`) when its real form has at most
-    ``_DENSE_MAP_ROWS`` rows and either L is dense or the length serves at
-    least as many records as flat X has entries (``n_steps // stride``
+    (:func:`exponential_increment`) when flat X has at most
+    ``_DENSE_MAP_ROWS`` entries and either L is dense or the length serves
+    at least as many records as flat X has entries (``n_steps // stride``
     records for the stride, 1 for a shorter last interval): building K
     from a sparse L then costs no more than the records it serves, and K
     of a dense L takes a few dozen products even over a long interval,
-    where the Taylor sum on X takes hundreds.  K is
-    applied as X + K X, one product on the real view of X (its
-    interleaved real form for a complex X, so no complex BLAS product is
-    made), and is counted in ``dense_maps``.  Any other length takes the
-    Taylor sum on flat X (:func:`exponential_map`).
+    where the Taylor sum on X takes hundreds.  K is applied as X + K X,
+    one real matrix-vector product, and is counted in ``dense_maps``.  Any
+    other length takes the Taylor sum on flat X (:func:`exponential_map`).
 
     The records are copied into a stack of ``_MONITOR_BLOCK`` entries (at
     least one record), and ``monitor(ts, xs)`` runs over each full stack
     and over the rest at the end, returning its columns by name.  A stack
-    of matrix records is re-Hermitized in one call first (a no-op, bit for
-    bit, on the exact path's records, which are projected already).  That
+    of matrix records is re-Hermitized in one call first.  That
     last flush runs before any exception of the run propagates, so a
     monitor abort on an earlier record wins over a later kernel error; a
     run may propagate up to one stack past the record that aborts it.
@@ -189,6 +192,9 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
     record times as ``t``, the final X, and the :class:`RunStats` of the
     run.
     """
+    if generator is not None and np.iscomplexobj(x):
+        raise ValueError("the exact path of a constant generator needs a real state; "
+                         "carry Hermitian blocks as S = Re rho + Im rho")
     matrix = x.ndim > 1
     ts = np.empty(max(1, _MONITOR_BLOCK // x.size))
     xs = np.empty(ts.shape + x.shape, x.dtype)
@@ -221,22 +227,18 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
         if generator is None:
             x, stats = dopri5(operators, stage, x, n_steps, dt, stride, record)
         else:
-            complex_x = np.iscomplexobj(x)
-            fits = x.size * (2 if complex_x else 1) <= _DENSE_MAP_ROWS
             step = 0
             while step < n_steps:
                 width = min(stride, n_steps - step)
                 if width not in maps:
                     served = n_steps // stride if width == stride else 1
-                    if fits and (isinstance(generator, np.ndarray) or served >= x.size):
+                    if x.size <= _DENSE_MAP_ROWS and (isinstance(generator, np.ndarray) or served >= x.size):
                         K = exponential_increment(generator * (width * dt))
-                        maps[width] = _increment_map(_real_form(K) if complex_x else K)
+                        maps[width] = lambda v, K=K: np.dot(K, v) + v
                         dense_maps += 1
                     else:
                         maps[width] = exponential_map(generator * (width * dt))
                 x = maps[width](x.reshape(-1)).reshape(x.shape)
-                if matrix:
-                    _hermitize(x)
                 step += width
                 record(step * dt, x)
     finally:
@@ -245,35 +247,10 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
     return columns, x, replace(stats, records=columns["t"].size, dense_maps=dense_maps)
 
 
-def _increment_map(K: np.ndarray):
-    """The map v -> v + K v of a real ``K``, as one product on the real view of v."""
-    def apply(v):
-        flat = v.view(K.dtype)
-        mapped = np.dot(K, flat)
-        mapped += flat
-        return mapped.view(v.dtype)
-    return apply
-
-
 def _hermitize(x: np.ndarray) -> None:
     """Replace a matrix, or each of a stack of matrices, by its Hermitian part, in place."""
     np.add(x, x.conj().swapaxes(-1, -2), out=x)
     x *= 0.5
-
-
-def _real_form(M: np.ndarray) -> np.ndarray:
-    """The real matrix of a complex ``M`` on interleaved (real, imaginary) vectors.
-
-    ``_real_form(M) @ v.view(float)`` is ``(M @ v).view(float)`` for a
-    complex vector v: each entry m of M becomes the block [[Re m, -Im m],
-    [Im m, Re m]].
-    """
-    rows, cols = M.shape
-    out = np.empty((rows, 2, cols, 2))
-    out[:, 0, :, 0] = out[:, 1, :, 1] = M.real
-    out[:, 1, :, 0] = M.imag
-    out[:, 0, :, 1] = -M.imag
-    return out.reshape(2 * rows, 2 * cols)
 
 
 def _step_factor(error: float, bound: float) -> float:

@@ -62,6 +62,48 @@ def engine_rhs(gen, t, rho):
     return out
 
 
+def s_coordinates(rho):
+    """Flat S = Re rho + Im rho of a Hermitian block stack."""
+    return (rho.real + rho.imag).reshape(-1)
+
+
+def s_form_superoperator(gen):
+    """The Lindblad superoperator on flat S = Re rho + Im rho, from the complex one.
+
+    An independent route to :meth:`CompiledGenerator.superoperator`: the
+    complex superoperator L on flat rho is the sum of one sparse matrix per
+    part (the Kronecker products kron(D, I) + kron(I, D*) of every drift
+    block D, block-diagonal, then each jump gather), and L_S = Re(L T) +
+    Im(L T), with T the map from flat S to flat rho = (S + S^T)/2 +
+    i (S - S^T)/2.  Returns L_S as a real CSR matrix.
+    """
+    from scipy import sparse
+
+    n_blocks, h, _ = gen.base_drift.shape
+    eye = sparse.identity(h, format="csr")
+    L = sparse.block_diag([sparse.kron(D, eye) + sparse.kron(eye, D.conj())
+                           for D in gen.base_drift]).tocsr()
+    for weight, source in gen._jump_gathers:
+        targets = np.flatnonzero(weight)
+        entries = (weight.reshape(-1)[targets], (targets, source.reshape(-1)[targets]))
+        L += sparse.csr_matrix(entries, shape=L.shape)
+    size = L.shape[0]
+    b, i, j = np.unravel_index(np.arange(size), (n_blocks, h, h))
+    swap = sparse.csr_matrix((np.ones(size), (np.arange(size), np.ravel_multi_index((b, j, i), (n_blocks, h, h)))))
+    one = sparse.identity(size, format="csr")
+    LT = (L @ ((one + swap) * 0.5 + (one - swap) * 0.5j)).tocsr()
+    return (LT.real + LT.imag).tocsr()
+
+
+def checked_superoperator(gen):
+    """``gen.superoperator()``, checked against :func:`s_form_superoperator` to roundoff."""
+    got = gen.superoperator()
+    want = s_form_superoperator(gen)
+    assert got.shape == want.shape and got.dtype == want.dtype == float
+    assert abs(got - want).max() <= 4 * np.finfo(float).eps * abs(want).max()
+    return got
+
+
 def drift_stage(D, state, out):
     """The kernel stage of X' = D X + (D X)^dag on a Hermitian X, with no jumps."""
     tmp = D @ state
@@ -222,8 +264,49 @@ class TestLiouvillian:
             for _ in range(10):
                 rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 rho = gen.pack(rho + rho.conj().T)
-                expected = engine_rhs(gen, 0.0, rho)
-                assert np.abs(superop @ rho.reshape(-1) - expected.reshape(-1)).max() < 1e-14
+                expected = s_coordinates(engine_rhs(gen, 0.0, rho))
+                assert np.abs(superop @ s_coordinates(rho) - expected).max() < 1e-14
+
+    def test_s_form_round_trip(self):
+        # integer entries make every sum and halving exact, so S -> rho -> S
+        # must return S bit for bit, and rho is exactly Hermitian
+        rng = np.random.default_rng(4)
+        S = rng.integers(-2**20, 2**20, size=(3, 2, 5, 5)) * 2.0**-12
+        rho = fock.hermitian_form(S)
+        assert rho.dtype == complex
+        assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+        assert np.array_equal(rho.real, (S + S.swapaxes(-1, -2)) / 2)
+        assert np.array_equal(rho.imag, (S - S.swapaxes(-1, -2)) / 2)
+        back = fock.s_form(rho)
+        assert back.dtype == S.dtype and back.tobytes() == S.tobytes()
+        # on general entries the halvings round, to within an ulp
+        S = rng.normal(size=(3, 2, 5, 5))
+        assert np.abs(fock.s_form(fock.hermitian_form(S)) - S).max() <= np.finfo(float).eps * np.abs(S).max()
+
+    @pytest.mark.parametrize("dims", [(4, 4), (8, 8)])
+    @pytest.mark.parametrize("kappa,thermal", [(0.5, None), (0.5, ((0.01, 0.3), (0.02, 0.1))), (0.0, None)])
+    @pytest.mark.parametrize("one_block", [False, True])
+    def test_superoperator_assembly_matches_the_kron_construction(self, dims, kappa, thermal, one_block):
+        # the assembly must hold the entries of the Kronecker construction
+        # taken to S coordinates (s_form_superoperator) to roundoff (up to
+        # three gathers meet at one entry with thermal baths; worst
+        # measured 0.63 eps of the largest entry), and store exactly the
+        # positions the reference holds above roundoff: no zero (a
+        # lossless drift with frequency shifts has entries
+        # D[i, i] + D*[j, j] that cancel)
+        fr = frame_from_collective(1.0, 0.3, 1.9, kappa, 0.12, 0.08, thermal_baths=thermal)
+        space = FockSpace(dims)
+        blocks = [np.arange(space.total_dim)] if one_block else None
+        gen = compile_generator(effective_generator(fr, include_shifts=True), space, blocks)
+        got = gen.superoperator()
+        want = s_form_superoperator(gen)
+        tol = 4 * np.finfo(float).eps * abs(want).max()
+        assert got.shape == want.shape and got.dtype == want.dtype == float
+        assert abs(got - want).max() <= tol
+        want.data[abs(want.data) <= tol] = 0
+        want.eliminate_zeros()
+        assert np.all(got.data != 0)
+        assert (abs(got).sign() != abs(want).sign()).nnz == 0
 
     @pytest.mark.parametrize("model,dims", [("full", (4, 3, 3)), ("effective", (8, 8))])
     @pytest.mark.parametrize("thermal", [None, ((0.01, 0.3), (0.02, 0.1))])
@@ -258,35 +341,6 @@ class TestLiouvillian:
         for got, want in zip(compiled, dense):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("dims", [(4, 4), (8, 8)])
-    @pytest.mark.parametrize("kappa,thermal", [(0.5, None), (0.5, ((0.01, 0.3), (0.02, 0.1))), (0.0, None)])
-    @pytest.mark.parametrize("one_block", [False, True])
-    def test_superoperator_assembly_matches_the_kron_construction(self, dims, kappa, thermal, one_block):
-        # the reference adds one sparse matrix per part: the Kronecker
-        # products of every drift block, block-diagonal, then each jump
-        # gather.  The assembly must hold the same entries, summed in the
-        # same order (up to three gathers meet at one entry with thermal
-        # baths), and store the same nonzeros (a lossless drift with
-        # frequency shifts has entries D[i, i] + D*[j, j] that cancel)
-        from scipy import sparse
-
-        fr = frame_from_collective(1.0, 0.3, 1.9, kappa, 0.12, 0.08, thermal_baths=thermal)
-        space = FockSpace(dims)
-        blocks = [np.arange(space.total_dim)] if one_block else None
-        gen = compile_generator(effective_generator(fr, include_shifts=True), space, blocks)
-        eye = sparse.identity(gen.index.shape[1], format="csr")
-        want = sparse.block_diag([sparse.kron(D, eye) + sparse.kron(eye, D.conj())
-                                  for D in gen.base_drift]).tocsr()
-        for weight, source in gen._jump_gathers:
-            targets = np.flatnonzero(weight)
-            entries = (weight.reshape(-1)[targets], (targets, source.reshape(-1)[targets]))
-            want += sparse.csr_matrix(entries, shape=want.shape)
-        got = gen.superoperator()
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.array_equal(got.toarray(), want.toarray())
-        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
-        assert got.data.tobytes() == want.data.tobytes()
 
     def test_superoperator_rejects_time_dependent_generator(self):
         gen = compile_generator(FullLinearized(desk_frame()), FockSpace((2, 2, 2)))
@@ -334,15 +388,26 @@ class TestIntegrate:
     @pytest.mark.parametrize("exact", [False, True])
     def test_run_leaves_the_callers_state_alone(self, exact):
         # the time-dependent path once stepped in place on the caller's
-        # contiguous array and left the final state in it
-        D = np.diag([-1j - 0.5, -0.2])
-        x = np.full((2, 2), 0.5, complex)
+        # contiguous array and left the final state in it; the exact path
+        # takes a real state, here under a real drift
+        D = np.diag([-0.5, -0.2]) if exact else np.diag([-1j - 0.5, -0.2])
+        x = np.full((2, 2), 0.5, float if exact else complex)
         kept = x.copy()
         generator = np.kron(D, np.eye(2)) + np.kron(np.eye(2), D.conj()) if exact else None
         _, final, _ = propagate.run(x, lambda ts, xs: {}, 100, 0.01, 10, generator,
                                     lambda ts: np.array([D] * ts.size), drift_stage)
         assert np.array_equal(x, kept)
         assert np.abs(final - kept).max() > 0.1
+
+    def test_exact_path_needs_a_real_state(self):
+        # the exact path's maps are real: a complex state is refused
+        # before the first record is taken
+        def monitor(ts, xs):
+            raise AssertionError("a record was monitored")
+
+        x = np.full((2, 2), 0.5, complex)
+        with pytest.raises(ValueError, match="exact path of a constant generator needs a real state"):
+            propagate.run(x, monitor, 10, 0.01, 10, -np.eye(4))
 
     def test_single_mode_decay(self):
         spec = EffectiveTwoMode(manual_params({"1": (0.4, 0.0)}), CollectiveMode(1.0, 1.0))
@@ -672,15 +737,15 @@ class TestExponentialMap:
         gen = compile_generator(spec, space)
         # the record interval of a run at dt = 0.01 / f_max and stride 10,
         # and one of 1000 steps, whose 1-norm 223 forces several substeps
-        A = gen.superoperator() * (steps * 0.01 / gen.f_max)
-        rng = np.random.default_rng(5)
-        B = rng.normal(size=(A.shape[0], 3)) + 1j * rng.normal(size=(A.shape[0], 3))
+        A = checked_superoperator(gen) * (steps * 0.01 / gen.f_max)
+        # three S states: real, as the exact path carries them
+        B = np.random.default_rng(5).normal(size=(A.shape[0], 3))
         ref = expm(A.toarray()) @ B
         for block, want in ((B, ref), (B[:, 0], ref[:, 0])):
             got = propagate.exponential_map(A)(block)
             assert got.shape == want.shape
-            # worst measured, relative to max |ref|: 6.4e-16 (10 steps),
-            # 5.2e-15 (1000 steps)
+            # worst measured, relative to max |ref|: 4.2e-16 (10 steps),
+            # 1.2e-14 (1000 steps)
             assert np.abs(got - want).max() <= bound * np.abs(ref).max()
 
     @pytest.mark.parametrize("engine,steps,bound", [("fock", 10, 1e-14), ("fock", 1000, 2e-13),
@@ -691,7 +756,7 @@ class TestExponentialMap:
         spec = effective_generator(self.FRAME)
         if engine == "fock":
             gen = compile_generator(spec, FockSpace((4, 4)))
-            A = gen.superoperator() * (steps * 0.01 / gen.f_max)
+            A = checked_superoperator(gen) * (steps * 0.01 / gen.f_max)
             dense = A.toarray()
         else:
             # a dense A within one substep: summed from 0 without halving
@@ -700,8 +765,8 @@ class TestExponentialMap:
             assert np.abs(A).sum(axis=0).max() <= propagate._TAYLOR_THETA[55]
         want = expm(dense) - np.eye(A.shape[0])
         got = propagate.exponential_increment(A)
-        # worst measured, relative to max |want|: 5.0e-16 (Fock, 10 steps),
-        # 1.3e-14 (Fock, 1000 steps), 5.6e-16 (Gaussian)
+        # worst measured, relative to max |want|: 4.0e-16 (Fock, 10 steps),
+        # 7.9e-15 (Fock, 1000 steps), 5.6e-16 (Gaussian)
         assert np.abs(got - want).max() <= bound * np.abs(want).max()
         assert not propagate.exponential_increment(A * 0).any()
 
@@ -769,9 +834,8 @@ class TestExponentialMap:
 
         # the cases of the two dense-expm tests above, and the zero matrix
         gen = compile_generator(effective_generator(self.FRAME), FockSpace((4, 4)))
-        superop = gen.superoperator()
-        rng = np.random.default_rng(5)
-        B = rng.normal(size=(superop.shape[0], 3)) + 1j * rng.normal(size=(superop.shape[0], 3))
+        superop = checked_superoperator(gen)
+        B = np.random.default_rng(5).normal(size=(superop.shape[0], 3))
         for steps in (10, 1000):
             A = superop * (steps * 0.01 / gen.f_max)
             yield A, B[:, :1]
@@ -797,10 +861,10 @@ class TestExponentialMap:
     def test_sparse_increment_is_never_squared(self):
         # a Fock increment over 1000 steps lies far beyond one substep, yet
         # keeps the substeps of its sparse products, summed from 0: squaring
-        # it would take dense complex BLAS products, which wake a second
-        # thread at this size
+        # it would take dense BLAS products, which wake a second thread at
+        # this size (a 128-row dgemm runs at cpu/wall 1.5 on 2 CPUs)
         gen = compile_generator(effective_generator(self.FRAME), FockSpace((4, 4)))
-        A = gen.superoperator() * (1000 * 0.01 / gen.f_max)
+        A = checked_superoperator(gen) * (1000 * 0.01 / gen.f_max)
         assert abs(A).sum(axis=0).max() > propagate._TAYLOR_THETA[55]
         s, substep = self.plain_stop_rule_substep(A)
         want = np.zeros(A.shape)
@@ -1136,10 +1200,10 @@ class TestDensityBlocks:
                 raise Declined
             return refuse
 
-        # at dims (8, 8) the flat state has 2,048 entries: 2,048 records
-        # would pay for a dense map, but its real form would have 4,096
-        # rows (a 128 MiB matrix), so the run asks for the Taylor map;
-        # neither map is built here
+        # at dims (8, 8) the flat S has 2,048 real entries: 2,048 records
+        # would pay for a dense map, but it would have 2,048 rows, above
+        # _DENSE_MAP_ROWS (a 32 MiB matrix), so the run asks for the
+        # Taylor map; neither map is built here
         built.clear()
         monkeypatch.setattr(propagate, "exponential_map", decline("taylor"))
         monkeypatch.setattr(propagate, "exponential_increment", decline("dense"))
