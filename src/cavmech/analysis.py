@@ -47,7 +47,7 @@ from .gaussian import (
 )
 from .quadratic import effective_generator
 
-FLOAT_FORMAT = "{:.16e}"
+FLOAT_FORMAT = ".16e"  # 17 significant digits: every double written reads back exactly
 
 
 # -- deterministic emission --------------------------------------------------
@@ -61,13 +61,15 @@ class Dataset:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.rows = np.atleast_2d(np.asarray(self.rows, float))
-        if self.rows.size and self.rows.shape[1] != len(self.columns):
+        rows = np.asarray(self.rows, float)
+        # an empty row list is a table with no rows, not one row of no fields
+        self.rows = rows.reshape(0, len(self.columns)) if rows.shape == (0,) else np.atleast_2d(rows)
+        if self.rows.shape[1] != len(self.columns):
             raise ValueError("row width does not match column count")
 
 
 def _fmt(x: float) -> str:
-    return FLOAT_FORMAT.format(float(x))
+    return format(float(x), FLOAT_FORMAT)
 
 
 def render(result: Dataset | dict, fmt: str) -> str:
@@ -77,15 +79,14 @@ def render(result: Dataset | dict, fmt: str) -> str:
         if fmt == "csv":
             lines = [f"# {k} = {v}" for k, v in sorted(result.metadata.items())]
             lines.append(",".join(result.columns))
-            for row in result.rows:
-                lines.append(",".join(_fmt(x) for x in row))
-            return "\n".join(lines) + "\n"
+            row = ",".join(["%" + FLOAT_FORMAT] * len(result.columns)) + "\n"
+            return "\n".join(lines) + "\n" + (row * len(result.rows)) % tuple(result.rows.ravel().tolist())
         if fmt != "json":
             raise ValueError(f"unknown format {fmt!r}")
         result = {
             "metadata": dict(sorted(result.metadata.items())),
             "columns": result.columns,
-            "rows": [[float(_fmt(x)) for x in row] for row in result.rows],
+            "rows": result.rows.tolist(),
         }
     elif fmt != "json":
         raise ValueError(f"a report is written only as json, not {fmt!r}")
@@ -282,16 +283,14 @@ def regime_map(
 
 
 def regime_map_dataset(rmap: RegimeMap, delta_omega_over_omega_bar: float) -> Dataset:
-    rows = []
-    for i, kappa in enumerate(rmap.kappa):
-        for jx, d in enumerate(rmap.delta_bar):
-            rows.append((kappa, d, rmap.xi[i, jx], 1.0 if rmap.xi[i, jx] <= 0.5 else 0.0))
+    xi = rmap.xi.ravel()  # kappa-major, one row per grid point
+    rows = np.column_stack([np.repeat(rmap.kappa, len(rmap.delta_bar)),
+                            np.tile(rmap.delta_bar, len(rmap.kappa)), xi, xi <= 0.5])
     md = base_metadata()
     md["delta_omega_over_omega_bar"] = _fmt(delta_omega_over_omega_bar)
     md["boundary_points"] = "; ".join(f"({_fmt(k)}, {_fmt(d)})" for k, d in rmap.boundary)
     md["label_convention"] = "classical flag 1.0 means xi <= 1/2"
-    return Dataset(columns=["kappa", "delta_bar", "xi", "classical"],
-                   rows=np.array(rows), metadata=md)
+    return Dataset(columns=["kappa", "delta_bar", "xi", "classical"], rows=rows, metadata=md)
 
 
 # -- asymptotic exponent ------------------------------------------------------

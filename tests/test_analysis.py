@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cavmech import analysis, effective, elimination, gaussian
+from cavmech import analysis, cli, effective, elimination, gaussian
 from cavmech.analysis import (
     Dataset,
     SweepGrid,
@@ -351,6 +351,92 @@ class TestEmission:
     def test_row_width_checked(self):
         with pytest.raises(ValueError):
             Dataset(columns=["a"], rows=np.array([[1.0, 2.0]]))
+        # one row of no fields is not an empty table
+        with pytest.raises(ValueError):
+            Dataset(columns=["a", "b"], rows=[[]])
+
+    def test_empty_dataset_renders_header_only(self):
+        # an empty row list once became one row of no fields: a blank CSV
+        # line and "rows": [[]]
+        ds = Dataset(columns=["a", "b"], rows=[])
+        assert ds.rows.shape == (0, 2)
+        assert render(ds, "csv") == "a,b\n"
+        assert json.loads(render(ds, "json"))["rows"] == []
+
+
+def reference_render(columns, rows, metadata, fmt):
+    """``render`` written out value by value, as the reference for its bytes."""
+    if fmt == "csv":
+        lines = [f"# {k} = {v}" for k, v in sorted(metadata.items())] + [",".join(columns)]
+        lines += [",".join("{:.16e}".format(x) for x in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    doc = {
+        "metadata": dict(sorted(metadata.items())),
+        "columns": columns,
+        "rows": [[float(format(x, ".16e")) for x in row] for row in rows],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, math.pi, 1e-7, -2.5]
+
+
+def assert_same_text(got, want):
+    """``got == want``, reporting the first differing line: pytest's own
+    diff of two long texts that differ on every line takes minutes."""
+    pairs = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    first = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
+    assert first is None, f"line {first}: {got.splitlines()[first]!r} != {want.splitlines()[first]!r}"
+    assert len(got) == len(want) and got == want
+
+
+class TestRenderReference:
+    TABLES = {
+        "edge-values": (["a", "b", "c"], [EDGE_VALUES[i:i + 3] for i in range(0, 12, 3)]),
+        "one-column": (["x"], [[v] for v in EDGE_VALUES]),
+        "one-row": (["p", "q"], [[math.nan, -0.0]]),
+        "no-rows": (["a", "b"], []),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_small_tables(self, name, fmt):
+        columns, rows = self.TABLES[name]
+        md = {"version": "x", "note": "a % sign"}
+        assert_same_text(render(Dataset(columns, rows, md), fmt),
+                         reference_render(columns, rows, md, fmt))
+
+    @pytest.mark.parametrize("argv", [["fig1"], ["fig2"], ["entangle", "--t-end", "5"]],
+                             ids=["fig1", "fig2", "entangle"])
+    def test_command_tables(self, argv, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "system.cfg"
+        config.write_text(FAST_CONFIG)
+        captured = []
+        monkeypatch.setattr(cli, "_output", lambda result, args: captured.append(result))
+        extra = ["--config", str(config)] if argv[0] == "entangle" else []
+        assert cli.main(argv + extra) == 0
+        (ds,) = captured
+        rows = ds.rows.tolist()
+        for fmt in ("csv", "json"):
+            assert_same_text(render(ds, fmt), reference_render(ds.columns, rows, ds.metadata, fmt))
+
+    def test_regime_map_rows_match_a_per_point_construction(self):
+        kappa = np.array([0.3, 1.0, 10.0])
+        delta_bar = np.array([-1.0, 0.0, 0.5, 2.0])
+        xi = np.array([[0.1, 0.5, math.nan, 0.7],
+                       [np.nextafter(0.5, 1.0), 0.0, 0.5, math.inf],
+                       [np.nextafter(0.5, 0.0), 3.0, -0.0, 0.49]])
+        rmap = analysis.RegimeMap(delta_bar=delta_bar, kappa=kappa, xi=xi,
+                                  labels=np.where(xi <= 0.5, "classical", "quantum"),
+                                  boundary=[(1.0, 0.25)])
+        expected = [[k, d, xi[i, j], 1.0 if xi[i, j] <= 0.5 else 0.0]
+                    for i, k in enumerate(kappa) for j, d in enumerate(delta_bar)]
+        rows = regime_map_dataset(rmap, 0.1).rows
+        assert rows.shape == (12, 4)
+        np.testing.assert_array_equal(rows, np.array(expected))
+        # xi exactly 1/2 is classical, NaN is not
+        assert rows[1, 3] == 1.0 and rows[2, 3] == 0.0
 
 
 class TestParamsReport:

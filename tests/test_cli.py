@@ -40,7 +40,8 @@ g2       = 0.05
 
 
 # the README example config with its comments, and the SHA-256 of each
-# closed-form output on it as written by the seed code; these outputs stay
+# closed-form output on it as written by the seed code (the two JSON
+# tables as first recorded at commit 7cd4ff1); these outputs stay
 # byte-identical across refactors
 README_CONFIG_COMMENTED = """\
 omega1   = 1.1      # mechanical frequencies
@@ -59,6 +60,8 @@ RECORDED_DIGESTS = {
     "fig1": "b2acfa8fd48d5d06487964a888193712e2d449aa648bcbf280397b17e3244036",
     "fig2": "d284de14c4b40d3c883b88b6b2430e12ad4eab03e3168c9335801436fe0527a5",
     "xi-asymptote": "d5ac4d7b52ba3bcf68f08f96199dcedd74042870c1fc3a83e9d35fc9b03f8aea",
+    "fig1 --format json": "4328e77c902b0af712f2d5d2afdcf0170d395a1556d64386ea44a9535acab699",
+    "fig2 --format json": "1ab7bb7838b7d2b2b348904937c2ae8394f0fbb66655c9c2abd2555dae11c7eb",
 }
 
 
@@ -99,7 +102,7 @@ class TestRecordedOutputs:
         config = tmp_path / "system.cfg"
         config.write_text(README_CONFIG_COMMENTED)
         out = tmp_path / "out"
-        argv = [command] + (["--config", str(config)] if command in ("params", "nulls") else [])
+        argv = command.split() + (["--config", str(config)] if command in ("params", "nulls") else [])
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_DIGESTS[command]
         # without --out the same bytes go to stdout
