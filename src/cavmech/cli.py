@@ -5,6 +5,10 @@ one result, a ``Dataset`` table or a report dict, and hands it to
 ``_output``: ``analysis.emit`` writes it to ``--out``, or ``analysis.render``
 to stdout.  Tables take ``--format csv|json``; reports are JSON only.
 
+``main`` may be called any number of times in one process.  The parser is
+built on the first call and shared by every later one, so nothing may
+mutate it: no ``set_defaults`` or ``add_argument`` after it is built.
+
 Exit codes: 0 on success, 1 when a validation stage fails or a run stops,
 2 on bad input.  All outputs are deterministic for a fixed configuration;
 ``--seed`` and ``--threads`` are accepted for interface stability but
@@ -14,6 +18,7 @@ unused: nothing is stochastic, and every sweep runs in one thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -229,7 +234,9 @@ def _cmd_validate(args) -> int:
     return 0 if report["all_passed"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="cavmech",
         description="Cavity-mediated coupling of two mechanical modes: "

@@ -19,6 +19,12 @@ numeric fields are equal-length 1-D arrays (one entry per parameter draw)
 is enumerated and reduced once, with every coefficient, structure check
 and result an array over the draws.  A frame of scalars gives scalar
 results.
+
+A coefficient depends only on its sign, the modes j and j', the pump k'
+and the inner component, not on the pump k or the quadrature component
+it is paired with.  Each distinct one (32, and their 32 negations) is
+computed once, and the terms that use it share the object.  Shared arrays
+are read-only: to change one term's coefficient, assign a new one to it.
 """
 
 from __future__ import annotations
@@ -55,7 +61,8 @@ def _fneg(a: Freq) -> Freq:
 @dataclass
 class PreRwaTerm:
     """One elementary contribution c * (left rho right); ``c`` is an array
-    over the draws of an array frame."""
+    over the draws of an array frame, read-only and shared with the other
+    terms that have the same coefficient."""
 
     left: tuple[Op, ...]
     right: tuple[Op, ...]
@@ -90,7 +97,8 @@ def build_coefficient_table(frame: FrameParams) -> CoefficientTable:
     of mode, pump, quadrature component, inner component, and operator
     placement is generated (256 terms), then filtered on exact residual
     frequency.  The numeric fields of ``frame`` may be scalars or
-    equal-length 1-D arrays; each coefficient then has their shape.
+    equal-length 1-D arrays; each coefficient then has their shape.  Each
+    distinct coefficient is computed once, before the enumeration.
     """
     if not np.all(frame.kappa > 0):
         raise ValueError("the elimination requires kappa > 0")
@@ -101,6 +109,28 @@ def build_coefficient_table(frame: FrameParams) -> CoefficientTable:
     omega_val = {1: frame.omega_1, 2: frame.omega_2}
     omega_sym: dict[int, Freq] = {1: (0, 1, 1), 2: (0, 1, -1)}
     half_kappa = frame.kappa / 2
+
+    def shared(c):
+        """``(c, -c)``, read-only if arrays: the terms that use either share it."""
+        pair = (c, -c)
+        for a in pair:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        return pair
+
+    # (M, b^dag), (M, b), (Md, b), (Md, b^dag) coefficients of (j, j2, k2)
+    coefficients = {}
+    for j in (1, 2):
+        for j2 in (1, 2):
+            for k2 in (1, 2):
+                plus_val = delta_val[k2] + omega_val[j2]
+                minus_val = delta_val[k2] - omega_val[j2]
+                coefficients[j, j2, k2] = (
+                    shared(-G[j] * G[j2] / (half_kappa + 1j * plus_val)),
+                    shared(-G[j] * G[j2] / (half_kappa + 1j * minus_val)),
+                    shared(G[j] * G[j2] / (half_kappa - 1j * plus_val)),
+                    shared(G[j] * G[j2] / (half_kappa - 1j * minus_val)),
+                )
 
     table = CoefficientTable(frame=frame)
 
@@ -119,30 +149,27 @@ def build_coefficient_table(frame: FrameParams) -> CoefficientTable:
                 for k2 in (1, 2):
                     nu_plus = _fadd(delta_sym[k2], omega_sym[j2])
                     nu_minus = _fadd(delta_sym[k2], _fneg(omega_sym[j2]))
-                    plus_val = delta_val[k2] + omega_val[j2]
-                    minus_val = delta_val[k2] - omega_val[j2]
+                    m_plus, m_minus, md_plus, md_minus = coefficients[j, j2, k2]
                     # inner components of the stationary coherence and its dagger
                     inner_m = (
-                        ((j2, True), nu_plus, half_kappa + 1j * plus_val),
-                        ((j2, False), nu_minus, half_kappa + 1j * minus_val),
+                        ((j2, True), nu_plus, m_plus),
+                        ((j2, False), nu_minus, m_minus),
                     )
                     inner_mdag = (
-                        ((j2, False), _fneg(nu_plus), half_kappa - 1j * plus_val),
-                        ((j2, True), _fneg(nu_minus), half_kappa - 1j * minus_val),
+                        ((j2, False), _fneg(nu_plus), md_plus),
+                        ((j2, True), _fneg(nu_minus), md_minus),
                     )
                     for x_op, x_freq in x_components:
-                        for in_op, in_freq, denom in inner_m:
-                            c = -G[j] * G[j2] / denom
+                        for in_op, in_freq, (c, neg_c) in inner_m:
                             freq = _fadd(_fadd(_fneg(delta_sym[k]), x_freq), in_freq)
                             tag = f"j{j}k{k}:X{'+' if x_op[1] else '-'}.M(j{j2}k{k2})"
                             emit([x_op, in_op], [], c, freq, tag + ":XM", single)
-                            emit([in_op], [x_op], -c, freq, tag + ":MX", single)
-                        for in_op, in_freq, denom in inner_mdag:
-                            c = G[j] * G[j2] / denom
+                            emit([in_op], [x_op], neg_c, freq, tag + ":MX", single)
+                        for in_op, in_freq, (c, neg_c) in inner_mdag:
                             freq = _fadd(_fadd(delta_sym[k], x_freq), in_freq)
                             tag = f"j{j}k{k}:X{'+' if x_op[1] else '-'}.Md(j{j2}k{k2})"
                             emit([x_op], [in_op], c, freq, tag + ":XMd", single)
-                            emit([], [in_op, x_op], -c, freq, tag + ":MdX", single)
+                            emit([], [in_op, x_op], neg_c, freq, tag + ":MdX", single)
     return table
 
 

@@ -8,6 +8,15 @@ from cavmech.gaussian import drift_diffusion_from_generator, evolve_covariance, 
 from cavmech.quadratic import FullLinearized, quadratic_model
 
 
+def assert_same_text(got, want):
+    """``got == want``, reporting the first differing line: pytest's own
+    diff of two long texts that differ on every line takes minutes."""
+    pairs = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    first = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
+    assert first is None, f"line {first}: {got.splitlines()[first]!r} != {want.splitlines()[first]!r}"
+    assert len(got) == len(want) and got == want
+
+
 def desk_scale_frame():
     """The standard validation point used across the dynamical tests."""
     return frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05)

@@ -22,6 +22,7 @@ from cavmech.analysis import (
 )
 from cavmech.effective import effective_params
 from cavmech.model import ConfigError, frame_from_collective, parse_config_text
+from conftest import assert_same_text
 
 FAST_CONFIG = """
 omega1 = 1.1
@@ -99,7 +100,7 @@ class TestRegimeMap:
         assert a.boundary == b.boundary
         da = render(regime_map_dataset(a, 0.1), "csv")
         db = render(regime_map_dataset(b, 0.1), "csv")
-        assert da == db
+        assert_same_text(da, db)
 
     def test_xi_matches_effective_params(self):
         # the map takes J in its pathway form, effective_params in its
@@ -380,15 +381,6 @@ def reference_render(columns, rows, metadata, fmt):
 
 EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
                1.7976931348623157e308, -1.7976931348623157e308, math.pi, 1e-7, -2.5]
-
-
-def assert_same_text(got, want):
-    """``got == want``, reporting the first differing line: pytest's own
-    diff of two long texts that differ on every line takes minutes."""
-    pairs = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
-    first = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
-    assert first is None, f"line {first}: {got.splitlines()[first]!r} != {want.splitlines()[first]!r}"
-    assert len(got) == len(want) and got == want
 
 
 class TestRenderReference:

@@ -13,6 +13,7 @@ import pytest
 from cavmech import cli, propagate
 from cavmech.cli import build_parser, main
 from cavmech.gaussian import PhysicalityError
+from conftest import assert_same_text
 
 CONFIG = """
 omega1 = 1.1
@@ -105,9 +106,38 @@ class TestRecordedOutputs:
         argv = command.split() + (["--config", str(config)] if command in ("params", "nulls") else [])
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_DIGESTS[command]
-        # without --out the same bytes go to stdout
+        # without --out the same bytes go to stdout, through the same parser
         assert main(argv) == 0
-        assert capsys.readouterr().out == out.read_text()
+        assert_same_text(capsys.readouterr().out, out.read_text())
+
+
+class TestRepeatedCalls:
+    """``main`` shares one parser across calls: no call may leave a trace
+    in the next one's defaults."""
+
+    def test_flag_does_not_become_the_next_default(self, tmp_path):
+        out = tmp_path / "fig1.csv"
+        assert main(["fig1", "--kappas", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() != RECORDED_DIGESTS["fig1"]
+        assert main(["fig1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_DIGESTS["fig1"]
+
+    def test_collective_flag_does_not_block_the_next_config(self, tmp_path, capsys):
+        config = tmp_path / "system.cfg"
+        config.write_text(README_CONFIG_COMMENTED)
+        assert main(["nulls", "--kappa", "5"]) == 0
+        assert main(["nulls", "--config", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_rejected_call_leaves_the_parser_usable(self, tmp_path, capsys):
+        config = tmp_path / "system.cfg"
+        config.write_text(README_CONFIG_COMMENTED)
+        out = tmp_path / "params.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["params", "--config", str(config), "--format", "csv"])
+        assert exc.value.code == 2
+        assert main(["params", "--config", str(config), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_DIGESTS["params"]
 
 
 class TestOutputPath:
@@ -180,6 +210,15 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                              check=True, timeout=60)
         assert out.stdout.strip() == "[]"
+
+    def test_module_entry_point_in_a_fresh_interpreter(self, tmp_path):
+        # the __main__ block builds the parser once and runs one command
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = tmp_path / "fig1.csv"
+        subprocess.run([sys.executable, "-m", "cavmech.cli", "fig1", "--out", str(out)], env=env,
+                       capture_output=True, check=True, timeout=60)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_DIGESTS["fig1"]
 
 
 class TestNulls:

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,50 @@ def draws(n, seed):
     return frame(**cols), scalars
 
 
+_TAG = re.compile(r"j(\d)k\d:X[+-]\.(M|Md)\(j(\d)k(\d)\):(XM|MX|XMd|MdX)")
+
+
+def per_term_coefficient(fr, term):
+    """The coefficient of one term, from its tag and inner operator alone."""
+    j, kind, j2, k2, placement = _TAG.fullmatch(term.source).groups()
+    j, j2, k2 = int(j), int(j2), int(k2)
+    inner = term.left[-1] if kind == "M" else term.right[0]
+    assert inner[0] == j2
+    G = {1: fr.G_1, 2: fr.G_2}
+    delta = {1: fr.delta_1, 2: fr.delta_2}[k2]
+    omega = {1: fr.omega_1, 2: fr.omega_2}[j2]
+    # the plus component pairs b^dag with M and b with Md
+    detuning = delta + omega if inner[1] == (kind == "M") else delta - omega
+    if kind == "M":
+        c = -G[j] * G[j2] / (fr.kappa / 2 + 1j * detuning)
+    else:
+        c = G[j] * G[j2] / (fr.kappa / 2 - 1j * detuning)
+    return c if placement in ("XM", "XMd") else -c
+
+
+class TestSharedCoefficients:
+    @pytest.mark.parametrize("array", [True, False])
+    def test_every_coefficient_is_its_own_formula(self, array):
+        fr = draws(40, 37)[0] if array else frame()
+        table = build_coefficient_table(fr)
+        terms = table.resonant_terms + table.dropped_terms
+        assert len(terms) == 256
+        for term in terms:
+            want = per_term_coefficient(fr, term)
+            assert np.shape(term.coefficient) == np.shape(want)
+            assert np.asarray(term.coefficient).tobytes() == np.asarray(want).tobytes(), term.source
+
+    def test_shared_coefficients_are_read_only(self):
+        table = build_coefficient_table(draws(20, 31)[0])
+        terms = table.resonant_terms + table.dropped_terms
+        assert len({id(t.coefficient) for t in terms}) == 64
+        before = [t.coefficient.copy() for t in terms]
+        for term in terms:
+            with pytest.raises(ValueError, match="read-only"):
+                term.coefficient[0] *= 2.0
+        assert all(np.array_equal(t.coefficient, b) for t, b in zip(terms, before))
+
+
 class TestArrayFrames:
     def test_array_table_reduces_like_scalar_tables(self):
         array_frame, scalar_frames = draws(50, 29)
@@ -180,7 +225,9 @@ class TestArrayFrames:
                                                       ("single_mode_terms", 0, 1.5)])
     def test_corrupted_draw_is_named(self, terms, index, factor):
         table = build_coefficient_table(draws(20, 31)[0])
-        getattr(table, terms)[index].coefficient[13] *= factor
+        term = getattr(table, terms)[index]
+        term.coefficient = term.coefficient.copy()   # the table's own array is shared, read-only
+        term.coefficient[13] *= factor
         with pytest.raises(StructureError, match=r"at draws \[13\] \(1 of 20\)"):
             reduce_to_effective(table)
 
