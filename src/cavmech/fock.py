@@ -419,10 +419,14 @@ def integrate(
     blocks (:func:`s_form`, taken of the Hermitian part of ``rho0``): every
     real S is a Hermitian state, so it is never projected, and each stack
     of records is turned back into Hermitian blocks for the monitors
-    (:func:`hermitian_form`).  For a time-dependent generator, its drift
-    blocks at the stage times and :meth:`CompiledGenerator.stage`.  The
-    returned trajectory's ``stats`` say how (``dense_maps`` counts the
-    dense increments).
+    (:func:`hermitian_form`), Hermitian bitwise, so their Hermiticity
+    defect is 0 and is not computed.  The driver carries only the entries
+    of S the flow reaches from ``rho0``: every term of the effective model
+    conserves N - N', so from a Fock state those with N = N' (44 of 128 at
+    dims (4,4)).  For a time-dependent generator, its drift blocks at the
+    stage times and :meth:`CompiledGenerator.stage`.  The returned
+    trajectory's ``stats`` say how (``dense_maps`` counts the dense
+    increments, ``carried`` the entries carried).
     Trace drift is compensated in the reported expectations only, never
     in the state.  Aborts when the top Fock level of any subsystem passes
     ``truncation_tol``; the error names the first such record.
@@ -449,13 +453,23 @@ def integrate(
 
     ghosts = (slice(None),) + gen.ghosts + gen.ghosts[1:]
 
-    def structure(rhos):
-        """Real diagonal, Hermiticity defect and smallest eigenvalue of a (records, blocks, h, h) stack."""
+    def structure(rhos, hermitian=False):
+        """Real diagonal, Hermiticity defect and smallest eigenvalue of a (records, blocks, h, h) stack.
+
+        A ``hermitian`` stack (:func:`hermitian_form` of the exact path's
+        records) is Hermitian bitwise: its defect is 0 and its Hermitian
+        part is itself, so neither is computed.
+        """
         diag = rhos.diagonal(0, -2, -1).real
-        sym = rhos.conj().swapaxes(-1, -2)
-        herm_dev = np.abs(rhos - sym).max((-3, -2, -1))
-        sym += rhos
-        sym /= 2
+        if hermitian:
+            herm_dev = np.zeros(len(rhos))
+            # the ghosts are set below on a copy: diag is a view of rhos
+            sym = rhos.copy() if gen.ghosts[0].size else rhos
+        else:
+            sym = rhos.conj().swapaxes(-1, -2)
+            herm_dev = np.abs(rhos - sym).max((-3, -2, -1))
+            sym += rhos
+            sym /= 2
         # a ghost's eigenvalue is its diagonal entry: give it one that is
         # never below the smallest eigenvalue of the blocks
         sym[ghosts] = diag.max((-2, -1))[:, None]
@@ -478,9 +492,9 @@ def integrate(
     names = [name for name, op in gen.observables.items() if op is not None]
     observables = np.array([gen.observables[name].swapaxes(-1, -2).reshape(-1) for name in names]).T
 
-    def monitor(ts, rhos):
+    def monitor(ts, rhos, hermitian=False):
         """The monitors of a (records, blocks, h, h) stack of states."""
-        diag, herm_dev, min_eig = structure(rhos)
+        diag, herm_dev, min_eig = structure(rhos, hermitian)
         tr = diag.sum((-2, -1))
         # the boolean gather comes out column-major; each contiguous row
         # then sums in the order one record's gather did
@@ -504,7 +518,7 @@ def integrate(
         records, rho, stats = run(rho, monitor, n_steps, dt, stride, None, gen.drift, gen.stage)
     else:
         records, S, stats = run(s_form(rho).reshape(-1),
-                                lambda ts, Ss: monitor(ts, hermitian_form(Ss.reshape(ts.shape + rho.shape))),
+                                lambda ts, Ss: monitor(ts, hermitian_form(Ss.reshape(ts.shape + rho.shape)), True),
                                 n_steps, dt, stride, gen.superoperator())
         rho = hermitian_form(S.reshape(rho.shape))
     return Trajectory(

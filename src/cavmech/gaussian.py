@@ -306,12 +306,14 @@ def evolve_covariance(
     out by :func:`cavmech.propagate.run` with L =
     :meth:`DriftDiffusion.superoperator`: for a constant drift, L itself,
     whose dense increment exp(L h) - I the driver takes once per
-    record-interval length h; for a time-dependent one, L at the stage
-    times and a stage that is one product of L with vech(X).  The
-    trajectory's ``stats`` say how.  The uncertainty-bound defect is
-    monitored at every record; a defect beyond ``_PHYSICALITY_TOL``
-    aborts, naming the first such record.  The entanglement columns hold
-    :func:`_log_negativity` of the record stack for two modes, else NaN.
+    record-interval length h, on the entries of vech(X) that L reaches
+    (a zero mean stays 0, so 11 of 15 for two modes); for a
+    time-dependent one, L at the stage times and a stage that is one
+    product of L with vech(X).  The trajectory's ``stats`` say how.  The
+    uncertainty-bound defect is monitored at every record; a defect beyond
+    ``_PHYSICALITY_TOL`` aborts, naming the first such record.  The
+    entanglement columns hold :func:`_log_negativity` of the record stack
+    for two modes, else NaN.
     """
     n_steps = step_count(t_end, dt, stride, dd.f_max)
     n = state0.mean.size

@@ -5,8 +5,9 @@ blocks, the packed upper triangle of the Gaussian engine's augmented
 moment matrix), a monitor over stacks of records, and either the
 generator L of a constant flow or the operator and stage of a
 time-dependent one.  A constant flow runs on a real X: the Fock engine
-then carries its blocks as S = Re rho + Im rho, so the dense-map rule
-counts the real entries of S.  The driver alone maps a
+then carries its blocks as S = Re rho + Im rho.  It carries only the
+coordinates of flat X that L can reach from X (:func:`reachable`), and
+the dense-map rule counts those.  The driver alone maps a
 record interval h by exp(L h): a truncated Taylor series on X
 (:func:`exponential_map`) or the dense increment exp(L h) - I
 (:func:`exponential_increment`); the time-dependent flow is stepped by
@@ -40,7 +41,9 @@ class RunStats:
     largest error estimate of an accepted step; all are 0 on the exact
     path.  ``records`` counts the recorded points on either path,
     ``dense_maps`` the record-interval maps of the exact path that were
-    built as dense matrices (0 on the time-dependent path), and
+    built as dense matrices (0 on the time-dependent path), ``carried``
+    the coordinates of flat X the run propagated (the reachable ones on
+    the exact path, all of them on the time-dependent path), and
     ``blocks`` are the sizes of the diagonal blocks the Fock engine
     carried the density matrix in (empty for the moment engine).
     """
@@ -52,6 +55,7 @@ class RunStats:
     max_error_estimate: float = 0.0
     records: int = 0
     dense_maps: int = 0
+    carried: int = 0
     blocks: tuple[int, ...] = ()
 
 
@@ -98,14 +102,22 @@ _TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
 # Entries held at once by a run's stack of records (256 KiB complex, 128
 # KiB real): 25 density-block records at dims (4,3,3) (two 18 x 18
 # blocks), 128 S records at dims (4,4) (two 8 x 8), 585 packed moment
-# records of three modes (28 entries each), 1,092 of two (15).
+# records of three modes (28 entries each), 1,092 of two (15).  The
+# stack is sized by the full record, also where the exact path carries
+# fewer entries: sized by the 44 entries it carries at (4,4), it would
+# hold 372 records, and the Fock monitors' observables product
+# (records x 128) @ (128 x 4) takes OpenBLAS's threaded path from 256
+# records (cpu/wall 1.01 at 128, 1.95 at 256 on 2 CPUs), which doubled
+# the cpu time of the effective cross-checks.
 _MONITOR_BLOCK = 2**14
 
 # Most rows of the real matrix an exact-path interval map may be built
-# as: the real entries of flat X (128 for the S form at dims (4,4), 2,048
-# at (8,8)).  A record is then one OpenBLAS dgemv, which stays on one
-# thread up to here: 20,000 products after a 1 s settle ran at cpu/wall
-# 1.00 at 128, 256 and 512 rows, and at 1.91 at 768 (2 CPUs).
+# as: the carried entries of flat X.  From a Fock state the effective
+# model reaches only the N = N' entries of S, 44 of its 128 at dims (4,4)
+# and 344 of 2,048 at (8,8); a squeeze term reaches all of them.  A
+# record is then one OpenBLAS dgemv, which stays on one thread up to
+# here: 20,000 products after a 1 s settle ran at cpu/wall 1.00 at 128,
+# 256 and 512 rows, and at 1.91 at 768 (2 CPUs).
 _DENSE_MAP_ROWS = 512
 
 # Largest error estimate a step may have, relative to max(1, max |X|).
@@ -151,6 +163,25 @@ _DP_POLY = np.stack([_E1, 3 * _DP_B - 2 * _E1 - _E7 + _DP_DENSE,
 _DP_POWERS = np.arange(1, 5)
 
 
+def reachable(L, x) -> np.ndarray:
+    """Indices of the coordinates of flat ``x`` that the flow x' = L x can make nonzero.
+
+    The fixed point of reach <- reach | supp(|L| reach), from reach =
+    supp(x), on the stored nonzeros of a square CSR or dense ``L``.  Every
+    other coordinate has no stored entry of L from the reachable ones, so
+    its derivative is 0, in floating point as in exact arithmetic, and it
+    stays exactly 0 under exp(L h).
+    """
+    A = abs(L)
+    reach = x != 0
+    count = np.count_nonzero(reach)
+    while True:
+        reach |= A @ reach != 0
+        count, last = np.count_nonzero(reach), count
+        if count == last:
+            return np.flatnonzero(reach)
+
+
 def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=None):
     """Propagate a state X over ``n_steps`` steps of ``dt``, monitoring every record.
 
@@ -166,24 +197,29 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
     With a constant ``generator`` L of flat X (a square real CSR or dense
     matrix), X jumps exactly from record to record by exp(L h), one map
     per interval length h; this exact path takes a real X only, and a
-    complex one raises ``ValueError``.  Otherwise :func:`dopri5` steps X
-    with the engine's ``operators`` and ``stage``.
+    complex one raises ``ValueError``.  It carries only the coordinates
+    of flat X that L can reach from X (:func:`reachable`), under L
+    restricted to them; the others stay exactly 0, and every record and
+    the final X are whole.  Otherwise :func:`dopri5` steps X with the
+    engine's ``operators`` and ``stage``.
 
     An interval length takes the dense increment K = exp(L h) - I
-    (:func:`exponential_increment`) when flat X has at most
+    (:func:`exponential_increment`) when the run carries at most
     ``_DENSE_MAP_ROWS`` entries and either L is dense or the length serves
-    at least as many records as flat X has entries (``n_steps // stride``
-    records for the stride, 1 for a shorter last interval): building K
-    from a sparse L then costs no more than the records it serves, and K
-    of a dense L takes a few dozen products even over a long interval,
-    where the Taylor sum on X takes hundreds.  K is applied as X + K X,
-    one real matrix-vector product, and is counted in ``dense_maps``.  Any
-    other length takes the Taylor sum on flat X (:func:`exponential_map`).
+    at least as many records as the run carries entries (``n_steps //
+    stride`` records for the stride, 1 for a shorter last interval):
+    building K from a sparse L then costs no more than the records it
+    serves, and K of a dense L takes a few dozen products even over a long
+    interval, where the Taylor sum on X takes hundreds.  K is applied as
+    X + K X, one real matrix-vector product, and is counted in
+    ``dense_maps``.  Any other length takes the Taylor sum on the carried
+    entries (:func:`exponential_map`).
 
-    The records are copied into a stack of ``_MONITOR_BLOCK`` entries (at
-    least one record), and ``monitor(ts, xs)`` runs over each full stack
-    and over the rest at the end, returning its columns by name.  A stack
-    of matrix records is re-Hermitized in one call first.  That
+    The records are copied into a stack of ``_MONITOR_BLOCK`` entries of
+    whole records (at least one record), and ``monitor(ts, xs)`` runs over
+    each full stack and over the rest at the end, returning its columns by
+    name; the stack is the driver's own, and a monitor must not write to
+    it.  A stack of matrix records is re-Hermitized in one call first.  That
     last flush runs before any exception of the run propagates, so a
     monitor abort on an earlier record wins over a later kernel error; a
     run may propagate up to one stack past the record that aborts it.
@@ -196,8 +232,14 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
         raise ValueError("the exact path of a constant generator needs a real state; "
                          "carry Hermitian blocks as S = Re rho + Im rho")
     matrix = x.ndim > 1
+    keep = slice(None) if generator is None else reachable(generator, x.reshape(-1))
+    carried = x.reshape(-1)[keep]
     ts = np.empty(max(1, _MONITOR_BLOCK // x.size))
-    xs = np.empty(ts.shape + x.shape, x.dtype)
+    xs = np.zeros(ts.shape + x.shape, x.dtype)
+    rows = xs.reshape(ts.size, -1)
+    # a record holds the carried entries; on the exact path a flush
+    # scatters them into the whole records, whose other entries stay 0
+    taken = rows if generator is None else np.empty((ts.size, carried.size))
     columns = {"t": []}
     count = 0
 
@@ -205,6 +247,8 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
         nonlocal count
         k, count = count, 0
         if k:
+            if taken is not rows:
+                rows[:k, keep] = taken[:k]
             if matrix:
                 _hermitize(xs[:k])
             for name, values in monitor(ts[:k], xs[:k]).items():
@@ -214,37 +258,42 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
     def record(t, state):
         nonlocal count
         ts[count] = t
-        xs[count] = state
+        taken[count] = state.reshape(-1)
         count += 1
         if count == ts.size:
             flush()
 
     stats = RunStats()
-    maps = {}  # interval length -> map of flat X
+    maps = {}  # interval length -> map of the carried entries
     dense_maps = 0
     try:
-        record(0.0, x)
+        record(0.0, carried)
         if generator is None:
             x, stats = dopri5(operators, stage, x, n_steps, dt, stride, record)
         else:
+            L = generator[np.ix_(keep, keep)]
+            v = carried
             step = 0
             while step < n_steps:
                 width = min(stride, n_steps - step)
                 if width not in maps:
                     served = n_steps // stride if width == stride else 1
-                    if x.size <= _DENSE_MAP_ROWS and (isinstance(generator, np.ndarray) or served >= x.size):
-                        K = exponential_increment(generator * (width * dt))
+                    if v.size <= _DENSE_MAP_ROWS and (isinstance(L, np.ndarray) or served >= v.size):
+                        K = exponential_increment(L * (width * dt))
                         maps[width] = lambda v, K=K: np.dot(K, v) + v
                         dense_maps += 1
                     else:
-                        maps[width] = exponential_map(generator * (width * dt))
-                x = maps[width](x.reshape(-1)).reshape(x.shape)
+                        maps[width] = exponential_map(L * (width * dt))
+                v = maps[width](v)
                 step += width
-                record(step * dt, x)
+                record(step * dt, v)
+            x = np.zeros(x.shape)
+            x.reshape(-1)[keep] = v
     finally:
         flush()
     columns = {name: np.concatenate(parts) for name, parts in columns.items()}
-    return columns, x, replace(stats, records=columns["t"].size, dense_maps=dense_maps)
+    return columns, x, replace(stats, records=columns["t"].size, dense_maps=dense_maps,
+                                   carried=carried.size)
 
 
 def _hermitize(x: np.ndarray) -> None:

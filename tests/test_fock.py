@@ -19,7 +19,7 @@ from cavmech.fock import (
     integrate,
 )
 from cavmech.propagate import dopri5
-from cavmech.quadratic import EffectiveTwoMode, FullLinearized, effective_generator, quadratic_model
+from cavmech.quadratic import EffectiveTwoMode, FullLinearized, QuadraticModel, effective_generator, quadratic_model
 
 
 def desk_frame():
@@ -360,8 +360,12 @@ class TestIntegrate:
         # 157 steps: seven full record intervals and a final 17-step one
         assert list(traj.t) == [s * dt for s in range(0, 157, 20)] + [157 * dt]
         assert traj.final_state.time == 157 * dt
-        # the exact path takes no steps; the stats count its records
-        assert traj.stats == propagate.RunStats(records=9, blocks=(5, 4))
+        # the exact path takes no steps; the stats count its records.  A
+        # lossless exchange keeps the one excitation, so the run carries the
+        # 4 entries of S in that sector: the seven 20-step intervals pay for
+        # a dense increment, the final 17-step one serves one record and
+        # takes the Taylor map
+        assert traj.stats == propagate.RunStats(records=9, dense_maps=1, carried=4, blocks=(5, 4))
         assert np.abs(traj.n2 - np.sin(J * traj.t) ** 2).max() < 1e-8
         assert traj.n2[-1] == pytest.approx(1.0, abs=1e-6)
 
@@ -1092,6 +1096,121 @@ def warm_frame():
     return frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1, thermal_baths=((0.01, 0.3), (0.02, 0.1)))
 
 
+def squeeze_model():
+    """Two modes with number, exchange and squeeze terms and a lowering jump on
+    mode 1: from a Fock state the flow reaches every entry of both parity blocks."""
+    return QuadraticModel(2, ((0.3, 0, 0, False), (0.2, 1, 1, False), (0.1, 0, 1, False), (0.05, 0, 1, True)),
+                          (), ((((0, 1.0),), False, 0.1),))
+
+
+def excitation_sides(gen):
+    """The total excitation number N of the row and N' of the column of every
+    entry of the block stack of ``gen``, -1 on a ghost."""
+    N = np.append(fock._occupation_numbers(gen.space).sum(axis=0), -1)[gen.index]
+    return np.broadcast_arrays(N[:, :, None], N[:, None, :])
+
+
+class TestReachability:
+    """The exact path carries only the coordinates of flat S the flow can reach."""
+
+    @staticmethod
+    def problem(spec, dims):
+        space = FockSpace(dims)
+        gen = compile_generator(spec, space)
+        return gen, gen.superoperator(), fock.s_form(gen.pack(fock_state(space, (1, 0)))).reshape(-1)
+
+    @pytest.mark.parametrize("dims, carried", [((3, 3), 19), ((4, 4), 44), ((8, 8), 344)])
+    def test_effective_model_carries_its_sector(self, dims, carried):
+        # every term of the effective model conserves N - N', so from |1, 0>
+        # the flow reaches exactly the entries of S with N = N'
+        spec = effective_generator(frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08))
+        gen, L, s0 = self.problem(spec, dims)
+        N, N_ = excitation_sides(gen)
+        assert np.array_equal(propagate.reachable(L, s0), np.flatnonzero((N == N_) & (N >= 0)))
+        space, dt = gen.space, 0.01 / gen.f_max
+        traj = integrate(spec, space, fock_state(space, (1, 0)), 10 * dt, dt, stride=5, truncation_tol=0.5)
+        assert traj.stats.carried == carried
+
+    @pytest.mark.parametrize("dims, carried", [((3, 3), 41), ((4, 4), 128), ((8, 8), 2048)])
+    def test_squeeze_term_carries_whole_blocks(self, dims, carried):
+        # every real entry of both blocks; the ghosts at (3, 3) (blocks of 5
+        # and 4 rows) stay out
+        gen, L, s0 = self.problem(squeeze_model(), dims)
+        N, N_ = excitation_sides(gen)
+        keep = propagate.reachable(L, s0)
+        assert keep.size == carried
+        assert np.array_equal(keep, np.flatnonzero((N >= 0) & (N_ >= 0)))
+
+    @pytest.mark.parametrize("stride", [3, 20])
+    def test_carrying_every_coordinate_gives_the_same_records(self, monkeypatch, stride):
+        # stride 3 serves 133 records by the dense increment, stride 20 its
+        # 20 records by the Taylor map, with 44 entries carried and with all
+        # 128
+        fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08,
+                                   thermal_baths=((0.01, 0.3), (0.02, 0.1)))
+        spec, space = effective_generator(fr, include_shifts=True), FockSpace((4, 4))
+        dt = 0.01 / compile_generator(spec, space).f_max
+
+        def run():
+            return integrate(spec, space, fock_state(space, (1, 0)), 400 * dt, dt, stride=stride,
+                             truncation_tol=0.5)
+
+        carried = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(propagate, "reachable", lambda L, x: np.arange(x.size))
+            whole = run()
+        assert (carried.stats.carried, whole.stats.carried) == (44, 128)
+        assert carried.stats.dense_maps == whole.stats.dense_maps == int(stride == 3)
+        assert np.array_equal(carried.t, whole.t)
+        for field in RECORD_FIELDS:
+            if field != "n_cav":
+                assert np.abs(getattr(carried, field) - getattr(whole, field)).max() <= 1e-15, field
+        assert np.abs(carried.final_state.matrix - whole.final_state.matrix).max() <= 1e-15
+
+    @pytest.mark.parametrize("whole", [False, True])
+    @pytest.mark.parametrize("stride", [3, 20])
+    def test_unreached_coordinates_stay_exactly_zero(self, monkeypatch, whole, stride):
+        # in every record and in the final S, also when the run carries every
+        # coordinate: no stored entry of L leads out of the reachable set, so
+        # the others have derivative 0 in floating point too
+        spec = effective_generator(frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08))
+        gen, L, s0 = self.problem(spec, (4, 4))
+        keep = propagate.reachable(L, s0)
+        out = np.setdiff1d(np.arange(s0.size), keep)
+        if whole:
+            monkeypatch.setattr(propagate, "reachable", lambda L, x: np.arange(x.size))
+        stacks = []
+        _, final, stats = propagate.run(s0, lambda ts, xs: stacks.append(xs.copy()) or {}, 400,
+                                        0.01 / gen.f_max, stride, L)
+        assert stats.carried == (128 if whole else 44)
+        records = np.concatenate(stacks)
+        assert records.shape == (stats.records, 128)
+        assert not records[:, out].any() and not final[out].any()
+        assert np.count_nonzero(final[keep]) > 30
+
+    def test_monitor_stacks_hold_whole_records(self, monkeypatch):
+        # the run carries 44 of the 128 entries of S at (4, 4), and its
+        # monitor stacks still hold _MONITOR_BLOCK // 128 records: 372 (by
+        # the 44) would put the monitors' observables product on OpenBLAS's
+        # threaded path
+        sizes = []
+
+        def spy(x, monitor, *args):
+            def counted(ts, xs):
+                sizes.append(ts.size)
+                return monitor(ts, xs)
+            return propagate.run(x, counted, *args)
+
+        monkeypatch.setattr(fock, "run", spy)
+        spec = effective_generator(frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08))
+        space = FockSpace((4, 4))
+        dt = 0.01 / compile_generator(spec, space).f_max
+        traj = integrate(spec, space, fock_state(space, (1, 0)), 400 * dt, dt, stride=1, truncation_tol=0.5)
+        assert traj.stats.carried == 44
+        assert propagate._MONITOR_BLOCK // 128 == 128
+        assert sizes == [128, 128, 128, 17]
+
+
 class TestDensityBlocks:
     @pytest.mark.parametrize("dims,sizes", [
         ((4, 3, 3), (18, 18)), ((3, 3, 3), (14, 13)), ((3, 3), (5, 4)), ((4, 4), (8, 8)),
@@ -1120,6 +1239,8 @@ class TestDensityBlocks:
         dt = 0.01 / compile_generator(spec, space).f_max
         traj = integrate(spec, space, rho0, 200 * dt, dt, stride=7, truncation_tol=0.05)
         assert traj.stats.blocks == {(4, 3, 3): (18, 18), (3, 3, 3): (14, 13)}[dims]
+        # the time-dependent path carries every entry of the block stack
+        assert traj.stats.carried == 2 * max(traj.stats.blocks) ** 2
         ref, final = dense_reference(spec, space, rho0, 200 * dt, dt, 7)
         assert np.array_equal(traj.t, ref["t"])
         for field in RECORD_FIELDS:
@@ -1135,6 +1256,8 @@ class TestDensityBlocks:
         dt = 0.01 / compile_generator(spec, space).f_max
         traj = integrate(spec, space, rho0, 400 * dt, dt, stride=20, truncation_tol=0.5)
         assert traj.stats.blocks == {(3, 3): (5, 4), (4, 4): (8, 8)}[dims]
+        # the records come from hermitian_form, Hermitian bitwise
+        assert not traj.herm_dev.any()
         ref, final = dense_reference(spec, space, rho0, 400 * dt, dt, 20)
         assert np.array_equal(traj.t, ref["t"])
         for field in RECORD_FIELDS:
@@ -1175,14 +1298,16 @@ class TestDensityBlocks:
         spec = effective_generator(fr)
         space = FockSpace((4, 4))
         dt = 0.01 / compile_generator(spec, space).f_max
-        # 133 records of 3 steps take the dense increment; the last
-        # interval of 1 step serves one record and keeps the Taylor map
+        # 133 records of 3 steps pay for the dense increment of the 44
+        # entries the run carries; the last interval of 1 step serves one
+        # record and keeps the Taylor map
         traj = integrate(spec, space, fock_state(space, (1, 0)), 400 * dt, dt, stride=3, truncation_tol=0.5)
         assert built == ["dense", "taylor"]
-        assert traj.stats.dense_maps == 1
+        assert (traj.stats.dense_maps, traj.stats.carried) == (1, 44)
 
         # the Gaussian long run: one interval serves one record, but the
-        # moment superoperator is dense, so its 25-row increment is taken
+        # moment superoperator is dense, so its increment on the 11
+        # carried entries is taken
         built.clear()
         dd = gaussian.drift_diffusion_from_generator(spec)
         relax = -np.linalg.eigvals(dd.drift).real.max()
@@ -1200,17 +1325,27 @@ class TestDensityBlocks:
                 raise Declined
             return refuse
 
-        # at dims (8, 8) the flat S has 2,048 real entries: 2,048 records
-        # would pay for a dense map, but it would have 2,048 rows, above
-        # _DENSE_MAP_ROWS (a 32 MiB matrix), so the run asks for the
-        # Taylor map; neither map is built here
-        built.clear()
+        # neither map is built from here on
         monkeypatch.setattr(propagate, "exponential_map", decline("taylor"))
         monkeypatch.setattr(propagate, "exponential_increment", decline("dense"))
+
+        def first_map(spec, space, n_steps):
+            built.clear()
+            dt = 0.01 / quadratic_model(spec).f_max
+            with pytest.raises(Declined):
+                integrate(spec, space, fock_state(space, (1, 0)), n_steps * dt, dt, stride=1,
+                          truncation_tol=0.5)
+            return built
+
+        # at dims (8, 8) the run carries 344 of the 2,048 entries of S, below
+        # _DENSE_MAP_ROWS: 344 records pay for the dense map, 343 do not
         space = FockSpace((8, 8))
-        with pytest.raises(Declined):
-            integrate(spec, space, fock_state(space, (1, 0)), 2048 * dt, dt, stride=1, truncation_tol=0.5)
-        assert built == ["taylor"]
+        assert first_map(spec, space, 344) == ["dense"]
+        assert first_map(spec, space, 343) == ["taylor"]
+        # a squeeze term reaches all 2,048: 2,048 records would pay for a
+        # dense map, but it would have 2,048 rows, above _DENSE_MAP_ROWS (a
+        # 32 MiB matrix), so the run asks for the Taylor map
+        assert first_map(squeeze_model(), space, 2048) == ["taylor"]
 
     def test_ghost_rows_stay_out_of_the_monitors(self):
         # a full-rank state at (3, 3, 3), where the odd block carries a

@@ -336,11 +336,12 @@ class TestEvolution:
         # one excitation never leaves levels 0 and 1 of a number-conserving
         # model with lowering jumps, so dims (2, 2, 2) truncate nothing (its
         # top levels are occupied by design) and both exact engines must
-        # agree to roundoff.  At stride 10 the Fock engine maps each of 30
-        # records by its Taylor sum; at stride 1 its 300 records (its flat
-        # state has 32 entries) take the dense increment.
+        # agree to roundoff.  The Fock engine carries the 10 entries of S
+        # with N = N' <= 1 (of 32): at stride 50 it maps each of 6 records by
+        # its Taylor sum; at stride 1 its 300 records take the dense
+        # increment.
         space = FockSpace((2, 2, 2))
-        for stride in (10, 1):
+        for stride in (50, 1):
             rng = np.random.default_rng(2024)
             worst = 0.0
             for draw in range(24):
@@ -352,13 +353,27 @@ class TestEvolution:
                 gtraj = evolve_covariance(drift_diffusion_from_generator(model), fock_moments(3, occupations),
                                           300 * dt, dt, stride=stride)
                 assert (ftraj.stats.dense_maps, gtraj.stats.dense_maps) == (int(stride == 1), 1)
+                assert ftraj.stats.carried == 10
                 assert np.array_equal(ftraj.t, gtraj.t)
                 fock_occ = np.stack([ftraj.n_cav, ftraj.n1, ftraj.n2], axis=1)
                 # np.max, unlike max, carries a NaN through to the bound
                 worst = np.max([worst, np.abs(fock_occ - gtraj.occupations).max(),
                                 abs(ftraj.coh[-1] - gtraj.final_state.mode_coherence(1, 2))])
-            # worst measured: 3.7e-15 (stride 10), 2.1e-14 (stride 1)
+            # worst measured: 7.2e-16 (stride 50), 1.3e-15 (stride 1)
             assert worst <= 1e-13, stride
+
+    def test_exact_path_carries_the_mean_only_when_displaced(self):
+        # the mean equations are homogeneous: from a zero mean the flow
+        # reaches the covariance and the constant entry of vech(X), 11 of its
+        # 15 entries for two modes, and the mean stays exactly 0; a displaced
+        # state reaches all 15
+        dd = drift_diffusion_from_generator(effective_generator(frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08)))
+        dt = 0.01 / dd.f_max
+        zero_mean = evolve_covariance(dd, fock_moments(2, (1, 0)), 50 * dt, dt, stride=5)
+        assert zero_mean.stats.carried == 11
+        assert not zero_mean.final_state.mean.any()
+        displaced = CovarianceState(np.array([0.3, 0.0, 0.0, 0.0]), 0.5 * np.eye(4))
+        assert evolve_covariance(dd, displaced, 50 * dt, dt, stride=5).stats.carried == 15
 
     @staticmethod
     def random_oscillating_model(rng):
