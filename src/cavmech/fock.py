@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import propagate
 from .model import FrameParams
 from .propagate import RunStats, run, step_count
 from .quadratic import FullLinearized, effective_generator, quadratic_model
@@ -363,6 +364,70 @@ def hermitian_form(S: np.ndarray) -> np.ndarray:
     return rho
 
 
+def sector_min_eig(real: np.ndarray, carried: np.ndarray):
+    """The map from a stack of Hermitian block stacks to the smallest eigenvalue of each.
+
+    ``real`` marks the rows of a (blocks, h) block layout that are not
+    ghosts, and ``carried`` the flat indices of the entries of a
+    (blocks, h, h) stack that may be nonzero.  Two real rows of a block are
+    joined when a carried entry sits at their crossing, and the connected
+    components, found once by label propagation to a fixed point, are the
+    sectors every such stack is block-diagonal in: from a Fock state under
+    the effective model, one per total excitation number N (Buca & Prosen,
+    New J. Phys. 14, 073007 (2012)), and the whole blocks under a squeeze
+    term.  The eigenvalues of a stack are those of its sector blocks, and
+    0 for every real row that no carried entry touches; a ghost row has
+    none.
+
+    The map takes a (records, blocks, h, h) stack supported on ``carried``
+    and returns the minimum over its sectors: a 1 x 1 sector is its
+    diagonal entry, a 2 x 2 one [[a, c], [c*, d]] takes the closed form
+    (a + d)/2 - hypot((a - d)/2, |c|), and the larger sectors of each size
+    take one ``eigvalsh``, on their blocks gathered from the stack.
+    """
+    n_blocks, h = real.shape
+    joined = np.zeros((n_blocks, h, h), bool)
+    joined.reshape(-1)[carried] = True
+    joined &= real[:, :, None] & real[:, None, :]
+    joined |= joined.swapaxes(1, 2)
+    # every row takes the lowest label of its own and its neighbours' until
+    # none changes: then each sector is labelled by its first row
+    label = np.broadcast_to(np.arange(h), real.shape)
+    while True:
+        lowest = np.minimum(label, np.where(joined, label[:, None, :], h).min(-1))
+        if np.array_equal(lowest, label):
+            break
+        label = lowest
+    touched = joined.any(-1)
+    unreached = bool((real & ~touched).any())
+    # rows and sectors by flat row index b h + r
+    rows = np.flatnonzero(touched)
+    sector = (label + h * np.arange(n_blocks)[:, None]).reshape(-1)[rows]
+    sizes = np.bincount(sector, minlength=real.size)
+    gathers = []  # (size, flat stack indices of the blocks of every sector of that size)
+    for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
+        members = sector == np.flatnonzero(sizes == size)[:, None]
+        members = np.broadcast_to(rows, members.shape)[members].reshape(-1, size)
+        gathers.append((size, members[:, :, None] * h + members[:, None, :] % h))
+
+    def smallest(rhos):
+        flat = rhos.reshape(len(rhos), -1)
+        out = np.full(len(rhos), 0.0 if unreached else np.inf)
+        for size, index in gathers:
+            B = flat[:, index]
+            if size == 1:
+                low = B[..., 0, 0].real
+            elif size == 2:
+                a, d = B[..., 0, 0].real, B[..., 1, 1].real
+                low = (a + d) / 2 - np.hypot((a - d) / 2, np.abs(B[..., 0, 1]))
+            else:
+                low = np.linalg.eigvalsh(B).min(-1)
+            out = np.minimum(out, low.min(-1))
+        return out
+
+    return smallest
+
+
 def compile_generator(spec, space: FockSpace, blocks=None) -> CompiledGenerator:
     """Materialize a generator spec on a Fock space, in the given density blocks."""
     return CompiledGenerator(space, quadratic_model(spec), blocks)
@@ -423,10 +488,16 @@ def integrate(
     defect is 0 and is not computed.  The driver carries only the entries
     of S the flow reaches from ``rho0``: every term of the effective model
     conserves N - N', so from a Fock state those with N = N' (44 of 128 at
-    dims (4,4)).  For a time-dependent generator, its drift blocks at the
-    stage times and :meth:`CompiledGenerator.stage`.  The returned
-    trajectory's ``stats`` say how (``dense_maps`` counts the dense
-    increments, ``carried`` the entries carried).
+    dims (4,4)).  Every record is then block-diagonal in the sectors these
+    entries join, and its smallest eigenvalue is taken sector by sector
+    (:func:`sector_min_eig`).  For a time-dependent generator, its drift
+    blocks at the stage times and :meth:`CompiledGenerator.stage`; the
+    monitors measure the Hermiticity defect of each record as the run
+    gives it, then read everything else from its Hermitian part, whose
+    smallest eigenvalue is taken by one ``eigvalsh`` of whole blocks, as
+    for ``rho0``.  The returned trajectory's ``stats`` say how
+    (``dense_maps`` counts the dense increments, ``carried`` the entries
+    carried).
     Trace drift is compensated in the reported expectations only, never
     in the state.  Aborts when the top Fock level of any subsystem passes
     ``truncation_tol``; the error names the first such record.
@@ -453,37 +524,33 @@ def integrate(
 
     ghosts = (slice(None),) + gen.ghosts + gen.ghosts[1:]
 
-    def structure(rhos, hermitian=False):
-        """Real diagonal, Hermiticity defect and smallest eigenvalue of a (records, blocks, h, h) stack.
+    def hermitian_part(rhos):
+        """Hermiticity defect and Hermitian part of a (records, blocks, h, h) stack."""
+        sym = rhos.conj().swapaxes(-1, -2)
+        herm_dev = np.abs(rhos - sym).max((-3, -2, -1))
+        sym += rhos
+        sym /= 2
+        return herm_dev, sym
 
-        A ``hermitian`` stack (:func:`hermitian_form` of the exact path's
-        records) is Hermitian bitwise: its defect is 0 and its Hermitian
-        part is itself, so neither is computed.
+    def block_min_eig(sym):
+        """Smallest eigenvalue of a stack of Hermitian block stacks, one ``eigvalsh`` of whole blocks.
+
+        Writes the ghosts of ``sym``: a ghost's eigenvalue is its diagonal
+        entry, which is given one never below the smallest eigenvalue of
+        the blocks.
         """
-        diag = rhos.diagonal(0, -2, -1).real
-        if hermitian:
-            herm_dev = np.zeros(len(rhos))
-            # the ghosts are set below on a copy: diag is a view of rhos
-            sym = rhos.copy() if gen.ghosts[0].size else rhos
-        else:
-            sym = rhos.conj().swapaxes(-1, -2)
-            herm_dev = np.abs(rhos - sym).max((-3, -2, -1))
-            sym += rhos
-            sym /= 2
-        # a ghost's eigenvalue is its diagonal entry: give it one that is
-        # never below the smallest eigenvalue of the blocks
-        sym[ghosts] = diag.max((-2, -1))[:, None]
-        return diag, herm_dev, np.linalg.eigvalsh(sym).min((-2, -1))
+        sym[ghosts] = sym.diagonal(0, -2, -1).real.max((-2, -1))[:, None]
+        return np.linalg.eigvalsh(sym).min((-2, -1))
 
     # rho0 holds no entry outside the blocks, so the checks of every
     # record on its one-record stack are its own
-    _, herm_dev, min_eig = structure(rho[None])
+    herm_dev, sym = hermitian_part(rho[None])
     trace = np.trace(rho0)
     if abs(trace.real - 1.0) > 1e-8 or abs(trace.imag) > 1e-8:
         raise ValueError("density matrix trace is not 1")
     if herm_dev[0] > 1e-10:
         raise ValueError("density matrix is not Hermitian")
-    if min_eig[0] < -1e-8:
+    if block_min_eig(sym)[0] < -1e-8:
         raise ValueError("density matrix has a significantly negative eigenvalue")
     n_steps = step_count(t_end, dt, stride, gen.f_max)
 
@@ -492,16 +559,22 @@ def integrate(
     names = [name for name, op in gen.observables.items() if op is not None]
     observables = np.array([gen.observables[name].swapaxes(-1, -2).reshape(-1) for name in names]).T
 
-    def monitor(ts, rhos, hermitian=False):
-        """The monitors of a (records, blocks, h, h) stack of states."""
-        diag, herm_dev, min_eig = structure(rhos, hermitian)
+    def monitor(ts, herm_dev, sym, smallest):
+        """The monitors of the Hermitian part ``sym`` of a (records, blocks, h, h) stack of states.
+
+        ``herm_dev`` is the stack's Hermiticity defect, and ``smallest``
+        takes the smallest eigenvalue of each record of ``sym``, after its
+        diagonal and observables are read.
+        """
+        diag = sym.diagonal(0, -2, -1).real
         tr = diag.sum((-2, -1))
         # the boolean gather comes out column-major; each contiguous row
         # then sums in the order one record's gather did
         tops = np.stack([np.ascontiguousarray(diag[:, mask]).sum(-1)
                          for mask in gen.top_level_masks], axis=-1)
         top = tops.max(-1)
-        values = dict(zip(names, (rhos.reshape(ts.size, -1) @ observables / tr[:, None]).T))
+        values = dict(zip(names, (sym.reshape(ts.size, -1) @ observables / tr[:, None]).T))
+        min_eig = smallest(sym)
         over = np.flatnonzero(top > truncation_tol)
         if over.size:
             i = over[0]
@@ -515,11 +588,19 @@ def integrate(
                 "trace": tr, "trunc_monitor": top, "herm_dev": herm_dev, "min_eig": min_eig}
 
     if gen.phase_nus.size:
-        records, rho, stats = run(rho, monitor, n_steps, dt, stride, None, gen.drift, gen.stage)
+        records, rho, stats = run(rho, lambda ts, rhos: monitor(ts, *hermitian_part(rhos), block_min_eig),
+                                  n_steps, dt, stride, None, gen.drift, gen.stage)
     else:
-        records, S, stats = run(s_form(rho).reshape(-1),
-                                lambda ts, Ss: monitor(ts, hermitian_form(Ss.reshape(ts.shape + rho.shape)), True),
-                                n_steps, dt, stride, gen.superoperator())
+        L, S = gen.superoperator(), s_form(rho).reshape(-1)
+        smallest = sector_min_eig(gen.index < space.total_dim, propagate.reachable(L, S))
+
+        def s_monitor(ts, Ss):
+            # the records of hermitian_form are Hermitian bitwise: their
+            # defect is 0 and is not computed
+            rhos = hermitian_form(Ss.reshape(ts.shape + rho.shape))
+            return monitor(ts, np.zeros(ts.size), rhos, smallest)
+
+        records, S, stats = run(S, s_monitor, n_steps, dt, stride, L)
         rho = hermitian_form(S.reshape(rho.shape))
     return Trajectory(
         **records,

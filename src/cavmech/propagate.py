@@ -108,7 +108,9 @@ _TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
 # hold 372 records, and the Fock monitors' observables product
 # (records x 128) @ (128 x 4) takes OpenBLAS's threaded path from 256
 # records (cpu/wall 1.01 at 128, 1.95 at 256 on 2 CPUs), which doubled
-# the cpu time of the effective cross-checks.
+# the cpu time of the effective cross-checks.  A stack holds at least two
+# records, from a full record of 8,193 entries up: the dense map writes
+# each record from the row before it.
 _MONITOR_BLOCK = 2**14
 
 # Most rows of the real matrix an exact-path interval map may be built
@@ -186,9 +188,9 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
     """Propagate a state X over ``n_steps`` steps of ``dt``, monitoring every record.
 
     X is a Hermitian matrix or a stack of them (the Fock engine's density
-    blocks on the time-dependent path), re-Hermitized after every step, or
-    a real vector that needs no projection: the packed upper triangle of a
-    symmetric matrix (the Gaussian engine's moments), or the flat real form
+    blocks on the time-dependent path), re-Hermitized after every step of
+    :func:`dopri5`, or a real vector that needs no projection: the packed
+    upper triangle of a symmetric matrix (the Gaussian engine's moments), or the flat real form
     S = Re rho + Im rho of Hermitian blocks (the Fock engine's exact path),
     where every real S is a Hermitian rho.  The caller's array is never
     written to.
@@ -211,18 +213,22 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
     building K from a sparse L then costs no more than the records it
     serves, and K of a dense L takes a few dozen products even over a long
     interval, where the Taylor sum on X takes hundreds.  K is applied as
-    X + K X, one real matrix-vector product, and is counted in
-    ``dense_maps``.  Any other length takes the Taylor sum on the carried
-    entries (:func:`exponential_map`).
+    X + K X, one real matrix-vector product written straight into the
+    record's row of the stack, for a run of records up to the end of the
+    stack, and is counted in ``dense_maps``.  Any other length takes the
+    Taylor sum on the carried entries (:func:`exponential_map`).
 
-    The records are copied into a stack of ``_MONITOR_BLOCK`` entries of
-    whole records (at least one record), and ``monitor(ts, xs)`` runs over
-    each full stack and over the rest at the end, returning its columns by
-    name; the stack is the driver's own, and a monitor must not write to
-    it.  A stack of matrix records is re-Hermitized in one call first.  That
-    last flush runs before any exception of the run propagates, so a
-    monitor abort on an earlier record wins over a later kernel error; a
-    run may propagate up to one stack past the record that aborts it.
+    The records go into a stack of ``_MONITOR_BLOCK`` entries of whole
+    records (at least two, so that a record's row is never the row of the
+    record it is mapped from), and ``monitor(ts, xs)`` runs over each full
+    stack and over the rest at the end, returning its columns by name; the
+    stack is the driver's own, and a monitor must not write to it.  The
+    records are passed on as the run makes them: a time-dependent run's
+    are not re-Hermitized, so a monitor can measure their Hermiticity
+    defect.  That last flush runs before any exception of the run
+    propagates, so a monitor abort on an earlier record wins over a later
+    kernel error; a run may propagate up to one stack past the record that
+    aborts it.
 
     Returns the columns, each concatenated over the records and with the
     record times as ``t``, the final X, and the :class:`RunStats` of the
@@ -231,10 +237,9 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
     if generator is not None and np.iscomplexobj(x):
         raise ValueError("the exact path of a constant generator needs a real state; "
                          "carry Hermitian blocks as S = Re rho + Im rho")
-    matrix = x.ndim > 1
     keep = slice(None) if generator is None else reachable(generator, x.reshape(-1))
     carried = x.reshape(-1)[keep]
-    ts = np.empty(max(1, _MONITOR_BLOCK // x.size))
+    ts = np.empty(max(2, _MONITOR_BLOCK // x.size))
     xs = np.zeros(ts.shape + x.shape, x.dtype)
     rows = xs.reshape(ts.size, -1)
     # a record holds the carried entries; on the exact path a flush
@@ -249,8 +254,6 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
         if k:
             if taken is not rows:
                 rows[:k, keep] = taken[:k]
-            if matrix:
-                _hermitize(xs[:k])
             for name, values in monitor(ts[:k], xs[:k]).items():
                 columns.setdefault(name, []).append(values)
             columns["t"].append(ts[:k].copy())
@@ -264,7 +267,7 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
             flush()
 
     stats = RunStats()
-    maps = {}  # interval length -> map of the carried entries
+    maps = {}  # interval length -> dense increment K, or the Taylor map
     dense_maps = 0
     try:
         record(0.0, carried)
@@ -272,34 +275,42 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
             x, stats = dopri5(operators, stage, x, n_steps, dt, stride, record)
         else:
             L = generator[np.ix_(keep, keep)]
-            v = carried
             step = 0
             while step < n_steps:
                 width = min(stride, n_steps - step)
                 if width not in maps:
                     served = n_steps // stride if width == stride else 1
-                    if v.size <= _DENSE_MAP_ROWS and (isinstance(L, np.ndarray) or served >= v.size):
-                        K = exponential_increment(L * (width * dt))
-                        maps[width] = lambda v, K=K: np.dot(K, v) + v
+                    dense = isinstance(L, np.ndarray) or served >= carried.size
+                    if carried.size <= _DENSE_MAP_ROWS and dense:
+                        maps[width] = exponential_increment(L * (width * dt))
                         dense_maps += 1
                     else:
                         maps[width] = exponential_map(L * (width * dt))
-                v = maps[width](v)
-                step += width
-                record(step * dt, v)
+                interval_map = maps[width]
+                if isinstance(interval_map, np.ndarray):
+                    # each record X + K X of the one before it, straight
+                    # into the stack, up to its end; row -1 holds the last
+                    # record of the stack flushed before
+                    n = min(ts.size - count, (n_steps - step) // width)
+                    for i in range(count, count + n):
+                        row, prev = taken[i], taken[i - 1]
+                        np.dot(interval_map, prev, out=row)
+                        row += prev
+                    ts[count:count + n] = np.arange(step + width, step + n * width + 1, width) * dt
+                    step += n * width
+                    count += n
+                    if count == ts.size:
+                        flush()
+                else:
+                    step += width
+                    record(step * dt, interval_map(taken[count - 1]))
             x = np.zeros(x.shape)
-            x.reshape(-1)[keep] = v
+            x.reshape(-1)[keep] = taken[count - 1]
     finally:
         flush()
     columns = {name: np.concatenate(parts) for name, parts in columns.items()}
     return columns, x, replace(stats, records=columns["t"].size, dense_maps=dense_maps,
                                    carried=carried.size)
-
-
-def _hermitize(x: np.ndarray) -> None:
-    """Replace a matrix, or each of a stack of matrices, by its Hermitian part, in place."""
-    np.add(x, x.conj().swapaxes(-1, -2), out=x)
-    x *= 0.5
 
 
 def _step_factor(error: float, bound: float) -> float:
@@ -343,9 +354,9 @@ def dopri5(operators, stage, x, n_steps, dt, stride, record):
     preserves Hermiticity, but for a density matrix the roundoff-seeded
     anti-Hermitian component obeys a sign-flipped dissipator in this split
     update and can grow exponentially if left in place.  The records taken
-    between steps are passed on as the continuous extension gives them;
-    :func:`run` projects them a stack at a time.  A packed symmetric X has
-    no antisymmetric part to project.
+    between steps are passed on as the continuous extension gives them,
+    unprojected.  A packed symmetric X has no antisymmetric part to
+    project.
     """
     # stack[0] is the state at the start of the step, stack[1:] its seven
     # stages; a combination writes through the real view of x or y, and a
@@ -375,7 +386,8 @@ def dopri5(operators, stage, x, n_steps, dt, stride, record):
             stage(ops[i], y, stack[i + 2])
         np.dot(C[5, :7], flat[:7], out=x_flat)
         if matrix:
-            _hermitize(x)
+            np.add(x, x.conj().swapaxes(-1, -2), out=x)
+            x *= 0.5
         stage(ops[4], x, stack[7])
         np.dot(C[6], flat, out=y_flat)
         error = float(np.abs(y).max())

@@ -375,7 +375,7 @@ class TestIntegrate:
         fr = frame_from_collective(1.0, 0.2, 1.0, 0.3, 0.15, 0.15)
         spec = effective_generator(fr)
         space = FockSpace((4, 4))
-        dt = 0.01 / compile_generator(spec, space).f_max
+        dt = 0.01 / quadratic_model(spec).f_max
         outputs = []
         for seed in (1, 2):
             np.random.seed(seed)
@@ -440,7 +440,7 @@ class TestIntegrate:
         fr = desk_frame()
         spec = FullLinearized(fr)
         space = FockSpace((3, 3, 3))
-        f_max = compile_generator(spec, space).f_max
+        f_max = quadratic_model(spec).f_max
         with pytest.raises(ValueError, match="too coarse"):
             integrate(spec, space, fock_state(space, (0, 0, 0)), 1.0, 0.02 / f_max)
         with pytest.raises(ValueError, match="stride"):
@@ -472,7 +472,7 @@ class TestIntegrate:
         fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
         spec = FullLinearized(fr)
         space = FockSpace((3, 3, 3))
-        dt = 0.01 / compile_generator(spec, space).f_max
+        dt = 0.01 / quadratic_model(spec).f_max
         runs = {stride: integrate(spec, space, fock_state(space, (0, 1, 0)), 200 * dt, dt,
                                   stride=stride, truncation_tol=0.05)
                 for stride in (1, 7, 10**9)}
@@ -535,7 +535,7 @@ class TestIntegrate:
         fr = frame_from_collective(1.0, 0.3, -(1.0 + 0.3), 0.4, 0.2, 0.2)
         spec = FullLinearized(fr)
         space = FockSpace((3, 3, 3))
-        f_max = compile_generator(spec, space).f_max
+        f_max = quadratic_model(spec).f_max
         with pytest.raises(TruncationError, match=r"subsystem 0 holds population .*increase dimensions"):
             integrate(spec, space, fock_state(space, (0, 0, 0)), 120.0,
                       0.01 / f_max, stride=500, truncation_tol=1e-3)
@@ -554,7 +554,7 @@ class TestIntegrate:
         fr = frame_from_collective(1.0, 0.3, -(1.0 + 0.3), 0.4, 0.2, 0.2)
         spec = FullLinearized(fr)
         space = FockSpace((3, 3, 3))
-        dt = 0.01 / compile_generator(spec, space).f_max
+        dt = 0.01 / quadratic_model(spec).f_max
 
         def run(tol):
             return integrate(spec, space, fock_state(space, (0, 0, 0)), 300 * dt, dt,
@@ -573,7 +573,7 @@ class TestIntegrate:
         # kernel raises; the flush on the way out surfaces the earlier failure
         spec = FullLinearized(desk_frame())
         space = FockSpace((3, 3, 3))
-        dt = 0.01 / compile_generator(spec, space).f_max
+        dt = 0.01 / quadratic_model(spec).f_max
         top = compile_generator(spec, space).pack(fock_state(space, (2, 0, 0)))
 
         def kernel(operators, stage, x, n_steps, dt, stride, record):
@@ -719,7 +719,7 @@ def stride_test_runs(stride=7):
     fr = frame_from_collective(1.0, 0.3, 1.2, 0.4, 0.1, 0.1)
     spec = FullLinearized(fr)
     space = FockSpace((3, 3, 3))
-    dt = 0.01 / compile_generator(spec, space).f_max
+    dt = 0.01 / quadratic_model(spec).f_max
     ftraj = integrate(spec, space, fock_state(space, (0, 1, 0)), 200 * dt, dt,
                       stride=stride, truncation_tol=0.05)
     gtraj = gaussian.evolve_covariance(gaussian.drift_diffusion_from_generator(spec),
@@ -1149,7 +1149,7 @@ class TestReachability:
         fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08,
                                    thermal_baths=((0.01, 0.3), (0.02, 0.1)))
         spec, space = effective_generator(fr, include_shifts=True), FockSpace((4, 4))
-        dt = 0.01 / compile_generator(spec, space).f_max
+        dt = 0.01 / quadratic_model(spec).f_max
 
         def run():
             return integrate(spec, space, fock_state(space, (1, 0)), 400 * dt, dt, stride=stride,
@@ -1204,11 +1204,123 @@ class TestReachability:
         monkeypatch.setattr(fock, "run", spy)
         spec = effective_generator(frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08))
         space = FockSpace((4, 4))
-        dt = 0.01 / compile_generator(spec, space).f_max
+        dt = 0.01 / quadratic_model(spec).f_max
         traj = integrate(spec, space, fock_state(space, (1, 0)), 400 * dt, dt, stride=1, truncation_tol=0.5)
         assert traj.stats.carried == 44
         assert propagate._MONITOR_BLOCK // 128 == 128
         assert sizes == [128, 128, 128, 17]
+
+
+def whole_block_min_eig(rhos, real):
+    """Smallest eigenvalue of each record of a (records, blocks, h, h) stack, by
+    one eigvalsh of every block on its real rows."""
+    return np.min([np.linalg.eigvalsh(rhos[:, b][:, rows][:, :, rows]).min(-1)
+                   for b, rows in enumerate(real)], axis=0)
+
+
+def random_records(gen, keep, count=6, seed=1):
+    """Hermitian block stacks of ``gen``'s layout whose real form S is random on
+    the carried entries ``keep`` and 0 elsewhere."""
+    h = gen.index.shape[1]
+    S = np.zeros((count, gen.index.size * h))
+    S[:, keep] = np.random.default_rng(seed).normal(size=(count, keep.size)) / h
+    return fock.hermitian_form(S.reshape((count,) + gen.index.shape + (h,)))
+
+
+class TestSectorMinEig:
+    """The exact path's min_eig, taken sector by sector, is the whole-block eigvalsh minimum."""
+
+    @staticmethod
+    def sectors(gen, keep, rhos):
+        real = gen.index < gen.space.total_dim
+        low = fock.sector_min_eig(real, keep)(rhos)
+        assert np.abs(low - whole_block_min_eig(rhos, real)).max() <= 1e-15
+        return low
+
+    @staticmethod
+    def carried(spec, dims, rho0=None):
+        space = FockSpace(dims)
+        rho0 = fock_state(space, (1, 0)) if rho0 is None else rho0
+        gen = compile_generator(spec, space, fock.density_blocks(space, rho0))
+        return gen, propagate.reachable(gen.superoperator(), fock.s_form(gen.pack(rho0)).reshape(-1))
+
+    @pytest.mark.parametrize("dims", [(3, 3), (4, 4), (8, 8)])
+    def test_random_states_on_the_carried_support(self, dims):
+        gen, keep = self.carried(effective_generator(frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08)), dims)
+        self.sectors(gen, keep, random_records(gen, keep))
+
+    def test_one_eigvalsh_per_sector_size(self, monkeypatch):
+        # at (4, 4) the sectors N = 0..6 have 1, 2, 3, 4, 3, 2, 1 rows: the
+        # 1 x 1 and 2 x 2 ones take no eigvalsh; under a squeeze term each
+        # parity block is one sector, of 5 and 4 rows at (3, 3)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        spec = effective_generator(frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08))
+        gen, keep = self.carried(spec, (4, 4))
+        fock.sector_min_eig(gen.index < 16, keep)(random_records(gen, keep))
+        assert shapes == [(6, 2, 3, 3), (6, 1, 4, 4)]
+        shapes.clear()
+        gen, keep = self.carried(squeeze_model(), (3, 3))
+        fock.sector_min_eig(gen.index < 9, keep)(random_records(gen, keep))
+        assert shapes == [(6, 1, 4, 4), (6, 1, 5, 5)]
+
+    def test_coherence_between_sectors_merges_them(self):
+        # from (|0, 0> + |1, 1>)/sqrt(2) the flow carries N - N' = 0 and +-2,
+        # which join the sectors of even N into one, and those of odd N
+        space = FockSpace((4, 4))
+        psi = fock_state(space, (0, 0)).diagonal() + fock_state(space, (1, 1)).diagonal()
+        spec = effective_generator(frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08))
+        gen, keep = self.carried(spec, (4, 4), np.outer(psi, psi) / 2)
+        N, N_ = excitation_sides(gen)
+        assert set((N - N_).reshape(-1)[keep]) == {-2, 0, 2}
+        self.sectors(gen, keep, random_records(gen, keep))
+
+    @pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
+    def test_squeeze_model_random_states(self, dims):
+        gen, keep = self.carried(squeeze_model(), dims)
+        self.sectors(gen, keep, random_records(gen, keep))
+
+    def test_ghosts_never_count(self):
+        # at (3, 3) the odd block of 4 rows is padded by a ghost; a state
+        # positive definite on every real row keeps min_eig above 0 whether
+        # the ghost's entries are carried or not
+        gen, keep = self.carried(squeeze_model(), (3, 3))
+        assert gen.block_sizes == (5, 4)
+        rhos = random_records(gen, keep)
+        rhos = rhos @ rhos.conj().swapaxes(-1, -2)
+        rhos[:, [0, 0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 2, 3, 4, 0, 1, 2, 3], [0, 1, 2, 3, 4, 0, 1, 2, 3]] += 0.1
+        for carried in (keep, np.arange(50)):
+            assert self.sectors(gen, carried, rhos).min() > 0.09
+
+    def test_an_unreached_row_counts_as_zero(self):
+        # with no gain the flow from |1, 0> reaches the sectors N = 0 and 1
+        # only; the rows of N = 2, 3, 4 at (3, 3) stay 0
+        lossy = QuadraticModel(2, ((0.3, 0, 0, False), (0.2, 1, 1, False), (0.1, 0, 1, False)), (),
+                               ((((0, 1.0),), False, 0.1),))
+        gen, keep = self.carried(lossy, (3, 3))
+        N, _ = excitation_sides(gen)
+        assert set(N.reshape(-1)[keep]) == {0, 1}
+        rhos = random_records(gen, keep)
+        b, i = np.nonzero((N.diagonal(0, 1, 2) >= 0) & (N.diagonal(0, 1, 2) <= 1))
+        rhos[:, b, i, i] += 1.0
+        assert not self.sectors(gen, keep, rhos).any()
+
+    @pytest.mark.parametrize("block", [
+        [[0.3, 0.0], [0.0, 0.7]], [[0.7, 0.0], [0.0, -0.2]], [[0.0, 0.0], [0.0, 0.0]],
+        [[0.4, 0.0], [0.0, 0.4]], [[0.4, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]], [[0.2, 0.4j], [-0.4j, 0.8]],
+    ], ids=["diagonal", "diagonal-negative", "zero", "degenerate", "degenerate-diagonal", "rank-one"])
+    def test_two_by_two_closed_form(self, block):
+        rhos = np.array(block)[None, None]
+        low = fock.sector_min_eig(np.ones((1, 2), bool), np.arange(4))(rhos)
+        assert np.abs(low - np.linalg.eigvalsh(rhos[:, 0]).min(-1)).max() <= 1e-15
+
+    def test_two_by_two_closed_form_on_random_blocks(self):
+        rng = np.random.default_rng(3)
+        G = rng.normal(size=(200, 1, 2, 2)) + 1j * rng.normal(size=(200, 1, 2, 2))
+        rhos = (G + G.conj().swapaxes(-1, -2)) / 4
+        low = fock.sector_min_eig(np.ones((1, 2), bool), np.arange(4))(rhos)
+        assert np.abs(low - np.linalg.eigvalsh(rhos[:, 0]).min(-1)).max() <= 1e-15
 
 
 class TestDensityBlocks:
@@ -1236,7 +1348,7 @@ class TestDensityBlocks:
     def test_full_model_matches_dense_reference(self, dims):
         spec, space = FullLinearized(warm_frame()), FockSpace(dims)
         rho0 = fock_state(space, (0, 1, 0))
-        dt = 0.01 / compile_generator(spec, space).f_max
+        dt = 0.01 / quadratic_model(spec).f_max
         traj = integrate(spec, space, rho0, 200 * dt, dt, stride=7, truncation_tol=0.05)
         assert traj.stats.blocks == {(4, 3, 3): (18, 18), (3, 3, 3): (14, 13)}[dims]
         # the time-dependent path carries every entry of the block stack
@@ -1247,13 +1359,39 @@ class TestDensityBlocks:
             assert np.abs(getattr(traj, field) - ref[field]).max() <= 1e-14, field
         assert np.abs(traj.final_state.matrix - final).max() <= 1e-14
 
+    def test_hermiticity_monitor_sees_a_non_hermitian_stage(self, monkeypatch):
+        # the time-dependent records reach the monitors unprojected: a jump
+        # gather weight that is not conjugate-symmetric makes every stage
+        # non-Hermitian, and the records the continuous extension gives
+        # between steps carry the defect
+        spec, space = FullLinearized(warm_frame()), FockSpace((3, 3, 3))
+        dt = 0.01 / quadratic_model(spec).f_max
+
+        def run():
+            return integrate(spec, space, fock_state(space, (0, 1, 0)), 200 * dt, dt, stride=7,
+                             truncation_tol=0.5)
+
+        healthy = run()
+        compile_ = fock.compile_generator
+
+        def faulty(*args):
+            gen = compile_(*args)
+            weight, source = gen._jump_gathers[0]
+            gen._jump_gathers[0] = (weight * (1 + 0.01j), source)
+            return gen
+
+        monkeypatch.setattr(fock, "compile_generator", faulty)
+        broken = run()
+        assert healthy.max_herm_dev <= 1e-15
+        assert broken.max_herm_dev > 1e-10
+
     @pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
     def test_exact_path_matches_dense_reference(self, dims):
         fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08,
                                    thermal_baths=((0.01, 0.3), (0.02, 0.1)))
         spec, space = effective_generator(fr, include_shifts=True), FockSpace(dims)
         rho0 = fock_state(space, (1, 0))
-        dt = 0.01 / compile_generator(spec, space).f_max
+        dt = 0.01 / quadratic_model(spec).f_max
         traj = integrate(spec, space, rho0, 400 * dt, dt, stride=20, truncation_tol=0.5)
         assert traj.stats.blocks == {(3, 3): (5, 4), (4, 4): (8, 8)}[dims]
         # the records come from hermitian_form, Hermitian bitwise
@@ -1272,7 +1410,7 @@ class TestDensityBlocks:
                                    thermal_baths=((0.01, 0.3), (0.02, 0.1)))
         spec, space = effective_generator(fr, include_shifts=True), FockSpace((4, 4))
         rho0 = fock_state(space, (1, 0))
-        dt = 0.01 / compile_generator(spec, space).f_max
+        dt = 0.01 / quadratic_model(spec).f_max
         traj = integrate(spec, space, rho0, 390 * dt, dt, stride=3, truncation_tol=0.5)
         assert traj.stats.dense_maps == 1 and traj.t.size == 131
         ref, final = dense_reference(spec, space, rho0, 390 * dt, dt, 3)
@@ -1297,7 +1435,7 @@ class TestDensityBlocks:
         fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08)
         spec = effective_generator(fr)
         space = FockSpace((4, 4))
-        dt = 0.01 / compile_generator(spec, space).f_max
+        dt = 0.01 / quadratic_model(spec).f_max
         # 133 records of 3 steps pay for the dense increment of the 44
         # entries the run carries; the last interval of 1 step serves one
         # record and keeps the Taylor map
@@ -1352,7 +1490,7 @@ class TestDensityBlocks:
         # ghost row: a ghost eigenvalue 0 would show in min_eig
         spec, space = FullLinearized(warm_frame()), FockSpace((3, 3, 3))
         rho0 = np.eye(27, dtype=complex) / 27
-        dt = 0.01 / compile_generator(spec, space).f_max
+        dt = 0.01 / quadratic_model(spec).f_max
         traj = integrate(spec, space, rho0, 40 * dt, dt, stride=10, truncation_tol=0.5)
         ref, final = dense_reference(spec, space, rho0, 40 * dt, dt, 10)
         assert traj.stats.blocks == (14, 13)
@@ -1365,7 +1503,7 @@ class TestDensityBlocks:
         spec, space = FullLinearized(warm_frame()), FockSpace((4, 3, 3))
         psi = (fock_state(space, (0, 1, 0)).diagonal() + fock_state(space, (0, 0, 0)).diagonal()) / math.sqrt(2)
         rho0 = np.outer(psi, psi.conj())
-        dt = 0.01 / compile_generator(spec, space).f_max
+        dt = 0.01 / quadratic_model(spec).f_max
         traj = integrate(spec, space, rho0, 200 * dt, dt, stride=7, truncation_tol=0.05)
         assert traj.stats.blocks == (36,)
         ref, final = dense_reference(spec, space, rho0, 200 * dt, dt, 7)
@@ -1388,7 +1526,7 @@ class TestHeatingRates:
         fr = frame_from_collective(ob, dw, db, kappa, G, G)
         spec = FullLinearized(fr)
         space = FockSpace((3, 4, 4))
-        f_max = compile_generator(spec, space).f_max
+        f_max = quadratic_model(spec).f_max
         traj = integrate(spec, space, fock_state(space, (0, 0, 0)), 30.0,
                          0.01 / f_max, stride=200, truncation_tol=0.05)
 
@@ -1421,7 +1559,7 @@ class TestTransferExperiment:
         protocol = TransferProtocol(dims=(3, 3, 2), t_end=50.0)
         spec = FullLinearized(fr)
         space = FockSpace(protocol.dims)
-        f_max = compile_generator(spec, space).f_max
+        f_max = quadratic_model(spec).f_max
         traj = integrate(spec, space, fock_state(space, (0, 1, 0)), protocol.t_end,
                          0.01 / f_max, stride=200)
         assert traj.n2.max() < 1e-6

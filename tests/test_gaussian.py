@@ -310,7 +310,7 @@ class TestEvolution:
         fr = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05)
         spec = FullLinearized(fr)
         space = FockSpace((4, 3, 3))
-        f_max = compile_generator(spec, space).f_max
+        f_max = quadratic_model(spec).f_max
         dt = 0.01 / f_max
         ftraj = integrate(spec, space, fock_state(space, (0, 1, 0)), 5.0, dt, stride=100,
                          truncation_tol=0.02)
