@@ -247,7 +247,6 @@ class CompiledGenerator:
 
         levels = _occupation_numbers(space)
         self.top_level_masks = [np.append(level == d - 1, False)[index] for level, d in zip(levels, dims)]
-        self.ghosts = np.nonzero(~real)
 
     def pack(self, matrix: np.ndarray) -> np.ndarray:
         """The diagonal blocks of a (dim, dim) matrix, as a (blocks, h, h) stack."""
@@ -383,7 +382,9 @@ def sector_min_eig(real: np.ndarray, carried: np.ndarray):
     and returns the minimum over its sectors: a 1 x 1 sector is its
     diagonal entry, a 2 x 2 one [[a, c], [c*, d]] takes the closed form
     (a + d)/2 - hypot((a - d)/2, |c|), and the larger sectors of each size
-    take one ``eigvalsh``, on their blocks gathered from the stack.
+    take one ``eigvalsh``, on their blocks gathered from the stack.  When
+    the sectors are the whole blocks and no row is a ghost, that one
+    ``eigvalsh`` reads the stack in place: a gather would copy all of it.
     """
     n_blocks, h = real.shape
     joined = np.zeros((n_blocks, h, h), bool)
@@ -408,13 +409,14 @@ def sector_min_eig(real: np.ndarray, carried: np.ndarray):
     for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
         members = sector == np.flatnonzero(sizes == size)[:, None]
         members = np.broadcast_to(rows, members.shape)[members].reshape(-1, size)
-        gathers.append((size, members[:, :, None] * h + members[:, None, :] % h))
+        whole = size == h and len(members) == n_blocks
+        gathers.append((size, None if whole else members[:, :, None] * h + members[:, None, :] % h))
 
     def smallest(rhos):
         flat = rhos.reshape(len(rhos), -1)
         out = np.full(len(rhos), 0.0 if unreached else np.inf)
         for size, index in gathers:
-            B = flat[:, index]
+            B = rhos if index is None else flat[:, index]
             if size == 1:
                 low = B[..., 0, 0].real
             elif size == 2:
@@ -493,11 +495,11 @@ def integrate(
     (:func:`sector_min_eig`).  For a time-dependent generator, its drift
     blocks at the stage times and :meth:`CompiledGenerator.stage`; the
     monitors measure the Hermiticity defect of each record as the run
-    gives it, then read everything else from its Hermitian part, whose
-    smallest eigenvalue is taken by one ``eigvalsh`` of whole blocks, as
-    for ``rho0``.  The returned trajectory's ``stats`` say how
-    (``dense_maps`` counts the dense increments, ``carried`` the entries
-    carried).
+    gives it, then read everything else from its Hermitian part, in which
+    every entry of the blocks may be nonzero: its sectors are the whole
+    blocks.  The same map checks ``rho0``.  The returned trajectory's
+    ``stats`` say how (``dense_maps`` counts the dense increments,
+    ``carried`` the entries carried).
     Trace drift is compensated in the reported expectations only, never
     in the state.  Aborts when the top Fock level of any subsystem passes
     ``truncation_tol``; the error names the first such record.
@@ -521,8 +523,12 @@ def integrate(
         raise ValueError("density matrix has non-finite entries")
     gen = compile_generator(spec, space, density_blocks(space, rho0))
     rho = gen.pack(rho0)
-
-    ghosts = (slice(None),) + gen.ghosts + gen.ghosts[1:]
+    if gen.phase_nus.size:
+        carried = np.arange(rho.size)  # a time-dependent stage may fill every entry of the blocks
+    else:
+        L, S = gen.superoperator(), s_form(rho).reshape(-1)
+        carried = propagate.reachable(L, S)
+    smallest = sector_min_eig(gen.index < space.total_dim, carried)
 
     def hermitian_part(rhos):
         """Hermiticity defect and Hermitian part of a (records, blocks, h, h) stack."""
@@ -532,16 +538,6 @@ def integrate(
         sym /= 2
         return herm_dev, sym
 
-    def block_min_eig(sym):
-        """Smallest eigenvalue of a stack of Hermitian block stacks, one ``eigvalsh`` of whole blocks.
-
-        Writes the ghosts of ``sym``: a ghost's eigenvalue is its diagonal
-        entry, which is given one never below the smallest eigenvalue of
-        the blocks.
-        """
-        sym[ghosts] = sym.diagonal(0, -2, -1).real.max((-2, -1))[:, None]
-        return np.linalg.eigvalsh(sym).min((-2, -1))
-
     # rho0 holds no entry outside the blocks, so the checks of every
     # record on its one-record stack are its own
     herm_dev, sym = hermitian_part(rho[None])
@@ -550,7 +546,7 @@ def integrate(
         raise ValueError("density matrix trace is not 1")
     if herm_dev[0] > 1e-10:
         raise ValueError("density matrix is not Hermitian")
-    if block_min_eig(sym)[0] < -1e-8:
+    if smallest(sym)[0] < -1e-8:
         raise ValueError("density matrix has a significantly negative eigenvalue")
     n_steps = step_count(t_end, dt, stride, gen.f_max)
 
@@ -559,12 +555,10 @@ def integrate(
     names = [name for name, op in gen.observables.items() if op is not None]
     observables = np.array([gen.observables[name].swapaxes(-1, -2).reshape(-1) for name in names]).T
 
-    def monitor(ts, herm_dev, sym, smallest):
+    def monitor(ts, herm_dev, sym):
         """The monitors of the Hermitian part ``sym`` of a (records, blocks, h, h) stack of states.
 
-        ``herm_dev`` is the stack's Hermiticity defect, and ``smallest``
-        takes the smallest eigenvalue of each record of ``sym``, after its
-        diagonal and observables are read.
+        ``herm_dev`` is the stack's Hermiticity defect.
         """
         diag = sym.diagonal(0, -2, -1).real
         tr = diag.sum((-2, -1))
@@ -588,17 +582,14 @@ def integrate(
                 "trace": tr, "trunc_monitor": top, "herm_dev": herm_dev, "min_eig": min_eig}
 
     if gen.phase_nus.size:
-        records, rho, stats = run(rho, lambda ts, rhos: monitor(ts, *hermitian_part(rhos), block_min_eig),
+        records, rho, stats = run(rho, lambda ts, rhos: monitor(ts, *hermitian_part(rhos)),
                                   n_steps, dt, stride, None, gen.drift, gen.stage)
     else:
-        L, S = gen.superoperator(), s_form(rho).reshape(-1)
-        smallest = sector_min_eig(gen.index < space.total_dim, propagate.reachable(L, S))
-
         def s_monitor(ts, Ss):
             # the records of hermitian_form are Hermitian bitwise: their
             # defect is 0 and is not computed
             rhos = hermitian_form(Ss.reshape(ts.shape + rho.shape))
-            return monitor(ts, np.zeros(ts.size), rhos, smallest)
+            return monitor(ts, np.zeros(ts.size), rhos)
 
         records, S, stats = run(S, s_monitor, n_steps, dt, stride, L)
         rho = hermitian_form(S.reshape(rho.shape))

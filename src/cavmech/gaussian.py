@@ -313,10 +313,12 @@ def evolve_covariance(
     uncertainty-bound defect is monitored at every record; a defect beyond
     ``_PHYSICALITY_TOL`` aborts, naming the first such record.  The
     entanglement columns hold :func:`_log_negativity` of the record stack
-    for two modes, else NaN.
+    for two modes, else NaN.  ``state0`` must have the drift's mode count.
     """
     n_steps = step_count(t_end, dt, stride, dd.f_max)
     n = state0.mean.size
+    if n != len(dd.drift):
+        raise ValueError(f"state0 has {state0.n_modes} modes, the drift {len(dd.drift) // 2}")
     x = np.zeros((n + 1, n + 1))
     x[:n, :n] = 0.5 * (state0.cov + state0.cov.T)
     x[:n, n] = x[n, :n] = state0.mean

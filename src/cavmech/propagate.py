@@ -87,10 +87,14 @@ def _require_finite_t_end(t_end: float) -> None:
 
 def fewest_steps_dt(t_end: float, f_max: float) -> float:
     """The ``dt`` of the fewest steps within the guard ``dt <= 0.01 / f_max``
-    that divide ``t_end``, so the last record lands on ``t_end``."""
+    that divide ``t_end``, so the last record lands on ``t_end``; 1000 steps
+    with no guard (``f_max == 0``).  Positive also with no time to divide
+    (``t_end <= 0``): the guard's bound, or 1 with no guard."""
     _require_finite_t_end(t_end)
-    steps = math.ceil(t_end * f_max / 0.01) if f_max > 0 else 1000
-    return t_end / steps if steps > 0 else 0.01 / f_max
+    if f_max > 0:
+        steps = math.ceil(t_end * f_max / 0.01)
+        return t_end / steps if steps > 0 else 0.01 / f_max
+    return t_end / 1000 if t_end > 0 else 1.0
 
 
 # theta_m of the degree-m Taylor polynomial in double precision: at

@@ -397,6 +397,20 @@ class TestSimulate:
         t_end = float(args[args.index("--t-end") + 1]) if "--t-end" in args else 100.0
         assert float(last[0]) == pytest.approx(t_end, rel=1e-12)   # the last record is at --t-end
 
+    @pytest.mark.parametrize("command", ["simulate-effective", "entangle"])
+    @pytest.mark.parametrize("config", [
+        README_CONFIG,
+        # a lossless cavity pumped at delta_bar = 0: J = 0 and every rate
+        # is 0, so the run has no fastest scale
+        README_CONFIG.replace("kappa    = 0.1", "kappa    = 0").replace("194.9", "199.9"),
+    ], ids=["readme", "no-fastest-scale"])
+    def test_zero_t_end_writes_one_row(self, command, config, tmp_path):
+        path, out = tmp_path / "system.cfg", tmp_path / "traj.csv"
+        path.write_text(config)
+        assert main([command, "--config", str(path), "--t-end", "0", "--out", str(out)]) == 0
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+        assert len(rows) == 1 and float(rows[0].split(",")[0]) == 0.0
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("args", [

@@ -620,7 +620,12 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="shape"):
             integrate(spec, space, np.eye(4, dtype=complex) / 4, 1.0, 0.1)
 
-    def test_block_spectrum_check_matches_the_whole_matrix(self, monkeypatch):
+    @pytest.mark.parametrize("spec,dims", [
+        (effective_generator(desk_frame()), (3, 4)),
+        # time-dependent, and its odd block of 13 rows carries a ghost
+        (FullLinearized(desk_frame()), (3, 3, 3)),
+    ], ids=["effective", "full"])
+    def test_block_spectrum_check_matches_the_whole_matrix(self, monkeypatch, spec, dims):
         # a state with the given smallest eigenvalue, in the last row of
         # the odd parity block: integrate's check on the parity blocks
         # against the spectrum of the whole matrix
@@ -631,16 +636,18 @@ class TestIntegrate:
             raise Accepted
 
         monkeypatch.setattr(fock, "run", accept)
-        spec = effective_generator(desk_frame())
-        space = FockSpace((3, 4))
+        space = FockSpace(dims)
+        assert bool(compile_generator(spec, space).phase_nus.size) == (len(dims) == 3)
+        dim = space.total_dim
         blocks = fock.density_blocks(space)
+        dt = 0.01 / quadratic_model(spec).f_max
         rng = np.random.default_rng(4)
         for smallest in (0.0, -1e-9, -1e-3):
-            p = rng.uniform(0.1, 1.0, 12)
+            p = rng.uniform(0.1, 1.0, dim)
             p[-1] = 0.0
             p *= (1 - smallest) / p.sum()
             p[-1] = smallest
-            rho = np.zeros((12, 12), complex)
+            rho = np.zeros((dim, dim), complex)
             start = 0
             for rows in blocks:
                 q = np.linalg.qr(rng.normal(size=(rows.size,) * 2) + 1j * rng.normal(size=(rows.size,) * 2))[0]
@@ -648,7 +655,7 @@ class TestIntegrate:
                 start += rows.size
             assert len(fock.density_blocks(space, rho)) == 2
             try:
-                integrate(spec, space, rho, 1.0, 0.1)
+                integrate(spec, space, rho, 1.0, dt)
             except Accepted:
                 verdict = "valid"
             except ValueError as exc:
@@ -674,6 +681,11 @@ class TestIntegrate:
     def test_fewest_steps_dt_rejects_non_finite_t_end(self, t_end):
         with pytest.raises(ValueError, match="t_end must be finite"):
             propagate.fewest_steps_dt(t_end, 1.0)
+
+    def test_fewest_steps_dt_is_positive_with_no_time_and_no_fastest_scale(self):
+        dt = propagate.fewest_steps_dt(0.0, 0.0)
+        assert dt > 0
+        assert propagate.step_count(0.0, dt, 1, 0.0) == 0
 
 
 def fixed_step_rk4(operators, stage, x, n_steps, dt, stride, record):
@@ -1252,18 +1264,25 @@ class TestSectorMinEig:
     def test_one_eigvalsh_per_sector_size(self, monkeypatch):
         # at (4, 4) the sectors N = 0..6 have 1, 2, 3, 4, 3, 2, 1 rows: the
         # 1 x 1 and 2 x 2 ones take no eigvalsh; under a squeeze term each
-        # parity block is one sector, of 5 and 4 rows at (3, 3)
-        shapes = []
+        # parity block is one sector, of 5 and 4 rows at (3, 3), and of 8
+        # and 8 at (4, 4), where no row is a ghost and the stack is read
+        # in place
+        args = []
         eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: args.append(a) or eigvalsh(a))
         spec = effective_generator(frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08))
         gen, keep = self.carried(spec, (4, 4))
         fock.sector_min_eig(gen.index < 16, keep)(random_records(gen, keep))
-        assert shapes == [(6, 2, 3, 3), (6, 1, 4, 4)]
-        shapes.clear()
+        assert [a.shape for a in args] == [(6, 2, 3, 3), (6, 1, 4, 4)]
+        args.clear()
         gen, keep = self.carried(squeeze_model(), (3, 3))
         fock.sector_min_eig(gen.index < 9, keep)(random_records(gen, keep))
-        assert shapes == [(6, 1, 4, 4), (6, 1, 5, 5)]
+        assert [a.shape for a in args] == [(6, 1, 4, 4), (6, 1, 5, 5)]
+        args.clear()
+        gen, keep = self.carried(squeeze_model(), (4, 4))
+        rhos = random_records(gen, keep)
+        fock.sector_min_eig(gen.index < 16, keep)(rhos)
+        assert len(args) == 1 and args[0] is rhos
 
     def test_coherence_between_sectors_merges_them(self):
         # from (|0, 0> + |1, 1>)/sqrt(2) the flow carries N - N' = 0 and +-2,

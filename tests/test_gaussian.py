@@ -287,6 +287,18 @@ class TestEvolution:
         with pytest.raises(ValueError, match="initial moments must be finite"):
             evolve_covariance(dd, state0, 5.0, 0.01 / dd.f_max)
 
+    @pytest.mark.parametrize("model,modes,state_modes", [("effective", 2, 3), ("full", 3, 2)])
+    def test_initial_state_must_have_the_drift_mode_count(self, monkeypatch, model, modes, state_modes):
+        def propagated(*args, **kwargs):
+            raise AssertionError("propagated")
+
+        monkeypatch.setattr(gaussian, "run", propagated)
+        fr = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05)
+        dd = drift_diffusion_from_generator(effective_generator(fr) if model == "effective" else FullLinearized(fr))
+        state0 = fock_moments(state_modes, (1,) + (0,) * (state_modes - 1))
+        with pytest.raises(ValueError, match=f"state0 has {state_modes} modes, the drift {modes}"):
+            evolve_covariance(dd, state0, 5.0, 0.01 / dd.f_max)
+
     @pytest.mark.filterwarnings("error")
     def test_single_lossless_interval_by_doubling(self):
         # one 200-time-unit record interval: the interval map is a single
