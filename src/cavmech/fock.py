@@ -3,7 +3,8 @@
 Compiles a :class:`~cavmech.quadratic.QuadraticModel` (the full
 linearized tri-partite model, explicitly time-dependent in the displaced
 rotating frame, or the time-independent effective two-mode model) to a
-Fock-space generator.  Its Lindbladian conserves the parity of N - N'
+Fock-space generator, every operator from the row maps of the ladders
+(:class:`CompiledGenerator`).  Its Lindbladian conserves the parity of N - N'
 for the total excitation number N, so the density matrix is carried as
 the stack of its two parity blocks (or as one block of the whole matrix
 when the initial state has coherence between the sectors;
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -74,28 +76,9 @@ def destroy(dim: int) -> np.ndarray:
 
 
 def build_operators(space: FockSpace) -> list[np.ndarray]:
-    """Annihilation operators of every subsystem, identity-padded."""
-    return [_operator(space.dims, (m, destroy(d))) for m, d in enumerate(space.dims)]
-
-
-def _operator(dims, *factors) -> np.ndarray:
-    """The product of single-mode matrices ``(mode, matrix)``, in order, on the whole space.
-
-    A Kronecker product of one factor per subsystem (the identity where
-    no matrix acts), the factors of one mode multiplied by einsum: no BLAS
-    call, where a dense product of whole-space operators takes OpenBLAS's
-    threaded path from dims (8, 8) up.
-    """
-    local = {}
-    for m, matrix in factors:
-        local[m] = np.einsum("ij,jk->ik", local[m], matrix) if m in local else matrix
-    out = np.ones(())
-    for m, d in enumerate(dims):
-        out = np.multiply.outer(out, local.get(m, np.eye(d)))
-    # axes (row_0, col_0, row_1, col_1, ...) -> rows, then columns
-    axes = list(range(0, 2 * len(dims), 2)) + list(range(1, 2 * len(dims), 2))
-    dim = math.prod(dims)
-    return out.transpose(axes).reshape(dim, dim)
+    """Annihilation operators of every subsystem, as dense Kronecker products with identities."""
+    return [reduce(np.kron, [destroy(d) if j == m else np.eye(d) for j, d in enumerate(space.dims)])
+            for m in range(len(space.dims))]
 
 
 def fock_state(space: FockSpace, occupations: tuple[int, ...]) -> np.ndarray:
@@ -141,17 +124,22 @@ class CompiledGenerator:
     """Matrices of a :class:`~cavmech.quadratic.QuadraticModel` on a Fock space, in block form.
 
     A density matrix is carried as the stack of its diagonal blocks over
-    the basis indices of ``blocks`` (default: the two parity sectors of
-    :func:`density_blocks`), shape (blocks, h, h) with h the largest block
-    size; a smaller block is padded at its end with ghost rows and columns
-    that the drift, the jumps and the monitors never touch, so they hold 0.
+    the basis indices of ``blocks``, which must partition the basis
+    (default: the two parity sectors of :func:`density_blocks`), shape
+    (blocks, h, h) with h the largest block size; a smaller block is
+    padded at its end with ghost rows and columns that the drift, the
+    jumps and the monitors never touch, so they hold 0.  Every operator
+    is compiled from the row maps ``(src, amp)`` of the ladders b_m and
+    b_m^dag (row i holds ``amp[i]`` at column ``src[i]`` alone; index dim
+    is a zero row): a term, a product of at most two ladders, has their
+    composition as its row map and is scattered into the block stack by
+    one assignment per row, which rejects an entry outside the row's block.
     The drift is the stack of its diagonal blocks: a static part plus
-    phase terms ``exp(i nu t) M + h.c.``.  A jump L = sum_m c_m X_m is a
-    sum of ladder operators, each of which sends every basis row to at
-    most one row, so each term X_m rho X_n^dag of L rho L^dag is one
-    precomputed gather from the flat stack times a weight (one term for a
-    bare ladder jump), stored complex so that a stage multiplies the
-    complex gather without casting it.
+    phase terms ``exp(i nu t) M + h.c.``.  For a jump L = sum_m c_m X_m,
+    each term X_m rho X_n^dag of L rho L^dag is one precomputed gather
+    from the flat stack by the row maps of X_m and X_n times a weight (one
+    term for a bare ladder jump), stored complex so that a stage
+    multiplies the complex gather without casting it.
     """
 
     def __init__(self, space: FockSpace, model, blocks=None):
@@ -164,6 +152,13 @@ class CompiledGenerator:
         dim = space.total_dim
 
         blocks = density_blocks(space) if blocks is None else blocks
+        counts = np.bincount(np.concatenate(blocks), minlength=dim)
+        if counts.size > dim:
+            raise ValueError(f"the density blocks hold index {counts.size - 1}, outside a basis of {dim}")
+        for problem, bad in (("repeats", counts > 1), ("is missing", counts == 0)):
+            if bad.any():
+                raise ValueError(f"the density blocks must partition the basis; index {bad.argmax()} "
+                                 f"{problem}")
         self.block_sizes = tuple(len(rows) for rows in blocks)
         h = max(self.block_sizes)
         # a ghost row points at index dim, the zero row and column that
@@ -172,38 +167,61 @@ class CompiledGenerator:
         for b, rows in enumerate(blocks):
             index[b, :len(rows)] = rows
         self.index = index
+        # block and row of every basis index; the ghost index dim has none
+        real = index < dim
+        block_of = np.full(dim + 1, -1)
+        row_of = np.zeros(dim + 1, int)
+        block_of[index[real]], row_of[index[real]] = np.nonzero(real)
+        levels = _occupation_numbers(space)
 
-        lowering = [destroy(d) for d in dims]
+        def ladder_map(m, dagger):
+            """The row map of b_m, or of b_m^dag: <n-1|b|n> = sqrt(n)."""
+            n = levels[m] if dagger else levels[m] + 1  # the upper level of each row's entry
+            has = (n > 0) & (n < dims[m])
+            step = math.prod(dims[m + 1:]) * (-1 if dagger else 1)
+            return (np.append(np.where(has, np.arange(dim) + step, dim), dim),
+                    np.append(np.where(has, np.sqrt(n), 0.0), 0.0).astype(complex))
 
-        def ladder(m, dagger):
-            """The ``(mode, matrix)`` factor of b_m, or of b_m^dag."""
-            return m, lowering[m].conj().T if dagger else lowering[m]
+        ladder = {(m, d): ladder_map(m, d) for m in range(len(dims)) for d in (False, True)}
+
+        stack_rows = np.indices(index.shape)
+
+        def stack(factors, c=1.0, closed=True):
+            """The block stack of c times a product of row maps; ``closed`` rejects any entry off it."""
+            src, amp = factors[0]
+            for s, a in factors[1:]:
+                src, amp = s[src], amp * a[src]
+            cols, values = src[index], (c * amp)[index]
+            inside = block_of[cols] == stack_rows[0]
+            if closed and np.any((values != 0) & ~inside):
+                raise ValueError("the density blocks are not closed under the generator")
+            out = np.zeros(index.shape + (h,), complex)
+            out[(*stack_rows, row_of[cols])] = np.where(inside, values, 0)
+            return out
 
         def term(c, m, n, squeeze):
-            return c * _operator(dims, ladder(m, True), ladder(n, squeeze))
+            return stack([ladder[m, True], ladder[n, squeeze]], c)
 
         parts = []
         for c, m, n, squeeze in model.static:
             parts.append(term(c, m, n, squeeze))
             if m != n:  # the h.c. part
-                parts.append(np.conj(c) * _operator(dims, ladder(n, not squeeze), ladder(m, False)))
-        static_h = sum(parts[1:], parts[0]) if parts else np.zeros((dim, dim), complex)
-        phase_terms = []
-        for nu, terms in model.oscillating:
-            mat = np.zeros((dim, dim), complex)
-            for t in terms:
-                mat += term(*t)
-            phase_terms.append((nu, mat))
+                parts.append(stack([ladder[n, not squeeze], ladder[m, False]], np.conj(c)))
+        zero = np.zeros(index.shape + (h,), complex)
+        static_h = sum(parts, zero)
+        phase_terms = [(nu, sum((term(*t) for t in terms), zero)) for nu, terms in model.oscillating]
         self.phase_nus = np.array([nu for nu, _ in phase_terms] + [-nu for nu, _ in phase_terms])
-        phase_mats = [-1j * m for _, m in phase_terms] + [-1j * m.conj().T for _, m in phase_terms]
+        phase_stacks = ([-1j * m for _, m in phase_terms]
+                        + [-1j * m.conj().swapaxes(1, 2) for _, m in phase_terms])
         # column k is the flat block stack of the k-th matrix; at dims
         # (4,3,3) 288 of its 7,776 entries are nonzero
-        packed = np.array([self.pack(m) for m in phase_mats], complex)
-        self._phase_columns = sparse.csr_matrix(packed.reshape(len(phase_mats), index.size * h).T)
+        packed = np.array(phase_stacks, complex)
+        self._phase_columns = sparse.csr_matrix(packed.reshape(len(phase_stacks), index.size * h).T)
         *cavity, b1, b2 = range(len(dims))
 
         def observable(m, n):
-            return self.pack(_operator(dims, ladder(m, True), ladder(n, False)))
+            # unchecked: an entry between blocks meets only zeros of the state
+            return stack([ladder[m, True], ladder[n, False]], closed=False)
 
         self.observables = {
             "n1": observable(b1, b1),
@@ -213,39 +231,27 @@ class CompiledGenerator:
         }
         self.f_max = model.f_max
 
-        # block and row of every basis index; the ghost index dim has none
-        real = index < dim
-        block_of = np.full(dim + 1, -1)
-        row_of = np.zeros(dim + 1, int)
-        block_of[index[real]], row_of[index[real]] = np.nonzero(real)
         rows, cols = index[:, :, None], index[:, None, :]
         self._jump_gathers = []
         base = -1j * static_h
         for coeffs, dagger, rate in model.jumps:
-            terms = [(c, _operator(dims, ladder(m, dagger))) for m, c in coeffs]
-            ladders = []
-            for c, op in terms:
-                # the one source column of each row, and its amplitude
-                src = np.append(np.abs(op).argmax(axis=1), dim)
-                ladders.append((c, src, np.append(op[np.arange(dim), src[:dim]], 0.0)))
-            for c_m, src_m, amp_m in ladders:
-                for c_n, src_n, amp_n in ladders:
+            ladders = [(c, ladder[m, dagger]) for m, c in coeffs]
+            for c_m, (src_m, amp_m) in ladders:
+                for c_n, (src_n, amp_n) in ladders:
                     w = rate * c_m * np.conj(c_n) * amp_m[rows] * np.conj(amp_n[cols])
                     k, l = src_m[rows], src_n[cols]
                     if np.any((w != 0) & (block_of[k] != block_of[l])):
                         raise ValueError("the density blocks are not closed under the generator")
                     src = np.where(w != 0, (block_of[k] * h + row_of[k]) * h + row_of[l], 0)
                     self._jump_gathers.append((w, src))
-            # L^dag L = sum_mn (c_m X_m)^dag (c_n X_n)
-            scaled = [(m, c * ladder(m, dagger)[1]) for m, c in coeffs]
-            base = base - 0.5 * rate * sum(_operator(dims, (m, f.conj().T), (n, g))
-                                           for m, f in scaled for n, g in scaled)
-        self.base_drift = self.pack(base)
+            # L^dag L = sum_mn (c_m X_m)^dag (c_n X_n); (c X)^dag has the sources back
+            # of X^dag, and in row i the conjugate of the amplitude of c X in row back[i]
+            scaled = [(src, c * amp) for c, (src, amp) in ladders]
+            backs = [ladder[m, not dagger][0] for m, _ in coeffs]
+            base = base - 0.5 * rate * sum(stack([(back, np.conj(f_amp)[back]), g])
+                                           for back, (_, f_amp) in zip(backs, scaled) for g in scaled)
+        self.base_drift = base
         self._product = np.empty_like(self.base_drift)  # D state, in every stage
-        if any(not np.array_equal(self.unpack(self.pack(m)), m) for m in [base] + phase_mats):
-            raise ValueError("the density blocks are not closed under the generator")
-
-        levels = _occupation_numbers(space)
         self.top_level_masks = [np.append(level == d - 1, False)[index] for level, d in zip(levels, dims)]
 
     def pack(self, matrix: np.ndarray) -> np.ndarray:
@@ -502,7 +508,8 @@ def integrate(
     ``carried`` the entries carried).
     Trace drift is compensated in the reported expectations only, never
     in the state.  Aborts when the top Fock level of any subsystem passes
-    ``truncation_tol``; the error names the first such record.
+    ``truncation_tol``, which must be a nonnegative number (a NaN would
+    pass every record); the error names the first such record.
 
     The state is carried as the stack of its diagonal blocks
     (:func:`density_blocks`): the two parity sectors of the total
@@ -516,6 +523,8 @@ def integrate(
     no eigenvalue below -1e-8; otherwise a ``ValueError`` names the first
     check it fails.
     """
+    if not truncation_tol >= 0:
+        raise ValueError(f"truncation_tol must be a nonnegative number, got {truncation_tol}")
     rho0 = np.array(rho0, dtype=complex)
     if rho0.shape != (space.total_dim,) * 2:
         raise ValueError(f"rho0 has shape {rho0.shape}, the space needs {(space.total_dim,) * 2}")

@@ -398,15 +398,26 @@ def _log_negativity(cov: np.ndarray):
     With D = det A + det B - 2 det C over the blocks [[A, C], [C^T, B]],
     nu+^2 = (D + sqrt(D^2 - 4 det cov)) / 2 and nu-^2 = det cov / nu+^2
     (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)); the
-    difference form of nu-^2 cancels for strong squeezing.  E_N is exactly
-    0 where nu- >= 1/2.
+    difference form of nu-^2 cancels for strong squeezing.  Where nu+ and
+    nu- nearly coincide (D^2 - 4 det cov <= 1e-6 D^2, as on a product of
+    pure states), the square root of that difference is mostly roundoff
+    (nu- read 0.4999999974 on a squeezed vacuum at r = 1.5), so nu- is
+    taken there as the smallest |eigenvalue| of the Hermitian i L^T Omega L,
+    with L L^T the Cholesky factorization of the partially transposed
+    covariance.  E_N is exactly 0 where nu- >= 1/2.
     """
     if cov.shape[-2:] != (4, 4):
         raise ValueError("log negativity implemented for a 1|1 split of two modes")
     det = np.linalg.det
     delta = det(cov[..., :2, :2]) + det(cov[..., 2:, 2:]) - 2 * det(cov[..., :2, 2:])
     det_cov = det(cov)
-    nu = np.sqrt(det_cov / (0.5 * (delta + np.sqrt(np.maximum(delta * delta - 4 * det_cov, 0.0)))))
+    disc = delta * delta - 4 * det_cov
+    nu = np.array(np.sqrt(det_cov / (0.5 * (delta + np.sqrt(np.maximum(disc, 0.0))))))
+    close = disc <= 1e-6 * delta * delta
+    if np.any(close):
+        flip = np.array([1.0, 1.0, 1.0, -1.0])  # p_2 -> -p_2
+        L = np.linalg.cholesky(cov[close] * flip[:, None] * flip)
+        nu[close] = np.abs(np.linalg.eigvalsh(1j * L.swapaxes(-1, -2) @ symplectic_form(2) @ L)).min(-1)
     return np.where(nu < 0.5, -np.log(2 * nu), 0.0), nu
 
 

@@ -54,6 +54,83 @@ def described_generator(spec, space):
     return drift, jumps
 
 
+def dense_compiled_arrays(spec, space, gen):
+    """The arrays :class:`CompiledGenerator` compiles, built from the dense operators.
+
+    The drift, the phase columns, the observables and the weight and source
+    of every jump gather, in the order of the compiled ones, from the
+    identity-padded operators of :func:`build_operators`.  Products are
+    taken by einsum, which sums each entry in index order: every row of a
+    ladder has one nonzero entry at most, so each entry of a product is
+    the one product of two entries that the compile forms.
+    """
+    model = quadratic_model(spec)
+    ops = build_operators(space)
+    dim = space.total_dim
+    zero = np.zeros((dim, dim), complex)
+
+    def ladder(m, dagger):
+        return dag(ops[m]) if dagger else ops[m]
+
+    def product(a, b):
+        return np.einsum("ij,jk->ik", a, b)
+
+    def term(c, m, n, squeeze):
+        return c * product(ladder(m, True), ladder(n, squeeze))
+
+    H = zero
+    for c, m, n, squeeze in model.static:
+        H = H + term(c, m, n, squeeze)
+        if m != n:
+            H = H + np.conj(c) * product(ladder(n, not squeeze), ladder(m, False))
+    phases = [sum((term(*t) for t in terms), zero) for _, terms in model.oscillating]
+    phase_mats = [-1j * M for M in phases] + [-1j * dag(M) for M in phases]
+    packed = np.array([gen.pack(M) for M in phase_mats], complex)
+    phase_columns = packed.reshape(len(phase_mats), gen.base_drift.size).T
+    *cavity, b1, b2 = range(len(space.dims))
+    pairs = [(b1, b1), (b2, b2)] + [(0, 0)] * len(cavity) + [(b1, b2)]
+    observables = [gen.pack(product(ladder(m, True), ladder(n, False))) for m, n in pairs]
+
+    # flat stack position of every basis pair inside a block
+    rows, cols = gen.index[:, :, None], gen.index[:, None, :]
+    position = np.zeros((dim + 1, dim + 1), int)
+    position[rows, cols] = np.arange(gen.base_drift.size).reshape(gen.base_drift.shape)
+    gathers = []
+    D = -1j * H
+    for coeffs, dagger, rate in model.jumps:
+        singles = []
+        for m, c in coeffs:
+            X = np.zeros((dim + 1, dim + 1), complex)
+            X[:dim, :dim] = ladder(m, dagger)
+            src = np.full(dim + 1, dim)  # the nonzero column of each row, dim for none
+            i, k = np.nonzero(X)
+            src[i] = k
+            singles.append((c, src, X[np.arange(dim + 1), src]))
+        for c_m, src_m, amp_m in singles:
+            for c_n, src_n, amp_n in singles:
+                w = rate * c_m * np.conj(c_n) * amp_m[rows] * np.conj(amp_n[cols])
+                gathers += [w, np.where(w != 0, position[src_m[rows], src_n[cols]], 0)]
+        LdL = sum(product(dag(c_m * ladder(m, dagger)), c_n * ladder(n, dagger))
+                  for m, c_m in coeffs for n, c_n in coeffs)
+        D = D - 0.5 * rate * LdL
+    return [gen.pack(D), phase_columns] + observables + gathers
+
+
+def assert_compiled_arrays_match(spec, space, tol=0.0):
+    """Every compiled array equals the dense construction in dtype and shape, and in value to ``tol``."""
+    gen = compile_generator(spec, space)
+    compiled = ([gen.base_drift, gen._phase_columns.toarray()]
+                + [op for op in gen.observables.values() if op is not None]
+                + [a for gather in gen._jump_gathers for a in gather])
+    dense = dense_compiled_arrays(spec, space, gen)
+    assert len(compiled) == len(dense)
+    for got, want in zip(compiled, dense):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want) if tol == 0 else np.abs(got - want).max() <= tol
+    # the gather weights stay complex
+    assert all(weight.dtype == complex for weight, _ in gen._jump_gathers)
+
+
 def engine_rhs(gen, t, rho):
     """The Lindbladian at time ``t`` on the Hermitian block stack ``rho``, by the
     stage every run steps with."""
@@ -308,39 +385,27 @@ class TestLiouvillian:
         assert np.all(got.data != 0)
         assert (abs(got).sign() != abs(want).sign()).nnz == 0
 
-    @pytest.mark.parametrize("model,dims", [("full", (4, 3, 3)), ("effective", (8, 8))])
+    @pytest.mark.parametrize("model,dims", [("full", (4, 3, 3)), ("effective", (8, 8)),
+                                            ("full", (3, 3, 3)), ("effective", (3, 3))])
     @pytest.mark.parametrize("thermal", [None, ((0.01, 0.3), (0.02, 0.1))])
-    def test_compiled_arrays_match_the_dense_construction(self, monkeypatch, model, dims, thermal):
-        # the compile forms each operator product as a Kronecker product of
-        # single-mode factors; the dense construction multiplies the
-        # identity-padded whole-space operators.  einsum sums each entry in
-        # index order, as the Kronecker factors do; zgemm may fuse a
-        # multiply-add into the two-term sums on the diagonal of L^dag L of
-        # the collective jump, which would move its last bit.
-        def dense_operator(dims, *factors):
-            product = None
-            for m, matrix in factors:
-                whole = np.ones((1, 1), complex)
-                for j, d in enumerate(dims):
-                    whole = np.kron(whole, matrix if j == m else np.eye(d))
-                product = whole if product is None else np.einsum("ij,jk->ik", product, whole)
-            return product
-
-        def arrays(gen):
-            return ([gen.base_drift, gen._phase_columns.toarray()]
-                    + [op for op in gen.observables.values() if op is not None]
-                    + [a for gather in gen._jump_gathers for a in gather])
-
+    def test_compiled_arrays_match_the_dense_construction(self, model, dims, thermal):
+        # the (3, 3, 3) and (3, 3) blocks are padded with ghost rows
         fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08, thermal_baths=thermal)
         spec = FullLinearized(fr) if model == "full" else effective_generator(fr, include_shifts=True)
-        space = FockSpace(dims)
-        compiled = arrays(compile_generator(spec, space))
-        monkeypatch.setattr(fock, "_operator", dense_operator)
-        dense = arrays(compile_generator(spec, space))
-        assert len(compiled) == len(dense)
-        for got, want in zip(compiled, dense):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        assert_compiled_arrays_match(spec, FockSpace(dims))
+
+    def test_compiled_arrays_of_a_complex_model_match_the_dense_construction(self):
+        # complex coefficients on every kind of term and jump, which the
+        # generator specs never give, so that a missing conjugate shows.
+        # With complex factors numpy's complex multiply and einsum's may
+        # round differently in the last bit (worst measured 2.8e-17)
+        model = QuadraticModel(
+            3,
+            static=((0.7, 2, 2, False), (0.3 + 0.2j, 0, 1, False), (0.1 - 0.4j, 1, 2, True)),
+            oscillating=((0.9, ((0.2 + 0.5j, 0, 2, False), (-0.3j, 1, 2, True))),),
+            jumps=((((0, 0.6 + 0.3j), (2, -0.2 + 0.8j)), False, 0.4), (((1, 0.5j), (2, 0.3)), True, 0.1)),
+        )
+        assert_compiled_arrays_match(model, FockSpace((3, 2, 3)), tol=1e-15)
 
     def test_superoperator_rejects_time_dependent_generator(self):
         gen = compile_generator(FullLinearized(desk_frame()), FockSpace((2, 2, 2)))
@@ -586,6 +651,17 @@ class TestIntegrate:
         assert str(abort.value).startswith(f"subsystem 0 holds population 1.000e+00 in its top Fock "
                                            f"level n=2 at t={dt:.6g}, ")
         assert isinstance(abort.value.__context__, propagate.StepControlError)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-3])
+    def test_truncation_tolerance_must_be_a_nonnegative_number(self, tol):
+        # a NaN tolerance would switch the monitor off: this run puts its
+        # whole population in the top level, and the default tolerance
+        # aborts it at t = 0
+        spec, space = effective_generator(desk_frame()), FockSpace((2, 2))
+        with pytest.raises(TruncationError, match="at t=0, "):
+            integrate(spec, space, fock_state(space, (1, 0)), 1.0, 0.1)
+        with pytest.raises(ValueError, match="truncation_tol"):
+            integrate(spec, space, fock_state(space, (1, 0)), 1.0, 0.1, truncation_tol=tol)
 
     def test_state_validation_on_entry(self):
         fr = desk_frame()
@@ -1357,11 +1433,25 @@ class TestDensityBlocks:
         assert gen.index.shape == (2, max(sizes))
         assert np.array_equal(np.sort(gen.index[gen.index < space.total_dim]), np.arange(space.total_dim))
 
-    def test_blocks_must_be_closed_under_the_generator(self):
-        # the exchange term couples |1,1> (index 4) to |0,2> (index 2) and |2,0> (index 6)
+    @pytest.mark.parametrize("spec,dims,blocks", [
+        # the static exchange term couples |1,1> (index 4) to |0,2> (index 2) and |2,0> (index 6)
+        (effective_generator(desk_frame()), (3, 3), [np.arange(4), np.arange(4, 9)]),
+        # every oscillating term a^dag b_j or a^dag b_j^dag changes the cavity level
+        (FullLinearized(desk_frame()), (2, 2, 2), [np.arange(4), np.arange(4, 8)]),
+    ], ids=["static", "oscillating"])
+    def test_blocks_must_be_closed_under_the_generator(self, spec, dims, blocks):
         with pytest.raises(ValueError, match="not closed"):
-            compile_generator(effective_generator(desk_frame()), FockSpace((3, 3)),
-                              [np.arange(4), np.arange(4, 9)])
+            compile_generator(spec, FockSpace(dims), blocks)
+
+    @pytest.mark.parametrize("blocks,problem", [
+        ([np.arange(9), np.arange(9)], "index 0 repeats"),
+        ([np.arange(4), np.arange(5, 9)], "index 4 is missing"),
+        ([np.arange(5), np.arange(5, 10)], "index 9, outside"),
+    ])
+    def test_blocks_must_partition_the_basis(self, blocks, problem):
+        # an overlap would count a basis state twice, an omission drop it
+        with pytest.raises(ValueError, match=problem):
+            compile_generator(effective_generator(desk_frame()), FockSpace((3, 3)), blocks)
 
     @pytest.mark.parametrize("dims", [(4, 3, 3), (3, 3, 3)])
     def test_full_model_matches_dense_reference(self, dims):

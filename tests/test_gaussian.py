@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -695,6 +696,41 @@ class TestLogNegativity:
         # the same bits alone
         assert np.all(en[ref_nu > 0.5 + 1e-12] == 0.0) and not np.signbit(en).any()
         assert all((en[i], nu[i]) == gaussian._log_negativity(cov[i]) for i in range(0, count, 97))
+
+    @staticmethod
+    def product_of_squeezed_states(r1, r2, phi1=0.0, phi2=0.0):
+        """Covariance and the two rotated single-mode squeezed blocks it is the direct sum of."""
+        blocks = []
+        for r, phi in ((r1, phi1), (r2, phi2)):
+            rot = np.array([[math.cos(phi), math.sin(phi)], [-math.sin(phi), math.cos(phi)]])
+            blocks.append(rot @ np.diag([0.5 * math.exp(-2 * r), 0.5 * math.exp(2 * r)]) @ rot.T)
+        return np.block([[blocks[0], np.zeros((2, 2))], [np.zeros((2, 2)), blocks[1]]]), blocks
+
+    def test_product_of_squeezed_states_is_separable(self):
+        # nu+ = nu- = 1/2, where the closed form read E_N = 5.3e-9 on a
+        # squeezed vacuum at r = 1.5, 2 and 3 (worst measured now 1.1e-16)
+        for r in np.linspace(0.0, 3.0, 13):
+            for r2 in (0.0, 3.0 - r):
+                en, nu = log_negativity(CovarianceState(np.zeros(4), self.product_of_squeezed_states(r, r2)[0]))
+                assert en <= 1e-12 and abs(nu - 0.5) <= 1e-12
+
+    def test_product_of_rotated_squeezed_states(self):
+        # a rotation rounds the blocks, so their determinants miss 1/4 and
+        # nu- of the state is sqrt of the smaller one, computed exactly here
+        # (its E_N reaches 3.1e-12); nu- stays within 1e-11 of it (worst
+        # measured 2.9e-12 over 2,000 states) on its own and in a stack
+        rng = np.random.default_rng(9)
+        covs, exact = [], []
+        for _ in range(200):
+            r1, r2, phi1, phi2 = *rng.uniform(0, 3, 2), *rng.uniform(0, 2 * math.pi, 2)
+            cov, blocks = self.product_of_squeezed_states(r1, r2, phi1, phi2)
+            dets = [Fraction(x[0, 0]) * Fraction(x[1, 1]) - Fraction(x[0, 1]) * Fraction(x[1, 0])
+                    for x in blocks]
+            covs.append(cov)
+            exact.append(math.sqrt(min(dets)))
+        en, nu = gaussian._log_negativity(np.array(covs))
+        assert np.abs(nu - np.array(exact)).max() <= 1e-11
+        assert all((en[i], nu[i]) == gaussian._log_negativity(covs[i]) for i in range(0, 200, 13))
 
     def test_unphysical_covariance_rejected(self):
         with pytest.raises(PhysicalityError):
