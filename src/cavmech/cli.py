@@ -289,9 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_subcommand(subs, "validate", _cmd_validate, "five-stage cross-module consistency "
                         "pipeline", REPORT_FORMATS)
     p.add_argument("--draws", type=int, default=1000)
-    p.add_argument("--dims", default="4,3,3")
+    protocol = TransferProtocol()
+    p.add_argument("--dims", default=",".join(map(str, protocol.dims)))
+    # longer than the protocol's window: the fitted rate depends on the window
     p.add_argument("--transfer-t-end", type=_finite_float, default=600.0)
-    p.add_argument("--truncation-tol", type=_finite_float, default=0.02)
+    p.add_argument("--truncation-tol", type=_finite_float, default=protocol.truncation_tol)
     p.add_argument("--verbose", action="store_true")
 
     return parser

@@ -14,7 +14,7 @@ generator by its sparse real Lindblad superoperator on the real form
 S = Re rho + Im rho of the blocks (:func:`s_form`), which the driver
 exponentiates, a time-dependent one by its drift blocks at the stage
 times of a step (:meth:`CompiledGenerator.drift` takes an array of times
-and sums the phase terms by one sparse product) and
+and sums the phase terms at the few positions they touch) and
 :meth:`CompiledGenerator.stage`, the one right-hand side.  Repeated
 runs are bit-identical, the trace is never rescaled, and trace,
 Hermiticity, positivity, and top-level population are monitored at
@@ -143,8 +143,6 @@ class CompiledGenerator:
     """
 
     def __init__(self, space: FockSpace, model, blocks=None):
-        from scipy import sparse
-
         if len(space.dims) != model.n_modes:
             raise ValueError(f"the model needs {model.n_modes} dims, one per mode")
         self.space = space
@@ -213,10 +211,15 @@ class CompiledGenerator:
         self.phase_nus = np.array([nu for nu, _ in phase_terms] + [-nu for nu, _ in phase_terms])
         phase_stacks = ([-1j * m for _, m in phase_terms]
                         + [-1j * m.conj().swapaxes(1, 2) for _, m in phase_terms])
-        # column k is the flat block stack of the k-th matrix; at dims
-        # (4,3,3) 288 of its 7,776 entries are nonzero
-        packed = np.array(phase_stacks, complex)
-        self._phase_columns = sparse.csr_matrix(packed.reshape(len(phase_stacks), index.size * h).T)
+        # the flat stack positions the phase terms touch (144 of 1,296 at
+        # dims (4,3,3)), and at each the phases and weights of its terms in
+        # ascending phase order, padded with weight 0 (2 terms each at (4,3,3))
+        packed = np.array(phase_stacks, complex).reshape(len(phase_stacks), index.size * h)
+        self._phase_positions = np.flatnonzero(packed.any(axis=0))
+        touching = packed[:, self._phase_positions]
+        depth = (touching != 0).sum(axis=0).max(initial=0)
+        self._phase_sources = np.argsort(touching == 0, axis=0, kind="stable")[:depth]
+        self._phase_weights = np.take_along_axis(touching, self._phase_sources, 0)
         *cavity, b1, b2 = range(len(dims))
 
         def observable(m, n):
@@ -251,6 +254,7 @@ class CompiledGenerator:
             base = base - 0.5 * rate * sum(stack([(back, np.conj(f_amp)[back]), g])
                                            for back, (_, f_amp) in zip(backs, scaled) for g in scaled)
         self.base_drift = base
+        self._phase_base = base.reshape(-1)[self._phase_positions]
         self._product = np.empty_like(self.base_drift)  # D state, in every stage
         self.top_level_masks = [np.append(level == d - 1, False)[index] for level, d in zip(levels, dims)]
 
@@ -270,16 +274,24 @@ class CompiledGenerator:
     def drift(self, ts) -> np.ndarray:
         """Drift blocks at time ``ts``, or the stack of them over an array of times.
 
-        The phase terms are summed by one sparse product, which never
-        calls BLAS: a dense product of this size takes OpenBLAS's threaded
-        path, and its worker threads then spin through the small
-        single-threaded products of the Runge-Kutta stages that follow.
+        Only the stack positions the phase terms touch are summed: each
+        takes its few phases by one gather, times their weights, in
+        ascending phase order, then adds its static entry, so a time gives
+        the same bits alone or in a stack.  Nothing calls BLAS: a dense
+        product over all the positions takes OpenBLAS's threaded path, and
+        its worker threads then spin through the small single-threaded
+        products of the Runge-Kutta stages that follow.
         """
-        phases = np.exp(1j * np.multiply.outer(ts, self.phase_nus))
-        flat = self._phase_columns @ phases.reshape(np.size(ts), self.phase_nus.size).T
-        out = flat.T.reshape(np.shape(ts) + self.base_drift.shape)
-        out += self.base_drift
-        return out
+        n = np.size(ts)
+        phases = np.exp(1j * np.multiply.outer(ts, self.phase_nus)).reshape(n, -1)
+        terms = phases.take(self._phase_sources, axis=1)
+        terms *= self._phase_weights
+        touched = terms.sum(axis=1)
+        touched += self._phase_base
+        flat = np.repeat(self.base_drift.reshape(1, -1), n, axis=0)
+        for row, values in zip(flat, touched):  # faster than one 2-d scatter
+            row[self._phase_positions] = values
+        return flat.reshape(np.shape(ts) + self.base_drift.shape)
 
     def add_jump_sandwiches(self, state: np.ndarray, out: np.ndarray) -> None:
         """Accumulate sum_i L_i state L_i^dag into ``out`` (block stacks)."""
@@ -643,6 +655,84 @@ def _rabi_jacobian(t, amplitude, omega, gamma, offset, slope):
                      np.ones_like(t), t], axis=-1)
 
 
+_FIT_EVALUATIONS = 20000  # model evaluations before a fit gives up
+
+
+def _least_squares_in_box(model, jacobian, t, y, x0, lower, upper):
+    """Minimize the sum of squares of r = model(t, *x) - y over lower <= x <= upper.
+
+    A projected Levenberg-Marquardt iteration with Moré's column scaling
+    (Moré, Lecture Notes in Mathematics 630, 105 (1978)): D holds the
+    largest norm each column of the Jacobian J has had.  A variable at a
+    bound that the gradient g = J^T r pushes outward is held there; the
+    others take the damped Gauss-Newton step (J^T J + lam D^2) p = -g, and
+    the trial x + p is projected onto the box.  J^T J and g come from one
+    product with [J, r] of 6 columns, far under OpenBLAS's threaded size.
+    A trial is taken when its actual reduction of the cost is at least
+    1e-4 of the predicted one, and lam falls (Nielsen's rule); otherwise
+    lam rises, doubling its factor on each further rejection.  Near the
+    optimum the predicted reduction drops below the cost's roundoff,
+    8 eps sum |r_i| |y_i| (each residual is off by a few eps |y_i|), and
+    the comparison says nothing: such a trial is taken when the cost
+    rises by no more than that roundoff.  The gradient, which stays
+    accurate there, then steers the steps down to its own noise.
+
+    Stops, at roundoff:
+    - when a trial moves x by at most 1e-15 relative in the scaled norm
+      |D p| / |D x|, returning x;
+    - when a step taken within the cost's roundoff is no shorter than
+      half the roundoff step before it: the iterates then only wander at
+      the noise of the gradient, so the trial is returned.
+
+    Raises :class:`FitError` after ``_FIT_EVALUATIONS`` model evaluations.
+    """
+    eps = np.finfo(float).eps
+    x = np.array(x0, float)
+    r = model(t, *x) - y
+    cost = r @ r
+    scale = np.zeros_like(x)
+    damping, last = 1e-3, np.inf
+    taken = True
+    for _ in range(_FIT_EVALUATIONS):
+        if taken:
+            columns = np.column_stack([jacobian(t, *x), r])
+            gram = columns.T @ columns
+            JTJ, g = gram[:-1, :-1], gram[:-1, -1]
+            scale = np.maximum(scale, np.sqrt(np.diag(JTJ)))
+            free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
+            d = scale[free]
+            scaled = JTJ[np.ix_(free, free)] / np.outer(d, d)
+            roundoff = 8 * eps * (np.abs(r) @ np.abs(y))
+            growth = 2.0
+        p = np.zeros_like(x)
+        p[free] = np.linalg.solve(scaled + damping * np.eye(d.size), -g[free] / d) / d
+        trial = np.clip(x + p, lower, upper)
+        s = trial - x
+        size = np.linalg.norm(scale * s) / np.linalg.norm(scale * x)
+        if size <= 1e-15:
+            return x
+        r_trial = model(t, *trial) - y
+        cost_trial = r_trial @ r_trial
+        predicted = -(2 * g @ s + s @ JTJ @ s)
+        reduction = cost - cost_trial
+        taken = predicted > 0 and (reduction >= 1e-4 * predicted
+                                   or (predicted <= roundoff and reduction >= -roundoff))
+        if not taken:
+            damping *= growth
+            growth *= 2
+            continue
+        if predicted <= roundoff:
+            if size >= last / 2:
+                return trial
+            last = size
+            damping /= 3
+        else:
+            last = np.inf
+            damping *= max(1 / 3, 1 - (2 * reduction / predicted - 1) ** 3)
+        x, r, cost = trial, r_trial, cost_trial
+    raise FitError(f"Rabi fit failed: no convergence in {_FIT_EVALUATIONS} model evaluations")
+
+
 def fit_damped_rabi(t: np.ndarray, n2: np.ndarray):
     """Fit n2(t) to A sin^2(w t) exp(-g t) + c + h t; returns (A, w, g, c).
 
@@ -653,14 +743,18 @@ def fit_damped_rabi(t: np.ndarray, n2: np.ndarray):
     unit-amplitude swap from |1, 0>, and the nonlinear refinement is
     confined to its neighborhood.  The amplitude is capped at 1 (the
     initial state holds one excitation) and the bounded linear term
-    absorbs the slow mediator-heating drift.  The refinement runs to
-    convergence (tolerances 1e-15): at ``curve_fit``'s default stopping
-    rule a roundoff-level change in n2 moves the fitted rate by ~1e-7
-    relative, and the rate can stop over 1 % short of the optimum.  The
-    refinement takes the model's analytic Jacobian.
+    absorbs the slow mediator-heating drift.  The refinement is the
+    bounded least-squares problem, solved by a projected
+    Levenberg-Marquardt iteration on the model's analytic Jacobian
+    (:func:`_least_squares_in_box`) that runs to roundoff: it stops when a
+    step moves the scaled parameters by at most 1e-15 relative, or when
+    steps below the cost's roundoff stop shrinking.  A looser rule
+    leaves the rate short of the optimum: at a relative cost change of
+    1e-8 a roundoff-level change in n2 moves it by ~1e-7 relative.  The
+    data must be finite; any failure raises :class:`FitError`.
     """
-    from scipy.optimize import curve_fit
-
+    if not (np.isfinite(t).all() and np.isfinite(n2).all()):
+        raise FitError("the data to fit must be finite")
     peak = float(n2.max())
     if peak < 1e-9:
         raise FitError("no transfer signal to fit")
@@ -682,16 +776,10 @@ def fit_damped_rabi(t: np.ndarray, n2: np.ndarray):
     gamma_max = max(6.0 / window, 1e-12)
     slope_max = 0.2 * max(peak, 1e-3) / window
     p0 = (min(1.0, max(peak, 1e-3)), omega_lin, 1e-3 * gamma_max, 0.0, 0.0)
-    bounds = (
-        [1e-6, 0.75 * omega_lin, 0.0, -0.05, 0.0],
-        [1.005, 1.3 * omega_lin, gamma_max, 0.05, slope_max],
-    )
-    try:
-        popt, _ = curve_fit(_rabi_model, t, n2, p0=p0, bounds=bounds, jac=_rabi_jacobian,
-                            maxfev=20000, ftol=1e-15, xtol=1e-15, gtol=1e-15)
-    except (RuntimeError, ValueError) as exc:
-        raise FitError(f"Rabi fit failed: {exc}") from exc
-    amplitude, omega, gamma, offset, _slope = popt
+    lower = np.array([1e-6, 0.75 * omega_lin, 0.0, -0.05, 0.0])
+    upper = np.array([1.005, 1.3 * omega_lin, gamma_max, 0.05, slope_max])
+    amplitude, omega, gamma, offset, _slope = _least_squares_in_box(
+        _rabi_model, _rabi_jacobian, t, n2, p0, lower, upper)
     return amplitude, omega, gamma, offset
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from cavmech import cli, propagate
 from cavmech.cli import build_parser, main
+from cavmech.fock import TransferProtocol
 from cavmech.gaussian import PhysicalityError
 from conftest import assert_same_text
 
@@ -198,6 +199,15 @@ class TestOutputPath:
         for line in lines:
             args = build_parser().parse_args(shlex.split(line)[1:])
             assert callable(args.run), line
+
+
+class TestValidateDefaults:
+    def test_transfer_defaults_are_the_protocols(self):
+        args = build_parser().parse_args(["validate"])
+        protocol = TransferProtocol()
+        assert cli._parse_ints(args.dims) == protocol.dims
+        assert args.truncation_tol == protocol.truncation_tol
+        assert args.transfer_t_end == 600.0
 
 
 class TestStartup:

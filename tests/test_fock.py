@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,10 +121,23 @@ def dense_compiled_arrays(spec, space, gen):
     return [gen.pack(D), phase_columns] + observables + gathers
 
 
+def phase_columns(gen):
+    """The (stack size, phases) matrix of the phase terms, from the gathers :meth:`drift` sums.
+
+    Column k is the flat block stack of the k-th phase matrix; a position
+    names each phase once among its terms, so no two terms share an entry.
+    """
+    sources = gen._phase_sources
+    assert np.all(np.diff(np.sort(sources, axis=0), axis=0) != 0)
+    columns = np.zeros((gen.base_drift.size, gen.phase_nus.size), complex)
+    columns[gen._phase_positions, sources] = gen._phase_weights
+    return columns
+
+
 def assert_compiled_arrays_match(spec, space, tol=0.0):
     """Every compiled array equals the dense construction in dtype and shape, and in value to ``tol``."""
     gen = compile_generator(spec, space)
-    compiled = ([gen.base_drift, gen._phase_columns.toarray()]
+    compiled = ([gen.base_drift, phase_columns(gen)]
                 + [op for op in gen.observables.values() if op is not None]
                 + [a for gather in gen._jump_gathers for a in gather])
     dense = dense_compiled_arrays(spec, space, gen)
@@ -288,10 +306,8 @@ class TestLiouvillian:
         gen = compile_generator(FullLinearized(desk_frame()), FockSpace((4, 3, 3)))
         ts = np.arange(63) * 0.0137
         scalar = np.array([gen.drift(t) for t in ts])
-        # the 12-term phase sum may be added in another order by a
-        # matrix-matrix than by a matrix-vector product
-        tol = 8 * np.finfo(float).eps * np.abs(scalar).max()
-        assert np.abs(gen.drift(ts) - scalar).max() <= tol
+        # each position sums its phase terms in one order, however many times are asked
+        assert np.array_equal(gen.drift(ts), scalar)
 
     def test_drift_matches_model_description(self):
         # -i H(t) - 1/2 sum rate L^dag L, term by term from the model
@@ -406,6 +422,25 @@ class TestLiouvillian:
             jumps=((((0, 0.6 + 0.3j), (2, -0.2 + 0.8j)), False, 0.4), (((1, 0.5j), (2, 0.3)), True, 0.1)),
         )
         assert_compiled_arrays_match(model, FockSpace((3, 2, 3)), tol=1e-15)
+
+    def test_phase_terms_sharing_positions(self):
+        # two phases with different complex coefficients on the same
+        # entries, so that drift() sums distinct weights at a position
+        space = FockSpace((3, 2, 3))
+        model = QuadraticModel(
+            3,
+            static=((0.7, 2, 2, False),),
+            oscillating=((0.9, ((0.2 + 0.5j, 0, 2, False),)),
+                         (1.7, ((0.4 - 0.1j, 0, 2, False), (0.3j, 1, 2, True)))),
+            jumps=((((0, 1.0),), False, 0.4),),
+        )
+        assert_compiled_arrays_match(model, space, tol=1e-15)
+        gen = compile_generator(model, space)
+        assert len(gen._phase_sources) == 2
+        base, columns = dense_compiled_arrays(model, space, gen)[:2]
+        ts = np.array([0.3, 2.9])
+        want = base.reshape(-1) + np.exp(1j * np.multiply.outer(ts, gen.phase_nus)) @ columns.T
+        assert np.abs(gen.drift(ts).reshape(ts.size, -1) - want).max() <= 1e-15
 
     def test_superoperator_rejects_time_dependent_generator(self):
         gen = compile_generator(FullLinearized(desk_frame()), FockSpace((2, 2, 2)))
@@ -1654,6 +1689,26 @@ class TestHeatingRates:
         assert slope1 / slope2 == pytest.approx(up1 / up2, rel=0.25)
 
 
+def _fit_fixture(t, n2):
+    return lambda: (t.copy(), n2.copy())
+
+
+_t700, _t100 = np.linspace(0, 700, 1500), np.linspace(0, 100, 2001)
+# n2 fixtures of the Rabi fit: an exact model with its optimum inside the
+# bounds; a 100-unit window short of the first swap with a fast sideband
+# ripple and a heating drift, like the full-model transfer runs; and such a
+# window whose bounded optimum holds the amplitude at its 1.005 cap and the
+# decay at its floor 0, as the horizon-100 desk-frame run does
+FIT_FIXTURES = {
+    "interior optimum": _fit_fixture(_t700, 0.97 * np.sin(1.1e-3 * _t700) ** 2 * np.exp(-2e-4 * _t700) + 0.002),
+    "short window": _fit_fixture(_t100, 0.9 * np.sin(1.05e-3 * _t100) ** 2 * np.exp(-2e-3 * _t100) + 8e-4
+                                 + 2e-4 * np.sin(0.2 * _t100) ** 2 + 2e-6 * _t100),
+    "held at the amplitude cap and the decay floor": _fit_fixture(
+        _t100, 1.3 * np.sin(9.2e-4 * _t100) ** 2 * np.exp(1e-3 * _t100) + 8e-4
+        + 2e-4 * np.sin(0.2 * _t100) ** 2 + 1.2e-5 * _t100),
+}
+
+
 class TestTransferExperiment:
     def test_effective_model_recovers_coupling(self):
         fr = desk_frame()
@@ -1709,6 +1764,69 @@ class TestTransferExperiment:
         noise = 1e-16 * np.random.default_rng(0).standard_normal(t.size)
         w = fit_damped_rabi(t, n2)[1]
         assert fit_damped_rabi(t, n2 + noise)[1] == pytest.approx(w, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("fixture", sorted(FIT_FIXTURES))
+    def test_fit_matches_scipy_trf(self, fixture, monkeypatch):
+        # scipy's trust-region reflective solver is the reference only: the
+        # fit hands the same problem to it, and its rate must agree
+        from scipy.optimize import least_squares
+
+        t, n2 = FIT_FIXTURES[fixture]()
+        problems = []
+        solver = fock._least_squares_in_box
+
+        def recorded(*problem):
+            problems.append(problem)
+            return solver(*problem)
+
+        monkeypatch.setattr(fock, "_least_squares_in_box", recorded)
+        amplitude, omega, gamma, _ = fit_damped_rabi(t, n2)
+        model, jacobian, times, y, p0, lower, upper = problems[0]
+        ref = least_squares(lambda p: model(times, *p) - y, p0, jac=lambda p: jacobian(times, *p),
+                            bounds=(lower, upper), method="trf", ftol=1e-15, xtol=1e-15, gtol=1e-15,
+                            max_nfev=20000)
+        assert ref.success
+        # worst measured: 4.3e-12 (the bound-held fixture)
+        assert omega == pytest.approx(ref.x[1], rel=1e-9, abs=0)
+        if fixture == "held at the amplitude cap and the decay floor":
+            assert (amplitude, gamma) == (1.005, 0.0)
+
+    @pytest.mark.parametrize("where", ["t", "n2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_fit_rejects_non_finite_data(self, where, value):
+        t, n2 = FIT_FIXTURES["interior optimum"]()
+        (t if where == "t" else n2)[700] = value
+        with pytest.raises(FitError, match="finite"):
+            fit_damped_rabi(t, n2)
+
+    def test_fit_raises_at_its_evaluation_cap(self, monkeypatch):
+        t, n2 = FIT_FIXTURES["interior optimum"]()
+        monkeypatch.setattr(fock, "_FIT_EVALUATIONS", 5)
+        with pytest.raises(FitError, match="no convergence in 5 model evaluations"):
+            fit_damped_rabi(t, n2)
+
+    def test_time_dependent_path_and_fit_load_no_scipy(self):
+        # a short full-model run takes the time-dependent path; scipy stays
+        # for the exact path and the Lyapunov steady state.  Tier-1 cost:
+        # about 0.2 s, mostly the fresh interpreter's imports
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from cavmech import fock, frame_from_collective
+            from cavmech.quadratic import FullLinearized, quadratic_model
+            spec = FullLinearized(frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05))
+            space = fock.FockSpace((3, 2, 2))
+            traj = fock.integrate(spec, space, fock.fock_state(space, (0, 1, 0)), 1.0,
+                                  0.01 / quadratic_model(spec).f_max, truncation_tol=1.0)
+            assert traj.stats.stage_evaluations > 0
+            t = np.linspace(0, 700, 1500)
+            fock.fit_damped_rabi(t, 0.97 * np.sin(1.1e-3 * t) ** 2 * np.exp(-2e-4 * t) + 0.002)
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """)
+        src = str(Path(fock.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
