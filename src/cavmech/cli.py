@@ -178,21 +178,16 @@ def _cmd_simulate(args) -> int:
     config = _require_config(args)
     frame = derive_frame(config)
     dims = _parse_ints(args.dims)
-    if args.model == "full":
-        spec = FullLinearized(frame)
-        expected = 3
-    else:
-        spec = effective_generator(frame)
-        expected = 2
-    if len(dims) != expected:
-        raise UsageError(f"--dims needs {expected} entries for the {args.model} model")
+    quad = quadratic_model(FullLinearized(frame) if args.model == "full" else effective_generator(frame))
+    if len(dims) != quad.n_modes:
+        raise UsageError(f"--dims needs {quad.n_modes} entries for the {args.model} model")
     space = FockSpace(dims)
     occupations = _parse_ints(args.initial)
-    if len(occupations) != expected:
-        raise UsageError(f"--initial needs {expected} occupations")
+    if len(occupations) != quad.n_modes:
+        raise UsageError(f"--initial needs {quad.n_modes} occupations")
     rho0 = fock_state(space, occupations)
-    dt = args.dt if args.dt is not None else fewest_steps_dt(args.t_end, quadratic_model(spec).f_max)
-    traj = integrate(spec, space, rho0, args.t_end, dt, stride=args.stride,
+    dt = args.dt if args.dt is not None else fewest_steps_dt(args.t_end, quad.f_max)
+    traj = integrate(quad, space, rho0, args.t_end, dt, stride=args.stride,
                      truncation_tol=args.truncation_tol)
     _output(_trajectory_dataset(traj, config), args)
     return 0

@@ -237,12 +237,3 @@ def net_rate_closed(G_sq, x, delta_bar, kappa):
     """Net rate down - up of a bath as one rational expression; elementwise."""
     return 4 * G_sq * kappa * delta_bar * x / _net_rate_denominator(x, delta_bar, kappa)
 
-
-def nbar_closed(x: float, delta_bar: float, kappa: float) -> float:
-    """Effective occupation as the explicit four-term expression."""
-    return (
-        kappa * kappa / (16 * delta_bar * x)
-        + delta_bar / (4 * x)
-        + x / (4 * delta_bar)
-        - 0.5
-    )

@@ -799,22 +799,17 @@ def excitation_transfer_experiment(
     a damped Rabi form and returns the fitted rate for comparison against
     the closed form.
     """
-    if model == "full":
-        spec = FullLinearized(frame)
-        space = FockSpace(protocol.dims)
-        rho0 = fock_state(space, (0, 1, 0))
-    elif model == "effective":
-        spec = effective_generator(frame)
-        space = FockSpace(protocol.dims[1:])
-        rho0 = fock_state(space, (1, 0))
-    else:
+    if model not in ("full", "effective"):
         raise ValueError("model must be 'full' or 'effective'")
+    quad = quadratic_model(FullLinearized(frame) if model == "full" else effective_generator(frame))
+    space = FockSpace(protocol.dims[-quad.n_modes:])
+    rho0 = fock_state(space, (0,) * (quad.n_modes - 2) + (1, 0))
 
-    f_max = quadratic_model(spec).f_max
+    f_max = quad.f_max
     dt = 0.01 / f_max if f_max > 0 else protocol.t_end / 1000
     stride = max(1, step_count(protocol.t_end, dt, 1, f_max) // 2000)
     traj = integrate(
-        spec, space, rho0, protocol.t_end, dt,
+        quad, space, rho0, protocol.t_end, dt,
         stride=stride, truncation_tol=protocol.truncation_tol,
     )
     omega = fit_damped_rabi(traj.t, traj.n2)[1]

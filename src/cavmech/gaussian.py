@@ -311,9 +311,11 @@ def evolve_covariance(
     time-dependent one, L at the stage times and a stage that is one
     product of L with vech(X).  The trajectory's ``stats`` say how.  The
     uncertainty-bound defect is monitored at every record; a defect beyond
-    ``_PHYSICALITY_TOL`` aborts, naming the first such record.  The
-    entanglement columns hold :func:`_log_negativity` of the record stack
-    for two modes, else NaN.  ``state0`` must have the drift's mode count.
+    ``_PHYSICALITY_TOL`` aborts, naming the first such record.  ``n1``,
+    ``n2`` and the entanglement columns (:func:`_log_negativity` of the
+    4 x 4 block of the last two modes) read the mechanical pair, which a
+    :class:`~cavmech.quadratic.QuadraticModel` lists last.  ``state0``
+    must have the drift's mode count.
     """
     n_steps = step_count(t_end, dt, stride, dd.f_max)
     n = state0.mean.size
@@ -338,7 +340,7 @@ def evolve_covariance(
             raise PhysicalityError(
                 f"covariance defect {defect[i]:.3e} at t={ts[i]:.6g} beyond {_PHYSICALITY_TOL}"
             )
-        en, nu = _log_negativity(cov) if n == 4 else np.full((2, ts.size), math.nan)
+        en, nu = _log_negativity(cov[:, -4:, -4:])
         return {"occupations": mode_occupations(cov, xs[:, :n, n]), "physicality": defect,
                 "log_negativity": en, "min_symp_eig": nu}
 
@@ -352,8 +354,8 @@ def evolve_covariance(
     occ = records["occupations"]
     return GaussTrajectory(
         **records,
-        n1=occ[:, 0] if state0.n_modes < 3 else occ[:, 1],
-        n2=occ[:, 1] if state0.n_modes < 3 else occ[:, 2],
+        n1=occ[:, -2],
+        n2=occ[:, -1],
         final_state=CovarianceState(x[:n, n], x[:n, :n], time=n_steps * dt),
         stats=stats,
     )

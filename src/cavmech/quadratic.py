@@ -58,6 +58,10 @@ def effective_generator(frame: FrameParams, include_shifts: bool = False) -> Eff
 class QuadraticModel:
     """One quadratic open-system model, read by both engines.
 
+    The modes list any cavity modes first and the mechanical pair last:
+    both engines read the last two modes as that pair, so a model needs
+    at least two.
+
     A Hamiltonian term ``(c, m, n, squeeze)`` is c b_m^dag X_n + h.c. with
     X_n = b_n^dag if ``squeeze`` else b_n; for m == n it is c b_m^dag b_m.
     ``static`` holds the constant terms and ``oscillating`` groups
@@ -65,8 +69,8 @@ class QuadraticModel:
     by exact integer frequency label.  A jump ``(coeffs, dagger, rate)``
     is sqrt(rate) sum_m c_m b_m over the ``(m, c_m)`` pairs, with b_m^dag
     in place of b_m when ``dagger``.  Construction rejects a non-finite
-    term, a negative rate or a mode index outside the model; then it drops
-    the jumps of zero rate, which do nothing.
+    term, a negative rate, a mode index outside the model or fewer than
+    two modes; then it drops the jumps of zero rate, which do nothing.
     """
 
     n_modes: int
@@ -75,6 +79,9 @@ class QuadraticModel:
     jumps: tuple
 
     def __post_init__(self):
+        if self.n_modes < 2:
+            raise ValueError(f"the model has {self.n_modes} modes; both engines read its last "
+                             "two modes as the mechanical pair")
         terms = self.terms
         coefficients = [c for c, *_ in terms] + [c for coeffs, _, _ in self.jumps for _, c in coeffs]
         for kind, values in (("coefficient", coefficients), ("frequency", [nu for nu, _ in self.oscillating]),
@@ -131,7 +138,7 @@ def quadratic_model(spec) -> QuadraticModel:
             for (n, m, p), terms in sorted(by_freq.items())
         )
         jumps = [(((0, 1.0),), False, fr.kappa)]
-        mechanical, baths = (1, 2), fr.thermal_baths
+        baths = fr.thermal_baths
     elif isinstance(spec, EffectiveTwoMode):
         p = spec.params
         s1, s2 = spec.freq_shifts
@@ -142,9 +149,9 @@ def quadratic_model(spec) -> QuadraticModel:
         for coeffs, name in ((((0, 1.0),), "1"), (((1, 1.0),), "2"), (collective, "collective")):
             down, up = p.rate_table[name]
             jumps += [(coeffs, False, down), (coeffs, True, up)]
-        mechanical, baths = (0, 1), spec.thermal_baths
+        baths = spec.thermal_baths
     else:
         raise TypeError(f"unknown generator spec {type(spec).__name__}")
-    for (rate, nth), m in zip(baths or (), mechanical):
+    for (rate, nth), m in zip(baths or (), range(n_modes - 2, n_modes)):  # the mechanical pair
         jumps += [(((m, 1.0),), False, rate * (nth + 1)), (((m, 1.0),), True, rate * nth)]
     return QuadraticModel(n_modes, static, oscillating, tuple(jumps))

@@ -100,6 +100,8 @@ def test_criterion_4_dynamical_validation(desk_frame, full_model_runs):
 
     ft = result.trajectory
     assert ft.stats.blocks == (18, 18)   # the two parity blocks at dims (4, 3, 3)
+    # the gaps below compare the engines record by record
+    assert np.array_equal(ft.t, gauss.t)
     d1 = float(np.abs(ft.n1 - gauss.occupations[:, 1]).max())
     d2 = float(np.abs(ft.n2 - gauss.occupations[:, 2]).max())
     dc = float(np.abs(ft.n_cav - gauss.occupations[:, 0]).max())
@@ -154,6 +156,8 @@ def test_criterion_5_engine_cross_check(effective_cross_checks):
     worst_ss = 0.0
     for run in effective_cross_checks["runs"]:
         ftraj, gtraj = run["fock"], run["gauss"]
+        # the gap below compares the engines record by record
+        assert np.array_equal(ftraj.t, gtraj.t)
         # np.max, unlike max, carries a NaN through to the bounds
         gap = np.max([
             np.abs(ftraj.n1 - gtraj.occupations[:, 0]).max(),

@@ -381,8 +381,15 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "error: the next step would fall below the finest step\n"
 
-    def test_dims_mismatch_is_usage_error(self, config_file, capsys):
-        assert main(["simulate-full", "--config", config_file, "--dims", "3,3"]) == 2
+    @pytest.mark.parametrize("args, message", [
+        (["simulate-full", "--dims", "4,4"], "--dims needs 3 entries for the full model"),
+        (["simulate-effective", "--initial", "0,1,0"], "--initial needs 2 occupations"),
+    ], ids=["dims", "initial"])
+    def test_mode_count_mismatch_is_usage_error(self, readme_config, capsys, args, message):
+        assert main(args + ["--config", readme_config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("args", [
         ["simulate-effective", "--stride", "0"],

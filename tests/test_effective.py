@@ -13,7 +13,6 @@ from cavmech.effective import (
     exchange_coupling,
     exchange_pathway_sum,
     interaction_regime,
-    nbar_closed,
     net_rate_closed,
     rate_pairs,
     total_noise,
@@ -22,6 +21,11 @@ from cavmech.effective import (
 
 def frame(omega_bar=1.0, delta_omega=0.1, delta_bar=1.0, kappa=0.2, G_1=1.0, G_2=1.0):
     return frame_from_collective(omega_bar, delta_omega, delta_bar, kappa, G_1, G_2)
+
+
+def nbar_closed(x, delta_bar, kappa):
+    """Effective occupation as the explicit four-term expression, the reference form."""
+    return kappa * kappa / (16 * delta_bar * x) + delta_bar / (4 * x) + x / (4 * delta_bar) - 0.5
 
 
 def pairs(fr, delta_bar=None):

@@ -146,6 +146,15 @@ class TestDriftDiffusionMapping:
         with pytest.raises(ValueError, match=message):
             QuadraticModel(2, ((1.0, 0, 0, False),) + static, oscillating, jumps)
 
+    @pytest.mark.parametrize("engine", [lambda model: compile_generator(model, FockSpace((3,))),
+                                        drift_diffusion_from_generator], ids=["fock", "moments"])
+    def test_one_mode_model_rejected(self, engine):
+        # both engines read the last two modes as the mechanical pair, so
+        # the model is rejected as it is built; it used to fail late, in
+        # compile_generator's unpacking or after a whole moment run
+        with pytest.raises(ValueError, match="the model has 1 modes; both engines read its last two modes"):
+            engine(QuadraticModel(1, ((0.5, 0, 0, False),), (), ((((0, 1.0),), False, 0.1),)))
+
     def test_model_works_out_its_fastest_scale(self):
         # |c| = 5 sets f_max, so the guard needs dt <= 0.002 on both engines;
         # a zero-rate jump is checked, then dropped
@@ -318,6 +327,26 @@ class TestEvolution:
         dd = drift_diffusion_from_generator(spec)
         traj = evolve_covariance(dd, fock_moments(2, (1, 0)), 10.0, 0.02, stride=25)
         assert np.abs(traj.n1 - np.exp(-0.5 * traj.t)).max() < 1e-10
+
+    def test_full_model_reads_the_mechanical_pair(self, monkeypatch):
+        # a three-mode run reports n1, n2 and the entanglement of the last
+        # two modes, the mechanical pair after the cavity
+        covs, defect_of = [], gaussian.uncertainty_defect
+
+        def defect(cov):
+            covs.append(cov.copy())
+            return defect_of(cov)
+
+        monkeypatch.setattr(gaussian, "uncertainty_defect", defect)
+        dd = drift_diffusion_from_generator(FullLinearized(frame_from_collective(1.0, 0.1, 1.0, 1.0, 0.1, 0.1)))
+        traj = evolve_covariance(dd, squeezed_vacuum(3, 1, 1.0), 30.0, propagate.fewest_steps_dt(30.0, dd.f_max),
+                                 stride=10)
+        en, nu = gaussian._log_negativity(np.concatenate(covs)[:, -4:, -4:])
+        assert np.array_equal(traj.log_negativity, en) and np.array_equal(traj.min_symp_eig, nu)
+        assert np.array_equal(traj.n1, traj.occupations[:, -2])
+        assert np.array_equal(traj.n2, traj.occupations[:, -1])
+        # measured: 0.2167
+        assert traj.log_negativity.max() > 0.1
 
     def test_matches_fock_engine_on_full_model(self):
         fr = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05)
