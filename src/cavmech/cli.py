@@ -29,7 +29,7 @@ from .effective import coupling_nulls, interaction_regime
 from .fock import FitError, FockSpace, TransferProtocol, TruncationError, fock_state, integrate
 from .gaussian import PhysicalityError, entanglement_experiment
 from .propagate import StepControlError, fewest_steps_dt
-from .quadratic import FullLinearized, effective_generator, quadratic_model
+from .quadratic import named_model
 from .analysis import (
     Dataset,
     SweepGrid,
@@ -55,10 +55,11 @@ TABLE_FORMATS = ("csv", "json")
 REPORT_FORMATS = ("json",)
 
 
-def _add_subcommand(subs, name: str, run, help: str, formats=TABLE_FORMATS):
+def _add_subcommand(subs, name: str, run, help: str, formats=TABLE_FORMATS, config=True):
     sub = subs.add_parser(name, help=help)
     sub.set_defaults(run=run)
-    sub.add_argument("--config", help="flat key = value config file")
+    if config:
+        sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--out", help="output file path")
     sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument("--threads", type=int, default=1,
@@ -178,7 +179,7 @@ def _cmd_simulate(args) -> int:
     config = _require_config(args)
     frame = derive_frame(config)
     dims = _parse_ints(args.dims)
-    quad = quadratic_model(FullLinearized(frame) if args.model == "full" else effective_generator(frame))
+    quad = named_model(frame, args.model)
     if len(dims) != quad.n_modes:
         raise UsageError(f"--dims needs {quad.n_modes} entries for the {args.model} model")
     space = FockSpace(dims)
@@ -247,19 +248,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-bar", type=_finite_float, help="default 1.0; not with --config")
     p.add_argument("--kappa", type=_finite_float, help="default 1.0; not with --config")
 
-    p = _add_subcommand(subs, "fig1", _cmd_fig1, "normalized exchange-coupling curves vs detuning")
+    p = _add_subcommand(subs, "fig1", _cmd_fig1, "normalized exchange-coupling curves vs detuning",
+                        config=False)
     p.add_argument("--omega-bar", type=_finite_float, default=1.0)
     p.add_argument("--kappas", default="0.5,1,1.5,3")
     p.add_argument("--delta-range", default="-3:3:601")
 
-    p = _add_subcommand(subs, "fig2", _cmd_fig2, "classicality regime map over detuning and decay")
+    p = _add_subcommand(subs, "fig2", _cmd_fig2, "classicality regime map over detuning and decay",
+                        config=False)
     p.add_argument("--delta-omega", type=_finite_float, default=0.1,
                    help="mechanical frequency difference over the average frequency")
     p.add_argument("--kappas", default="0.1,0.3,1,3,10")
     p.add_argument("--delta-range", default="-10:10:401")
 
     p = _add_subcommand(subs, "xi-asymptote", _cmd_xi_asymptote, "log-log growth exponent of the "
-                        "coupling-to-noise ratio far from resonance", REPORT_FORMATS)
+                        "coupling-to-noise ratio far from resonance", REPORT_FORMATS, config=False)
     p.add_argument("--kappa", type=_finite_float, default=1.0)
     p.add_argument("--delta-omega", type=_finite_float, default=0.2)
     p.add_argument("--decades", type=_finite_float, nargs=2, default=(2.0, 4.0))

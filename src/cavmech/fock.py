@@ -32,7 +32,8 @@ import numpy as np
 from . import propagate
 from .model import FrameParams
 from .propagate import RunStats, run, step_count
-from .quadratic import FullLinearized, effective_generator, quadratic_model
+# bench/workloads.py reads FullLinearized and effective_generator through this module
+from .quadratic import FullLinearized, effective_generator, named_model, quadratic_model  # noqa: F401
 
 DIMENSION_CAP = 4096
 
@@ -112,7 +113,7 @@ def density_blocks(space: FockSpace, rho: np.ndarray | None = None) -> list[np.n
     New J. Phys. 14, 073007 (2012)): a state with no coherence between the
     two parity sectors of N stays block-diagonal in them.  Returns the two
     sectors, or one block of the whole space when ``rho`` has such a
-    coherence.
+    coherence.  This is the only layout :class:`CompiledGenerator` takes.
     """
     parity = _occupation_numbers(space).sum(axis=0) % 2
     if rho is not None and np.any(rho[parity[:, None] != parity]):
@@ -124,39 +125,35 @@ class CompiledGenerator:
     """Matrices of a :class:`~cavmech.quadratic.QuadraticModel` on a Fock space, in block form.
 
     A density matrix is carried as the stack of its diagonal blocks over
-    the basis indices of ``blocks``, which must partition the basis
-    (default: the two parity sectors of :func:`density_blocks`), shape
-    (blocks, h, h) with h the largest block size; a smaller block is
-    padded at its end with ghost rows and columns that the drift, the
-    jumps and the monitors never touch, so they hold 0.  Every operator
-    is compiled from the row maps ``(src, amp)`` of the ladders b_m and
-    b_m^dag (row i holds ``amp[i]`` at column ``src[i]`` alone; index dim
-    is a zero row): a term, a product of at most two ladders, has their
-    composition as its row map and is scattered into the block stack by
-    one assignment per row, which rejects an entry outside the row's block.
-    The drift is the stack of its diagonal blocks: a static part plus
-    phase terms ``exp(i nu t) M + h.c.``.  For a jump L = sum_m c_m X_m,
+    the basis indices of :func:`density_blocks` of ``rho0``: the two
+    parity sectors of N, or one block of the whole space when ``rho0`` has
+    coherence between them; shape (blocks, h, h) with h the largest block
+    size.  A smaller block is padded at its end with ghost rows and columns
+    that the drift, the jumps and the monitors never touch, so they hold
+    0.  Every operator is compiled from the row maps ``(src, amp)`` of the
+    ladders b_m and b_m^dag (row i holds ``amp[i]`` at column ``src[i]``
+    alone; index dim is a zero row): a term, a product of at most two
+    ladders, has their composition as its row map and is scattered into
+    the block stack by one assignment per row.  No entry leaves its row's
+    block: every term is b^dag b or b^dag b^dag (plus h.c.), which keeps
+    the parity of N, every jump is all-lowering or all-raising, and the
+    edge rows of a row map carry the amplitude 0.  The drift is the stack
+    of its diagonal blocks: a static part plus phase terms
+    ``exp(i nu t) M + h.c.``.  For a jump L = sum_m c_m X_m,
     each term X_m rho X_n^dag of L rho L^dag is one precomputed gather
     from the flat stack by the row maps of X_m and X_n times a weight (one
     term for a bare ladder jump), stored complex so that a stage
     multiplies the complex gather without casting it.
     """
 
-    def __init__(self, space: FockSpace, model, blocks=None):
+    def __init__(self, space: FockSpace, model, rho0=None):
         if len(space.dims) != model.n_modes:
             raise ValueError(f"the model needs {model.n_modes} dims, one per mode")
         self.space = space
         dims = space.dims
         dim = space.total_dim
 
-        blocks = density_blocks(space) if blocks is None else blocks
-        counts = np.bincount(np.concatenate(blocks), minlength=dim)
-        if counts.size > dim:
-            raise ValueError(f"the density blocks hold index {counts.size - 1}, outside a basis of {dim}")
-        for problem, bad in (("repeats", counts > 1), ("is missing", counts == 0)):
-            if bad.any():
-                raise ValueError(f"the density blocks must partition the basis; index {bad.argmax()} "
-                                 f"{problem}")
+        blocks = density_blocks(space, rho0)
         self.block_sizes = tuple(len(rows) for rows in blocks)
         h = max(self.block_sizes)
         # a ghost row points at index dim, the zero row and column that
@@ -182,19 +179,13 @@ class CompiledGenerator:
 
         ladder = {(m, d): ladder_map(m, d) for m in range(len(dims)) for d in (False, True)}
 
-        stack_rows = np.indices(index.shape)
-
-        def stack(factors, c=1.0, closed=True):
-            """The block stack of c times a product of row maps; ``closed`` rejects any entry off it."""
+        def stack(factors, c=1.0):
+            """The block stack of c times a product of row maps."""
             src, amp = factors[0]
             for s, a in factors[1:]:
                 src, amp = s[src], amp * a[src]
-            cols, values = src[index], (c * amp)[index]
-            inside = block_of[cols] == stack_rows[0]
-            if closed and np.any((values != 0) & ~inside):
-                raise ValueError("the density blocks are not closed under the generator")
             out = np.zeros(index.shape + (h,), complex)
-            out[(*stack_rows, row_of[cols])] = np.where(inside, values, 0)
+            out[(*np.indices(index.shape), row_of[src[index]])] = (c * amp)[index]
             return out
 
         def term(c, m, n, squeeze):
@@ -221,16 +212,11 @@ class CompiledGenerator:
         self._phase_sources = np.argsort(touching == 0, axis=0, kind="stable")[:depth]
         self._phase_weights = np.take_along_axis(touching, self._phase_sources, 0)
         *cavity, b1, b2 = range(len(dims))
-
-        def observable(m, n):
-            # unchecked: an entry between blocks meets only zeros of the state
-            return stack([ladder[m, True], ladder[n, False]], closed=False)
-
-        self.observables = {
-            "n1": observable(b1, b1),
-            "n2": observable(b2, b2),
-            "n_cav": observable(0, 0) if cavity else None,
-            "coh": observable(b1, b2),
+        self.observables = {  # b_m^dag b_n
+            "n1": term(1.0, b1, b1, False),
+            "n2": term(1.0, b2, b2, False),
+            "n_cav": term(1.0, 0, 0, False) if cavity else None,
+            "coh": term(1.0, b1, b2, False),
         }
         self.f_max = model.f_max
 
@@ -243,8 +229,6 @@ class CompiledGenerator:
                 for c_n, (src_n, amp_n) in ladders:
                     w = rate * c_m * np.conj(c_n) * amp_m[rows] * np.conj(amp_n[cols])
                     k, l = src_m[rows], src_n[cols]
-                    if np.any((w != 0) & (block_of[k] != block_of[l])):
-                        raise ValueError("the density blocks are not closed under the generator")
                     src = np.where(w != 0, (block_of[k] * h + row_of[k]) * h + row_of[l], 0)
                     self._jump_gathers.append((w, src))
             # L^dag L = sum_mn (c_m X_m)^dag (c_n X_n); (c X)^dag has the sources back
@@ -448,9 +432,10 @@ def sector_min_eig(real: np.ndarray, carried: np.ndarray):
     return smallest
 
 
-def compile_generator(spec, space: FockSpace, blocks=None) -> CompiledGenerator:
-    """Materialize a generator spec on a Fock space, in the given density blocks."""
-    return CompiledGenerator(space, quadratic_model(spec), blocks)
+def compile_generator(spec, space: FockSpace, rho0=None) -> CompiledGenerator:
+    """Materialize a generator spec on a Fock space, in the density blocks of ``rho0``
+    (:func:`density_blocks`; the two parity sectors without one)."""
+    return CompiledGenerator(space, quadratic_model(spec), rho0)
 
 
 # -- integration ------------------------------------------------------------
@@ -542,7 +527,7 @@ def integrate(
         raise ValueError(f"rho0 has shape {rho0.shape}, the space needs {(space.total_dim,) * 2}")
     if not np.isfinite(rho0).all():
         raise ValueError("density matrix has non-finite entries")
-    gen = compile_generator(spec, space, density_blocks(space, rho0))
+    gen = compile_generator(spec, space, rho0)
     rho = gen.pack(rho0)
     if gen.phase_nus.size:
         carried = np.arange(rho.size)  # a time-dependent stage may fill every entry of the blocks
@@ -629,12 +614,18 @@ class TransferProtocol:
 
     The truncation allowance is looser than the integrator default
     because mediator heating parks a few 1e-3 of population in the top
-    mechanical level over a full fit window.
+    mechanical level over a full fit window.  ``dims`` are the truncations
+    of the cavity and the two mechanical modes; the effective model runs
+    on the last two.
     """
 
     dims: tuple[int, int, int] = (4, 3, 3)
     t_end: float = 400.0
     truncation_tol: float = 0.02
+
+    def __post_init__(self):
+        if len(self.dims) != 3:
+            raise ValueError(f"transfer dims need 3 entries (cavity, mode 1, mode 2), got {len(self.dims)}")
 
 
 @dataclass
@@ -799,9 +790,7 @@ def excitation_transfer_experiment(
     a damped Rabi form and returns the fitted rate for comparison against
     the closed form.
     """
-    if model not in ("full", "effective"):
-        raise ValueError("model must be 'full' or 'effective'")
-    quad = quadratic_model(FullLinearized(frame) if model == "full" else effective_generator(frame))
+    quad = named_model(frame, model)
     space = FockSpace(protocol.dims[-quad.n_modes:])
     rho0 = fock_state(space, (0,) * (quad.n_modes - 2) + (1, 0))
 

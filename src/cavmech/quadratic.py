@@ -155,3 +155,10 @@ def quadratic_model(spec) -> QuadraticModel:
     for (rate, nth), m in zip(baths or (), range(n_modes - 2, n_modes)):  # the mechanical pair
         jumps += [(((m, 1.0),), False, rate * (nth + 1)), (((m, 1.0),), True, rate * nth)]
     return QuadraticModel(n_modes, static, oscillating, tuple(jumps))
+
+
+def named_model(frame: FrameParams, model: str) -> QuadraticModel:
+    """The "full" (linearized tri-partite) or "effective" (two-mode) model on a frame."""
+    if model not in ("full", "effective"):
+        raise ValueError("model must be 'full' or 'effective'")
+    return quadratic_model(FullLinearized(frame) if model == "full" else effective_generator(frame))

@@ -509,7 +509,25 @@ class TestEntangle:
         assert captured.err == "error: covariance defect -2.000e-06 at t=3 beyond 1e-06\n"
 
 
+class TestConfigFlag:
+    @pytest.mark.parametrize("command", ["fig1", "fig2", "xi-asymptote"])
+    def test_commands_that_read_no_config_reject_it(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(tmp_path / "missing.cfg")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 class TestValidateCommand:
+    @pytest.mark.parametrize("dims", ["9,4,3,3", "4,3"])
+    def test_transfer_dims_need_three_entries(self, dims, readme_config, capsys):
+        # the transfer stage runs on exactly (cavity, mode 1, mode 2): no dim is dropped
+        assert main(["validate", "--config", readme_config, "--dims", dims]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        count = len(dims.split(","))
+        assert captured.err == f"error: transfer dims need 3 entries (cavity, mode 1, mode 2), got {count}\n"
+
     def test_lossless_config_passes_with_skip(self, tmp_path, capsys):
         # lossless cavity: the transfer stage is skipped, which keeps this
         # a wiring test; the full pipeline runs in test_analysis

@@ -205,6 +205,12 @@ def drift_stage(D, state, out):
     np.add(tmp, tmp.conj().swapaxes(-1, -2), out=out)
 
 
+def coherent_state(space):
+    """The pure state of equal amplitudes on every basis state: its coherence
+    between the parity sectors makes the whole space one density block."""
+    return np.full((space.total_dim,) * 2, 1 / space.total_dim, complex)
+
+
 def manual_params(rates, J=0.0):
     """EffectiveParams with an explicit rate table, for engine-level tests."""
     table = {"1": rates.get("1", (0.0, 0.0)),
@@ -291,8 +297,8 @@ class TestLiouvillian:
             spec, space = FullLinearized(fr), FockSpace((3, 4, 4))
         dim = space.total_dim
         # the parity blocks, and one block carrying a state with coherence between them
-        for blocks in (None, [np.arange(dim)]):
-            gen = compile_generator(spec, space, blocks)
+        for rho0 in (None, coherent_state(space)):
+            gen = compile_generator(spec, space, rho0)
             rng = np.random.default_rng(8)
             for _ in range(100):
                 v = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
@@ -389,8 +395,8 @@ class TestLiouvillian:
         # D[i, i] + D*[j, j] that cancel)
         fr = frame_from_collective(1.0, 0.3, 1.9, kappa, 0.12, 0.08, thermal_baths=thermal)
         space = FockSpace(dims)
-        blocks = [np.arange(space.total_dim)] if one_block else None
-        gen = compile_generator(effective_generator(fr, include_shifts=True), space, blocks)
+        rho0 = coherent_state(space) if one_block else None
+        gen = compile_generator(effective_generator(fr, include_shifts=True), space, rho0)
         got = gen.superoperator()
         want = s_form_superoperator(gen)
         tol = 4 * np.finfo(float).eps * abs(want).max()
@@ -1226,6 +1232,27 @@ def squeeze_model():
                           (), ((((0, 1.0),), False, 0.1),))
 
 
+def random_quadratic_model(rng, n_modes):
+    """A model of random static, oscillating and squeeze terms with complex
+    coefficients, and of random lowering, raising and collective jumps."""
+    def coefficient():
+        return complex(*rng.normal(size=2))
+
+    def term(squeeze):
+        m, n = (int(i) for i in rng.choice(n_modes, 2, replace=False))
+        return (coefficient(), m, n, squeeze)
+
+    number = tuple((float(rng.normal()), m, m, False) for m in range(n_modes))
+    static = number + (term(False), term(True))
+    oscillating = tuple((float(nu), (term(False), term(True))) for nu in np.sort(rng.uniform(0.5, 3.0, 2)))
+    jumps = []
+    for dagger in (False, True):
+        for coeffs in (((int(rng.integers(n_modes)), coefficient()),),
+                       tuple((m, coefficient()) for m in range(n_modes))):
+            jumps.append((coeffs, dagger, float(rng.uniform(0.1, 1.0))))
+    return QuadraticModel(n_modes, static, oscillating, tuple(jumps))
+
+
 def excitation_sides(gen):
     """The total excitation number N of the row and N' of the column of every
     entry of the block stack of ``gen``, -1 on a ghost."""
@@ -1364,7 +1391,7 @@ class TestSectorMinEig:
     def carried(spec, dims, rho0=None):
         space = FockSpace(dims)
         rho0 = fock_state(space, (1, 0)) if rho0 is None else rho0
-        gen = compile_generator(spec, space, fock.density_blocks(space, rho0))
+        gen = compile_generator(spec, space, rho0)
         return gen, propagate.reachable(gen.superoperator(), fock.s_form(gen.pack(rho0)).reshape(-1))
 
     @pytest.mark.parametrize("dims", [(3, 3), (4, 4), (8, 8)])
@@ -1468,25 +1495,37 @@ class TestDensityBlocks:
         assert gen.index.shape == (2, max(sizes))
         assert np.array_equal(np.sort(gen.index[gen.index < space.total_dim]), np.arange(space.total_dim))
 
-    @pytest.mark.parametrize("spec,dims,blocks", [
-        # the static exchange term couples |1,1> (index 4) to |0,2> (index 2) and |2,0> (index 6)
-        (effective_generator(desk_frame()), (3, 3), [np.arange(4), np.arange(4, 9)]),
-        # every oscillating term a^dag b_j or a^dag b_j^dag changes the cavity level
-        (FullLinearized(desk_frame()), (2, 2, 2), [np.arange(4), np.arange(4, 8)]),
-    ], ids=["static", "oscillating"])
-    def test_blocks_must_be_closed_under_the_generator(self, spec, dims, blocks):
-        with pytest.raises(ValueError, match="not closed"):
-            compile_generator(spec, FockSpace(dims), blocks)
-
-    @pytest.mark.parametrize("blocks,problem", [
-        ([np.arange(9), np.arange(9)], "index 0 repeats"),
-        ([np.arange(4), np.arange(5, 9)], "index 4 is missing"),
-        ([np.arange(5), np.arange(5, 10)], "index 9, outside"),
-    ])
-    def test_blocks_must_partition_the_basis(self, blocks, problem):
-        # an overlap would count a basis state twice, an omission drop it
-        with pytest.raises(ValueError, match=problem):
-            compile_generator(effective_generator(desk_frame()), FockSpace((3, 3)), blocks)
+    @pytest.mark.parametrize("case", ["random-2", "random-3", "full", "effective"])
+    def test_terms_keep_and_jumps_flip_the_parity_of_n(self, case):
+        # the density blocks are the parity sectors of N, or the whole space,
+        # and nothing checks at compile time that an entry stays inside its
+        # block: it rests on this, for every kind of term and jump
+        rng = np.random.default_rng(12)
+        if case.startswith("random"):
+            n_modes = int(case[-1])
+            model = random_quadratic_model(rng, n_modes)
+            space = FockSpace(tuple(int(d) for d in rng.integers(2, 5, n_modes)))
+        else:
+            fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08,
+                                       thermal_baths=((0.01, 0.3), (0.02, 0.1)))
+            spec = FullLinearized(fr) if case == "full" else effective_generator(fr, include_shifts=True)
+            model = quadratic_model(spec)
+            space = FockSpace((3,) * model.n_modes)
+        n = model.n_modes
+        N = np.rint(sum(dag(b) @ b for b in build_operators(space)).diagonal().real)
+        same = (N[:, None] - N) % 2 == 0
+        # one model per term or jump: its drift is -i H or -L^dag L / 2
+        parts = ([QuadraticModel(n, (term,), (), ()) for term in model.static]
+                 + [QuadraticModel(n, (), ((nu, (term,)),), ()) for nu, terms in model.oscillating
+                    for term in terms]
+                 + [QuadraticModel(n, (), (), (jump,)) for jump in model.jumps])
+        assert len(parts) == len(model.terms) + len(model.jumps)
+        for part in parts:
+            drift, jumps = described_generator(part, space)
+            D = drift(0.37)
+            assert D.any() and not D[~same].any()
+            for L in jumps:
+                assert L.any() and not L[same].any()
 
     @pytest.mark.parametrize("dims", [(4, 3, 3), (3, 3, 3)])
     def test_full_model_matches_dense_reference(self, dims):
@@ -1829,8 +1868,14 @@ class TestTransferExperiment:
         assert out.stdout.strip() == "[]"
 
     def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="model must be 'full' or 'effective'"):
             excitation_transfer_experiment(desk_frame(), TransferProtocol(), model="hybrid")
+
+    @pytest.mark.parametrize("dims", [(9, 4, 3, 3), (4, 3), ()])
+    def test_protocol_needs_three_dims(self, dims):
+        # a fourth leading dim would be dropped, not run
+        with pytest.raises(ValueError, match=rf"need 3 entries \(cavity, mode 1, mode 2\), got {len(dims)}"):
+            TransferProtocol(dims=dims)
 
     @pytest.mark.parametrize("t_end", [math.nan, math.inf])
     def test_non_finite_t_end_rejected(self, t_end):

@@ -245,9 +245,10 @@ class TestDriftDiffusionMapping:
             for j in range(nq):
                 sym = 0.5 * (quads[i] @ quads[j] + quads[j] @ quads[i])
                 cov[i, j] = np.trace(sym @ rho).real - mean[i] * mean[j]
-        # the means live in the coherence between the parity sectors:
-        # carry rho as one block
-        gen = compile_generator(spec, space, [np.arange(space.total_dim)])
+        # the means live in the coherence between the parity sectors, so
+        # rho is carried as one block
+        gen = compile_generator(spec, space, rho)
+        assert gen.block_sizes == (space.total_dim,)
         drho = gen.unpack(engine_rhs(gen, t, gen.pack(rho)))
         dmean = np.array([np.trace(q @ drho).real for q in quads])
         dcov = np.empty((nq, nq))
