@@ -31,7 +31,7 @@ import numpy as np
 
 from . import propagate
 from .model import FrameParams
-from .propagate import RunStats, run, step_count
+from .propagate import RunStats, SparseMatrix, run, step_count
 # bench/workloads.py reads FullLinearized and effective_generator through this module
 from .quadratic import FullLinearized, effective_generator, named_model, quadratic_model  # noqa: F401
 
@@ -296,7 +296,7 @@ class CompiledGenerator:
         out += self._product
         self.add_jump_sandwiches(state, out)
 
-    def superoperator(self):
+    def superoperator(self) -> SparseMatrix:
         """Sparse real Lindblad superoperator of a constant generator, on flat S.
 
         A Hermitian block stack rho is carried as the real stack
@@ -309,10 +309,10 @@ class CompiledGenerator:
         complex entries are those of kron(D, I) and kron(I, D*) of every
         drift block D and of every jump gather, the same ones :meth:`stage`
         uses; assembled in one pass, with no sparse Kronecker product and
-        no sparse addition.
+        no sparse addition, into a :class:`~cavmech.propagate.SparseMatrix`,
+        which sums the entries of each position (a lossless drift with
+        frequency shifts has sums that cancel, and those are dropped).
         """
-        from scipy import sparse
-
         if self.phase_nus.size:
             raise ValueError("the superoperator needs a time-independent generator")
         n_blocks, h, _ = self.base_drift.shape
@@ -335,12 +335,7 @@ class CompiledGenerator:
         rows = np.concatenate([rows, rows])
         cols = np.concatenate([cols, transposed[cols]])
         vals = np.concatenate([vals.real, vals.imag])
-        kept = vals != 0
-        # the constructor sums the entries of each position; a lossless
-        # drift with frequency shifts has sums that cancel
-        out = sparse.csr_matrix((vals[kept], (rows[kept], cols[kept])), shape=(size, size))
-        out.eliminate_zeros()
-        return out
+        return SparseMatrix.from_entries(rows, cols, vals, size)
 
 
 def s_form(rho: np.ndarray) -> np.ndarray:
@@ -484,9 +479,10 @@ def integrate(
     step) and must satisfy ``dt <= 0.01 / f_max`` for the generator's
     fastest scale.  The run is carried out by :func:`cavmech.propagate.run`:
     for a constant generator, the map exp(L h) of its sparse real
-    superoperator L over each record interval h, which the driver sums
-    by sparse products only, on the real form S = Re rho + Im rho of the
-    blocks (:func:`s_form`, taken of the Hermitian part of ``rho0``): every
+    superoperator L over each record interval h, which the driver sums on
+    the state by sparse products or takes as a dense increment, on the
+    real form S = Re rho + Im rho of the blocks (:func:`s_form`, taken of
+    the Hermitian part of ``rho0``): every
     real S is a Hermitian state, so it is never projected, and each stack
     of records is turned back into Hermitian blocks for the monitors
     (:func:`hermitian_form`), Hermitian bitwise, so their Hermiticity

@@ -362,7 +362,16 @@ def evolve_covariance(
 
 
 def steady_state(dd: DriftDiffusion) -> CovarianceState:
-    """Stationary covariance from the continuous Lyapunov equation."""
+    """Stationary covariance from the continuous Lyapunov equation A S + S A^T + D = 0.
+
+    Solved as the linear system (A kron I + I kron A) vec S = -vec D of
+    the row-major vec, built from the drift A and the diffusion D
+    themselves and not from :meth:`DriftDiffusion.superoperator`: the
+    steady state is the oracle of the long run, which exponentiates that
+    superoperator.  A drift with an eigenvalue of real part >= 0 raises
+    :class:`StabilityError`; the solution is symmetrized, and a residual
+    above 1e-10 |D| raises ``RuntimeError``.
+    """
     if dd.time_dependent:
         raise ValueError("steady state requires a time-independent drift")
     A, D = dd.drift, dd.diffusion
@@ -371,9 +380,8 @@ def steady_state(dd: DriftDiffusion) -> CovarianceState:
         raise StabilityError(
             f"no stable steady state: drift eigenvalue with Re = {eigs.real.max():.3e}"
         )
-    from scipy.linalg import solve_continuous_lyapunov
-
-    sigma = solve_continuous_lyapunov(A, -D)
+    eye = np.eye(A.shape[0])
+    sigma = np.linalg.solve(np.kron(A, eye) + np.kron(eye, A), -D.reshape(-1)).reshape(A.shape)
     sigma = 0.5 * (sigma + sigma.T)
     residual = np.abs(A @ sigma + sigma @ A.T + D).max()
     scale = max(np.abs(D).max(), 1e-300)

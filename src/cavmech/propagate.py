@@ -7,7 +7,8 @@ generator L of a constant flow or the operator and stage of a
 time-dependent one.  A constant flow runs on a real X: the Fock engine
 then carries its blocks as S = Re rho + Im rho.  It carries only the
 coordinates of flat X that L can reach from X (:func:`reachable`), and
-the dense-map rule counts those.  The driver alone maps a
+the dense-map rule counts those; a sparse L is this module's own
+:class:`SparseMatrix`.  The driver alone maps a
 record interval h by exp(L h): a truncated Taylor series on X
 (:func:`exponential_map`) or the dense increment exp(L h) - I
 (:func:`exponential_increment`); the time-dependent flow is stepped by
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +59,81 @@ class RunStats:
     dense_maps: int = 0
     carried: int = 0
     blocks: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """A real square matrix of ``size`` rows, held as its nonzero entries
+    ``vals`` at (``rows``, ``cols``), sorted by row, then by column.
+
+    The positions and their order are those of the canonical compressed
+    sparse row (CSR) form of the same input (:meth:`from_entries`), and
+    the product with a vector sums each row in stored order from 0, as
+    the CSR product does: on the same entries both give the same bits.
+    numpy alone: this is what the exact path needs of a sparse matrix,
+    and nothing more.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    size: int
+
+    @classmethod
+    def from_entries(cls, rows, cols, vals, size: int) -> SparseMatrix:
+        """The matrix of the entries ``vals`` at (``rows``, ``cols``): the
+        entries at one position summed in input order, and exact zeros,
+        also sums that cancel, dropped.  A CSR constructor sorts each row,
+        and where three or more entries meet, its sort need not keep their
+        input order: its sum may differ in the last bits."""
+        nonzero = vals != 0
+        keys, position = np.unique(rows[nonzero] * size + cols[nonzero], return_inverse=True)
+        sums = np.bincount(position, weights=vals[nonzero], minlength=keys.size)
+        kept = sums != 0
+        return cls(*np.divmod(keys[kept], size), sums[kept], size)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.size, self.size)
+
+    def __mul__(self, c: float) -> SparseMatrix:
+        return replace(self, vals=self.vals * c)
+
+    @cached_property
+    def _padded_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Columns and values of the entries as (slots, size) arrays: column i
+        holds row i's entries in stored order, padded with the value 0 (at
+        column 0) up to the slot count of the longest row."""
+        counts = np.bincount(self.rows, minlength=self.size)
+        slot = np.arange(self.rows.size) - (np.cumsum(counts) - counts)[self.rows]
+        cols = np.zeros((counts.max(initial=0), self.size), int)
+        vals = np.zeros(cols.shape)
+        cols[slot, self.rows] = self.cols
+        vals[slot, self.rows] = self.vals
+        return cols, vals
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with a real vector ``x``, each row summed in stored
+        order from 0 as a CSR product does: the terms are added one slot at
+        a time, and the padding adds exact zeros for a finite ``x``.  This
+        takes 12 us where a ``np.bincount`` of the terms, in the same order,
+        takes 17 us, at the 344 rows, 4,432 entries and 17 slots the exact
+        path carries at dims (8,8) (2 CPUs)."""
+        cols, vals = self._padded_rows
+        return np.add.reduce(vals * x.take(cols), axis=0, initial=0.0)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def submatrix(self, keep: np.ndarray) -> SparseMatrix:
+        """The matrix on the rows and columns ``keep``, in ascending order."""
+        new = np.full(self.size, -1)
+        new[keep] = np.arange(keep.size)
+        inside = (new[self.rows] >= 0) & (new[self.cols] >= 0)
+        return SparseMatrix(new[self.rows[inside]], new[self.cols[inside]], self.vals[inside],
+                            keep.size)
 
 
 def step_count(t_end: float, dt: float, stride: int, f_max: float) -> int:
@@ -172,17 +249,18 @@ _DP_POWERS = np.arange(1, 5)
 def reachable(L, x) -> np.ndarray:
     """Indices of the coordinates of flat ``x`` that the flow x' = L x can make nonzero.
 
-    The fixed point of reach <- reach | supp(|L| reach), from reach =
-    supp(x), on the stored nonzeros of a square CSR or dense ``L``.  Every
-    other coordinate has no stored entry of L from the reachable ones, so
-    its derivative is 0, in floating point as in exact arithmetic, and it
-    stays exactly 0 under exp(L h).
+    The fixed point of reach <- reach | rows(L[:, reach]), from reach =
+    supp(x), on the nonzero entries of a :class:`SparseMatrix` or dense
+    ``L``: each sweep gathers reach at their columns and scatters it to
+    their rows.  Every other coordinate has no nonzero entry of L from the
+    reachable ones, so its derivative is 0, in floating point as in exact
+    arithmetic, and it stays exactly 0 under exp(L h).
     """
-    A = abs(L)
+    rows, cols = (L.rows, L.cols) if isinstance(L, SparseMatrix) else np.nonzero(L)
     reach = x != 0
     count = np.count_nonzero(reach)
     while True:
-        reach |= A @ reach != 0
+        reach[rows[reach[cols]]] = True
         count, last = np.count_nonzero(reach), count
         if count == last:
             return np.flatnonzero(reach)
@@ -200,27 +278,31 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
     written to.
 
     X is recorded at t = 0, at every ``stride`` steps and at ``n_steps``.
-    With a constant ``generator`` L of flat X (a square real CSR or dense
-    matrix), X jumps exactly from record to record by exp(L h), one map
-    per interval length h; this exact path takes a real X only, and a
-    complex one raises ``ValueError``.  It carries only the coordinates
+    With a constant ``generator`` L of flat X (a square real
+    :class:`SparseMatrix` or dense matrix), X jumps exactly from record to
+    record by exp(L h), one map per interval length h; this exact path
+    takes a real X only, and a complex one raises ``ValueError``.  It
+    carries only the coordinates
     of flat X that L can reach from X (:func:`reachable`), under L
     restricted to them; the others stay exactly 0, and every record and
     the final X are whole.  Otherwise :func:`dopri5` steps X with the
     engine's ``operators`` and ``stage``.
 
     An interval length takes the dense increment K = exp(L h) - I
-    (:func:`exponential_increment`) when the run carries at most
-    ``_DENSE_MAP_ROWS`` entries and either L is dense or the length serves
-    at least as many records as the run carries entries (``n_steps //
-    stride`` records for the stride, 1 for a shorter last interval):
-    building K from a sparse L then costs no more than the records it
-    serves, and K of a dense L takes a few dozen products even over a long
-    interval, where the Taylor sum on X takes hundreds.  K is applied as
-    X + K X, one real matrix-vector product written straight into the
-    record's row of the stack, for a run of records up to the end of the
-    stack, and is counted in ``dense_maps``.  Any other length takes the
-    Taylor sum on the carried entries (:func:`exponential_map`).
+    (:func:`exponential_increment`, of the restricted L taken dense) when
+    the run carries at most ``_DENSE_MAP_ROWS`` entries and either L is
+    dense or the length serves at least as many records as the run
+    carries entries (``n_steps // stride`` records for the stride, 1 for
+    a shorter last interval): a product of K, a matrix product, then
+    costs no more than the matrix-vector products of the Taylor sums it
+    saves (one took as long as about 80 sparse ones at 344 rows, on two
+    OpenBLAS threads of 2 CPUs), and K of
+    a dense L takes a few dozen products even over a long interval,
+    where the Taylor sum on X takes hundreds.  K is applied as X + K X,
+    one real matrix-vector product written straight into the record's row
+    of the stack, for a run of records up to the end of the stack, and is
+    counted in ``dense_maps``.  Any other length takes the Taylor sum on
+    the carried entries (:func:`exponential_map`).
 
     The records go into a stack of ``_MONITOR_BLOCK`` entries of whole
     records (at least two, so that a record's row is never the row of the
@@ -278,18 +360,19 @@ def run(x, monitor, n_steps, dt, stride, generator=None, operators=None, stage=N
         if generator is None:
             x, stats = dopri5(operators, stage, x, n_steps, dt, stride, record)
         else:
-            L = generator[np.ix_(keep, keep)]
+            sparse = isinstance(generator, SparseMatrix)
+            L = generator.submatrix(keep) if sparse else generator[np.ix_(keep, keep)]
             step = 0
             while step < n_steps:
                 width = min(stride, n_steps - step)
                 if width not in maps:
+                    A = L * (width * dt)
                     served = n_steps // stride if width == stride else 1
-                    dense = isinstance(L, np.ndarray) or served >= carried.size
-                    if carried.size <= _DENSE_MAP_ROWS and dense:
-                        maps[width] = exponential_increment(L * (width * dt))
+                    if carried.size <= _DENSE_MAP_ROWS and (not sparse or served >= carried.size):
+                        maps[width] = exponential_increment(A.toarray() if sparse else A)
                         dense_maps += 1
                     else:
-                        maps[width] = exponential_map(L * (width * dt))
+                        maps[width] = exponential_map(A)
                 interval_map = maps[width]
                 if isinstance(interval_map, np.ndarray):
                     # each record X + K X of the one before it, straight
@@ -427,12 +510,19 @@ def dopri5(operators, stage, x, n_steps, dt, stride, record):
     return x, RunStats(accepted, rejected, evaluations, h / dt if n_steps else 0.0, max_error)
 
 
+def _one_norm(A) -> float:
+    """|A|_1, the largest column sum of |A|, of a square :class:`SparseMatrix` or dense ``A``."""
+    if isinstance(A, SparseMatrix):
+        return float(np.bincount(A.cols, weights=np.abs(A.vals), minlength=A.size).max())
+    return float(np.abs(A).sum(axis=0).max())
+
+
 def _taylor_substep(A):
     """The substeps s of exp(A) = T_m(A / s)^s, and the substep (B, F) -> F + (T_m(A / s) - I) B.
 
     Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011)): the degree m
     and substeps s of ``_TAYLOR_THETA`` that take the fewest products
-    m ceil(|A|_1 / theta_m) at the exact 1-norm of a square CSR or dense
+    m ceil(|A|_1 / theta_m) at the exact 1-norm of a square sparse or dense
     ``A``.  A substep adds the terms B_j = (A / s)^j B / j! to F and stops
     once the largest entries of its last two terms (B_0 = B first) sum to
     at most 2^-53 max |F| of the partial sum.  That test is taken only
@@ -442,7 +532,7 @@ def _taylor_substep(A):
     the plain test puts it.  Only products with A: no random norm estimate
     and no LAPACK call.  F is written to from the second term on, never B.
     """
-    norm = float(abs(A).sum(axis=0).max())
+    norm = _one_norm(A)
     _, m, s = min((m * math.ceil(norm / theta), m, math.ceil(norm / theta))
                   for m, theta in _TAYLOR_THETA.items())
     tol = 2.0**-53
@@ -466,7 +556,8 @@ def _taylor_substep(A):
 
 
 def exponential_map(A):
-    """The map B -> exp(A) B of a square CSR or dense ``A``, by truncated Taylor series.
+    """The map B -> exp(A) B of a square dense ``A`` or, on a vector B, of a
+    :class:`SparseMatrix` ``A``, by truncated Taylor series.
 
     s substeps of :func:`_taylor_substep`, each adding its terms to the
     last.  The caller's B is never written to.
@@ -481,8 +572,8 @@ def exponential_map(A):
     return apply
 
 
-def exponential_increment(A) -> np.ndarray:
-    """exp(A) - I of a square CSR or dense ``A``, summed without the identity.
+def exponential_increment(A: np.ndarray) -> np.ndarray:
+    """exp(A) - I of a square dense ``A``, summed without the identity.
 
     The substeps of :func:`exponential_map` on the identity, whose partial
     sums K of exp(A) - I start at 0: exp(A) = I + K is never formed, so
@@ -490,21 +581,21 @@ def exponential_increment(A) -> np.ndarray:
     the identity.  A map X -> X + K X applied over many record intervals
     then drifts from exact trace preservation by the rounding of each
     addition (a random walk), not by the same rounding of I + K at every
-    interval.  With a CSR ``A`` no product is a BLAS one.
+    interval.
 
-    A dense ``A`` is first halved k times, the fewest that bring
+    ``A`` is first halved k times, the fewest that bring
     |A|_1 / 2^k within ``_TAYLOR_THETA[55]``, so that one substep sums
-    exp(A / 2^k) - I; k squarings K <- K K + 2 K = (I + K)^2 - I follow.
+    exp(A / 2^k) - I (two of degree 5 where |A|_1 / 2^k lies between
+    theta_5 and 2 theta_5: the same ten products); k squarings
+    K <- K K + 2 K = (I + K)^2 - I follow.
     A long interval (|A|_1 of a few hundred) then takes about 40 products
-    instead of the several hundred of the substeps.  A CSR ``A`` is never
-    halved: squaring would make K a dense BLAS product, whose threads
-    cost more than the sparse substeps save.
+    instead of the several hundred of the substeps: a squaring is a matrix
+    product, as every Taylor term is.
     """
+    norm = _one_norm(A)
     k = 0
-    if isinstance(A, np.ndarray):
-        norm = float(np.abs(A).sum(axis=0).max())
-        while norm / 2**k > _TAYLOR_THETA[55]:
-            k += 1
+    while norm / 2**k > _TAYLOR_THETA[55]:
+        k += 1
     s, substep = _taylor_substep(A / 2**k)
     K = np.zeros(A.shape)
     for _ in range(s):

@@ -212,8 +212,7 @@ class TestValidateDefaults:
 
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):
-        # the closed-form commands use numpy only; scipy is imported inside
-        # the engine functions that need it
+        # the closed-form commands and both engines use numpy only
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         code = "import sys, cavmech.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

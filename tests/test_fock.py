@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -190,13 +191,29 @@ def s_form_superoperator(gen):
     return (LT.real + LT.imag).tocsr()
 
 
+def as_csr(matrix):
+    """A :class:`~cavmech.propagate.SparseMatrix` as a scipy CSR matrix, to
+    compare with the references built by scipy."""
+    from scipy import sparse
+
+    assert isinstance(matrix, propagate.SparseMatrix) and matrix.vals.dtype == float
+    return sparse.csr_matrix((matrix.vals, (matrix.rows, matrix.cols)), shape=matrix.shape)
+
+
 def checked_superoperator(gen):
     """``gen.superoperator()``, checked against :func:`s_form_superoperator` to roundoff."""
     got = gen.superoperator()
     want = s_form_superoperator(gen)
-    assert got.shape == want.shape and got.dtype == want.dtype == float
-    assert abs(got - want).max() <= 4 * np.finfo(float).eps * abs(want).max()
+    csr = as_csr(got)
+    assert csr.shape == want.shape and csr.dtype == want.dtype == float
+    assert abs(csr - want).max() <= 4 * np.finfo(float).eps * abs(want).max()
     return got
+
+
+def zero_sparse(size):
+    """The :class:`~cavmech.propagate.SparseMatrix` of ``size`` rows with no entry."""
+    empty = np.zeros(0, int)
+    return propagate.SparseMatrix.from_entries(empty, empty, np.zeros(0), size)
 
 
 def drift_stage(D, state, out):
@@ -382,6 +399,63 @@ class TestLiouvillian:
         S = rng.normal(size=(3, 2, 5, 5))
         assert np.abs(fock.s_form(fock.hermitian_form(S)) - S).max() <= np.finfo(float).eps * np.abs(S).max()
 
+    @pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
+    @pytest.mark.parametrize("one_block", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_superoperator_matches_scipy_csr(self, monkeypatch, dims, one_block, seed):
+        # scipy is the reference only.  From the entries the assembly hands
+        # to SparseMatrix.from_entries, each stored value is the sum of the
+        # entries at its position in input order, and scipy's canonical CSR
+        # matrix holds the same positions in the same order, each the sum
+        # of the same entries: bit for bit where at most two meet (addition
+        # commutes), and within the rounding of each further addition
+        # elsewhere, as scipy's per-row sort (not a stable one) may take
+        # them in another order than the input's.  The product with a
+        # vector gives the bits of the CSR product of the same entries.  On
+        # random constant models with squeeze terms and lowering and
+        # raising jumps (thermal baths)
+        from scipy import sparse
+
+        entries = []
+        build = propagate.SparseMatrix.from_entries
+
+        def spy(rows, cols, vals, size):
+            entries.append((rows, cols, vals, size))
+            return build(rows, cols, vals, size)
+
+        monkeypatch.setattr(propagate.SparseMatrix, "from_entries", spy)
+        rng = np.random.default_rng(seed)
+        model = dataclasses.replace(random_quadratic_model(rng, 2), oscillating=())
+        space = FockSpace(dims)
+        gen = compile_generator(model, space, coherent_state(space) if one_block else None)
+        assert len(gen.block_sizes) == (1 if one_block else 2)
+        got = gen.superoperator()
+        (rows, cols, vals, size), = entries
+        nonzero = vals != 0
+        rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+        want = sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
+        want.eliminate_zeros()
+        assert want.has_canonical_format
+        assert np.array_equal(got.rows, np.repeat(np.arange(size), np.diff(want.indptr)))
+        assert np.array_equal(got.cols, want.indices)
+        # the entries meeting at each stored position, and the sum of their magnitudes
+        keys, position = np.unique(rows * size + cols, return_inverse=True)
+        stored = np.searchsorted(keys, got.rows * size + got.cols)
+        meeting = np.bincount(position, minlength=keys.size)[stored]
+        magnitude = np.bincount(position, weights=np.abs(vals), minlength=keys.size)[stored]
+        assert meeting.max() >= 3
+        # np.add.at adds the entries one by one, in input order
+        in_order = np.zeros(keys.size)
+        np.add.at(in_order, position, vals)
+        assert got.vals.tobytes() == in_order[stored].tobytes()
+        few = meeting <= 2
+        assert got.vals[few].tobytes() == want.data[few].tobytes()
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got.vals - want.data) <= (meeting - 1) * eps * magnitude)
+        same = as_csr(got)
+        for x in rng.normal(size=(3, size)):
+            assert (got @ x).tobytes() == (same @ x).tobytes()
+
     @pytest.mark.parametrize("dims", [(4, 4), (8, 8)])
     @pytest.mark.parametrize("kappa,thermal", [(0.5, None), (0.5, ((0.01, 0.3), (0.02, 0.1))), (0.0, None)])
     @pytest.mark.parametrize("one_block", [False, True])
@@ -397,7 +471,7 @@ class TestLiouvillian:
         space = FockSpace(dims)
         rho0 = coherent_state(space) if one_block else None
         gen = compile_generator(effective_generator(fr, include_shifts=True), space, rho0)
-        got = gen.superoperator()
+        got = as_csr(gen.superoperator())
         want = s_form_superoperator(gen)
         tol = 4 * np.finfo(float).eps * abs(want).max()
         assert got.shape == want.shape and got.dtype == want.dtype == float
@@ -871,10 +945,11 @@ class TestExponentialMap:
         # the record interval of a run at dt = 0.01 / f_max and stride 10,
         # and one of 1000 steps, whose 1-norm 223 forces several substeps
         A = checked_superoperator(gen) * (steps * 0.01 / gen.f_max)
-        # three S states: real, as the exact path carries them
+        # three S states: real, as the exact path carries them; the sparse
+        # map acts on one vector at a time
         B = np.random.default_rng(5).normal(size=(A.shape[0], 3))
         ref = expm(A.toarray()) @ B
-        for block, want in ((B, ref), (B[:, 0], ref[:, 0])):
+        for block, want in zip(B.T, ref.T):
             got = propagate.exponential_map(A)(block)
             assert got.shape == want.shape
             # worst measured, relative to max |ref|: 4.2e-16 (10 steps),
@@ -888,9 +963,10 @@ class TestExponentialMap:
 
         spec = effective_generator(self.FRAME)
         if engine == "fock":
+            # the restricted generator the exact path takes dense; over 1000
+            # steps it is halved and squared
             gen = compile_generator(spec, FockSpace((4, 4)))
-            A = checked_superoperator(gen) * (steps * 0.01 / gen.f_max)
-            dense = A.toarray()
+            A = dense = (checked_superoperator(gen) * (steps * 0.01 / gen.f_max)).toarray()
         else:
             # a dense A within one substep: summed from 0 without halving
             dd = gaussian.drift_diffusion_from_generator(spec)
@@ -899,7 +975,8 @@ class TestExponentialMap:
         want = expm(dense) - np.eye(A.shape[0])
         got = propagate.exponential_increment(A)
         # worst measured, relative to max |want|: 4.0e-16 (Fock, 10 steps),
-        # 7.9e-15 (Fock, 1000 steps), 5.6e-16 (Gaussian)
+        # 4.3e-15 (Fock, 1000 steps, halved and squared; 7.9e-15 by the
+        # substeps), 5.6e-16 (Gaussian)
         assert np.abs(got - want).max() <= bound * np.abs(want).max()
         assert not propagate.exponential_increment(A * 0).any()
 
@@ -922,10 +999,11 @@ class TestExponentialMap:
 
     @pytest.mark.parametrize("dense", [True, False])
     def test_zero_matrix_returns_the_input(self, dense):
-        from scipy import sparse
-
-        zero = np.zeros((6, 6)) if dense else sparse.csr_matrix((6, 6))
-        B = np.arange(12.0).reshape(6, 2) + 1j
+        # a sparse matrix acts on a real vector, as on the exact path's S
+        if dense:
+            zero, B = np.zeros((6, 6)), np.arange(12.0).reshape(6, 2) + 1j
+        else:
+            zero, B = zero_sparse(6), np.arange(6.0)
         assert np.array_equal(propagate.exponential_map(zero)(B), B)
 
     @staticmethod
@@ -933,7 +1011,7 @@ class TestExponentialMap:
         """The substeps s and the substep (B, F) -> F + (T_m(A / s) - I) B of
         exponential_map, with its stop test taken at every term, on max |F|
         of the partial sum."""
-        norm = float(abs(A).sum(axis=0).max())
+        norm = float(np.abs(A if isinstance(A, np.ndarray) else A.toarray()).sum(axis=0).max())
         _, m, s = min((m * math.ceil(norm / theta), m, math.ceil(norm / theta))
                       for m, theta in propagate._TAYLOR_THETA.items())
 
@@ -963,23 +1041,23 @@ class TestExponentialMap:
         return apply
 
     def stop_rule_cases(self):
-        from scipy import sparse
-
-        # the cases of the two dense-expm tests above, and the zero matrix
+        # the cases of the two dense-expm tests above, and the zero matrix;
+        # the sparse Fock generator on vectors, also taken dense on a block
         gen = compile_generator(effective_generator(self.FRAME), FockSpace((4, 4)))
         superop = checked_superoperator(gen)
         B = np.random.default_rng(5).normal(size=(superop.shape[0], 3))
         for steps in (10, 1000):
             A = superop * (steps * 0.01 / gen.f_max)
-            yield A, B[:, :1]
-            yield A, B
+            yield A, B[:, 0]
+            yield A, B[:, 2]
+            yield A.toarray(), B
         dd = gaussian.drift_diffusion_from_generator(effective_generator(self.FRAME))
         L = dd.superoperator()
         relax = -np.linalg.eigvals(dd.drift).real.max()
         for h in (10 * 0.01 / dd.f_max, 10 / relax):
             yield L * h, np.eye(L.shape[0])
         yield np.zeros((6, 6)), np.arange(12.0).reshape(6, 2) + 1j
-        yield sparse.csr_matrix((6, 6), dtype=complex), np.arange(12.0).reshape(6, 2) + 1j
+        yield zero_sparse(6), np.arange(6.0)
 
     def test_running_bound_stops_where_the_plain_rule_stops(self):
         # every stop decision is the same, so every sum is bit-identical,
@@ -991,18 +1069,23 @@ class TestExponentialMap:
             want = self.plain_stop_rule_map(A)(B)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    def test_sparse_increment_is_never_squared(self):
-        # a Fock increment over 1000 steps lies far beyond one substep, yet
-        # keeps the substeps of its sparse products, summed from 0: squaring
-        # it would take dense BLAS products, which wake a second thread at
-        # this size (a 128-row dgemm runs at cpu/wall 1.5 on 2 CPUs)
+    def test_fock_increment_is_halved_and_squared(self):
+        # the exact path builds the dense increment of the Fock generator
+        # from the generator taken dense, as it does the moment
+        # superoperator's: over 1000 steps it lies far beyond one substep,
+        # and is halved to within it and squared back, each squaring a
+        # matrix product as each Taylor term is
         gen = compile_generator(effective_generator(self.FRAME), FockSpace((4, 4)))
-        A = checked_superoperator(gen) * (1000 * 0.01 / gen.f_max)
-        assert abs(A).sum(axis=0).max() > propagate._TAYLOR_THETA[55]
-        s, substep = self.plain_stop_rule_substep(A)
+        A = (checked_superoperator(gen) * (1000 * 0.01 / gen.f_max)).toarray()
+        norm = np.abs(A).sum(axis=0).max()
+        k = math.ceil(math.log2(norm / propagate._TAYLOR_THETA[55]))
+        assert norm / 2**k <= propagate._TAYLOR_THETA[55] < norm / 2**(k - 1) and k == 5
+        s, substep = self.plain_stop_rule_substep(A / 2**k)
         want = np.zeros(A.shape)
         for _ in range(s):
             want = substep(want + np.eye(A.shape[0]), want)
+        for _ in range(k):
+            want = want @ want + 2 * want
         got = propagate.exponential_increment(A)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -1845,9 +1928,8 @@ class TestTransferExperiment:
             fit_damped_rabi(t, n2)
 
     def test_time_dependent_path_and_fit_load_no_scipy(self):
-        # a short full-model run takes the time-dependent path; scipy stays
-        # for the exact path and the Lyapunov steady state.  Tier-1 cost:
-        # about 0.2 s, mostly the fresh interpreter's imports
+        # a short full-model run takes the time-dependent path.  Tier-1
+        # cost: about 0.2 s, mostly the fresh interpreter's imports
         code = textwrap.dedent("""
             import sys
             import numpy as np
@@ -1860,6 +1942,31 @@ class TestTransferExperiment:
             assert traj.stats.stage_evaluations > 0
             t = np.linspace(0, 700, 1500)
             fock.fit_damped_rabi(t, 0.97 * np.sin(1.1e-3 * t) ** 2 * np.exp(-2e-4 * t) + 0.002)
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """)
+        src = str(Path(fock.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
+
+    def test_exact_paths_and_steady_state_load_no_scipy(self):
+        # an effective-model run at dims (4, 4) takes the exact path: 52
+        # records by the dense increment, the last by the sparse Taylor sum;
+        # with a constant-drift moment run and the Lyapunov steady state, no
+        # engine path imports scipy
+        code = textwrap.dedent("""
+            import sys
+            from cavmech import fock, frame_from_collective, gaussian
+            from cavmech.quadratic import effective_generator, quadratic_model
+            spec = effective_generator(frame_from_collective(1.0, 0.2, 1.0, 0.3, 0.15, 0.15))
+            space = fock.FockSpace((4, 4))
+            dt = 0.01 / quadratic_model(spec).f_max
+            traj = fock.integrate(spec, space, fock.fock_state(space, (1, 0)), 105 * dt, dt, stride=2)
+            assert traj.stats.dense_maps == 1 and traj.stats.carried == 44
+            dd = gaussian.drift_diffusion_from_generator(spec)
+            gtraj = gaussian.evolve_covariance(dd, gaussian.fock_moments(2, (1, 0)), 105 * dt, dt, stride=2)
+            assert gtraj.stats.dense_maps == 2
+            gaussian.steady_state(dd)
             print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         """)
         src = str(Path(fock.__file__).resolve().parents[1])

@@ -636,6 +636,35 @@ class TestSteadyState:
         assert len(traj.t) == 2
         assert np.abs(traj.final_state.cov - steady_state(dd).cov).max() <= 1e-12
 
+    @pytest.mark.parametrize("n_modes", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scipy_lyapunov_solver(self, n_modes, seed):
+        # scipy's Bartels-Stewart solver is the reference only: on random
+        # stable drifts and random positive semidefinite diffusions
+        from scipy.linalg import solve_continuous_lyapunov
+
+        rng = np.random.default_rng(seed)
+        n = 2 * n_modes
+        M = rng.normal(size=(n, n))
+        A = M - (np.linalg.eigvals(M).real.max() + rng.uniform(0.1, 1.0)) * np.eye(n)
+        G = rng.normal(size=(n, n - 1))
+        D = G @ G.T
+        got = steady_state(DriftDiffusion(A, D)).cov
+        want = solve_continuous_lyapunov(A, -D)
+        want = 0.5 * (want + want.T)
+        assert np.array_equal(got, got.T)
+        # worst measured: 2.9e-15
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_residual_guard_rejects_an_inexact_solution(self, monkeypatch):
+        fr = frame_from_collective(1.0, 0.2, 1.0, 0.3, 0.15, 0.15)
+        dd = drift_diffusion_from_generator(effective_generator(fr))
+        steady_state(dd)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1 + 1e-8))
+        with pytest.raises(RuntimeError, match=r"Lyapunov residual .* exceeds 1e-10 \* \|D\|"):
+            steady_state(dd)
+
     def test_lossless_generator_has_no_steady_state(self):
         fr = frame_from_collective(1.0, 0.2, 0.7, 0.0, 0.1, 0.1)
         dd = drift_diffusion_from_generator(effective_generator(fr))
