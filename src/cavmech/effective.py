@@ -143,15 +143,6 @@ def interaction_regime(xi: float) -> str:
     return "classical" if xi <= 0.5 else "quantum"
 
 
-def frequency_shifts(frame: FrameParams) -> tuple[float, float]:
-    """Mode frequency shifts as they enter the effective generator.
-
-    The eliminated-cavity frame shifts carry the opposite sign of the
-    reported ``optical_spring`` values.
-    """
-    return (-frame.spring_1, -frame.spring_2)
-
-
 def collective_mode_coeffs(g_1: float, g_2: float) -> CollectiveMode:
     """Shared-bath mode coefficients, (sqrt(g1/g2), sqrt(g2/g1))."""
     if g_1 <= 0 or g_2 <= 0:
@@ -181,7 +172,14 @@ def effective_params(frame: FrameParams) -> EffectiveParams:
     )
 
 
-def coupling_nulls(frame: FrameParams, tol: float = 1e-12) -> list[float]:
+# Absolute width at which coupling_nulls stops bisecting: three orders
+# below the 1e-9 agreement demanded of the analytic root.  `nulls` and
+# `fig1` print the bisected root, not the analytic one, so this width
+# fixes their bytes.
+_NULL_BISECTION_TOL = 1e-12
+
+
+def coupling_nulls(frame: FrameParams) -> list[float]:
     """All central detunings where the exchange coupling vanishes.
 
     Zero is always a root (returned analytically).  Interior roots at
@@ -203,7 +201,7 @@ def coupling_nulls(frame: FrameParams, tol: float = 1e-12) -> list[float]:
             positive_root = a
             break
         if fa * fb < 0:
-            while b - a > tol:
+            while b - a > _NULL_BISECTION_TOL:
                 m = 0.5 * (a + b)
                 fm = exchange_pathway_sum(m, ob, kappa)
                 if fm == 0.0:

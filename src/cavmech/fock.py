@@ -311,7 +311,7 @@ class CompiledGenerator:
         uses; assembled in one pass, with no sparse Kronecker product and
         no sparse addition, into a :class:`~cavmech.propagate.SparseMatrix`,
         which sums the entries of each position (a lossless drift with
-        frequency shifts has sums that cancel, and those are dropped).
+        number terms has sums that cancel, and those are dropped).
         """
         if self.phase_nus.size:
             raise ValueError("the superoperator needs a time-independent generator")

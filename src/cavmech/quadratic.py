@@ -18,7 +18,6 @@ from .effective import (
     EffectiveParams,
     collective_mode_coeffs,
     effective_params,
-    frequency_shifts,
 )
 
 
@@ -33,23 +32,22 @@ class FullLinearized:
 class EffectiveTwoMode:
     """Effective two-mode generator; subsystem order (mode 1, mode 2).
 
-    ``freq_shifts`` are the coefficients of the two number operators; by
-    default the frame shifts are taken as absorbed into the mode operators
-    and set to zero.
+    It has no number terms: the optical springs ``FrameParams.spring_1/2``
+    are reported, never folded into the mode frequencies.  A model with
+    shifted modes is built as a :class:`QuadraticModel`, with its number
+    terms ``(c, m, m, False)`` in ``static``.
     """
 
     params: EffectiveParams
     collective: CollectiveMode
-    freq_shifts: tuple[float, float] = (0.0, 0.0)
     thermal_baths: tuple[tuple[float, float], ...] | None = None
 
 
-def effective_generator(frame: FrameParams, include_shifts: bool = False) -> EffectiveTwoMode:
+def effective_generator(frame: FrameParams) -> EffectiveTwoMode:
     """Assemble the effective generator for a frame."""
     return EffectiveTwoMode(
         params=effective_params(frame),
         collective=collective_mode_coeffs(frame.g_1, frame.g_2),
-        freq_shifts=frequency_shifts(frame) if include_shifts else (0.0, 0.0),
         thermal_baths=frame.thermal_baths,
     )
 
@@ -116,7 +114,9 @@ def quadratic_model(spec) -> QuadraticModel:
     """Describe a generator spec as a :class:`QuadraticModel`.
 
     A :class:`QuadraticModel` is returned as it is; its construction
-    checks the terms.
+    checks the terms.  An :class:`EffectiveTwoMode` is described by its
+    exchange term ``(J, 0, 1, False)`` alone, with no number term, and by
+    the jumps of its three bath pairs and of any thermal baths.
     """
     if isinstance(spec, QuadraticModel):
         return spec
@@ -141,9 +141,8 @@ def quadratic_model(spec) -> QuadraticModel:
         baths = fr.thermal_baths
     elif isinstance(spec, EffectiveTwoMode):
         p = spec.params
-        s1, s2 = spec.freq_shifts
         n_modes, oscillating = 2, ()
-        static = ((s1, 0, 0, False), (s2, 1, 1, False), (p.exchange_coupling, 0, 1, False))
+        static = ((p.exchange_coupling, 0, 1, False),)
         collective = ((0, spec.collective.c_1), (1, spec.collective.c_2))
         jumps = []
         for coeffs, name in ((((0, 1.0),), "1"), (((1, 1.0),), "2"), (collective, "collective")):

@@ -228,6 +228,14 @@ def coherent_state(space):
     return np.full((space.total_dim,) * 2, 1 / space.total_dim, complex)
 
 
+def shifted_effective_model(fr):
+    """The effective model of ``fr`` with the number terms -spring_j b_j^dag b_j
+    ahead of its exchange term, for the tests that cover number terms."""
+    model = quadratic_model(effective_generator(fr))
+    shifts = ((-fr.spring_1, 0, 0, False), (-fr.spring_2, 1, 1, False))
+    return dataclasses.replace(model, static=shifts + model.static)
+
+
 def manual_params(rates, J=0.0):
     """EffectiveParams with an explicit rate table, for engine-level tests."""
     table = {"1": rates.get("1", (0.0, 0.0)),
@@ -373,7 +381,7 @@ class TestLiouvillian:
         fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08,
                                    thermal_baths=((0.01, 0.3), (0.02, 0.1)))
         for space in (FockSpace((3, 4)), FockSpace((3, 3))):
-            gen = compile_generator(effective_generator(fr, include_shifts=True), space)
+            gen = compile_generator(shifted_effective_model(fr), space)
             superop = gen.superoperator()
             rng = np.random.default_rng(3)
             dim = space.total_dim
@@ -470,7 +478,7 @@ class TestLiouvillian:
         fr = frame_from_collective(1.0, 0.3, 1.9, kappa, 0.12, 0.08, thermal_baths=thermal)
         space = FockSpace(dims)
         rho0 = coherent_state(space) if one_block else None
-        gen = compile_generator(effective_generator(fr, include_shifts=True), space, rho0)
+        gen = compile_generator(shifted_effective_model(fr), space, rho0)
         got = as_csr(gen.superoperator())
         want = s_form_superoperator(gen)
         tol = 4 * np.finfo(float).eps * abs(want).max()
@@ -487,7 +495,7 @@ class TestLiouvillian:
     def test_compiled_arrays_match_the_dense_construction(self, model, dims, thermal):
         # the (3, 3, 3) and (3, 3) blocks are padded with ghost rows
         fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08, thermal_baths=thermal)
-        spec = FullLinearized(fr) if model == "full" else effective_generator(fr, include_shifts=True)
+        spec = FullLinearized(fr) if model == "full" else shifted_effective_model(fr)
         assert_compiled_arrays_match(spec, FockSpace(dims))
 
     def test_compiled_arrays_of_a_complex_model_match_the_dense_construction(self):
@@ -1381,7 +1389,7 @@ class TestReachability:
         # 128
         fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08,
                                    thermal_baths=((0.01, 0.3), (0.02, 0.1)))
-        spec, space = effective_generator(fr, include_shifts=True), FockSpace((4, 4))
+        spec, space = shifted_effective_model(fr), FockSpace((4, 4))
         dt = 0.01 / quadratic_model(spec).f_max
 
         def run():
@@ -1591,7 +1599,7 @@ class TestDensityBlocks:
         else:
             fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08,
                                        thermal_baths=((0.01, 0.3), (0.02, 0.1)))
-            spec = FullLinearized(fr) if case == "full" else effective_generator(fr, include_shifts=True)
+            spec = FullLinearized(fr) if case == "full" else shifted_effective_model(fr)
             model = quadratic_model(spec)
             space = FockSpace((3,) * model.n_modes)
         n = model.n_modes
@@ -1655,7 +1663,7 @@ class TestDensityBlocks:
     def test_exact_path_matches_dense_reference(self, dims):
         fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08,
                                    thermal_baths=((0.01, 0.3), (0.02, 0.1)))
-        spec, space = effective_generator(fr, include_shifts=True), FockSpace(dims)
+        spec, space = shifted_effective_model(fr), FockSpace(dims)
         rho0 = fock_state(space, (1, 0))
         dt = 0.01 / quadratic_model(spec).f_max
         traj = integrate(spec, space, rho0, 400 * dt, dt, stride=20, truncation_tol=0.5)
@@ -1674,7 +1682,7 @@ class TestDensityBlocks:
         # state has 128 entries: the run takes the dense increment
         fr = frame_from_collective(1.0, 0.3, 1.9, 0.5, 0.12, 0.08,
                                    thermal_baths=((0.01, 0.3), (0.02, 0.1)))
-        spec, space = effective_generator(fr, include_shifts=True), FockSpace((4, 4))
+        spec, space = shifted_effective_model(fr), FockSpace((4, 4))
         rho0 = fock_state(space, (1, 0))
         dt = 0.01 / quadratic_model(spec).f_max
         traj = integrate(spec, space, rho0, 390 * dt, dt, stride=3, truncation_tol=0.5)

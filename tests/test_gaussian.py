@@ -36,7 +36,7 @@ from cavmech.quadratic import (
     effective_generator,
     quadratic_model,
 )
-from test_fock import engine_rhs, manual_params
+from test_fock import engine_rhs, manual_params, shifted_effective_model
 
 
 def vech(x):
@@ -73,9 +73,8 @@ class TestImports:
 
 class TestDriftDiffusionMapping:
     def test_damped_mode_textbook_blocks(self):
-        spec = EffectiveTwoMode(manual_params({"1": (0.3, 0.0)}),
-                                CollectiveMode(1.0, 1.0), freq_shifts=(1.3, 0.0))
-        dd = drift_diffusion_from_generator(spec)
+        model = quadratic_model(EffectiveTwoMode(manual_params({"1": (0.3, 0.0)}), CollectiveMode(1.0, 1.0)))
+        dd = drift_diffusion_from_generator(dataclasses.replace(model, static=((1.3, 0, 0, False),) + model.static))
         assert dd.drift[:2, :2] == pytest.approx(np.array([[-0.15, 1.3], [-1.3, -0.15]]))
         assert dd.diffusion[:2, :2] == pytest.approx(0.15 * np.eye(2))
 
@@ -126,11 +125,21 @@ class TestDriftDiffusionMapping:
         with pytest.raises(ValueError, match="non-finite rate"):
             drift_diffusion_from_generator(spec)
 
+    def test_effective_model_is_its_exchange_term_alone(self):
+        # the springs are reported, never folded into the mode frequencies:
+        # no number term, on a frame where both springs are nonzero
+        fr = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05)
+        spec = effective_generator(fr)
+        model = quadratic_model(spec)
+        assert fr.spring_1 != 0 and fr.spring_2 != 0
+        assert model.static == ((spec.params.exchange_coupling, 0, 1, False),)
+        assert model.oscillating == ()
+
     def test_non_finite_coefficient_or_frequency_rejected(self):
         fr = frame_from_collective(1.0, 0.2, 5.0, 0.1, 0.05, 0.05)
-        shifted = dataclasses.replace(effective_generator(fr), freq_shifts=(math.inf, 0.0))
+        model = quadratic_model(effective_generator(fr))
         with pytest.raises(ValueError, match="non-finite coefficient inf"):
-            quadratic_model(shifted)
+            dataclasses.replace(model, static=((math.inf, 0, 0, False),) + model.static)
         with pytest.raises(ValueError, match="non-finite frequency nan"):
             quadratic_model(FullLinearized(dataclasses.replace(fr, delta_bar=math.nan)))
 
@@ -469,9 +478,8 @@ class TestEvolution:
         fock_gap = gauss_gap = 0.0
         for delta_omega, delta_bar, kappa, G in [(0.2, 1.0, 0.3, 0.15), (0.3, 0.9, 0.5, 0.12),
                                                  (0.15, 1.1, 0.2, 0.10)]:
-            spec = effective_generator(frame_from_collective(1.0, delta_omega, delta_bar, kappa, G, G),
-                                       include_shifts=True)
-            model = quadratic_model(spec)
+            fr = frame_from_collective(1.0, delta_omega, delta_bar, kappa, G, G)
+            spec, model = effective_generator(fr), shifted_effective_model(fr)
             ticking = dataclasses.replace(
                 model, static=tuple(term for term in model.static if term[1] == term[2]),
                 oscillating=((0.0, tuple(term for term in model.static if term[1] != term[2])),))
